@@ -71,20 +71,6 @@ let is_active t =
    elsewhere in the same run cannot collide into the same stream *)
 let rng t = Random.State.make [| t.seed; 0x6A09; 0xE667; 0xF3BC |]
 
-(* Decorrelated per-shard stream: the shard id goes through the pool's
-   splitmix finalizer so shard 0's stream is not the global {!rng} and
-   adjacent shards do not share prefixes. The sharded simulator keeps its
-   drop/duplicate draws on the single {!rng} stream (drawn in the
-   sequential exchange, so draw order — and every fixed-seed equivalence
-   pin against run_reference — is preserved at every shard count); this
-   derived stream is for shard-local randomness that never has to match
-   a sequential oracle. *)
-let shard_rng t ~shard =
-  if shard < 0 then
-    invalid_arg (Printf.sprintf "Faults.shard_rng: shard %d < 0" shard);
-  Random.State.make
-    [| Parallel.Pool.derive_seed t.seed shard; 0x6A09; 0xE667; 0xF3BC |]
-
 (* Round-indexed fault bookkeeping shared by every simulator loop: crash /
    recovery schedules keyed by round, the link-outage predicate, and the
    sorted distinct rounds at which a crash or recovery fires (the events

@@ -72,17 +72,6 @@ val is_active : t -> bool
     [seed]. Two calls return independent states with identical streams. *)
 val rng : t -> Random.State.t
 
-(** [shard_rng t ~shard] is a per-shard stream, decorrelated from {!rng}
-    and from every other shard via {!Parallel.Pool.derive_seed}. The
-    sharded simulator deliberately does {e not} draw its drop/duplicate
-    fates from these: those draws happen on the single {!rng} stream in
-    the sequential cross-shard exchange, in exactly the reference loop's
-    sender-ascending order, so fixed-seed fault outcomes are identical at
-    every shard and jobs count. Use this for shard-local randomness that
-    has no sequential oracle to match.
-    @raise Invalid_argument if [shard < 0]. *)
-val shard_rng : t -> shard:int -> Random.State.t
-
 (** Round-indexed fault bookkeeping shared by the simulator loops.
     [crash_at] / [recover_at] list the vertices crashing / recovering at
     the start of a given round; [link_down r u v] tells whether the

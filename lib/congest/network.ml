@@ -30,7 +30,7 @@ let step ?wake_after ?(send = []) ?(halt = false) state =
 
 type schedule = Every_round | Event_driven
 
-(* Bit-packed message transport for the sharded loop: a message whose
+(* Bit-packed message transport for the simulator loop: a message whose
    [pack] is non-negative travels as one immediate int in the arena's
    payload column; a negative [pack] is the escape hatch — the message is
    spilled boxed into the shard's wide-message side array and the payload
@@ -49,7 +49,7 @@ let boxed_codec () =
         invalid_arg "Congest.Network: boxed codec carries no packed payloads");
   }
 
-type exec = Single | Sharded of { shards : int; pool : Parallel.Pool.t }
+type exec = Sharded of { shards : int; pool : Parallel.Pool.t }
 
 type stats = {
   rounds : int;
@@ -322,401 +322,8 @@ let check_neighbor row cursor v w =
     cursor := !found + 1
   end
 
-(* The event-driven loop. The determinism contract it preserves, relied on
-   by the fault layer's RNG: per round, vertices execute in ascending id
-   order and each vertex's sends are processed in list order, so the k-th
-   [Random.State] draw of a run lands on the same message as in
-   [run_reference]. Under [Every_round] scheduling the sequence of round
-   calls is identical to the reference; under [Event_driven] it is a
-   subsequence that omits only steps the wake-up contract declares no-ops
-   (see network.mli), which send nothing and therefore draw nothing. *)
-let run_single ~faults ~schedule g ~bandwidth ~msg_bits ~init ~round
-    ~max_rounds =
-  let n = Graph.n g in
-  let event = match schedule with Event_driven -> true | Every_round -> false in
-  let ctxs =
-    Array.init n (fun v ->
-        let d = Graph.degree g v in
-        { id = v; n_hint = n; neighbors = Array.init d (Graph.neighbor_at g v) })
-  in
-  let states = Array.map init ctxs in
-  let halted = Array.make n false in
-  (* Flat per-vertex inbox buffers, reused across rounds. Deliveries happen
-     sender-ascending within a round and sends are processed in list order,
-     which is exactly the order the reference loop's stable_sort + rev
-     reconstructs — so filling in arrival order needs no per-round sort. *)
-  let in_src : int array array = Array.make n [||] in
-  let in_msg : 'msg array array = Array.make n [||] in
-  let in_len = Array.make n 0 in
-  (* footprint accounting for the flat buffers: 2 machine words per slot
-     (one src int, one msg pointer/immediate), tracked so the meter can
-     report the high-watermark and the residual footprint at run end *)
-  let inbox_words = ref 0 in
-  let inbox_peak = ref 0 in
-  (* lint: hot *)
-  let push_inbox w src msg =
-    let len = in_len.(w) in
-    let cap = Array.length in_src.(w) in
-    if len = cap then begin
-      let cap' = if cap = 0 then 4 else 2 * cap in
-      (* lint: allow A001 amortized doubling growth *)
-      let src' = Array.make cap' 0 in
-      Array.blit in_src.(w) 0 src' 0 len;
-      in_src.(w) <- src';
-      (* the arriving message doubles as the fill element, so growing never
-         needs a dummy 'msg value *)
-      (* lint: allow A001 amortized doubling growth *)
-      let msg' = Array.make cap' msg in
-      Array.blit in_msg.(w) 0 msg' 0 len;
-      in_msg.(w) <- msg';
-      inbox_words := !inbox_words + (2 * (cap' - cap));
-      if !inbox_words > !inbox_peak then inbox_peak := !inbox_words
-    end;
-    in_src.(w).(len) <- src;
-    in_msg.(w).(len) <- msg;
-    in_len.(w) <- len + 1
-  in
-  let inbox_list v =
-    let src = in_src.(v) and msg = in_msg.(v) in
-    let len = in_len.(v) in
-    let acc = ref [] in
-    for i = len - 1 downto 0 do
-      acc := (src.(i), msg.(i)) :: !acc
-    done;
-    in_len.(v) <- 0;
-    (* high-watermark shrink: a vertex whose buffer grew for one burst must
-       not retain peak capacity forever (the capacity also pins every stale
-       'msg pointer in it). Dropping to empty instead of copying down keeps
-       this allocation-free; re-growth doubles from 4, so a steady consumer
-       re-amortizes immediately. *)
-    let cap = Array.length src in
-    if cap > 64 && 4 * len < cap then begin
-      in_src.(v) <- [||];
-      in_msg.(v) <- [||];
-      inbox_words := !inbox_words - (2 * cap)
-    end;
-    !acc
-  in
-  let messages = ref 0 in
-  let dropped = ref 0 in
-  let duplicated = ref 0 in
-  let crashed_rounds = ref 0 in
-  let total_bits = ref 0 in
-  let max_edge_bits = ref 0 in
-  let last_traffic = ref 0 in
-  let rounds = ref 0 in
-  let live = ref n in
-  let faulty = Faults.is_active faults in
-  let crashed = Array.make n false in
-  let crashed_live = ref 0 in
-  let frng = Faults.rng faults in
-  let { Faults.crash_at; recover_at; link_down; event_rounds = fault_rounds } =
-    Faults.tables faults ~n
-  in
-  let fr_idx = ref 0 in
-  let next_fault_round r =
-    while
-      !fr_idx < Array.length fault_rounds && fault_rounds.(!fr_idx) <= r
-    do
-      incr fr_idx
-    done;
-    if !fr_idx < Array.length fault_rounds then fault_rounds.(!fr_idx)
-    else max_int
-  in
-  (* worklists: [cur] is this round's schedule, [nxt] collects next round's;
-     [sched.(v)] is the latest round v is queued for (dedup stamp) *)
-  let cur = ref (Array.make n 0) and nxt = ref (Array.make n 0) in
-  let cur_len = ref 0 and nxt_len = ref 0 in
-  let sched = Array.make n (-1) in
-  let exec = Array.make n 0 in
-  let exec_len = ref 0 in
-  let active_total = ref 0 in
-  (* wake-up requests: [wake_at.(v)] is v's pending wake round (0 = none);
-     buckets collect the vertices per round, and a min-heap over bucket
-     rounds answers "when is the next wake?" for fast-forwarding. Stale
-     bucket entries (superseded or cancelled wakes) are filtered against
-     [wake_at] when the bucket is consumed. *)
-  let wake_at = Array.make n 0 in
-  let wake_buckets : (int, int list ref) Hashtbl.t = Hashtbl.create 32 in
-  let heap = ref (Array.make 16 0) in
-  let heap_len = ref 0 in
-  (* lint: hot *)
-  let heap_push x =
-    if !heap_len = Array.length !heap then begin
-      (* lint: allow A001 amortized doubling growth *)
-      let h = Array.make (2 * !heap_len) 0 in
-      Array.blit !heap 0 h 0 !heap_len;
-      heap := h
-    end;
-    let a = !heap in
-    let i = ref !heap_len in
-    incr heap_len;
-    a.(!i) <- x;
-    while !i > 0 && a.((!i - 1) / 2) > a.(!i) do
-      let p = (!i - 1) / 2 in
-      let t = a.(p) in
-      a.(p) <- a.(!i);
-      a.(!i) <- t;
-      i := p
-    done
-  in
-  (* lint: hot *)
-  let heap_min () = if !heap_len = 0 then max_int else (!heap).(0) in
-  (* lint: hot *)
-  let heap_pop () =
-    let a = !heap in
-    decr heap_len;
-    a.(0) <- a.(!heap_len);
-    let i = ref 0 in
-    let moving = ref true in
-    while !moving do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let s = ref !i in
-      if l < !heap_len && a.(l) < a.(!s) then s := l;
-      if r < !heap_len && a.(r) < a.(!s) then s := r;
-      if !s = !i then moving := false
-      else begin
-        let t = a.(!s) in
-        a.(!s) <- a.(!i);
-        a.(!i) <- t;
-        i := !s
-      end
-    done
-  in
-  let set_wake v t =
-    wake_at.(v) <- t;
-    match Hashtbl.find_opt wake_buckets t with
-    | Some entries -> entries := v :: !entries
-    | None ->
-        Hashtbl.add wake_buckets t (ref [ v ]);
-        heap_push t
-  in
-  (* lint: hot *)
-  let push_cur r v =
-    if sched.(v) <> r then begin
-      sched.(v) <- r;
-      (!cur).(!cur_len) <- v;
-      incr cur_len
-    end
-  in
-  (* lint: hot *)
-  let push_nxt r1 v =
-    if sched.(v) <> r1 then begin
-      sched.(v) <- r1;
-      (!nxt).(!nxt_len) <- v;
-      incr nxt_len
-    end
-  in
-  (* reused outgoing scratch: only slots of vertices stepped this round are
-     written, and each is reset right after its messages are delivered *)
-  let outgoing : (int * 'msg) list array = Array.make n [] in
-  (* bandwidth scratch, reused across vertices and rounds *)
-  let edge_bits = Array.make n 0 in
-  let touched = Array.make n 0 in
-  let touched_len = ref 0 in
-  (* round 1 schedules everyone *)
-  if event then
-    for v = 0 to n - 1 do
-      push_cur 1 v
-    done;
-  while !live > 0 && !rounds < max_rounds do
-    incr rounds;
-    let r = !rounds in
-    (* crash / recovery events take effect at the start of the round, in
-       the same order as the reference: recoveries first, then crashes. A
-       recovering vertex executes its recovery round with an empty inbox. *)
-    if faulty then begin
-      List.iter
-        (fun v ->
-          if crashed.(v) && not halted.(v) then begin
-            crashed.(v) <- false;
-            incr live;
-            decr crashed_live;
-            if event then push_cur r v
-          end)
-        (Hashtbl.find_all recover_at r);
-      List.iter
-        (fun v ->
-          if (not crashed.(v)) && not halted.(v) then begin
-            crashed.(v) <- true;
-            in_len.(v) <- 0;
-            (* crashing cancels a pending wake, mirroring the documented
-               halt-cancels-wake rule: only the recovery event re-arms the
-               vertex (the stale bucket entry is filtered on consumption,
-               so a wake firing during the outage cannot resurrect it) *)
-            if wake_at.(v) > 0 then wake_at.(v) <- 0;
-            decr live;
-            incr crashed_live
-          end)
-        (Hashtbl.find_all crash_at r)
-    end;
-    (* every crashed vertex burns this round, exactly as the reference
-       counts it during its full sweep *)
-    crashed_rounds := !crashed_rounds + !crashed_live;
-    if event then begin
-      (* fire this round's wake-ups *)
-      (match Hashtbl.find_opt wake_buckets r with
-      | Some entries ->
-          List.iter
-            (fun v ->
-              if wake_at.(v) = r then begin
-                wake_at.(v) <- 0;
-                (* a wake firing while crashed is lost: the recovery event
-                   itself reschedules the vertex *)
-                if (not halted.(v)) && not crashed.(v) then push_cur r v
-              end)
-            !entries;
-          Hashtbl.remove wake_buckets r
-      | None -> ());
-      if heap_min () = r then heap_pop ();
-      sort_prefix !cur !cur_len
-    end;
-    (* execute the round on this round's schedule, ascending by vertex id *)
-    exec_len := 0;
-    let step_vertex v =
-      let st = round r ctxs.(v) states.(v) (inbox_list v) in
-      states.(v) <- st.state;
-      (* a halting vertex's final sends still go out this round *)
-      outgoing.(v) <- st.send;
-      exec.(!exec_len) <- v;
-      incr exec_len;
-      if st.halt then begin
-        halted.(v) <- true;
-        decr live;
-        if wake_at.(v) > 0 then wake_at.(v) <- 0
-      end
-      else if event then
-        match st.wake_after with
-        | Some d ->
-            if d < 1 then
-              invalid_arg
-                (Printf.sprintf
-                   "Network.run: vertex %d requested wake_after %d (must be \
-                    >= 1)"
-                   v d);
-            if d <= max_rounds - r then set_wake v (r + d)
-            else if wake_at.(v) > 0 then wake_at.(v) <- 0
-        | None -> if wake_at.(v) > 0 then wake_at.(v) <- 0
-    in
-    if event then
-      for i = 0 to !cur_len - 1 do
-        let v = (!cur).(i) in
-        if (not halted.(v)) && not crashed.(v) then step_vertex v
-      done
-    else
-      for v = 0 to n - 1 do
-        if (not halted.(v)) && not crashed.(v) then step_vertex v
-      done;
-    active_total := !active_total + !exec_len;
-    (* deliver, senders ascending (exec is ascending in both modes), each
-       sender's messages in list order — the draw order the fault RNG pins *)
-    cur_len := 0;
-    for i = 0 to !exec_len - 1 do
-      let v = exec.(i) in
-      let row = ctxs.(v).neighbors in
-      let cursor = ref 0 in
-      List.iter
-        (fun (w, msg) ->
-          check_neighbor row cursor v w;
-          let bits = msg_bits msg in
-          if edge_bits.(w) = 0 then begin
-            touched.(!touched_len) <- w;
-            incr touched_len
-          end;
-          let now = edge_bits.(w) + bits in
-          edge_bits.(w) <- now;
-          (match bandwidth with
-          | Local -> ()
-          | Congest budget ->
-              if now > budget then
-                raise
-                  (Congestion_violation
-                     { round = r; src = v; dst = w; bits = now; budget }));
-          total_bits := !total_bits + bits;
-          if now > !max_edge_bits then max_edge_bits := now;
-          incr messages;
-          last_traffic := r;
-          (* fate of the message: the sender has spent the bandwidth
-             either way; every non-delivery is counted in [dropped] so
-             that delivered + dropped = messages always holds *)
-          if faulty && link_down r v w then incr dropped
-          else if crashed.(w) then incr dropped
-          else if halted.(w) then incr dropped
-          else if
-            faults.drop_rate > 0.
-            && Random.State.float frng 1. < faults.drop_rate
-          then incr dropped
-          else begin
-            push_inbox w v msg;
-            if event then push_nxt (r + 1) w;
-            if
-              faults.duplicate_rate > 0.
-              && Random.State.float frng 1. < faults.duplicate_rate
-            then begin
-              push_inbox w v msg;
-              incr duplicated
-            end
-          end)
-        outgoing.(v);
-      outgoing.(v) <- [];
-      for t = 0 to !touched_len - 1 do
-        edge_bits.(touched.(t)) <- 0
-      done;
-      touched_len := 0
-    done;
-    if event then begin
-      (* swap worklists; [nxt] becomes round r+1's schedule *)
-      let t = !cur in
-      cur := !nxt;
-      nxt := t;
-      cur_len := !nxt_len;
-      nxt_len := 0;
-      (* fast-forward over silent rounds: nobody is scheduled, so jump to
-         the next wake-up or fault event (or the horizon). The reference
-         loop spends those rounds stepping vertices whose wake-up contract
-         makes them no-ops, so skipping them changes nothing observable;
-         crashed vertices still accrue crashed_rounds for each round
-         skipped. *)
-      if !live > 0 && !cur_len = 0 then begin
-        let cand = min (heap_min ()) (next_fault_round r) in
-        let target =
-          if cand = max_int || cand > max_rounds then max_rounds + 1 else cand
-        in
-        let skipped = target - 1 - r in
-        if skipped > 0 then begin
-          crashed_rounds := !crashed_rounds + (!crashed_live * skipped);
-          rounds := target - 1
-        end
-      end
-    end
-  done;
-  (* cost-meter hook: attribute this run's accounting to the enclosing
-     observability span (no-op unless Obs is enabled). Fault counters are
-     only reported for runs with an active fault spec, and the schedule
-     sparsity counter only for event-driven runs, so existing fault-free
-     profiles stay byte-identical. *)
-  Obs.Meter.net ~rounds:!rounds ~messages:!messages ~total_bits:!total_bits
-    ~max_edge_bits:!max_edge_bits;
-  if faulty then
-    Obs.Meter.faults ~dropped:!dropped ~duplicated:!duplicated
-      ~crashed_rounds:!crashed_rounds;
-  if event then Obs.Meter.active ~vertices:!active_total;
-  Obs.Meter.inbox ~peak_words:!inbox_peak ~final_words:!inbox_words;
-  ( states,
-    {
-      rounds = !rounds;
-      messages = !messages;
-      dropped = !dropped;
-      duplicated = !duplicated;
-      crashed_rounds = !crashed_rounds;
-      total_bits = !total_bits;
-      max_edge_bits = !max_edge_bits;
-      completed = !live = 0;
-      last_traffic_round = !last_traffic;
-    } )
-
 (* ------------------------------------------------------------------ *)
-(* Sharded loop                                                        *)
+(* Production loop                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Per-shard state. Each shard owns the contiguous vertex range
@@ -763,7 +370,6 @@ type 'msg shard = {
   mutable sh_halts : int;
   (* arena footprint accounting (machine words), for the inbox meter *)
   mutable sh_words : int;
-  mutable sh_peak_words : int;
 }
 
 (* lint: hot *)
@@ -810,22 +416,31 @@ let sh_heap_pop sh =
     end
   done
 
-(* The sharded loop. Equivalence argument: the step phase runs exactly the
-   round calls the single event loop would run (same worklists, same wake
-   machinery, partitioned by vertex range), and the exchange walks the
-   shard outboxes in shard order — which is global sender-ascending order
-   because shards own contiguous ascending ranges and each shard steps its
-   worklist sorted. So delivery order, bandwidth accounting, congestion
-   raise order and the fault RNG draw order are all identical to
-   run_single, which is pinned identical to run_reference. Parallelism
-   never touches the draws: the single Faults.rng stream is consumed only
-   here, in the sequential exchange.
+(* The simulator loop. The determinism contract it preserves, relied on
+   by the fault layer's RNG: per round, vertices execute in ascending id
+   order and each vertex's sends are processed in list order, so the k-th
+   [Random.State] draw of a run lands on the same message as in
+   [run_reference]. Each shard steps its own sorted worklist (or its
+   whole range under [Every_round]), and the exchange walks the shard
+   outboxes in shard order — which is global sender-ascending order
+   because shards own contiguous ascending ranges. Under [Every_round]
+   the sequence of round calls is identical to the reference; under
+   [Event_driven] it is a subsequence that omits only steps the wake-up
+   contract declares no-ops (see network.mli), which send nothing and
+   therefore draw nothing. So delivery order, bandwidth accounting,
+   congestion raise order and the fault RNG draw order are all identical
+   to run_reference at every shard count. Parallelism never touches the
+   draws: the single Faults.rng stream is consumed only in the sequential
+   exchange.
 
    The user's init / round / msg_bits / codec functions execute on worker
    domains; they must be domain-safe pure functions of their arguments
    (the wake-up contract already demands this for round). *)
-let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
-    ~bandwidth ~msg_bits ~init ~round ~max_rounds =
+let run ?(faults = Faults.none) ?(schedule = Every_round)
+    ?(exec = Sharded { shards = 1; pool = Parallel.Pool.sequential })
+    ?(codec = boxed_codec ()) g ~bandwidth ~msg_bits ~init ~round
+    ~max_rounds =
+  let (Sharded { shards; pool }) = exec in
   let n = Graph.n g in
   let event = match schedule with Event_driven -> true | Every_round -> false in
   let chunk = max 1 ((n + max 1 shards - 1) / max 1 shards) in
@@ -839,6 +454,10 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
   let halted = Array.make n false in
   let crashed = Array.make n false in
   let inlists : (int * 'msg) list array = Array.make n [] in
+  (* [wake_at.(v)] is v's pending wake round (0 = none); stale bucket
+     entries (superseded or cancelled wakes) are filtered against it when
+     the bucket is consumed. [sched.(v)] is the latest round v is queued
+     for (worklist dedup stamp). *)
   let wake_at = Array.make n 0 in
   let sched = Array.make n (-1) in
   let shard_tbl =
@@ -872,7 +491,6 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
           sh_stepped = 0;
           sh_halts = 0;
           sh_words = 0;
-          sh_peak_words = 0;
         })
   in
   let messages = ref 0 in
@@ -885,6 +503,7 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
   let rounds = ref 0 in
   let live = ref n in
   let active_total = ref 0 in
+  let inbox_peak = ref 0 in
   let faulty = Faults.is_active faults in
   let crashed_live = ref 0 in
   let frng = Faults.rng faults in
@@ -944,8 +563,7 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
       sh.sh_ib_src <- grow sh.sh_ib_src;
       sh.sh_ib_dst <- grow sh.sh_ib_dst;
       sh.sh_ib_pay <- grow sh.sh_ib_pay;
-      sh.sh_words <- sh.sh_words + (3 * (cap' - cap));
-      if sh.sh_words > sh.sh_peak_words then sh.sh_peak_words <- sh.sh_words
+      sh.sh_words <- sh.sh_words + (3 * (cap' - cap))
     end;
     sh.sh_ib_src.(k) <- src;
     sh.sh_ib_dst.(k) <- dst;
@@ -963,8 +581,7 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
       let a' = Array.make cap' msg in
       Array.blit sh.sh_ib_wide 0 a' 0 k;
       sh.sh_ib_wide <- a';
-      sh.sh_words <- sh.sh_words + (cap' - cap);
-      if sh.sh_words > sh.sh_peak_words then sh.sh_peak_words <- sh.sh_words
+      sh.sh_words <- sh.sh_words + (cap' - cap)
     end;
     sh.sh_ib_wide.(k) <- msg;
     sh.sh_ib_wide_len <- k + 1;
@@ -1029,8 +646,8 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
     end;
     (* rebuild per-vertex inboxes from the arena: walking backward while
        consing restores arrival (sender-ascending) order; a vertex that
-       crashed this round loses its pending inbox, exactly like the single
-       loop clearing in_len at the crash event *)
+       crashed this round loses its pending inbox, exactly like the
+       reference loop clearing it at the crash event *)
     let consumed = sh.sh_ib_len in
     for i = consumed - 1 downto 0 do
       let dst = sh.sh_ib_dst.(i) in
@@ -1044,7 +661,9 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
     done;
     sh.sh_ib_len <- 0;
     sh.sh_ib_wide_len <- 0;
-    (* high-watermark shrink, mirroring the single loop's flat buffers *)
+    (* high-watermark shrink: an arena that grew for one burst must not
+       keep its peak capacity, and the stale 'msg pointers in its wide
+       spill, for the rest of the run *)
     let cap = Array.length sh.sh_ib_src in
     if cap > 64 && 4 * consumed < cap then begin
       sh.sh_words <- sh.sh_words - (3 * cap) - Array.length sh.sh_ib_wide;
@@ -1141,7 +760,7 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
         incr messages;
         last_traffic := r;
         (* fate of the message, same chain and same single RNG stream as
-           the sequential loops *)
+           the reference loop *)
         if faulty && link_down r v w then incr dropped
         else if crashed.(w) then incr dropped
         else if halted.(w) then incr dropped
@@ -1191,8 +810,9 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
     incr rounds;
     let r = !rounds in
     (* fault events at round start, coordinator-side: recoveries first,
-       then crashes, as in the sequential loops. Crashing cancels the
-       pending wake; recovery is the only re-arm. *)
+       then crashes, as in the reference loop. Crashing cancels the
+       pending wake; recovery is the only re-arm. A recovering vertex
+       executes its recovery round with an empty inbox. *)
     if faulty then begin
       List.iter
         (fun v ->
@@ -1228,6 +848,14 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
       live := !live - sh.sh_halts
     done;
     exchange r;
+    (* arenas grow only during the exchange, so the footprint peaks here;
+       taking the all-shard total per round keeps the peak exact when
+       shards burst in different rounds *)
+    let words = ref 0 in
+    for s = 0 to nshards - 1 do
+      words := !words + shard_tbl.(s).sh_words
+    done;
+    if !words > !inbox_peak then inbox_peak := !words;
     if event then begin
       for s = 0 to nshards - 1 do
         let sh = shard_tbl.(s) in
@@ -1237,8 +865,12 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
         sh.sh_cur_len <- sh.sh_nxt_len;
         sh.sh_nxt_len <- 0
       done;
-      (* fast-forward over silent rounds, as in run_single: the next event
-         is the earliest pending wake over all shards or the next fault *)
+      (* fast-forward over silent rounds: nobody is scheduled, so jump to
+         the earliest pending wake over all shards, the next fault event,
+         or the horizon. The reference loop spends those rounds stepping
+         vertices whose wake-up contract makes them no-ops, so skipping
+         them changes nothing observable; crashed vertices still accrue
+         crashed_rounds for each round skipped. *)
       if !live > 0 then begin
         let busy = ref false in
         for s = 0 to nshards - 1 do
@@ -1270,11 +902,8 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
     Obs.Meter.faults ~dropped:!dropped ~duplicated:!duplicated
       ~crashed_rounds:!crashed_rounds;
   if event then Obs.Meter.active ~vertices:!active_total;
-  let peak_words =
-    Array.fold_left (fun a sh -> a + sh.sh_peak_words) 0 shard_tbl
-  in
   let final_words = Array.fold_left (fun a sh -> a + sh.sh_words) 0 shard_tbl in
-  Obs.Meter.inbox ~peak_words ~final_words;
+  Obs.Meter.inbox ~peak_words:!inbox_peak ~final_words;
   ( states,
     {
       rounds = !rounds;
@@ -1287,14 +916,3 @@ let run_sharded ~faults ~schedule ~shards ~pool ~(codec : 'msg codec) g
       completed = !live = 0;
       last_traffic_round = !last_traffic;
     } )
-
-let run ?(faults = Faults.none) ?(schedule = Every_round) ?(exec = Single)
-    ?codec g ~bandwidth ~msg_bits ~init ~round ~max_rounds =
-  match exec with
-  | Single ->
-      run_single ~faults ~schedule g ~bandwidth ~msg_bits ~init ~round
-        ~max_rounds
-  | Sharded { shards; pool } ->
-      let codec = match codec with Some c -> c | None -> boxed_codec () in
-      run_sharded ~faults ~schedule ~shards ~pool ~codec g ~bandwidth
-        ~msg_bits ~init ~round ~max_rounds

@@ -83,7 +83,7 @@ val step :
     fast-forwarded without iterating anything. *)
 type schedule = Every_round | Event_driven
 
-(** Bit-packed message encoding for the sharded loop. [pack m] either
+(** Bit-packed message encoding for the simulator's arenas. [pack m] either
     returns a {e non-negative} int — the message rides in the arena's
     payload word, no allocation — or any negative int as an escape, in
     which case the message is boxed in a per-shard wide-message spill
@@ -102,9 +102,7 @@ val int_codec : int codec
     no codec. *)
 val boxed_codec : unit -> 'msg codec
 
-(** How {!run} executes the simulation.
-
-    [Single] (the default) runs the sequential loop on the calling domain.
+(** How {!run} spreads the simulation over domains.
 
     [Sharded { shards; pool }] partitions the vertices into [shards]
     contiguous CSR-aligned ranges (vertex [v] lives in shard [v / chunk]
@@ -112,16 +110,16 @@ val boxed_codec : unit -> 'msg codec
     [pool]'s domains, one barrier per round, while all cross-shard
     delivery — bandwidth accounting, congestion checks, fault draws —
     happens sequentially on the calling domain between barriers, in the
-    exact sender-ascending order of the sequential loops. Results (final
-    states and {!stats}) are identical to [Single] at every shard and
-    jobs count, including fixed-seed fault outcomes. [shards] is clamped
-    to at least 1; [shards = 1] still exercises the sharded loop.
+    exact sender-ascending order of {!run_reference}. Results (final
+    states and {!stats}) are identical at every shard and jobs count,
+    including fixed-seed fault outcomes. [shards] is clamped to at
+    least 1. The default is one shard on [Parallel.Pool.sequential],
+    which runs the whole loop on the calling domain.
 
-    Under [Sharded], the user's [init], [round], [msg_bits] and codec
-    functions execute on worker domains: they must be domain-safe pure
-    functions of their arguments (the wake-up contract already demands
-    this of [round]). *)
-type exec = Single | Sharded of { shards : int; pool : Parallel.Pool.t }
+    The user's [init], [round], [msg_bits] and codec functions may execute
+    on worker domains: they must be domain-safe pure functions of their
+    arguments (the wake-up contract already demands this of [round]). *)
+type exec = Sharded of { shards : int; pool : Parallel.Pool.t }
 
 (** Cumulative execution statistics. The accounting invariant is
     [delivered stats + stats.dropped = stats.messages]: every sent message
@@ -173,10 +171,11 @@ val pp_stats : Format.formatter -> stats -> unit
     vertices were skipped, so fixed-seed fault outcomes are identical
     across schedules for contract-honoring algorithms.
 
-    [?exec] selects sequential or sharded execution (default {!Single});
-    see {!exec}. [?codec] supplies the bit-packed message encoding used by
-    the sharded loop's arenas (default [boxed_codec ()]); it is ignored
-    under [Single].
+    [?exec] selects the shard count and worker pool (default one shard on
+    [Parallel.Pool.sequential]); see {!exec}. [?codec] supplies the
+    bit-packed message encoding used by the inbound arenas (default
+    [boxed_codec ()]); it changes only how messages are stored, never a
+    result.
 
     @raise Congestion_violation when a CONGEST budget is exceeded.
     @raise Invalid_argument if a vertex sends to a non-neighbor, or
@@ -195,11 +194,12 @@ val run :
   'state array * stats
 
 (** The pre-scheduler simulator loop, kept verbatim as the behavioral
-    baseline: it steps every non-halted, non-crashed vertex every round,
-    re-sorts each inbox, and ignores [wake_after]. [run] must be
-    stats-identical to it (the equivalence suite in [test/] pins this); it
-    is also the slow side of the [congest-bench] comparison. Not for
-    production use. *)
+    oracle: it steps every non-halted, non-crashed vertex every round,
+    re-sorts each inbox, and ignores [wake_after]. It shares no delivery
+    code with {!run}, which must be stats- and state-identical to it at
+    every schedule, shard count, pool size and codec (the equivalence
+    suite in [test/] pins this); it is also the slow side of the
+    [congest-bench] comparison. Not for production use. *)
 val run_reference :
   ?faults:Faults.t ->
   Sparse_graph.Graph.t ->

@@ -17,7 +17,7 @@ open Congest
    as the bandwidth budget admits, costing one framing word plus two
    words (demand id, position) per token — cheaper per token than the
    old one-token-per-message wave, so batches drain in fewer rounds.
-   Single-token flights still bit-pack into the sharded loop's arena
+   Single-token flights still bit-pack into the simulator's arena
    payload word via the codec; wider flights ride the boxed spill.
    Deterministic: no RNG, inbox order is the simulator's
    sender-ascending contract, tokens within a flight stay in queue

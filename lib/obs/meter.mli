@@ -28,12 +28,12 @@ val active : vertices:int -> unit
     vocabulary. No-op while observability is disabled. *)
 
 val inbox : peak_words:int -> final_words:int -> unit
-(** Record one run's flat-inbox footprint: the high-watermark of machine
-    words retained by the flat inbox buffers ([net.inbox_peak_words],
-    max-merged) and the residual footprint at run end
-    ([net.inbox_final_words], max-merged). Called by [Congest.Network.run]
-    only — the reference loop has no flat buffers. No-op while
-    observability is disabled. *)
+(** Record one run's inbox footprint: the high-watermark of machine
+    words retained by the inbound arenas, summed over shards
+    ([net.inbox_peak_words], max-merged) and the residual footprint at
+    run end ([net.inbox_final_words], max-merged). Called by
+    [Congest.Network.run] only — the reference loop has no arenas. No-op
+    while observability is disabled. *)
 
 val faults : dropped:int -> duplicated:int -> crashed_rounds:int -> unit
 (** Record one faulty network run's fault counters ([net.dropped],

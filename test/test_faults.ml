@@ -73,22 +73,6 @@ let test_rng_deterministic () =
   checkb "distinct seeds give distinct streams" false
     (draw (Faults.rng spec) = draw (Faults.rng other))
 
-let test_shard_rng () =
-  let spec = Faults.make ~drop_rate:0.5 ~seed:99 () in
-  let draw st = List.init 8 (fun _ -> Random.State.float st 1.) in
-  Alcotest.(check (list (float 0.)))
-    "identical streams from the same shard"
-    (draw (Faults.shard_rng spec ~shard:3))
-    (draw (Faults.shard_rng spec ~shard:3));
-  checkb "distinct shards give distinct streams" false
-    (draw (Faults.shard_rng spec ~shard:0)
-    = draw (Faults.shard_rng spec ~shard:1));
-  checkb "decorrelated from the spec rng" false
-    (draw (Faults.shard_rng spec ~shard:0) = draw (Faults.rng spec));
-  match Faults.shard_rng spec ~shard:(-1) with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "shard -1: expected Invalid_argument"
-
 (* ------------------------------------------------------------------ *)
 (* Network.run fault semantics on hand-built instances                  *)
 (* ------------------------------------------------------------------ *)
@@ -594,7 +578,6 @@ let () =
           tc "make validates" test_make_validation;
           tc "is_active" test_is_active;
           tc "rng deterministic" test_rng_deterministic;
-          tc "shard rng streams" test_shard_rng;
         ] );
       ( "network",
         [
