@@ -394,10 +394,8 @@ let decompose ?(params = default_params) ?exec g ~epsilon =
     invalid_arg "Distributed_decomposition.decompose: need 0 < epsilon < 1";
   Obs.Span.with_ "distr.decompose" @@ fun () ->
   let n = Graph.n g in
-  let m = Graph.m g in
   let tau =
-    if m = 0 then epsilon
-    else epsilon /. (2. *. (log (float_of_int (2 * m)) /. log 2.))
+    Spectral.Expander_decomposition.threshold ~m:(Graph.m g) ~epsilon
   in
   (* start: connected components as clusters (a real system computes these
      with one BFS; we charge no rounds for it) *)

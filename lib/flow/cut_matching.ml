@@ -55,6 +55,14 @@ type witness = {
   potential : float;       (* final / initial projection variance *)
 }
 
+let original_matchings (mapping : Graph_ops.mapping) w =
+  let o v = mapping.to_orig.(v) in
+  List.map2
+    (fun pairs embeds ->
+      ( Array.map (fun (a, b) -> (o a, o b)) pairs,
+        Array.map (Array.map o) embeds ))
+    w.matchings w.embeddings
+
 type cut = { side : bool array; conductance : float; via : string }
 
 type verdict = Expander of witness | Cut of cut

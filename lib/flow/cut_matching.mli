@@ -54,6 +54,14 @@ type witness = {
   potential : float;  (** final / initial projection variance *)
 }
 
+(** [original_matchings mapping w] pairs each of [w]'s matchings with its
+    embedded paths (newest first), every vertex mapped through
+    [mapping.to_orig] — the game played on an induced cluster, read back
+    in the parent graph's ids. *)
+val original_matchings :
+  Sparse_graph.Graph_ops.mapping -> witness ->
+  ((int * int) array * int array array) list
+
 type cut = {
   side : bool array;
   conductance : float;

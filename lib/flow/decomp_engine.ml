@@ -1,13 +1,8 @@
-open Sparse_graph
-
-(* Flow-based expander decomposition: the same frontier-wave recursion as
-   Spectral.Expander_decomposition (same task identity, same seeding, same
-   DFS pre-order labels — so the two engines are drop-in interchangeable
-   and both are deterministic across pool sizes), but each cluster is
-   judged by cheap cut heuristics and then the cut-matching game instead
-   of Fiedler sweeps. The result reuses the spectral result record, so
-   everything downstream (verify, conductance reports, the pipeline) is
-   shared. *)
+(* Flow-based expander decomposition: Spectral.Expander_decomposition.drive
+   with a different cluster judge — cheap cut heuristics, then the
+   cut-matching game — instead of Fiedler sweeps. Recursion, seeding,
+   thresholds and labels are the driver's, so the two engines are drop-in
+   interchangeable and both are deterministic across pool sizes. *)
 
 type params = {
   game : Cut_matching.params;
@@ -35,218 +30,48 @@ let add_stats a b =
     heuristic_cuts = a.heuristic_cuts + b.heuristic_cuts;
   }
 
-(* Acceptance evidence carried back from [try_split] (original vertex
-   ids): the routed matchings with their embedded paths, the embedding's
-   congestion/dilation bounds, and which judge accepted the cluster. *)
-type accept_evidence = {
-  ev_matchings : ((int * int) array * int array array) list;
-  ev_congestion : int;
-  ev_dilation : int;
-  ev_source : string;
-}
-
-let plain_evidence source =
-  { ev_matchings = []; ev_congestion = 0; ev_dilation = 0; ev_source = source }
-
-(* map a game witness played on the induced subgraph back to original ids *)
-let evidence_of_witness (mapping : Graph_ops.mapping)
-    (w : Cut_matching.witness) =
-  let o v = mapping.to_orig.(v) in
-  let ev_matchings =
-    List.map2
-      (fun pairs embeds ->
-        ( Array.map (fun (a, b) -> (o a, o b)) pairs,
-          Array.map (Array.map o) embeds ))
-      w.Cut_matching.matchings w.Cut_matching.embeddings
-  in
-  {
-    ev_matchings;
-    ev_congestion = w.Cut_matching.congestion;
-    ev_dilation = w.Cut_matching.max_path_length;
-    ev_source = (if ev_matchings = [] then "trivial" else "cutmatching");
-  }
-
-(* Judge one cluster (induced subgraph): [None] accepts it (with the
-   acceptance evidence), [Some (l, r)] splits it (original-vertex ids).
-   Mirrors the spectral splitter's structure; the seed must be a pure
-   function of the cluster identity. *)
-let try_split params sub (mapping : Graph_ops.mapping) tau ~seed =
-  let n = Graph.n sub in
-  if n < 2 then (None, plain_evidence "trivial", zero_stats)
-  else if Graph.m sub = 0 then
-    (* split isolated vertices off one at a time *)
-    ( Some
-        ( [ mapping.to_orig.(0) ],
-          List.init (n - 1) (fun i -> mapping.to_orig.(i + 1)) ),
-      plain_evidence "trivial",
-      zero_stats )
-  else begin
-    let split_along side =
-      let left = ref [] and right = ref [] in
-      for v = n - 1 downto 0 do
-        if side.(v) then left := mapping.to_orig.(v) :: !left
-        else right := mapping.to_orig.(v) :: !right
-      done;
-      Some (!left, !right)
-    in
-    if n <= params.exact_limit then begin
-      let phi_exact, side = Spectral.Conductance.exact_cut sub in
-      if phi_exact >= tau then (None, plain_evidence "exact", zero_stats)
-      else (split_along side, plain_evidence "exact", zero_stats)
-    end
-    else
-      match Cut_heuristics.cheapest sub ~tau with
-      | Some hit ->
-          ( split_along hit.Cut_heuristics.side,
-            plain_evidence "heuristic",
-            { zero_stats with heuristic_cuts = 1 } )
-      | None -> (
-          let verdict, g_stats =
-            Cut_matching.run ~params:params.game sub ~tau ~seed
-          in
-          let stats =
-            {
-              games = 1;
-              game_rounds = g_stats.Cut_matching.rounds_played;
-              flow_calls = g_stats.Cut_matching.flow_calls;
-              heuristic_cuts = 0;
-            }
-          in
-          match verdict with
-          | Cut_matching.Expander w ->
-              (None, evidence_of_witness mapping w, stats)
-          | Cut_matching.Cut c ->
-              (split_along c.Cut_matching.side, plain_evidence "cut", stats))
-  end
-
-type task = { rev_path : int list; depth : int; vs : int list }
-
-type outcome = Accept of accept_evidence | Drop | Split of int list list
+(* Judge one connected cluster: a heuristic cut if one is below tau,
+   otherwise the game's verdict; an accepted cluster keeps the game's
+   routed matchings as its witness. *)
+let judge params sub mapping ~tau ~seed =
+  let open Spectral.Expander_decomposition in
+  match Cut_heuristics.cheapest sub ~tau with
+  | Some hit ->
+      (Cut hit.Cut_heuristics.side, { zero_stats with heuristic_cuts = 1 })
+  | None -> (
+      let verdict, g_stats =
+        Cut_matching.run ~params:params.game sub ~tau ~seed
+      in
+      let stats =
+        {
+          games = 1;
+          game_rounds = g_stats.Cut_matching.rounds_played;
+          flow_calls = g_stats.Cut_matching.flow_calls;
+          heuristic_cuts = 0;
+        }
+      in
+      match verdict with
+      | Cut_matching.Expander w ->
+          let w_matchings = Cut_matching.original_matchings mapping w in
+          ( Accept
+              {
+                w_path = [];
+                w_matchings;
+                w_congestion = w.Cut_matching.congestion;
+                w_dilation = w.Cut_matching.max_path_length;
+                w_source =
+                  (if w_matchings = [] then "trivial" else "cutmatching");
+              },
+            stats )
+      | Cut_matching.Cut c -> (Cut c.Cut_matching.side, stats))
 
 let decompose ?(params = default_params) ?(pool = Parallel.Pool.sequential) g
     ~epsilon =
-  if epsilon <= 0. || epsilon >= 1. then
-    invalid_arg "Decomp_engine.decompose: need 0 < epsilon < 1";
-  Obs.Span.with_ "cm-decompose" @@ fun () ->
-  let n = Graph.n g in
-  let m = Graph.m g in
-  (* same thresholds as the spectral engine: the two must be comparable *)
-  let tau =
-    if m = 0 then epsilon
-    else epsilon /. (2. *. (log (float_of_int (2 * m)) /. log 2.))
-  in
-  let task_seed ~depth ~anchor ~sub_n =
-    Parallel.Pool.derive_seed params.seed
-      ((depth * 1_000_003) lxor (anchor * 8191) lxor sub_n)
-  in
-  let step t =
-    match t.vs with
-    | [] -> (Drop, zero_stats)
-    | [ _ ] -> (Accept (plain_evidence "trivial"), zero_stats)
-    | vs -> (
-        let sub, mapping = Graph_ops.induced_subgraph g vs in
-        (* a cut may disconnect the subgraph; re-split by components *)
-        match Traversal.component_list sub with
-        | [] -> (Drop, zero_stats)
-        | [ _ ] -> (
-            let seed =
-              task_seed ~depth:t.depth ~anchor:(List.hd vs)
-                ~sub_n:(Graph.n sub)
-            in
-            match try_split params sub mapping tau ~seed with
-            | None, ev, st -> (Accept ev, st)
-            | Some (left, right), _, st -> (Split [ left; right ], st))
-        | many ->
-            ( Split
-                (List.map
-                   (fun comp -> List.map (fun v -> mapping.to_orig.(v)) comp)
-                   many),
-              zero_stats ))
-  in
-  let accepted = ref [] in
-  let stats = ref zero_stats in
-  let frontier =
-    ref
-      (List.mapi
-         (fun i vs -> { rev_path = [ i ]; depth = 0; vs })
-         (Traversal.component_list g))
-  in
-  let wave = ref 0 in
-  while !frontier <> [] do
-    Obs.Span.with_ (Printf.sprintf "level-%d" !wave) (fun () ->
-        let tasks = Array.of_list !frontier in
-        Obs.Metric.count "tasks" (Array.length tasks);
-        let outcomes = Parallel.Pool.map pool step tasks in
-        let next = ref [] in
-        Array.iteri
-          (fun i (outcome, st) ->
-            stats := add_stats !stats st;
-            let t = tasks.(i) in
-            match outcome with
-            | Accept ev ->
-                Obs.Metric.incr "accepted";
-                accepted := (List.rev t.rev_path, t.vs, ev) :: !accepted
-            | Drop -> ()
-            | Split children ->
-                Obs.Metric.incr "split";
-                List.iteri
-                  (fun j vs ->
-                    next :=
-                      { rev_path = j :: t.rev_path; depth = t.depth + 1; vs }
-                      :: !next)
-                  children)
-          outcomes;
-        frontier := List.rev !next);
-    incr wave
-  done;
-  let accepted =
-    List.sort (fun (p1, _, _) (p2, _, _) -> compare (p1 : int list) p2)
-      !accepted
-  in
-  let labels = Array.make n (-1) in
-  let next_label = ref 0 in
-  List.iter
-    (fun (_, vs, _) ->
-      let l = !next_label in
-      incr next_label;
-      List.iter (fun v -> labels.(v) <- l) vs)
-    accepted;
-  let inter_edges =
-    Graph.fold_edges g
-      (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
-      []
-    |> List.rev
-  in
-  if Obs.enabled () then begin
-    Obs.Metric.count "clusters" !next_label;
-    Obs.Metric.count "inter_edges" (List.length inter_edges);
-    Obs.Metric.set_max "levels" !wave;
-    Obs.Metric.count "cm.games" !stats.games;
-    Obs.Metric.count "cm.heuristic_cuts" !stats.heuristic_cuts;
-    List.iter
-      (fun (_, vs, _) -> Obs.Metric.hist "cluster_size" (List.length vs))
-      accepted
-  end;
-  let witnesses =
-    Array.of_list
-      (List.map
-         (fun (path, _, ev) ->
-           {
-             Spectral.Expander_decomposition.w_path = path;
-             w_matchings = ev.ev_matchings;
-             w_congestion = ev.ev_congestion;
-             w_dilation = ev.ev_dilation;
-             w_source = ev.ev_source;
-           })
-         accepted)
-  in
-  ( {
-      Spectral.Expander_decomposition.labels;
-      k = !next_label;
-      inter_edges;
-      epsilon;
-      phi = tau *. tau /. 4.;
-      tau;
-      witnesses;
-    },
-    !stats )
+  Spectral.Expander_decomposition.drive ~entry:"Decomp_engine.decompose"
+    ~span:"cm-decompose" ~exact_limit:params.exact_limit ~seed:params.seed
+    ~singleton:"trivial" ~exact:"exact" ~judge:(judge params) ~zero:zero_stats
+    ~add:add_stats
+    ~report:(fun s ->
+      Obs.Metric.count "cm.games" s.games;
+      Obs.Metric.count "cm.heuristic_cuts" s.heuristic_cuts)
+    ~pool g ~epsilon

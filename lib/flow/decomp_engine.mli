@@ -1,11 +1,14 @@
 (** Flow-based (epsilon, phi) expander decomposition.
 
-    The same frontier-wave recursion, task seeding, thresholds
-    ([tau = epsilon / (2 log2(2m))], [phi = tau^2 / 4]), and DFS pre-order
-    labels as {!Spectral.Expander_decomposition} — the result reuses that
-    record, so verification and everything downstream is shared — but each
-    cluster is judged by cheap cut heuristics ({!Cut_heuristics}) and then
-    the cut-matching game ({!Cut_matching}) instead of Fiedler sweeps.
+    {!Spectral.Expander_decomposition.drive} — the one decomposition
+    recursion, with its task seeding, thresholds
+    ([tau = epsilon / (2 log2(2m))], [phi = tau^2 / 4]) and DFS pre-order
+    labels — run with a different cluster judge: cheap cut heuristics
+    ({!Cut_heuristics}) and then the cut-matching game ({!Cut_matching})
+    instead of Fiedler sweeps. The result is the spectral engine's record,
+    so verification and everything downstream is shared. Witness sources
+    are ["trivial"] (single vertex, or a game accepted without routing),
+    ["exact"] (exhaustive conductance) and ["cutmatching"].
     Deterministic for every pool size. *)
 
 type params = {
@@ -28,8 +31,9 @@ type stats = {
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
 
-(** [decompose ?params ?pool g ~epsilon] computes the decomposition and
-    the work statistics.
+(** [decompose ?params ?pool g ~epsilon] computes the decomposition (span
+    ["cm-decompose"], metrics [cm.games] and [cm.heuristic_cuts]) and the
+    work statistics.
     @raise Invalid_argument unless [0 < epsilon < 1]. *)
 val decompose :
   ?params:params -> ?pool:Parallel.Pool.t -> Sparse_graph.Graph.t ->

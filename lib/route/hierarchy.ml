@@ -233,13 +233,7 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
         in
         match verdict with
         | Flow.Cut_matching.Expander w ->
-            let o v = mapping.Graph_ops.to_orig.(v) in
-            ( List.map2
-                (fun pairs embeds ->
-                  ( Array.map (fun (a, b) -> (o a, o b)) pairs,
-                    Array.map (Array.map o) embeds ))
-                w.Flow.Cut_matching.matchings w.Flow.Cut_matching.embeddings,
-              true )
+            (Flow.Cut_matching.original_matchings mapping w, true)
         | Flow.Cut_matching.Cut _ -> ([], true)
       end
     end

@@ -30,37 +30,18 @@ type params = {
 
 let default_params = { power_iters = 120; exact_limit = 14; seed = 0 }
 
-(* Split one cluster (given as an induced subgraph) if its best sweep cut is
-   below tau; returns the two sides in original-vertex ids, or None if the
-   cluster is accepted as a phi-expander. [seed] drives the power iteration
-   and must be a pure function of the cluster's identity (see [task_seed])
-   so that parallel and sequential runs agree bit for bit. *)
-let try_split params sub (mapping : Graph_ops.mapping) tau ~seed =
-  let n = Graph.n sub in
-  if n < 2 then None
-  else if Graph.m sub = 0 then begin
-    (* split isolated vertices off one at a time *)
-    Some ([ mapping.to_orig.(0) ],
-          List.init (n - 1) (fun i -> mapping.to_orig.(i + 1)))
-  end
-  else begin
-    let split_along side =
-      let left = ref [] and right = ref [] in
-      for v = n - 1 downto 0 do
-        if side.(v) then left := mapping.to_orig.(v) :: !left
-        else right := mapping.to_orig.(v) :: !right
-      done;
-      Some (!left, !right)
-    in
-    if n <= params.exact_limit then begin
-      let phi_exact, side = Conductance.exact_cut sub in
-      if phi_exact >= tau then None else split_along side
-    end
-    else begin
-      let cut = Sweep_cut.combined_cut sub ~iters:params.power_iters ~seed in
-      if cut.conductance >= tau then None else split_along cut.side
-    end
-  end
+(* ids of the edges whose endpoints carry different labels, ascending *)
+let inter_edges g labels =
+  Graph.fold_edges g
+    (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
+    []
+  |> List.rev
+
+let threshold ~m ~epsilon =
+  if m = 0 then epsilon
+  else epsilon /. (2. *. (log (float_of_int (2 * m)) /. log 2.))
+
+type verdict = Accept of cluster_witness | Cut of bool array
 
 (* One node of the recursion task graph: a candidate cluster, identified by
    the path of child ranks from the root. Tasks on the frontier share no
@@ -69,49 +50,64 @@ let try_split params sub (mapping : Graph_ops.mapping) tau ~seed =
    left-to-right recursion would label them in. *)
 type task = { rev_path : int list; depth : int; vs : int list }
 
-type outcome = Accept | Drop | Split of int list list
+type outcome = Keep of cluster_witness | Drop | Split of int list list
 
-let decompose ?(params = default_params) ?(pool = Parallel.Pool.sequential) g
-    ~epsilon =
+let drive ~entry ~span ~exact_limit ~seed ~singleton ~exact ~judge ~zero ~add
+    ~report ~pool g ~epsilon =
   if epsilon <= 0. || epsilon >= 1. then
-    invalid_arg "Expander_decomposition.decompose: need 0 < epsilon < 1";
-  Obs.Span.with_ "decompose" @@ fun () ->
+    invalid_arg (entry ^ ": need 0 < epsilon < 1");
+  Obs.Span.with_ span @@ fun () ->
   let n = Graph.n g in
-  let m = Graph.m g in
-  let tau =
-    if m = 0 then epsilon
-    else epsilon /. (2. *. (log (float_of_int (2 * m)) /. log 2.))
-  in
+  let tau = threshold ~m:(Graph.m g) ~epsilon in
   (* per-task seed from the cluster's identity (recursion depth, smallest
      member, size), never from global mutable state *)
   let task_seed ~depth ~anchor ~sub_n =
-    Parallel.Pool.derive_seed params.seed
+    Parallel.Pool.derive_seed seed
       ((depth * 1_000_003) lxor (anchor * 8191) lxor sub_n)
+  in
+  (* a side mask over the induced subgraph -> the two children, in
+     original ids *)
+  let split_along (mapping : Graph_ops.mapping) side =
+    let left = ref [] and right = ref [] in
+    for v = Array.length side - 1 downto 0 do
+      if side.(v) then left := mapping.to_orig.(v) :: !left
+      else right := mapping.to_orig.(v) :: !right
+    done;
+    Split [ !left; !right ]
   in
   let step t =
     match t.vs with
-    | [] -> Drop
-    | [ _ ] -> Accept
-    | vs ->
+    | [] -> (Drop, zero)
+    | [ _ ] -> (Keep (no_witness ~path:[] ~source:singleton), zero)
+    | vs -> (
         let sub, mapping = Graph_ops.induced_subgraph g vs in
         (* a cut may disconnect the subgraph; re-split by components *)
-        (match Traversal.component_list sub with
-        | [] -> Drop
-        | [ _ ] -> (
-            let seed =
-              task_seed ~depth:t.depth ~anchor:(List.hd vs)
-                ~sub_n:(Graph.n sub)
+        match Traversal.component_list sub with
+        | [ _ ] ->
+            let sub_n = Graph.n sub in
+            let verdict, spent =
+              if sub_n <= exact_limit then
+                let phi_exact, side = Conductance.exact_cut sub in
+                if phi_exact >= tau then
+                  (Accept (no_witness ~path:[] ~source:exact), zero)
+                else (Cut side, zero)
+              else
+                judge sub mapping ~tau
+                  ~seed:(task_seed ~depth:t.depth ~anchor:(List.hd vs) ~sub_n)
             in
-            match try_split params sub mapping tau ~seed with
-            | None -> Accept
-            | Some (left, right) -> Split [ left; right ])
+            ( (match verdict with
+              | Accept w -> Keep w
+              | Cut side -> split_along mapping side),
+              spent )
         | many ->
-            Split
-              (List.map
-                 (fun comp -> List.map (fun v -> mapping.to_orig.(v)) comp)
-                 many))
+            ( Split
+                (List.map
+                   (fun comp -> List.map (fun v -> mapping.to_orig.(v)) comp)
+                   many),
+              zero ))
   in
   let accepted = ref [] in
+  let work = ref zero in
   let frontier =
     ref
       (List.mapi
@@ -129,12 +125,13 @@ let decompose ?(params = default_params) ?(pool = Parallel.Pool.sequential) g
         let outcomes = Parallel.Pool.map pool step tasks in
         let next = ref [] in
         Array.iteri
-          (fun i outcome ->
+          (fun i (outcome, spent) ->
+            work := add !work spent;
             let t = tasks.(i) in
             match outcome with
-            | Accept ->
+            | Keep w ->
                 Obs.Metric.incr "accepted";
-                accepted := (List.rev t.rev_path, t.vs) :: !accepted
+                accepted := (List.rev t.rev_path, t.vs, w) :: !accepted
             | Drop -> ()
             | Split children ->
                 Obs.Metric.incr "split";
@@ -149,43 +146,54 @@ let decompose ?(params = default_params) ?(pool = Parallel.Pool.sequential) g
     incr wave
   done;
   let accepted =
-    List.sort (fun (p1, _) (p2, _) -> compare (p1 : int list) p2) !accepted
+    List.sort
+      (fun (p1, _, _) (p2, _, _) -> compare (p1 : int list) p2)
+      !accepted
   in
   let labels = Array.make n (-1) in
   let next_label = ref 0 in
   List.iter
-    (fun (_, vs) ->
+    (fun (_, vs, _) ->
       let l = !next_label in
       incr next_label;
       List.iter (fun v -> labels.(v) <- l) vs)
     accepted;
-  let inter_edges =
-    Graph.fold_edges g
-      (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
-      []
-    |> List.rev
-  in
+  let inter_edges = inter_edges g labels in
   if Obs.enabled () then begin
     Obs.Metric.count "clusters" !next_label;
     Obs.Metric.count "inter_edges" (List.length inter_edges);
     Obs.Metric.set_max "levels" !wave;
+    report !work;
     List.iter
-      (fun (_, vs) -> Obs.Metric.hist "cluster_size" (List.length vs))
+      (fun (_, vs, _) -> Obs.Metric.hist "cluster_size" (List.length vs))
       accepted
   end;
   let witnesses =
     Array.of_list
-      (List.map (fun (path, _) -> no_witness ~path ~source:"spectral") accepted)
+      (List.map (fun (path, _, w) -> { w with w_path = path }) accepted)
   in
-  {
-    labels;
-    k = !next_label;
-    inter_edges;
-    epsilon;
-    phi = tau *. tau /. 4.;
-    tau;
-    witnesses;
-  }
+  ( {
+      labels;
+      k = !next_label;
+      inter_edges;
+      epsilon;
+      phi = tau *. tau /. 4.;
+      tau;
+      witnesses;
+    },
+    !work )
+
+let decompose ?(params = default_params) ?(pool = Parallel.Pool.sequential) g
+    ~epsilon =
+  let accept = Accept (no_witness ~path:[] ~source:"spectral") in
+  fst
+    (drive ~entry:"Expander_decomposition.decompose" ~span:"decompose"
+       ~exact_limit:params.exact_limit ~seed:params.seed ~singleton:"spectral"
+       ~exact:"spectral"
+       ~judge:(fun sub _ ~tau ~seed ->
+         let cut = Sweep_cut.combined_cut sub ~iters:params.power_iters ~seed in
+         ((if cut.conductance >= tau then accept else Cut cut.side), ()))
+       ~zero:() ~add:(fun () () -> ()) ~report:ignore ~pool g ~epsilon)
 
 let inter_fraction g t =
   let m = Graph.m g in
@@ -240,12 +248,7 @@ let bfs_ball_baseline g ~radius =
       done
     end
   done;
-  let inter_edges =
-    Graph.fold_edges g
-      (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
-      []
-    |> List.rev
-  in
+  let inter_edges = inter_edges g labels in
   {
     labels;
     k = !next;

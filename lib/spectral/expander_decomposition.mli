@@ -5,15 +5,17 @@
     induced subgraph has conductance at least [phi], with
     [phi = epsilon^O(1) / log^O(1) n] as in Theorem 2.1.
 
-    Implementation (see DESIGN.md, substitution 1): recursive spectral
-    bipartitioning. A cluster is split along its best Fiedler sweep cut
-    whenever that cut's conductance falls below a threshold
-    [tau = epsilon / (2 log2(2m))]; a standard charging argument (each edge
-    is cut at most once, each split removes at most [tau * min-side-volume]
-    edges, and the recursion halves the volume) bounds the inter-cluster
-    edges by [epsilon * m]. Accepted clusters certify conductance
-    [phi >= tau^2 / 4] by Cheeger's inequality (exactly verified for small
-    clusters). *)
+    Implementation (see DESIGN.md, substitution 1): one recursion driver,
+    {!drive}, and two cluster judges. The driver splits any cluster that
+    has a cut of conductance below [tau = epsilon / (2 log2(2m))] and
+    accepts the rest; a standard charging argument (each edge is cut at
+    most once, each split removes at most [tau * min-side-volume] edges,
+    and the recursion halves the volume) bounds the inter-cluster edges
+    by [epsilon * m]. Accepted clusters certify conductance
+    [phi >= tau^2 / 4] by Cheeger's inequality (exactly verified for
+    small clusters). {!decompose} judges each cluster by its best
+    Fiedler sweep cut; [Flow.Decomp_engine] runs the same driver with
+    cut heuristics and the cut-matching game as its judge. *)
 
 (** Per-cluster routing witness retained from the recursion that produced
     the cluster. [w_path] is the cluster's address in the recursion tree
@@ -61,13 +63,45 @@ type params = {
 
 val default_params : params
 
-(** [decompose ?params ?pool g ~epsilon] computes the decomposition. The
-    recursion is a task graph: independent clusters on the same frontier
-    are split concurrently on [pool] (default sequential), and labels are
-    assigned afterwards in the DFS pre-order of the recursion tree, so the
-    result is identical for every pool size. Per-split sweep-cut seeds are
-    derived from the cluster's identity (depth, smallest member, size), not
-    from shared state.
+(** [threshold ~m ~epsilon] is the split threshold
+    [tau = epsilon / (2 log2(2m))] for a graph with [m] edges ([epsilon]
+    itself when [m = 0]). *)
+val threshold : m:int -> epsilon:float -> float
+
+(** A judge's ruling on one cluster: accept it with this witness (its
+    [w_path] is filled in by {!drive}), or split it along this side mask
+    over the cluster's induced subgraph. *)
+type verdict = Accept of cluster_witness | Cut of bool array
+
+(** [drive ~entry ~span ~exact_limit ~seed ~singleton ~exact ~judge ~zero
+    ~add ~report ~pool g ~epsilon] is the one decomposition recursion.
+    Starting from the connected components of [g], every frontier wave
+    runs inside span ["level-d"] on [pool]; a task re-splits a
+    disconnected cluster into its components, accepts a single vertex
+    (witness source [singleton]), rules on clusters of at most
+    [exact_limit] vertices by exhaustive conductance (source [exact]),
+    and hands every larger connected cluster to
+    [judge sub mapping ~tau ~seed]. The seed is derived from [seed] and
+    the cluster's identity (depth, smallest member, size), never from
+    shared state. Each task's work value is folded with [add] from
+    [zero] in task order; [report] receives the total inside [span] when
+    observability is on. Labels follow the DFS pre-order of the recursion
+    tree, so the result is identical for every pool size.
+    @raise Invalid_argument ["<entry>: need 0 < epsilon < 1"] unless
+    [0 < epsilon < 1]. *)
+val drive :
+  entry:string -> span:string -> exact_limit:int -> seed:int ->
+  singleton:string -> exact:string ->
+  judge:
+    (Sparse_graph.Graph.t -> Sparse_graph.Graph_ops.mapping -> tau:float ->
+     seed:int -> verdict * 's) ->
+  zero:'s -> add:('s -> 's -> 's) -> report:('s -> unit) ->
+  pool:Parallel.Pool.t -> Sparse_graph.Graph.t -> epsilon:float -> t * 's
+
+(** [decompose ?params ?pool g ~epsilon] computes the decomposition with
+    {!drive} (span ["decompose"], pool default sequential), judging each
+    cluster by its best combined sweep cut ({!Sweep_cut.combined_cut});
+    every witness has source ["spectral"].
     @raise Invalid_argument unless [0 < epsilon < 1]. *)
 val decompose :
   ?params:params -> ?pool:Parallel.Pool.t -> Sparse_graph.Graph.t ->

@@ -384,6 +384,61 @@ let test_engine_validation () =
     (fun () ->
       ignore (Decomp_engine.decompose (Generators.cycle 5) ~epsilon:0.))
 
+(* Pins the whole record (labels, k, inter edges, thresholds by their
+   exact bits, every witness field) and the work stats as one digest, so
+   a change to the recursion that moves any of it fails here, not only
+   jobs-1 = jobs-4. *)
+let decomposition_digest (d : Spectral.Expander_decomposition.t)
+    (s : Decomp_engine.stats) =
+  let open Spectral.Expander_decomposition in
+  let b = Buffer.create 4096 in
+  let ints a =
+    Array.iter (fun x -> Printf.bprintf b "%d," x) a;
+    Buffer.add_char b '|'
+  in
+  ints d.labels;
+  Printf.bprintf b "k=%d|" d.k;
+  ints (Array.of_list d.inter_edges);
+  Printf.bprintf b "%h %h %h|" d.epsilon d.phi d.tau;
+  Array.iter
+    (fun w ->
+      ints (Array.of_list w.w_path);
+      List.iter
+        (fun (pairs, embeds) ->
+          Array.iter (fun (x, y) -> Printf.bprintf b "%d-%d," x y) pairs;
+          Array.iter ints embeds;
+          Buffer.add_char b ';')
+        w.w_matchings;
+      Printf.bprintf b "%d %d %s|" w.w_congestion w.w_dilation w.w_source)
+    d.witnesses;
+  Printf.bprintf b "%d %d %d %d" s.Decomp_engine.games s.game_rounds
+    s.flow_calls s.heuristic_cuts;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_engine_golden () =
+  List.iter
+    (fun (name, g, epsilon, expected) ->
+      let d, s = Decomp_engine.decompose g ~epsilon in
+      Alcotest.(check string) name expected (decomposition_digest d s))
+    [
+      ( "grid 64x64",
+        Generators.grid 64 64,
+        0.5,
+        "c4bbfa71cc2b59bef5c5f1ae26ebc13e" );
+      ( "barbell 10 2",
+        Generators.barbell 10 2,
+        0.2,
+        "e9d89b1c3ebc476918b636a3a5f1c3d7" );
+      ( "apollonian 300",
+        Generators.random_apollonian 300 ~seed:12,
+        0.25,
+        "86bddb92dcfbbb54bf7611ea85adbe1e" );
+      ( "barbell + 3 isolated",
+        Graph_ops.disjoint_union (Generators.barbell 10 2) (Graph.empty 3),
+        0.2,
+        "8118f1c84da940a97ca5a492846d07e7" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
 (* ------------------------------------------------------------------ *)
@@ -558,6 +613,7 @@ let () =
           tc "exact oracle on small graphs" test_engine_oracle_small_graphs;
           tc "pool parity" test_engine_pool_parity;
           tc "epsilon validation" test_engine_validation;
+          tc "golden output digest" test_engine_golden;
         ] );
       ("properties", qcheck_cases);
     ]

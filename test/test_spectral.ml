@@ -432,6 +432,56 @@ let test_singleton_and_empty () =
   let d1 = Expander_decomposition.decompose (Graph.empty 1) ~epsilon:0.5 in
   Alcotest.(check int) "one cluster" 1 d1.k
 
+(* Pins the whole record (labels, k, inter edges, thresholds by their
+   exact bits, every witness field) as one digest, so a change to the
+   recursion that moves any of it fails here, not only jobs-1 = jobs-4. *)
+let decomposition_digest (d : Expander_decomposition.t) =
+  let b = Buffer.create 4096 in
+  let ints a =
+    Array.iter (fun x -> Printf.bprintf b "%d," x) a;
+    Buffer.add_char b '|'
+  in
+  ints d.labels;
+  Printf.bprintf b "k=%d|" d.k;
+  ints (Array.of_list d.inter_edges);
+  Printf.bprintf b "%h %h %h|" d.epsilon d.phi d.tau;
+  Array.iter
+    (fun (w : Expander_decomposition.cluster_witness) ->
+      ints (Array.of_list w.w_path);
+      List.iter
+        (fun (pairs, embeds) ->
+          Array.iter (fun (x, y) -> Printf.bprintf b "%d-%d," x y) pairs;
+          Array.iter ints embeds;
+          Buffer.add_char b ';')
+        w.w_matchings;
+      Printf.bprintf b "%d %d %s|" w.w_congestion w.w_dilation w.w_source)
+    d.witnesses;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_decompose_golden () =
+  List.iter
+    (fun (name, g, epsilon, expected) ->
+      let d = Expander_decomposition.decompose g ~epsilon in
+      Alcotest.(check string) name expected (decomposition_digest d))
+    [
+      ( "grid 64x64",
+        Generators.grid 64 64,
+        0.5,
+        "1ce7b38bbdd3ef3e72ab6a95e0325e76" );
+      ( "barbell 10 2",
+        Generators.barbell 10 2,
+        0.2,
+        "0a99c76aca6661c2f7163b1a685e7436" );
+      ( "apollonian 300",
+        Generators.random_apollonian 300 ~seed:12,
+        0.25,
+        "c113c20912d9df333839dde617d1d9a0" );
+      ( "barbell + 3 isolated",
+        Graph_ops.disjoint_union (Generators.barbell 10 2) (Graph.empty 3),
+        0.2,
+        "de8b8db2b7e9210090b5d2f36e460916" );
+    ]
+
 let test_bfs_ball_baseline () =
   let g = Generators.grid 6 6 in
   let d = Expander_decomposition.bfs_ball_baseline g ~radius:2 in
@@ -578,6 +628,7 @@ let () =
           tc "epsilon validation" test_decompose_rejects_bad_epsilon;
           tc "degenerate graphs" test_singleton_and_empty;
           tc "bfs ball baseline" test_bfs_ball_baseline;
+          tc "golden output digest" test_decompose_golden;
         ] );
       ("properties", qcheck_cases);
     ]
