@@ -901,11 +901,45 @@ let fault_sweep () =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* Bench verdicts. congest-bench, decomp-bench and route-bench evaluate *)
+(* their invariants on the typed values they hold and record them in   *)
+(* their BENCH document: "checks" ([{name, at, ok}], every one must     *)
+(* hold) and "claims" ([{name, at, value}], figures whose threshold     *)
+(* depends on the run's size, bounded per gate by check_profile --bench *)
+(* --at-least / --at-most).                                             *)
+(* ------------------------------------------------------------------ *)
+
+type verdicts = {
+  mutable checks : Obs.Json.t list;
+  mutable claims : Obs.Json.t list;
+}
+
+let verdicts () = { checks = []; claims = [] }
+
+let check v name ~at ok =
+  v.checks <-
+    Obs.Json.Obj
+      [ ("name", Obs.Json.Str name); ("at", Obs.Json.Str at);
+        ("ok", Obs.Json.Bool ok) ]
+    :: v.checks
+
+let claim v name ~at value =
+  v.claims <-
+    Obs.Json.Obj
+      [ ("name", Obs.Json.Str name); ("at", Obs.Json.Str at);
+        ("value", Obs.Json.Float value) ]
+    :: v.claims
+
+let verdict_fields v =
+  [ ("checks", Obs.Json.List (List.rev v.checks));
+    ("claims", Obs.Json.List (List.rev v.claims)) ]
+
+(* ------------------------------------------------------------------ *)
 (* congest-bench: the active-vertex scheduler against the reference     *)
 (* loop. Each workload runs the same init / round function through      *)
-(* Network.run_reference and Network.run ~schedule:Event_driven,        *)
-(* asserts identical statistics, and records simulated rounds/sec and   *)
-(* minor-heap allocation per round in BENCH_congest.json.               *)
+(* Network.run_reference and Network.run, checks identical statistics,  *)
+(* and records simulated rounds/sec and minor-heap allocation per round *)
+(* in BENCH_congest.json.                                               *)
 (* bench/main.ml sets the refs from --congest-n / --congest-out.        *)
 (* ------------------------------------------------------------------ *)
 
@@ -1012,7 +1046,7 @@ let congest_workloads n =
     }
   in
   (* mis: hash-priority Luby rounds on the grid — the full-frontier case
-     where Event_driven cannot skip anything and the flat inbox plumbing
+     where the scheduler cannot skip anything and the flat inbox plumbing
      carries the win. States: -1 undecided, 0 out, 1 in; messages:
      2p = priority announcement, 1 = joined. *)
   let mn = Graph.n bgrid in
@@ -1069,6 +1103,7 @@ let congest_sharded_exec () =
 let congest_bench () =
   note "\n### congest-bench: scheduler and shard pool vs reference loop\n";
   note "claim: identical stats; large speedups on sparse frontiers\n";
+  let v = verdicts () in
   let bench_one cw =
     let n = Graph.n cw.cw_graph in
     let msg_bits _ = Congest.Bits.id_bits n in
@@ -1094,7 +1129,7 @@ let congest_bench () =
     let ref_steps = take_counts () in
     let ev_states, ev_stats, ev_s, ev_mw =
       measure (fun () ->
-          Congest.Network.run cw.cw_graph ~schedule:Congest.Network.Event_driven
+          Congest.Network.run cw.cw_graph
             ~bandwidth:Congest.Network.Local ~msg_bits ~init:cw.cw_init
             ~round:counted_round ~max_rounds:cw.cw_max_rounds)
     in
@@ -1104,7 +1139,7 @@ let congest_bench () =
        this side only sees the coordinator domain's allocations. *)
     let sh_states, sh_stats, sh_s, sh_mw =
       measure (fun () ->
-          Congest.Network.run cw.cw_graph ~schedule:Congest.Network.Event_driven
+          Congest.Network.run cw.cw_graph
             ~exec:(congest_sharded_exec ()) ~codec:Congest.Network.int_codec
             ~bandwidth:Congest.Network.Local ~msg_bits ~init:cw.cw_init
             ~round:counted_round ~max_rounds:cw.cw_max_rounds)
@@ -1114,6 +1149,12 @@ let congest_bench () =
       ref_stats = ev_stats && ref_states = ev_states
       && ref_stats = sh_stats && ref_states = sh_states
     in
+    let at = "workloads/" ^ cw.cw_name in
+    check v "stats_equal" ~at stats_equal;
+    (* the scheduling invariant: no loop steps a vertex more than once per
+       round *)
+    check v "active_vertices_bound" ~at
+      (ev_steps <= n * ref_stats.Congest.Network.rounds);
     let rounds = float_of_int (max 1 ref_stats.Congest.Network.rounds) in
     let ref_rps = rounds /. ref_s
     and ev_rps = rounds /. ev_s
@@ -1164,7 +1205,7 @@ let congest_bench () =
   in
   let results = List.map bench_one (congest_workloads !congest_n) in
   print_table
-    ~title:"congest-bench: Event_driven / sharded vs run_reference"
+    ~title:"congest-bench: Network.run / sharded vs run_reference"
     ~header:
       [ "workload"; "n"; "rounds"; "messages"; "ref calls"; "event calls";
         "speedup"; "sh speedup"; "stats eq" ]
@@ -1177,18 +1218,21 @@ let congest_bench () =
     let msg_bits _ = Congest.Bits.id_bits gn in
     let ev_states, ev_stats, ev_s, _ =
       congest_measure (fun () ->
-          Congest.Network.run cw.cw_graph ~schedule:Congest.Network.Event_driven
+          Congest.Network.run cw.cw_graph
             ~bandwidth:Congest.Network.Local ~msg_bits ~init:cw.cw_init
             ~round:cw.cw_round ~max_rounds:cw.cw_max_rounds)
     in
     let sh_states, sh_stats, sh_s, _ =
       congest_measure (fun () ->
-          Congest.Network.run cw.cw_graph ~schedule:Congest.Network.Event_driven
+          Congest.Network.run cw.cw_graph
             ~exec:(congest_sharded_exec ()) ~codec:Congest.Network.int_codec
             ~bandwidth:Congest.Network.Local ~msg_bits ~init:cw.cw_init
             ~round:cw.cw_round ~max_rounds:cw.cw_max_rounds)
     in
     let stats_equal = ev_stats = sh_stats && ev_states = sh_states in
+    check v "stats_equal"
+      ~at:(Printf.sprintf "scaling/%s/n=%d" cw.cw_name n)
+      stats_equal;
     note "  scaling %-9s n=%-8d  event %.3fs  sharded %.3fs  %s\n" cw.cw_name
       n ev_s sh_s
       (if stats_equal then "stats eq" else "STATS MISMATCH");
@@ -1226,14 +1270,15 @@ let congest_bench () =
   in
   let doc =
     Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "expander-congest-bench");
-        ("version", Obs.Json.Int 2);
-        ("n", Obs.Json.Int !congest_n);
-        ("shards", Obs.Json.Int (max 1 !congest_shards));
-        ("workloads", Obs.Json.List (List.map fst results));
-        ("scaling", Obs.Json.List scaling);
-      ]
+      ([
+         ("schema", Obs.Json.Str "expander-congest-bench");
+         ("version", Obs.Json.Int 3);
+         ("n", Obs.Json.Int !congest_n);
+         ("shards", Obs.Json.Int (max 1 !congest_shards));
+         ("workloads", Obs.Json.List (List.map fst results));
+         ("scaling", Obs.Json.List scaling);
+       ]
+      @ verdict_fields v)
   in
   Obs.Export.write_file !congest_out (Obs.Json.to_string_pretty doc);
   Printf.printf "[congest-bench written to %s]\n" !congest_out
@@ -1245,7 +1290,7 @@ let congest_bench () =
 (* Both engines run at every point; small instances are cross-checked  *)
 (* against the spectral conductance oracle (every accepted cluster     *)
 (* must certify >= phi). Results go to BENCH_decomp.json (schema       *)
-(* "expander-decomp-bench", validated by check_profile --decomp-bench).*)
+(* "expander-decomp-bench", gated by check_profile --bench).           *)
 (* bench/main.ml sets the refs from --decomp-n / --decomp-out.         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1279,9 +1324,8 @@ let decomp_bench () =
     in
     if candidates = [] then [ top ] else candidates
   in
-  let engines =
-    [ Core.Pipeline.Spectral_engine; Core.Pipeline.Cut_matching_engine ]
-  in
+  let top = List.fold_left max 0 rungs in
+  let v = verdicts () in
   let bench_one fname g n eng =
     let t0 = Obs.Clock.wall_s () in
     let d, st =
@@ -1306,6 +1350,9 @@ let decomp_bench () =
       else None
     in
     let ename = Core.Pipeline.engine_name eng in
+    let at = Printf.sprintf "%s/n=%d/%s" fname n ename in
+    check v "inter_fraction_bound" ~at (frac <= 1.);
+    Option.iter (fun (ok, _) -> check v "oracle_ok" ~at ok) oracle;
     let row =
       [
         fname; i (Graph.n g); ename; i d.k; pct frac;
@@ -1348,15 +1395,29 @@ let decomp_bench () =
               ("min_conductance", Obs.Json.Float worst);
             ])
     in
-    (json, row)
+    ((json, row), seconds, frac)
   in
+  (* the quality-vs-speed frontier at each family's top rung: how much
+     slower, and how much more of the edge set cut, cut-matching is than
+     spectral (@decomp-frontier bounds the ratio by 1 and the gap by 0) *)
   let results =
     List.concat_map
       (fun (fname, gen) ->
         List.concat_map
           (fun n ->
             let g = gen n in
-            List.map (fun eng -> bench_one fname g n eng) engines)
+            let sp, sp_s, sp_frac =
+              bench_one fname g n Core.Pipeline.Spectral_engine
+            in
+            let cm, cm_s, cm_frac =
+              bench_one fname g n Core.Pipeline.Cut_matching_engine
+            in
+            if n = top then begin
+              let at = Printf.sprintf "%s/n=%d" fname n in
+              claim v "frontier_time_ratio" ~at (cm_s /. Float.max 1e-9 sp_s);
+              claim v "frontier_fraction_gap" ~at (cm_frac -. sp_frac)
+            end;
+            [ sp; cm ])
           rungs)
       (decomp_families 20220711)
   in
@@ -1367,13 +1428,14 @@ let decomp_bench () =
     (List.map snd results);
   let doc =
     Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "expander-decomp-bench");
-        ("version", Obs.Json.Int 1);
-        ("epsilon", Obs.Json.Float decomp_epsilon);
-        ("n", Obs.Json.Int !decomp_n);
-        ("results", Obs.Json.List (List.map fst results));
-      ]
+      ([
+         ("schema", Obs.Json.Str "expander-decomp-bench");
+         ("version", Obs.Json.Int 2);
+         ("epsilon", Obs.Json.Float decomp_epsilon);
+         ("n", Obs.Json.Int !decomp_n);
+         ("results", Obs.Json.List (List.map fst results));
+       ]
+      @ verdict_fields v)
   in
   Obs.Export.write_file !decomp_out (Obs.Json.to_string_pretty doc);
   Printf.printf "[decomp-bench written to %s]\n" !decomp_out
@@ -1445,6 +1507,10 @@ let route_walk_alloc_probe () =
   let w2 = words_per_token 16 in
   (w1, w2, w2 /. Float.max 1e-9 w1)
 
+(* the probe's linearity bound: doubling the load may not grow minor
+   words per token by more than this factor *)
+let route_alloc_ratio_limit = 1.5
+
 let route_bench () =
   note "\n### route-bench: expander routing as a serving layer\n";
   note "preprocess a witness hierarchy per decomposition, then serve\n";
@@ -1458,6 +1524,9 @@ let route_bench () =
     if candidates = [] then [ top ] else candidates
   in
   let top = List.fold_left max 0 rungs in
+  let v = verdicts () in
+  (* rungs executed on the simulator; at least one must be *)
+  let simulated = ref 0 in
   let configs eng =
     match eng with
     | Core.Pipeline.Cut_matching_engine -> [ true; false ]
@@ -1465,6 +1534,10 @@ let route_bench () =
   in
   let bench_one fname g n eng reuse =
     let ename = Core.Pipeline.engine_name eng in
+    let at =
+      Printf.sprintf "%s/n=%d/%s/%s" fname n ename
+        (if reuse then "reuse" else "rebuild")
+    in
     let p =
       Core.Pipeline.prepare ~mode:charged ~engine:eng ~pool:!pool g
         ~epsilon:route_epsilon ~seed:20220711
@@ -1486,8 +1559,17 @@ let route_bench () =
       let s = Route.Service.serve ~policy svc ds in
       let secs = Obs.Clock.wall_s () -. t0 in
       let dps = float_of_int s.Route.Service.demands /. Float.max 1e-9 secs in
+      let at = Printf.sprintf "%s/%s/%s" at pattern pname in
+      check v "delivered_accounted" ~at (s.delivered + s.failed = s.demands);
+      (* every family is connected: nothing may be unroutable *)
+      check v "no_failed" ~at (s.failed = 0);
+      check v "rounds_ordered" ~at
+        (s.rounds_p50 <= s.rounds_p99 && s.rounds_p99 <= s.rounds_max);
+      check v "congestion_max_bound" ~at
+        (s.congestion_max <= s.congestion_total);
+      check v "demands_per_sec_positive" ~at (dps > 0.);
+      if n = top then claim v "top_rung_demands" ~at (float_of_int s.demands);
       ( s,
-        secs,
         dps,
         Obs.Json.Obj
           [
@@ -1508,10 +1590,25 @@ let route_bench () =
     in
     let rr = (Route.Hierarchy.Round_robin, "round_robin") in
     let ll = (Route.Hierarchy.Least_loaded, "least_loaded") in
-    let _, _, _, rand_rr_json = serve_pattern "random" rr in
-    let rand_s, _, rand_dps, rand_ll_json = serve_pattern "random" ll in
-    let hot_rr, _, _, hot_rr_json = serve_pattern "hotspot" rr in
-    let hot_ll, _, _, hot_ll_json = serve_pattern "hotspot" ll in
+    let rand_rr, _, rand_rr_json = serve_pattern "random" rr in
+    let rand_s, rand_dps, rand_ll_json = serve_pattern "random" ll in
+    let hot_rr, _, hot_rr_json = serve_pattern "hotspot" rr in
+    let hot_ll, _, hot_ll_json = serve_pattern "hotspot" ll in
+    List.iter
+      (fun ( pattern,
+             (s_rr : Route.Service.summary),
+             (s_ll : Route.Service.summary) ) ->
+        let at = at ^ "/" ^ pattern in
+        check v "policies_agree" ~at (s_rr.delivered = s_ll.delivered);
+        (* least-loaded must never be materially worse than the round-robin
+           baseline on the same batch. The slack absorbs epoch-snapshot
+           herding: within an epoch every task diverts against the same
+           stale congestion, which can overshoot on configs whose baseline
+           is already near the floor; the 2x win is a top-rung claim *)
+        check v "least_loaded_bound" ~at
+          (float_of_int s_ll.congestion_max
+          <= (float_of_int s_rr.congestion_max *. 1.25) +. 1.))
+      [ ("random", rand_rr, rand_s); ("hotspot", hot_rr, hot_ll) ];
     (* execute the plans on the sharded simulator where tractable and
        check the deliveries against the planner *)
     let congest_json =
@@ -1535,15 +1632,20 @@ let route_bench () =
                      r.Route.Service.routed.Distr.Witness_routing.rounds_of)))
         in
         Array.sort compare arr;
+        let last = r.Route.Service.routed.Distr.Witness_routing.last_round in
+        let p50 = route_percentile_of arr 50 in
+        let p99 = route_percentile_of arr 99 in
+        let at = at ^ "/congest" in
+        check v "sim_rounds_ordered" ~at (p50 <= p99 && p99 <= last);
+        check v "planner_match" ~at r.Route.Service.match_planner;
+        incr simulated;
         Obs.Json.Obj
           [
             ("demands", Obs.Json.Int (Array.length cds));
             ("shards", Obs.Json.Int shards);
-            ( "rounds",
-              Obs.Json.Int
-                r.Route.Service.routed.Distr.Witness_routing.last_round );
-            ("rounds_p50", Obs.Json.Int (route_percentile_of arr 50));
-            ("rounds_p99", Obs.Json.Int (route_percentile_of arr 99));
+            ("rounds", Obs.Json.Int last);
+            ("rounds_p50", Obs.Json.Int p50);
+            ("rounds_p99", Obs.Json.Int p99);
             ( "planner_match",
               Obs.Json.Bool r.Route.Service.match_planner );
           ]
@@ -1583,24 +1685,42 @@ let route_bench () =
           ("congest", congest_json);
         ]
     in
-    (json, row)
+    let hot_win =
+      float_of_int hot_rr.Route.Service.congestion_max
+      /. Float.max 1. (float_of_int hot_ll.Route.Service.congestion_max)
+    in
+    ((json, row), hot_win)
   in
+  (* per family, the best hot-spot congestion win (round-robin over
+     least-loaded congestion_max) among the top rung's configurations *)
   let results =
     List.concat_map
       (fun (fname, gen) ->
-        List.concat_map
-          (fun n ->
-            let g = gen n in
-            List.concat_map
-              (fun eng ->
-                List.map
-                  (fun reuse -> bench_one fname g n eng reuse)
-                  (configs eng))
-              [ Core.Pipeline.Spectral_engine;
-                Core.Pipeline.Cut_matching_engine ])
-          rungs)
+        let served =
+          List.concat_map
+            (fun n ->
+              let g = gen n in
+              List.concat_map
+                (fun eng ->
+                  List.map
+                    (fun reuse -> (n, bench_one fname g n eng reuse))
+                    (configs eng))
+                [ Core.Pipeline.Spectral_engine;
+                  Core.Pipeline.Cut_matching_engine ])
+            rungs
+        in
+        let best =
+          List.fold_left
+            (fun acc (n, (_, win)) -> if n = top then Float.max acc win else acc)
+            0. served
+        in
+        claim v "hotspot_congestion_win"
+          ~at:(Printf.sprintf "%s/n=%d" fname top)
+          best;
+        List.map (fun (_, (entry, _)) -> entry) served)
       (route_families 20220711)
   in
+  check v "simulator_executed" ~at:"results" (!simulated > 0);
   (* jobs-scaling ladder: the same top-rung batch served by the
      epoch-parallel planner at increasing pool sizes; the summary must
      be byte-identical at every rung (the epoch snapshot contract).
@@ -1618,38 +1738,51 @@ let route_bench () =
         ~seed:(n + 5) in
     let base = ref None in
     let base_dps = ref 0. in
-    List.map
-      (fun jobs ->
-        let jp = Parallel.Pool.create ~jobs () in
-        let svc = Core.Pipeline.routing_service ~reuse:true ~seed:31 ~pool:jp p in
-        let t0 = Obs.Clock.wall_s () in
-        let s = Route.Service.serve svc ds in
-        let secs = Obs.Clock.wall_s () -. t0 in
-        let dps = float_of_int s.Route.Service.demands /. Float.max 1e-9 secs in
-        let equal =
-          match !base with
-          | None ->
-              base := Some s;
-              base_dps := dps;
-              true
-          | Some b -> s = b
-        in
-        note "jobs %d: %.2fs (%.0fk demands/s)%s\n" jobs secs (dps /. 1e3)
-          (if equal then "" else "  ** SUMMARY MISMATCH **");
-        Obs.Json.Obj
-          [
-            ("jobs", Obs.Json.Int jobs);
-            ("seconds", Obs.Json.Float secs);
-            ("demands_per_sec", Obs.Json.Float dps);
-            ("summary_equal", Obs.Json.Bool equal);
-            ( "speedup_vs_j1",
-              Obs.Json.Float (dps /. Float.max 1e-9 !base_dps) );
-          ])
-      [ 1; 2; 4 ]
+    let best_speedup = ref 0. in
+    let rungs =
+      List.map
+        (fun jobs ->
+          let jp = Parallel.Pool.create ~jobs () in
+          let svc = Core.Pipeline.routing_service ~reuse:true ~seed:31 ~pool:jp p in
+          let t0 = Obs.Clock.wall_s () in
+          let s = Route.Service.serve svc ds in
+          let secs = Obs.Clock.wall_s () -. t0 in
+          let dps = float_of_int s.Route.Service.demands /. Float.max 1e-9 secs in
+          let equal =
+            match !base with
+            | None ->
+                base := Some s;
+                base_dps := dps;
+                true
+            | Some b -> s = b
+          in
+          note "jobs %d: %.2fs (%.0fk demands/s)%s\n" jobs secs (dps /. 1e3)
+            (if equal then "" else "  ** SUMMARY MISMATCH **");
+          let speedup = dps /. Float.max 1e-9 !base_dps in
+          let at = Printf.sprintf "jobs=%d" jobs in
+          check v "summary_equal" ~at equal;
+          check v "demands_per_sec_positive" ~at (dps > 0.);
+          best_speedup := Float.max !best_speedup speedup;
+          Obs.Json.Obj
+            [
+              ("jobs", Obs.Json.Int jobs);
+              ("seconds", Obs.Json.Float secs);
+              ("demands_per_sec", Obs.Json.Float dps);
+              ("summary_equal", Obs.Json.Bool equal);
+              ("speedup_vs_j1", Obs.Json.Float speedup);
+            ])
+        [ 1; 2; 4 ]
+    in
+    (* wall-clock scaling needs a multi-core host: reported, gated by no
+       committed rule *)
+    claim v "best_jobs_speedup" ~at:"jobs_ladder" !best_speedup;
+    rungs
   in
   let w1, w2, ratio = route_walk_alloc_probe () in
   note "walk-router hot-spot alloc: %.1f words/token at 1x, %.1f at 2x (ratio %.2f)\n"
     w1 w2 ratio;
+  check v "walk_alloc_ratio_bound" ~at:"walk_router"
+    (ratio <= route_alloc_ratio_limit);
   print_table ~title:"route-bench: witness-hierarchy serving"
     ~header:
       [ "family"; "n"; "engine"; "witness"; "pre(s)"; "k"; "shortcuts";
@@ -1657,22 +1790,23 @@ let route_bench () =
     (List.map snd results);
   let doc =
     Obs.Json.Obj
-      [
-        ("schema", Obs.Json.Str "expander-route-bench");
-        ("version", Obs.Json.Int 2);
-        ("epsilon", Obs.Json.Float route_epsilon);
-        ("n", Obs.Json.Int !route_n);
-        ("demands", Obs.Json.Int !route_demands);
-        ("results", Obs.Json.List (List.map fst results));
-        ("jobs_ladder", Obs.Json.List ladder);
-        ( "walk_router",
-          Obs.Json.Obj
-            [
-              ("words_per_token_1x", Obs.Json.Float w1);
-              ("words_per_token_2x", Obs.Json.Float w2);
-              ("alloc_ratio", Obs.Json.Float ratio);
-            ] );
-      ]
+      ([
+         ("schema", Obs.Json.Str "expander-route-bench");
+         ("version", Obs.Json.Int 3);
+         ("epsilon", Obs.Json.Float route_epsilon);
+         ("n", Obs.Json.Int !route_n);
+         ("demands", Obs.Json.Int !route_demands);
+         ("results", Obs.Json.List (List.map fst results));
+         ("jobs_ladder", Obs.Json.List ladder);
+         ( "walk_router",
+           Obs.Json.Obj
+             [
+               ("words_per_token_1x", Obs.Json.Float w1);
+               ("words_per_token_2x", Obs.Json.Float w2);
+               ("alloc_ratio", Obs.Json.Float ratio);
+             ] );
+       ]
+      @ verdict_fields v)
   in
   Obs.Export.write_file !route_out (Obs.Json.to_string_pretty doc);
   Printf.printf "[route-bench written to %s]\n" !route_out

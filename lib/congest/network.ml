@@ -28,8 +28,6 @@ type ('state, 'msg) step = {
 let step ?wake_after ?(send = []) ?(halt = false) state =
   { state; send; halt; wake_after }
 
-type schedule = Every_round | Event_driven
-
 (* Bit-packed message transport for the simulator loop: a message whose
    [pack] is non-negative travels as one immediate int in the arena's
    payload column; a negative [pack] is the escape hatch — the message is
@@ -251,7 +249,9 @@ let run_reference ?(faults = Faults.none) g ~bandwidth ~msg_bits ~init ~round
 (* ------------------------------------------------------------------ *)
 
 (* in-place ascending quicksort of a.(0 .. len-1); entries are distinct
-   vertex ids, so partitioning details cannot affect the result *)
+   vertex ids, so partitioning details cannot affect the result. A
+   worklist of round-clock vertices arrives already sorted (the step loop
+   queues them in ascending order), so one linear pass settles it *)
 (* lint: hot *)
 let sort_prefix a len =
   let swap i j =
@@ -296,7 +296,11 @@ let sort_prefix a len =
       go !i hi
     end
   in
-  if len > 1 then go 0 (len - 1)
+  let i = ref 1 in
+  while !i < len && a.(!i - 1) < a.(!i) do
+    incr i
+  done;
+  if !i < len then go 0 (len - 1)
 
 (* sends are normally listed in ascending neighbor order, so a moving
    cursor over the sorted row validates them in O(1) amortized; an
@@ -420,14 +424,13 @@ let sh_heap_pop sh =
    by the fault layer's RNG: per round, vertices execute in ascending id
    order and each vertex's sends are processed in list order, so the k-th
    [Random.State] draw of a run lands on the same message as in
-   [run_reference]. Each shard steps its own sorted worklist (or its
-   whole range under [Every_round]), and the exchange walks the shard
-   outboxes in shard order — which is global sender-ascending order
-   because shards own contiguous ascending ranges. Under [Every_round]
-   the sequence of round calls is identical to the reference; under
-   [Event_driven] it is a subsequence that omits only steps the wake-up
-   contract declares no-ops (see network.mli), which send nothing and
-   therefore draw nothing. So delivery order, bandwidth accounting,
+   [run_reference]. Each shard steps its own sorted worklist, and the
+   exchange walks the shard outboxes in shard order — which is global
+   sender-ascending order because shards own contiguous ascending
+   ranges. The sequence of round calls is a subsequence of the
+   reference's that omits only steps the wake-up contract declares
+   no-ops (see network.mli), which send nothing and therefore draw
+   nothing. So delivery order, bandwidth accounting,
    congestion raise order and the fault RNG draw order are all identical
    to run_reference at every shard count. Parallelism never touches the
    draws: the single Faults.rng stream is consumed only in the sequential
@@ -436,13 +439,12 @@ let sh_heap_pop sh =
    The user's init / round / msg_bits / codec functions execute on worker
    domains; they must be domain-safe pure functions of their arguments
    (the wake-up contract already demands this for round). *)
-let run ?(faults = Faults.none) ?(schedule = Every_round)
+let run ?(faults = Faults.none)
     ?(exec = Sharded { shards = 1; pool = Parallel.Pool.sequential })
     ?(codec = boxed_codec ()) g ~bandwidth ~msg_bits ~init ~round
     ~max_rounds =
   let (Sharded { shards; pool }) = exec in
   let n = Graph.n g in
-  let event = match schedule with Event_driven -> true | Every_round -> false in
   let chunk = max 1 ((n + max 1 shards - 1) / max 1 shards) in
   let nshards = (n + chunk - 1) / chunk in
   let ctxs =
@@ -629,21 +631,19 @@ let run ?(faults = Faults.none) ?(schedule = Every_round)
   in
   (* one shard's slice of a round, executed inside the Team barrier *)
   let step_shard r sh =
-    if event then begin
-      (match Hashtbl.find_opt sh.sh_wake_buckets r with
-      | Some entries ->
-          List.iter
-            (fun v ->
-              if wake_at.(v) = r then begin
-                wake_at.(v) <- 0;
-                if (not halted.(v)) && not crashed.(v) then push_cur sh r v
-              end)
-            !entries;
-          Hashtbl.remove sh.sh_wake_buckets r
-      | None -> ());
-      if sh_heap_min sh = r then sh_heap_pop sh;
-      sort_prefix sh.sh_cur sh.sh_cur_len
-    end;
+    (match Hashtbl.find_opt sh.sh_wake_buckets r with
+    | Some entries ->
+        List.iter
+          (fun v ->
+            if wake_at.(v) = r then begin
+              wake_at.(v) <- 0;
+              if (not halted.(v)) && not crashed.(v) then push_cur sh r v
+            end)
+          !entries;
+        Hashtbl.remove sh.sh_wake_buckets r
+    | None -> ());
+    if sh_heap_min sh = r then sh_heap_pop sh;
+    sort_prefix sh.sh_cur sh.sh_cur_len;
     (* rebuild per-vertex inboxes from the arena: walking backward while
        consing restores arrival (sender-ascending) order; a vertex that
        crashed this round loses its pending inbox, exactly like the
@@ -697,8 +697,14 @@ let run ?(faults = Faults.none) ?(schedule = Every_round)
         sh.sh_halts <- sh.sh_halts + 1;
         if wake_at.(v) > 0 then wake_at.(v) <- 0
       end
-      else if event then
+      else
         match st.wake_after with
+        | Some 1 ->
+            (* next round: straight onto the worklist, the way a delivered
+               message queues its receiver; a crash before then skips the
+               step, exactly as it would cancel a bucketed wake *)
+            if wake_at.(v) > 0 then wake_at.(v) <- 0;
+            push_nxt sh (r + 1) v
         | Some d ->
             if d < 1 then
               invalid_arg
@@ -710,17 +716,11 @@ let run ?(faults = Faults.none) ?(schedule = Every_round)
             else if wake_at.(v) > 0 then wake_at.(v) <- 0
         | None -> if wake_at.(v) > 0 then wake_at.(v) <- 0
     in
-    if event then begin
-      for i = 0 to sh.sh_cur_len - 1 do
-        let v = sh.sh_cur.(i) in
-        if (not halted.(v)) && not crashed.(v) then step_vertex v
-      done;
-      sh.sh_cur_len <- 0
-    end
-    else
-      for v = sh.sh_lo to sh.sh_hi - 1 do
-        if (not halted.(v)) && not crashed.(v) then step_vertex v
-      done
+    for i = 0 to sh.sh_cur_len - 1 do
+      let v = sh.sh_cur.(i) in
+      if (not halted.(v)) && not crashed.(v) then step_vertex v
+    done;
+    sh.sh_cur_len <- 0
   in
   (* the sequential cross-shard exchange: shard order x in-shard step order
      is global sender-ascending order, each sender's sends in list order —
@@ -776,7 +776,7 @@ let run ?(faults = Faults.none) ?(schedule = Every_round)
             else spill_wide dsh sh.sh_ob_wide.(-pay - 1)
           in
           push_ib dsh v w pay;
-          if event then push_nxt dsh (r + 1) w;
+          push_nxt dsh (r + 1) w;
           if
             faults.Faults.duplicate_rate > 0.
             && Random.State.float frng 1. < faults.Faults.duplicate_rate
@@ -796,13 +796,12 @@ let run ?(faults = Faults.none) ?(schedule = Every_round)
     touched_len := 0
   in
   (* round 1 schedules everyone *)
-  if event then
-    Array.iter
-      (fun sh ->
-        for v = sh.sh_lo to sh.sh_hi - 1 do
-          push_cur sh 1 v
-        done)
-      shard_tbl;
+  Array.iter
+    (fun sh ->
+      for v = sh.sh_lo to sh.sh_hi - 1 do
+        push_cur sh 1 v
+      done)
+    shard_tbl;
   let team = Parallel.Pool.Team.create pool ~tasks:nshards in
   Fun.protect ~finally:(fun () -> Parallel.Pool.Team.shutdown team)
   @@ fun () ->
@@ -820,7 +819,7 @@ let run ?(faults = Faults.none) ?(schedule = Every_round)
             crashed.(v) <- false;
             incr live;
             decr crashed_live;
-            if event then push_cur shard_tbl.(v / chunk) r v
+            push_cur shard_tbl.(v / chunk) r v
           end)
         (Hashtbl.find_all recover_at r);
       List.iter
@@ -856,42 +855,40 @@ let run ?(faults = Faults.none) ?(schedule = Every_round)
       words := !words + shard_tbl.(s).sh_words
     done;
     if !words > !inbox_peak then inbox_peak := !words;
-    if event then begin
+    for s = 0 to nshards - 1 do
+      let sh = shard_tbl.(s) in
+      let t = sh.sh_cur in
+      sh.sh_cur <- sh.sh_nxt;
+      sh.sh_nxt <- t;
+      sh.sh_cur_len <- sh.sh_nxt_len;
+      sh.sh_nxt_len <- 0
+    done;
+    (* fast-forward over silent rounds: nobody is scheduled, so jump to
+       the earliest pending wake over all shards, the next fault event,
+       or the horizon. The reference loop spends those rounds stepping
+       vertices whose wake-up contract makes them no-ops, so skipping
+       them changes nothing observable; crashed vertices still accrue
+       crashed_rounds for each round skipped. *)
+    if !live > 0 then begin
+      let busy = ref false in
       for s = 0 to nshards - 1 do
-        let sh = shard_tbl.(s) in
-        let t = sh.sh_cur in
-        sh.sh_cur <- sh.sh_nxt;
-        sh.sh_nxt <- t;
-        sh.sh_cur_len <- sh.sh_nxt_len;
-        sh.sh_nxt_len <- 0
+        if shard_tbl.(s).sh_cur_len > 0 then busy := true
       done;
-      (* fast-forward over silent rounds: nobody is scheduled, so jump to
-         the earliest pending wake over all shards, the next fault event,
-         or the horizon. The reference loop spends those rounds stepping
-         vertices whose wake-up contract makes them no-ops, so skipping
-         them changes nothing observable; crashed vertices still accrue
-         crashed_rounds for each round skipped. *)
-      if !live > 0 then begin
-        let busy = ref false in
+      if not !busy then begin
+        let wake_min = ref max_int in
         for s = 0 to nshards - 1 do
-          if shard_tbl.(s).sh_cur_len > 0 then busy := true
+          let m = sh_heap_min shard_tbl.(s) in
+          if m < !wake_min then wake_min := m
         done;
-        if not !busy then begin
-          let wake_min = ref max_int in
-          for s = 0 to nshards - 1 do
-            let m = sh_heap_min shard_tbl.(s) in
-            if m < !wake_min then wake_min := m
-          done;
-          let cand = min !wake_min (next_fault_round r) in
-          let target =
-            if cand = max_int || cand > max_rounds then max_rounds + 1
-            else cand
-          in
-          let skipped = target - 1 - r in
-          if skipped > 0 then begin
-            crashed_rounds := !crashed_rounds + (!crashed_live * skipped);
-            rounds := target - 1
-          end
+        let cand = min !wake_min (next_fault_round r) in
+        let target =
+          if cand = max_int || cand > max_rounds then max_rounds + 1
+          else cand
+        in
+        let skipped = target - 1 - r in
+        if skipped > 0 then begin
+          crashed_rounds := !crashed_rounds + (!crashed_live * skipped);
+          rounds := target - 1
         end
       end
     end
@@ -901,7 +898,7 @@ let run ?(faults = Faults.none) ?(schedule = Every_round)
   if faulty then
     Obs.Meter.faults ~dropped:!dropped ~duplicated:!duplicated
       ~crashed_rounds:!crashed_rounds;
-  if event then Obs.Meter.active ~vertices:!active_total;
+  Obs.Meter.active ~vertices:!active_total;
   let final_words = Array.fold_left (fun a sh -> a + sh.sh_words) 0 shard_tbl in
   Obs.Meter.inbox ~peak_words:!inbox_peak ~final_words;
   ( states,

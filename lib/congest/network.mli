@@ -44,11 +44,12 @@ type ctx = {
     on it sends nothing and its state no longer changes. Messages arriving
     at an already-halted vertex are dropped.
 
-    [wake_after] only matters under {!Event_driven} scheduling (it is
-    ignored otherwise): [Some d] (with [d >= 1]) asks to be stepped again
-    in round [r + d] even if no message arrives; [None] sleeps until the
-    next incoming message. Each step replaces the previous request, and
-    halting cancels it. *)
+    [wake_after] drives {!run}'s scheduling: [Some d] (with [d >= 1]) asks
+    to be stepped again in round [r + d] even if no message arrives;
+    [None] sleeps until the next incoming message. Each step replaces the
+    previous request, and halting cancels it. An algorithm whose vertices
+    act on the round clock returns [~wake_after:1] from every non-halting
+    step. {!run_reference} ignores it. *)
 type ('state, 'msg) step = {
   state : 'state;
   send : (int * 'msg) list;
@@ -64,24 +65,6 @@ val step :
   ?halt:bool ->
   'state ->
   ('state, 'msg) step
-
-(** How {!run} decides which vertices to step each round.
-
-    [Every_round] (the default) steps every non-halted, non-crashed vertex
-    every round — the classic synchronous sweep, call-for-call identical
-    to {!run_reference}.
-
-    [Event_driven] steps a vertex in round [r] only if it received a
-    message in round [r - 1], just recovered from a crash, or requested a
-    wake-up via [wake_after] (round 1 steps everyone). An algorithm is
-    eligible for this mode only if it honors the {e wake-up contract}: a
-    round call with an empty inbox outside the vertex's own wake-up
-    requests must be a no-op — it sends nothing, does not halt, and any
-    state change is observationally irrelevant. Under that contract the
-    skipped calls are exactly no-ops, so stats and final outputs are
-    identical to [Every_round]; rounds in which no vertex is scheduled are
-    fast-forwarded without iterating anything. *)
-type schedule = Every_round | Event_driven
 
 (** Bit-packed message encoding for the simulator's arenas. [pack m] either
     returns a {e non-negative} int — the message rides in the arena's
@@ -163,13 +146,20 @@ val pp_stats : Format.formatter -> stats -> unit
     [Faults.none] (the default) the run is byte-identical to one without
     the argument, and no fault counters reach the cost meter.
 
-    [?schedule] selects the scheduling discipline (default {!Every_round});
-    see {!schedule}. Fault injection composes with both modes: the fault
-    RNG's draw order (vertices ascending, each vertex's sends in list
-    order, one optional draw per sent then per delivered message) is a
-    property of the delivery sweep and does not depend on which sleeping
-    vertices were skipped, so fixed-seed fault outcomes are identical
-    across schedules for contract-honoring algorithms.
+    Scheduling is event-driven: a vertex is stepped in round [r] only if
+    it received a message in round [r - 1], just recovered from a crash,
+    or requested a wake-up via [wake_after] (round 1 steps everyone). An
+    algorithm must honor the {e wake-up contract}: a round call with an
+    empty inbox outside the vertex's own wake-up requests must be a no-op
+    — it sends nothing, does not halt, and any state change is
+    observationally irrelevant. Under that contract the skipped calls are
+    exactly no-ops, so stats and final outputs are identical to
+    {!run_reference}; rounds in which no vertex is scheduled are
+    fast-forwarded without iterating anything. Fault injection composes
+    with it: the fault RNG's draw order (vertices ascending, each
+    vertex's sends in list order, one optional draw per sent then per
+    delivered message) is a property of the delivery sweep and does not
+    depend on which sleeping vertices were skipped.
 
     [?exec] selects the shard count and worker pool (default one shard on
     [Parallel.Pool.sequential]); see {!exec}. [?codec] supplies the
@@ -182,7 +172,6 @@ val pp_stats : Format.formatter -> stats -> unit
     requests [wake_after] < 1. *)
 val run :
   ?faults:Faults.t ->
-  ?schedule:schedule ->
   ?exec:exec ->
   ?codec:'msg codec ->
   Sparse_graph.Graph.t ->
@@ -197,7 +186,7 @@ val run :
     oracle: it steps every non-halted, non-crashed vertex every round,
     re-sorts each inbox, and ignores [wake_after]. It shares no delivery
     code with {!run}, which must be stats- and state-identical to it at
-    every schedule, shard count, pool size and codec (the equivalence
+    every shard count, pool size and codec (the equivalence
     suite in [test/] pins this); it is also the slow side of the
     [congest-bench] comparison. Not for production use. *)
 val run_reference :

@@ -42,7 +42,7 @@ let run ?exec (view : Cluster_view.t) ~roots ~rounds =
     else Network.step st ~wake_after:(rounds + 1 - r)
   in
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven
+    Network.run ?exec g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 1)
       ~init ~round ~max_rounds:(rounds + 1)
@@ -116,9 +116,9 @@ let run_reliable ?faults ?exec ?(patience = 6) (view : Cluster_view.t) ~roots
       if st.hdepth >= 0 then List.map (fun w -> (w, st.hdepth)) intra.(self)
       else []
     in
-    (* stays Every_round: the heartbeat refresh each round IS the
-       retransmission mechanism, so no round is a no-op *)
-    Network.step st ~send ~halt:(r > rounds)
+    (* the heartbeat refresh each round IS the retransmission mechanism,
+       so every vertex wakes every round *)
+    Network.step st ~send ~halt:(r > rounds) ~wake_after:1
   in
   let states, stats =
     Network.run ?faults ?exec g

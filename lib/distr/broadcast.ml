@@ -40,7 +40,7 @@ let run ?exec (view : Cluster_view.t) ~sources ~rounds =
     else Network.step st ~wake_after:(rounds + 1 - r)
   in
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven
+    Network.run ?exec g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 1)
       ~init ~round ~max_rounds:(rounds + 1)
@@ -89,10 +89,10 @@ let run_reliable ?faults ?exec (view : Cluster_view.t) ~sources ~rounds =
       else (rel, st.offered)
     in
     let rel, out = Reliable.flush rel ~now:r in
-    (* stays Every_round: the retry transport re-offers from its queue on a
-       clock of its own, so a silent round is not a no-op here *)
+    (* the retry transport re-offers from its queue on a clock of its own,
+       so every vertex wakes every round *)
     Network.step { rvalue; rel; offered } ~send:(acks @ out)
-      ~halt:(r > rounds)
+      ~halt:(r > rounds) ~wake_after:1
   in
   let states, stats =
     Network.run ?faults ?exec g

@@ -79,7 +79,7 @@ let run ?exec (view : Cluster_view.t) ~b =
       Network.step { st with marked = st.marked || heard_mark } ~halt:true
   in
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven
+    Network.run ?exec g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(function Max _ -> Bits.words n 1 | Mark -> 1)
       ~init ~round ~max_rounds:(total_rounds + 1)

@@ -169,9 +169,9 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
     end
     else st
   in
-  (* Stays Every_round: the BFS / power-iteration / sweep phases run on a
-     dense absolute-round schedule in which almost every vertex originates
-     traffic each round, so event-driven scheduling has nothing to skip. *)
+  (* The BFS / power-iteration / sweep phases run on a dense absolute-round
+     schedule in which almost every vertex originates traffic each round,
+     so every non-halting step wakes the vertex for the next round. *)
   let round r (ctx : Network.ctx) st inbox =
     let v = ctx.id in
     if intra.(v) = [] then
@@ -213,7 +213,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
       let st0 = !st in
       (* unreached vertices idle (the orchestrator separates them) *)
       if st0.depth < 0 && r > b then
-        Network.step st0 ~halt:(r > total_rounds)
+        Network.step st0 ~halt:(r > total_rounds) ~wake_after:1
       else begin
         (* 2. act according to the schedule *)
         (* BFS announcements *)
@@ -368,7 +368,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
               | None -> ())
           | _ -> ()
         end;
-        Network.step !st ~send:!send ~halt:(r > total_rounds)
+        Network.step !st ~send:!send ~halt:(r > total_rounds) ~wake_after:1
       end
     end
   in

@@ -46,9 +46,9 @@ let run ?exec (view : Cluster_view.t) ?weights ~seed () =
   let init (ctx : Network.ctx) =
     { mate = -1; live_neighbors = intra.(ctx.id); pointed_to = -1 }
   in
-  (* Stays Every_round: an unmatched vertex re-points at its best live
-     neighbor on every odd round whether or not anything arrived, so no
-     round is a no-op and event-driven scheduling has nothing to skip. *)
+  (* An unmatched vertex re-points at its best live neighbor on every odd
+     round whether or not anything arrived, so every non-halting step
+     wakes the vertex for the next round. *)
   let round r (_ctx : Network.ctx) st inbox =
     if st.mate >= 0 then Network.step st ~halt:true
     else begin
@@ -64,7 +64,7 @@ let run ?exec (view : Cluster_view.t) ?weights ~seed () =
         | None -> Network.step st ~halt:true
         | Some (w, _) ->
             let st = { st with pointed_to = w } in
-            Network.step st ~send:[ (w, Point) ]
+            Network.step st ~send:[ (w, Point) ] ~wake_after:1
       end
       else begin
         let pointers =
@@ -77,9 +77,9 @@ let run ?exec (view : Cluster_view.t) ?weights ~seed () =
               (fun (w, _) -> if w <> st.mate then Some (w, Taken) else None)
               st.live_neighbors
           in
-          Network.step st ~send
+          Network.step st ~send ~wake_after:1
         end
-        else Network.step st
+        else Network.step st ~wake_after:1
       end
     end
   in

@@ -45,7 +45,7 @@ let run ?exec (view : Cluster_view.t) ~rounds =
     end
   in
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven
+    Network.run ?exec g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 2)
       ~init ~round ~max_rounds:(rounds + 1)
@@ -175,14 +175,15 @@ let run_reliable ?faults ?exec ?(patience = 12) (view : Cluster_view.t) ~rounds 
       end
     in
     let erel, out = Reliable.flush ~max_per_dst:1 st.erel ~now:r in
-    (* stays Every_round: leader heartbeats originate on the wall clock and
-       the retry transport retransmits from its own timers *)
+    (* leader heartbeats originate on the wall clock and the retry
+       transport retransmits from its own timers, so every vertex wakes
+       every round *)
     Network.step { st with erel }
       ~send:
         (List.map (fun (w, a) -> (w, Pkt a)) acks
         @ hb_out
         @ List.map (fun (w, p) -> (w, Pkt p)) out)
-      ~halt:(r > rounds)
+      ~halt:(r > rounds) ~wake_after:1
   in
   let states, stats =
     Network.run ?faults ?exec g

@@ -122,7 +122,7 @@ let run ?exec (view : Cluster_view.t) ~leader_of ~rounds_budget =
   in
   let idb = Bits.id_bits n in
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven ~bandwidth:Network.Local
+    Network.run ?exec g ~bandwidth:Network.Local
       ~msg_bits:(function
         | Depth _ -> idb
         | Child -> 1

@@ -36,10 +36,9 @@ let run ?exec (view : Cluster_view.t) ~seed =
   (* Each phase spans two rounds: odd rounds broadcast a fresh draw; even
      rounds compare draws, winners join and announce Joined, neighbors of
      winners announce Died in the next odd round before going silent.
-
-     Stays Every_round: live vertices originate a draw on every odd round
-     whether or not anything arrived, so no round is a no-op and
-     event-driven scheduling has nothing to skip. *)
+     Live vertices originate a draw on every odd round whether or not
+     anything arrived, so every non-halting step wakes the vertex for the
+     next round. *)
   let round r (ctx : Network.ctx) st inbox =
     match st.status with
     | In_mis | Out -> Network.step st ~halt:true
@@ -57,12 +56,13 @@ let run ?exec (view : Cluster_view.t) ~seed =
         if joined_neighbor then begin
           (* a neighbor joined: die, tell remaining live neighbors *)
           let st = { st with status = Out } in
-          Network.step st ~send:(List.map (fun w -> (w, Died)) st.live_neighbors)
+          Network.step st ~wake_after:1
+            ~send:(List.map (fun w -> (w, Died)) st.live_neighbors)
         end
         else if r mod 2 = 1 then begin
           let draw = Random.State.bits st.rng in
           let st = { st with draw; phase = st.phase + 1 } in
-          Network.step st
+          Network.step st ~wake_after:1
             ~send:(List.map (fun w -> (w, Draw draw)) st.live_neighbors)
         end
         else begin
@@ -77,10 +77,10 @@ let run ?exec (view : Cluster_view.t) ~seed =
           in
           if wins then begin
             let st = { st with status = In_mis } in
-            Network.step st
+            Network.step st ~wake_after:1
               ~send:(List.map (fun w -> (w, Joined)) st.live_neighbors)
           end
-          else Network.step st
+          else Network.step st ~wake_after:1
         end
   in
   let max_rounds = 8 * (int_of_float (log (float_of_int (max 2 n)) /. log 2.) + 4) in

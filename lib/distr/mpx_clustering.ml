@@ -60,7 +60,7 @@ let run ?exec (view : Cluster_view.t) ~beta ~seed =
     else Network.step st
   in
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven
+    Network.run ?exec g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 1)
       ~init ~round ~max_rounds:horizon

@@ -54,7 +54,7 @@ let run ?exec (view : Cluster_view.t) ~density ?(delta = 0.5) () =
   in
   let max_rounds = (2 * n) + 4 in
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven
+    Network.run ?exec g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 1)
       ~init ~round ~max_rounds

@@ -120,7 +120,7 @@ let run ?exec (view : Cluster_view.t) ~max_iterations =
     end
   in
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven
+    Network.run ?exec g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(function
         | Pendant | Bounce | Gone -> 2

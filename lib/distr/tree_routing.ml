@@ -87,7 +87,7 @@ let run ?exec (view : Cluster_view.t) ~leader_of ~tokens_of ~max_rounds =
          else None)
   in
   let states, stats =
-    Network.run ?exec g ~schedule:Network.Event_driven
+    Network.run ?exec g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(function BDepth _ -> Bits.id_bits n | Tok _ -> token_bits)
       ~init ~round ~max_rounds

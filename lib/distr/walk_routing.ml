@@ -143,7 +143,7 @@ let run ?exec ?faults (view : Cluster_view.t) ~leader_of ~tokens_of ~walk_len ~s
       ?wake_after:(if st.holding > 0 then Some 1 else None)
   in
   let states, stats =
-    Network.run ?exec ?faults g ~schedule:Network.Event_driven
+    Network.run ?exec ?faults g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> token_bits)
       ~init ~round ~max_rounds

@@ -148,7 +148,7 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
       ?wake_after:(if st.holding > 0 then Some 1 else None)
   in
   let states, stats =
-    Network.run ?exec ?faults g ~schedule:Network.Event_driven
+    Network.run ?exec ?faults g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:flight_bits
       ~codec:flight_codec ~init ~round ~max_rounds

@@ -34,9 +34,11 @@ val is_connected : Graph.t -> bool
     vertex. *)
 val eccentricity : Graph.t -> int -> int
 
-(** Exact diameter of the largest component, by running BFS from every
-    vertex; [0] on the empty graph. Linear in [n * m]: intended for
-    small-to-medium graphs and tests. *)
+(** The maximum {!eccentricity} over all vertices, by running BFS from
+    every vertex: on a disconnected graph, the largest diameter of any
+    component (not necessarily the largest component's); [0] on the
+    empty graph. Linear in [n * m]: intended for small-to-medium graphs
+    and tests. *)
 val diameter : Graph.t -> int
 
 (** Lower bound on the diameter by a double BFS sweep (exact on trees). *)

@@ -19,9 +19,8 @@ let k_dropped = "net.dropped"
 let k_duplicated = "net.duplicated"
 let k_crashed_rounds = "net.crashed_rounds"
 
-(* schedule sparsity, reported by Congest.Network.run only for event-driven
-   runs — every-round (and reference) runs record nothing here, keeping
-   pre-scheduler profiles byte-identical *)
+(* schedule sparsity, reported by Congest.Network.run (the reference loop
+   steps everyone and records nothing here) *)
 let k_active_vertices = "net.active_vertices"
 
 (* flat-inbox footprint, reported by Congest.Network.run (the reference

@@ -22,10 +22,10 @@ val net :
     observability is disabled. *)
 
 val active : vertices:int -> unit
-(** Record one event-driven network run's total scheduled vertex-rounds
-    ([net.active_vertices]). Called by the simulator only for
-    [Event_driven] runs, so every-round profiles keep their pre-scheduler
-    vocabulary. No-op while observability is disabled. *)
+(** Record one network run's total scheduled vertex-rounds
+    ([net.active_vertices]). Called by [Congest.Network.run] only — the
+    reference loop steps every vertex. No-op while observability is
+    disabled. *)
 
 val inbox : peak_words:int -> final_words:int -> unit
 (** Record one run's inbox footprint: the high-watermark of machine

@@ -9,10 +9,10 @@ let flood_max g rounds_budget =
   let init (ctx : Network.ctx) = ctx.id in
   let round r (ctx : Network.ctx) best inbox =
     let best = List.fold_left (fun b (_, x) -> max b x) best inbox in
-    if r > rounds_budget then { Network.wake_after = None; state = best; send = []; halt = true }
+    if r > rounds_budget then { Network.wake_after = Some 1; state = best; send = []; halt = true }
     else
       {
-        Network.wake_after = None;
+        Network.wake_after = Some 1;
         state = best;
         send = Array.to_list (Array.map (fun w -> (w, best)) ctx.neighbors);
         halt = false;
@@ -43,9 +43,9 @@ let test_synchronous_delivery () =
   let init (ctx : Network.ctx) = ctx.id in
   let round r (ctx : Network.ctx) st inbox =
     List.iter (fun (s, x) -> log := (r, ctx.id, s, x) :: !log) inbox;
-    if r >= 3 then { Network.wake_after = None; state = st; send = []; halt = true }
+    if r >= 3 then { Network.wake_after = Some 1; state = st; send = []; halt = true }
     else
-      { Network.wake_after = None; state = st;
+      { Network.wake_after = Some 1; state = st;
         send = (if ctx.id = 0 then [ (1, 100 + r) ] else []);
         halt = false }
   in
@@ -64,7 +64,7 @@ let test_congestion_enforced () =
   let g = Generators.path 2 in
   let init _ = () in
   let round _ (ctx : Network.ctx) () _ =
-    { Network.wake_after = None; state = ();
+    { Network.wake_after = Some 1; state = ();
       send = (if ctx.id = 0 then [ (1, ()) ] else []);
       halt = false }
   in
@@ -84,7 +84,7 @@ let test_congestion_accumulates () =
   let g = Generators.path 2 in
   let init _ = () in
   let round _ (ctx : Network.ctx) () _ =
-    { Network.wake_after = None; state = ();
+    { Network.wake_after = Some 1; state = ();
       send = (if ctx.id = 0 then [ (1, ()); (1, ()) ] else []);
       halt = false }
   in
@@ -101,9 +101,9 @@ let test_local_mode_unbounded () =
   let g = Generators.path 2 in
   let init _ = () in
   let round r (ctx : Network.ctx) () _ =
-    if r > 1 then { Network.wake_after = None; state = (); send = []; halt = true }
+    if r > 1 then { Network.wake_after = Some 1; state = (); send = []; halt = true }
     else
-      { Network.wake_after = None; state = ();
+      { Network.wake_after = Some 1; state = ();
         send = (if ctx.id = 0 then [ (1, ()) ] else []);
         halt = false }
   in
@@ -118,7 +118,7 @@ let test_send_to_non_neighbor_rejected () =
   let g = Generators.path 3 in
   let init _ = () in
   let round _ (ctx : Network.ctx) () _ =
-    { Network.wake_after = None; state = ();
+    { Network.wake_after = Some 1; state = ();
       send = (if ctx.id = 0 then [ (2, ()) ] else []);
       halt = false }
   in
@@ -135,11 +135,11 @@ let test_halted_vertices_drop_messages () =
   let got = ref 0 in
   let init _ = () in
   let round r (ctx : Network.ctx) () inbox =
-    if ctx.id = 1 then { Network.wake_after = None; state = (); send = []; halt = true }
+    if ctx.id = 1 then { Network.wake_after = Some 1; state = (); send = []; halt = true }
     else begin
       got := !got + List.length inbox;
-      if r >= 3 then { Network.wake_after = None; state = (); send = []; halt = true }
-      else { Network.wake_after = None; state = (); send = [ (1, ()) ]; halt = false }
+      if r >= 3 then { Network.wake_after = Some 1; state = (); send = []; halt = true }
+      else { Network.wake_after = Some 1; state = (); send = [ (1, ()) ]; halt = false }
     end
   in
   let _, stats =
@@ -158,9 +158,9 @@ let test_halted_destination_drops_counted () =
   let g = Generators.path 2 in
   let init _ = () in
   let round r (ctx : Network.ctx) () _ =
-    if ctx.id = 1 then { Network.wake_after = None; state = (); send = []; halt = true }
+    if ctx.id = 1 then { Network.wake_after = Some 1; state = (); send = []; halt = true }
     else
-      { Network.wake_after = None; state = ();
+      { Network.wake_after = Some 1; state = ();
         send = [ (1, ()) ];
         halt = r >= 3 }
   in
@@ -183,9 +183,9 @@ let test_stats_accounting () =
   let g = Generators.cycle 4 in
   let init _ = () in
   let round r (ctx : Network.ctx) () _ =
-    if r > 2 then { Network.wake_after = None; state = (); send = []; halt = true }
+    if r > 2 then { Network.wake_after = Some 1; state = (); send = []; halt = true }
     else
-      { Network.wake_after = None; state = ();
+      { Network.wake_after = Some 1; state = ();
         send = Array.to_list (Array.map (fun w -> (w, ())) ctx.neighbors);
         halt = false }
   in
@@ -241,11 +241,11 @@ let test_halting_round_sends_delivered () =
   let round r (ctx : Network.ctx) st inbox =
     if ctx.id = 0 then
       (* announce 42 and halt in the same round *)
-      { Network.wake_after = None; state = 42; send = [ (1, 42) ]; halt = true }
+      { Network.wake_after = Some 1; state = 42; send = [ (1, 42) ]; halt = true }
     else
       let st = List.fold_left (fun acc (_, x) -> max acc x) st inbox in
-      if st >= 0 || r >= 3 then { Network.wake_after = None; state = st; send = []; halt = true }
-      else { Network.wake_after = None; state = st; send = []; halt = false }
+      if st >= 0 || r >= 3 then { Network.wake_after = Some 1; state = st; send = []; halt = true }
+      else { Network.wake_after = Some 1; state = st; send = []; halt = false }
   in
   let states, stats =
     Network.run g ~bandwidth:Network.Local
@@ -268,7 +268,7 @@ let test_empty_graph_run () =
     Network.run (Graph.empty 3) ~bandwidth:Network.Local
       ~msg_bits:(fun () -> 1)
       ~init:(fun _ -> ())
-      ~round:(fun _ _ () _ -> { Network.wake_after = None; state = (); send = []; halt = true })
+      ~round:(fun _ _ () _ -> { Network.wake_after = Some 1; state = (); send = []; halt = true })
       ~max_rounds:3
   in
   checkb "completed" true stats.Network.completed;
@@ -324,12 +324,12 @@ let test_broadcast_accounting_hand_computed () =
     let informed = informed || inbox <> [] in
     if informed then
       {
-        Network.wake_after = None;
+        Network.wake_after = Some 1;
         state = true;
         send = Array.to_list (Array.map (fun w -> (w, ())) ctx.neighbors);
         halt = true;
       }
-    else { Network.wake_after = None; state = false; send = []; halt = false }
+    else { Network.wake_after = Some 1; state = false; send = []; halt = false }
   in
   let (states, stats), node =
     with_meter (fun () ->
@@ -353,10 +353,10 @@ let test_halting_round_accounting () =
   let init _ = false in
   let round _ (ctx : Network.ctx) got inbox =
     if ctx.id = 0 then
-      { Network.wake_after = None; state = got; send = [ (1, 99) ]; halt = true }
+      { Network.wake_after = Some 1; state = got; send = [ (1, 99) ]; halt = true }
     else
       let got = got || List.exists (fun (_, x) -> x = 99) inbox in
-      { Network.wake_after = None; state = got; send = []; halt = got }
+      { Network.wake_after = Some 1; state = got; send = []; halt = got }
   in
   let (states, stats), node =
     with_meter (fun () ->
@@ -381,7 +381,7 @@ let test_meter_silent_when_disabled () =
     Network.run g ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
-      ~round:(fun _ _ () _ -> { Network.wake_after = None; state = (); send = []; halt = true })
+      ~round:(fun _ _ () _ -> { Network.wake_after = Some 1; state = (); send = []; halt = true })
       ~max_rounds:2
   in
   let tree = Obs.snapshot_tree () in

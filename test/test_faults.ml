@@ -89,7 +89,7 @@ let sender_protocol ?faults g ~last =
         Array.to_list (Array.map (fun w -> (w, r)) ctx.neighbors)
       else []
     in
-    { Network.wake_after = None; state = (); send; halt = r > last }
+    { Network.wake_after = Some 1; state = (); send; halt = r > last }
   in
   let _, stats =
     Network.run ?faults g ~bandwidth:Network.Local
@@ -214,7 +214,7 @@ let test_duplication_last_traffic () =
       ~round ~max_rounds:10
   in
   let _, ev_stats =
-    Network.run ~faults:(faults ()) g ~schedule:Network.Event_driven
+    Network.run ~faults:(faults ()) g
       ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
@@ -222,7 +222,7 @@ let test_duplication_last_traffic () =
   in
   let pool = Parallel.Pool.create ~jobs:2 () in
   let _, sh_stats =
-    Network.run ~faults:(faults ()) g ~schedule:Network.Event_driven
+    Network.run ~faults:(faults ()) g
       ~exec:(Network.Sharded { shards = 2; pool })
       ~codec:Network.int_codec ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
@@ -556,7 +556,7 @@ let accounting_invariant_under_faults =
             Array.to_list (Array.map (fun w -> (w, r)) ctx.neighbors)
           else []
         in
-        { Network.wake_after = None; state = (); send; halt = r > 6 }
+        { Network.wake_after = Some 1; state = (); send; halt = r > 6 }
       in
       let _, stats =
         Network.run ~faults g ~bandwidth:Network.Local

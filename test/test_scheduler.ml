@@ -1,8 +1,9 @@
-(* Active-vertex scheduler tests: Network.run (Every_round and
-   Event_driven) against Network.run_reference. The qcheck suites pin the
-   PR's equivalence contract — identical final states and statistics on
-   fault-free runs and under fixed fault seeds, at every pool size — and
-   the unit tests pin the event-mode corners: halting-round sends,
+(* Active-vertex scheduler tests: Network.run against
+   Network.run_reference. The qcheck suites pin the equivalence contract —
+   identical final states and statistics on fault-free runs and under
+   fixed fault seeds, at every pool size, for the chaos algorithm as
+   written and with every vertex woken every round — and the unit tests
+   pin the event-mode corners: halting-round sends,
    recover-round empty inboxes, halted-receiver drop accounting,
    wake_after validation, fast-forward round accounting, and inbox
    ordering. *)
@@ -24,7 +25,7 @@ let stats =
    wake-up contract: vertex v originates traffic on multiples of its own
    period, relays on a hash predicate when messages arrive, and halts one
    round past the budget. A step with an empty inbox outside those rounds
-   returns the state unchanged and sends nothing, so Event_driven may
+   returns the state unchanged and sends nothing, so Network.run may
    legally skip it. The inbox fold is order-sensitive on purpose: any
    deviation in delivery order between the loops shows up in the final
    states. *)
@@ -69,6 +70,12 @@ let chaos_round r (ctx : Network.ctx) st inbox =
 
 let chaos_init (ctx : Network.ctx) = (ctx.id * 97) land 1023
 
+(* the same algorithm as a round-clock protocol: every non-halting step
+   asks to be stepped again next round, so no vertex ever sleeps *)
+let chaos_wake_everyone r ctx st inbox =
+  let s = chaos_round r ctx st inbox in
+  if s.Network.halt then s else { s with Network.wake_after = Some 1 }
+
 (* worker pools shared by the sharded runs below; created on first use *)
 let shard_pool1 = lazy (Parallel.Pool.create ~jobs:1 ())
 let shard_pool4 = lazy (Parallel.Pool.create ~jobs:4 ())
@@ -83,29 +90,28 @@ let run_chaos ?faults ~how g =
         ~msg_bits:(fun _ -> Bits.id_bits n)
         ~init:chaos_init ~round:chaos_round
         ~max_rounds:(chaos_budget + 2)
-  | `Every_round ->
-      Network.run ?faults ~schedule:Network.Every_round g
-        ~bandwidth:Network.Local
+  | `Wake_everyone ->
+      Network.run ?faults g ~bandwidth:Network.Local
         ~msg_bits:(fun _ -> Bits.id_bits n)
-        ~init:chaos_init ~round:chaos_round
+        ~init:chaos_init ~round:chaos_wake_everyone
         ~max_rounds:(chaos_budget + 2)
   | `Event ->
-      Network.run ?faults ~schedule:Network.Event_driven g
-        ~bandwidth:Network.Local
+      Network.run ?faults g ~bandwidth:Network.Local
         ~msg_bits:(fun _ -> Bits.id_bits n)
         ~init:chaos_init ~round:chaos_round
         ~max_rounds:(chaos_budget + 2)
-  | `Sharded (schedule, shards, jobs, packed) ->
+  | `Sharded (wake_everyone, shards, jobs, packed) ->
       (* chaos messages are small non-negative ints, so both codecs are
          exact; the boxed one exercises the wide-spill path *)
       let codec =
         if packed then Network.int_codec else Network.boxed_codec ()
       in
-      Network.run ?faults ~schedule
+      Network.run ?faults
         ~exec:(Network.Sharded { shards; pool = shard_pool jobs })
         ~codec g ~bandwidth:Network.Local
         ~msg_bits:(fun _ -> Bits.id_bits n)
-        ~init:chaos_init ~round:chaos_round
+        ~init:chaos_init
+        ~round:(if wake_everyone then chaos_wake_everyone else chaos_round)
         ~max_rounds:(chaos_budget + 2)
 
 (* ------------------------------------------------------------------ *)
@@ -124,7 +130,7 @@ let test_event_halting_round_sends () =
     else Network.step () ~halt:(inbox <> [])
   in
   let _, st =
-    Network.run g ~schedule:Network.Event_driven ~bandwidth:Network.Local
+    Network.run g ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
       ~round ~max_rounds:10
@@ -159,7 +165,7 @@ let test_event_recover_round_empty_inbox () =
     end
   in
   let _, st =
-    Network.run g ~faults ~schedule:Network.Event_driven
+    Network.run g ~faults
       ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
@@ -183,7 +189,7 @@ let test_event_halted_receiver_drop_accounting () =
     else Network.step () ~send:[ (1, r) ] ~wake_after:1
   in
   let _, st =
-    Network.run g ~schedule:Network.Event_driven ~bandwidth:Network.Local
+    Network.run g ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
       ~round ~max_rounds:10
@@ -198,7 +204,7 @@ let test_wake_after_validation () =
   let g = Generators.path 2 in
   let attempt d =
     ignore
-      (Network.run g ~schedule:Network.Event_driven ~bandwidth:Network.Local
+      (Network.run g ~bandwidth:Network.Local
          ~msg_bits:(fun _ -> 1)
          ~init:(fun _ -> ())
          ~round:(fun _ _ () _ -> Network.step () ~wake_after:d)
@@ -231,7 +237,7 @@ let test_event_fast_forward_accounting () =
           ~init:(fun _ -> ())
           ~round ~max_rounds:100
     | `Event ->
-        Network.run g ~schedule:Network.Event_driven ~bandwidth:Network.Local
+        Network.run g ~bandwidth:Network.Local
           ~msg_bits:(fun _ -> 1)
           ~init:(fun _ -> ())
           ~round ~max_rounds:100
@@ -260,7 +266,7 @@ let test_event_fast_forward_stops_at_fault_events () =
       ~round ~max_rounds:100
   in
   let _, ev_stats =
-    Network.run ~faults:(faults ()) g ~schedule:Network.Event_driven
+    Network.run ~faults:(faults ()) g
       ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
@@ -288,7 +294,7 @@ let test_event_permanent_crash_fast_forward () =
       ~round ~max_rounds:40
   in
   let _, ev_stats =
-    Network.run ~faults:(faults ()) g ~schedule:Network.Event_driven
+    Network.run ~faults:(faults ()) g
       ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
@@ -315,7 +321,7 @@ let test_event_inbox_ordering () =
     else Network.step () ~halt:true
   in
   let _, st =
-    Network.run g ~schedule:Network.Event_driven ~bandwidth:Network.Local
+    Network.run g ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
       ~round ~max_rounds:5
@@ -351,7 +357,7 @@ let test_event_skips_sleeping_vertices () =
              ~round ~max_rounds:60)
     | `Event ->
         ignore
-          (Network.run g ~schedule:Network.Event_driven
+          (Network.run g
              ~bandwidth:Network.Local
              ~msg_bits:(fun _ -> 1)
              ~init:(fun _ -> ())
@@ -364,23 +370,6 @@ let test_event_skips_sleeping_vertices () =
   (* event mode: vertex 0 steps 41 times; the other 49 step in round 1
      and in the halt round *)
   check "event mode steps the frontier" (41 + (49 * 2)) ev_calls
-
-let test_every_round_ignores_wake_after () =
-  (* under Every_round the wake_after field must be inert: a request of 5
-     does not stop the vertex from being stepped every round *)
-  let g = Generators.path 2 in
-  let count = ref 0 in
-  let round r _ () _ =
-    incr count;
-    if r > 3 then Network.step () ~halt:true
-    else Network.step () ~wake_after:5
-  in
-  ignore
-    (Network.run g ~schedule:Network.Every_round ~bandwidth:Network.Local
-       ~msg_bits:(fun _ -> 1)
-       ~init:(fun _ -> ())
-       ~round ~max_rounds:10);
-  check "stepped every round" 8 !count
 
 (* ------------------------------------------------------------------ *)
 (* Wake-vs-crash pins                                                  *)
@@ -409,10 +398,10 @@ let wake_crash_harness ~crashes how =
     end
   in
   let faults = Faults.make ~crashes ~seed:21 () in
-  let run schedule exec =
+  let run exec =
     log := [];
     let _, st =
-      Network.run g ~faults ~schedule ?exec ~codec:Network.int_codec
+      Network.run g ~faults ?exec ~codec:Network.int_codec
         ~bandwidth:Network.Local
         ~msg_bits:(fun _ -> 1)
         ~init:(fun _ -> ())
@@ -432,7 +421,7 @@ let wake_crash_harness ~crashes how =
     | `Sharded ->
         Some (Network.Sharded { shards = 2; pool = shard_pool 4 })
   in
-  let st, steps = run Network.Event_driven exec in
+  let st, steps = run exec in
   Alcotest.check stats "stats match reference" ref_stats st;
   steps
 
@@ -498,13 +487,13 @@ let test_fast_forwarded_wake_traffic () =
       ~round ~max_rounds:20
   in
   let _, ev_stats =
-    Network.run g ~schedule:Network.Event_driven ~bandwidth:Network.Local
+    Network.run g ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
       ~round ~max_rounds:20
   in
   let _, sh_stats =
-    Network.run g ~schedule:Network.Event_driven
+    Network.run g
       ~exec:(Network.Sharded { shards = 2; pool = shard_pool 4 })
       ~codec:Network.int_codec ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
@@ -551,7 +540,7 @@ let inbox_shrink_harness ?(late_burst = false) shards =
         (Network.run g
            ~exec:(Network.Sharded { shards; pool = shard_pool 4 })
            ~codec:Network.int_codec
-           ~schedule:Network.Event_driven ~bandwidth:Network.Local
+           ~bandwidth:Network.Local
            ~msg_bits:(fun _ -> 1)
            ~init:(fun _ -> 0)
            ~round ~max_rounds:20));
@@ -648,11 +637,14 @@ let equiv_fault_free =
       let s_ev, st_ev = run_chaos ~how:`Event g in
       s_ref = s_ev && st_ref = st_ev)
 
+(* the chaos algorithm with every vertex woken every round: the shape of
+   the round-clock protocols (Luby MIS, greedy matching, the reliable
+   transports) *)
 let equiv_every_round =
   QCheck.Test.make ~name:"run Every_round = reference (faulty)" ~count:40
     fault_arb (fun (_, g, faults) ->
       let s_ref, st_ref = run_chaos ~faults ~how:`Reference g in
-      let s_er, st_er = run_chaos ~faults ~how:`Every_round g in
+      let s_er, st_er = run_chaos ~faults ~how:`Wake_everyone g in
       s_ref = s_er && st_ref = st_er)
 
 let equiv_under_faults =
@@ -707,7 +699,7 @@ let equiv_sharded_fault_free =
     sharded_arb (fun ((_, g), (shards, jobs, packed)) ->
       let s_ref, st_ref = run_chaos ~how:`Reference g in
       let s_sh, st_sh =
-        run_chaos ~how:(`Sharded (Network.Event_driven, shards, jobs, packed)) g
+        run_chaos ~how:(`Sharded (false, shards, jobs, packed)) g
       in
       s_ref = s_sh && st_ref = st_sh)
 
@@ -717,7 +709,7 @@ let equiv_sharded_under_faults =
       let s_ref, st_ref = run_chaos ~faults ~how:`Reference g in
       let s_sh, st_sh =
         run_chaos ~faults
-          ~how:(`Sharded (Network.Event_driven, shards, jobs, packed))
+          ~how:(`Sharded (false, shards, jobs, packed))
           g
       in
       s_ref = s_sh && st_ref = st_sh)
@@ -728,7 +720,7 @@ let equiv_sharded_every_round =
       let s_ref, st_ref = run_chaos ~faults ~how:`Reference g in
       let s_sh, st_sh =
         run_chaos ~faults
-          ~how:(`Sharded (Network.Every_round, shards, jobs, packed))
+          ~how:(`Sharded (true, shards, jobs, packed))
           g
       in
       s_ref = s_sh && st_ref = st_sh)
@@ -752,8 +744,6 @@ let () =
             test_event_permanent_crash_fast_forward;
           tc "inbox ordering" test_event_inbox_ordering;
           tc "skips sleeping vertices" test_event_skips_sleeping_vertices;
-          tc "Every_round ignores wake_after"
-            test_every_round_ignores_wake_after;
         ] );
       ( "wake vs crash",
         [
