@@ -386,7 +386,7 @@ let e7 () =
     grid (Workloads.families ~seed:19) (fun (name, gen) ->
       let g = gen 512 in
       let d = Spectral.Expander_decomposition.decompose g ~epsilon:0.4 in
-      let clusters = Spectral.Expander_decomposition.clusters g d in
+      let clusters = Graph_ops.clusters g d.labels d.k in
       let worst_slack = ref infinity in
       let worst_ratio = ref infinity in
       Array.iter
@@ -597,12 +597,8 @@ let e11 () =
       let view = Distr.Cluster_view.of_labels g d.labels in
       (* max cluster diameter, for round budgets *)
       let diam =
-        Array.fold_left
-          (fun acc (_, sub, _) ->
-            if Graph.n sub < 2 then acc
-            else max acc (Traversal.diameter sub))
-          1
-          (Spectral.Expander_decomposition.clusters g d)
+        max 1
+          (Graph_ops.max_cluster_diameter (Graph_ops.clusters g d.labels d.k))
       in
       let election = Distr.Leader_election.run view ~rounds:diam in
       let leader_of = election.leader_of in

@@ -54,26 +54,6 @@ let construction_charge_deterministic ~n ~epsilon =
   int_of_float
     (ceil ((2. ** sqrt (logn *. loglogn)) /. (epsilon *. epsilon)))
 
-(* Cluster geometry (sorted members, induced subgraph, mapping), built once
-   per prepare and shared between the diameter bound and the cluster
-   records; independent clusters build on the pool. *)
-let cluster_geometry pool g labels k =
-  let members = Array.make k [] in
-  for v = Array.length labels - 1 downto 0 do
-    members.(labels.(v)) <- v :: members.(labels.(v))
-  done;
-  Parallel.Pool.map pool
-    (fun vs ->
-      let sub, mapping = Graph_ops.induced_subgraph g vs in
-      (vs, sub, mapping))
-    members
-
-(* diameter bound b for flood phases: max strong diameter over clusters *)
-let cluster_diameter_bound pool geometry =
-  Parallel.Pool.map_reduce pool
-    ~map:(fun (_, sub, _) -> Traversal.diameter sub)
-    ~reduce:max ~init:1 geometry
-
 (* central leader choice, matching the distributed election's rule: max
    intra-cluster degree, ties to the larger id *)
 let central_leaders (view : Distr.Cluster_view.t) =
@@ -106,13 +86,16 @@ let prepare ?(mode = Simulated) ?(engine = Spectral_engine)
     | Cut_matching_engine -> fst (Flow.Decomp_engine.decompose ~pool g ~epsilon)
   in
   let view = Distr.Cluster_view.of_labels g decomposition.labels in
+  (* geometry is built once and shared between the diameter bound and the
+     cluster records *)
   let geometry =
     Obs.Span.with_ "pipeline.geometry" (fun () ->
-        cluster_geometry pool g decomposition.labels decomposition.k)
+        Graph_ops.clusters ~pool g decomposition.labels decomposition.k)
   in
+  (* diameter bound b for flood phases: max strong diameter over clusters *)
   let b =
     Obs.Span.with_ "pipeline.diameter" (fun () ->
-        cluster_diameter_bound pool geometry)
+        max 1 (Graph_ops.max_cluster_diameter ~pool geometry))
   in
   let charged = construction_charge ~n ~epsilon in
   let inter = List.length decomposition.inter_edges in

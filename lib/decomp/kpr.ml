@@ -77,21 +77,8 @@ let chop g ~width ~levels ~seed =
   done;
   (* bands may be internally disconnected; split into connected clusters so
      the partition has finite strong diameters *)
-  let part = Partition.of_labels g !labels in
-  let sub_labels = Array.make (Graph.n g) (-1) in
-  let members = Array.make part.k [] in
-  Array.iteri (fun v l -> members.(l) <- v :: members.(l)) part.labels;
-  let fresh = ref 0 in
-  Array.iter
-    (fun vs ->
-      let sub, mapping = Graph_ops.induced_subgraph g vs in
-      let comp, count = Traversal.components sub in
-      Array.iteri
-        (fun sv c -> sub_labels.(mapping.to_orig.(sv)) <- !fresh + c)
-        comp;
-      fresh := !fresh + count)
-    members;
-  let part = Partition.of_labels g sub_labels in
+  let split, _ = Graph_ops.split_components g !labels in
+  let part = Partition.of_labels g split in
   Obs.Metric.count "kpr.clusters" part.Partition.k;
   part
 

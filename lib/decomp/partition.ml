@@ -24,12 +24,7 @@ let of_labels g raw =
             x)
       raw
   in
-  let inter =
-    Graph.fold_edges g
-      (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
-      []
-  in
-  { labels; k = !next; inter_edges = List.rev inter }
+  { labels; k = !next; inter_edges = Graph_ops.inter_edges g labels }
 
 let cut_fraction g t =
   let m = Graph.m g in
@@ -37,17 +32,7 @@ let cut_fraction g t =
   else float_of_int (List.length t.inter_edges) /. float_of_int m
 
 let max_cluster_diameter g t =
-  let members = Array.make t.k [] in
-  Array.iteri (fun v l -> members.(l) <- v :: members.(l)) t.labels;
-  Array.fold_left
-    (fun acc vs ->
-      if acc = max_int then max_int
-      else begin
-        let sub, _ = Graph_ops.induced_subgraph g vs in
-        if not (Traversal.is_connected sub) then max_int
-        else max acc (Traversal.diameter sub)
-      end)
-    0 members
+  Graph_ops.max_cluster_diameter (Graph_ops.clusters g t.labels t.k)
 
 let sizes t =
   let s = Array.make t.k 0 in

@@ -15,7 +15,9 @@ val of_labels : Sparse_graph.Graph.t -> int array -> t
 val cut_fraction : Sparse_graph.Graph.t -> t -> float
 
 (** Maximum over clusters of the strong diameter of the induced subgraph
-    (infinite — [max_int] — if some induced cluster is disconnected). *)
+    (infinite — [max_int] — if some induced cluster is disconnected):
+    {!Sparse_graph.Graph_ops.max_cluster_diameter} of the partition's
+    clusters. *)
 val max_cluster_diameter : Sparse_graph.Graph.t -> t -> int
 
 (** Sizes of the clusters. *)

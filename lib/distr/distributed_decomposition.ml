@@ -399,7 +399,8 @@ let decompose ?(params = default_params) ?exec g ~epsilon =
   in
   (* start: connected components as clusters (a real system computes these
      with one BFS; we charge no rounds for it) *)
-  let labels = ref (fst (Traversal.components g)) in
+  let labels, k = Traversal.components g in
+  let labels = ref labels and k = ref k in
   let total_rounds = ref 0 in
   let total_messages = ref 0 in
   let max_edge_bits = ref 0 in
@@ -420,18 +421,10 @@ let decompose ?(params = default_params) ?exec g ~epsilon =
     let b =
       if params.depth_budget > 0 then params.depth_budget
       else begin
-        (* measured max cluster diameter (stand-in for O(phi^-1 log n)) *)
-        let members = Hashtbl.create 16 in
-        Array.iteri
-          (fun v l ->
-            Hashtbl.replace members l
-              (v :: (try Hashtbl.find members l with Not_found -> [])))
-          !labels;
-        Hashtbl.fold
-          (fun _ vs acc ->
-            let sub, _ = Graph_ops.induced_subgraph g vs in
-            max acc (Traversal.diameter sub))
-          members 1
+        (* measured max cluster diameter (stand-in for O(phi^-1 log n));
+           every cluster is connected, so this is finite *)
+        max 1
+          (Graph_ops.max_cluster_diameter (Graph_ops.clusters g !labels !k))
       end
     in
     let t_level =
@@ -480,25 +473,15 @@ let decompose ?(params = default_params) ?exec g ~epsilon =
               l)
     in
     (* unreached groups may be disconnected: split them by components *)
-    let part = Decomp_glue.split_disconnected g new_labels !next in
-    labels := fst part;
-    let k' = snd part in
-    ignore k';
+    let split, split_k = Graph_ops.split_components g new_labels in
+    labels := split;
+    k := split_k;
     if not !changed then continue := false
   done;
-  let final = Decomp_glue.split_disconnected g !labels (Array.fold_left max 0 !labels + 1) in
-  let labels = fst final in
-  let k = snd final in
-  let inter_edges =
-    Graph.fold_edges g
-      (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
-      []
-    |> List.rev
-  in
   {
-    labels;
-    k;
-    inter_edges;
+    labels = !labels;
+    k = !k;
+    inter_edges = Graph_ops.inter_edges g !labels;
     epsilon;
     tau;
     levels = !levels;
@@ -507,30 +490,18 @@ let decompose ?(params = default_params) ?exec g ~epsilon =
     max_edge_bits = !max_edge_bits;
   }
 
-let verify g t =
-  let m = Graph.m g in
-  let inter_ok =
-    float_of_int (List.length t.inter_edges)
-    <= (t.epsilon *. float_of_int m) +. 1e-9
-  in
-  let members = Hashtbl.create 16 in
-  Array.iteri
-    (fun v l ->
-      Hashtbl.replace members l
-        (v :: (try Hashtbl.find members l with Not_found -> [])))
-    t.labels;
-  let worst = ref infinity in
-  Hashtbl.iter
-    (fun _ vs ->
-      let sub, _ = Graph_ops.induced_subgraph g vs in
-      if Graph.n sub >= 2 && Graph.m sub > 0 then begin
-        let phi =
-          if Graph.n sub <= 14 then Spectral.Conductance.exact sub
-          else
-            (Spectral.Sweep_cut.combined_cut sub ~iters:200 ~seed:1)
-              .conductance
-        in
-        if phi < !worst then worst := phi
-      end)
-    members;
-  (inter_ok, !worst)
+let verify g (t : t) =
+  let open Spectral.Expander_decomposition in
+  verify
+    ~params:{ power_iters = 200; exact_limit = 14; seed = 1 }
+    g
+    {
+      labels = t.labels;
+      k = t.k;
+      inter_edges = t.inter_edges;
+      epsilon = t.epsilon;
+      phi = t.tau *. t.tau /. 4.;
+      tau = t.tau;
+      witnesses =
+        Array.init t.k (fun i -> no_witness ~path:[ i ] ~source:"distributed");
+    }

@@ -56,5 +56,7 @@ val decompose :
   Sparse_graph.Graph.t -> epsilon:float -> t
 
 (** [verify g t] — inter-cluster budget and measured minimum cluster
-    conductance, like {!Spectral.Expander_decomposition.verify}. *)
+    conductance: {!Spectral.Expander_decomposition.verify} with
+    [power_iters = 200], [exact_limit = 14], [seed = 1], on [t] viewed
+    as a decomposition whose clusters carry no witness. *)
 val verify : Sparse_graph.Graph.t -> t -> bool * float

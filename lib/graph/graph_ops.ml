@@ -131,19 +131,50 @@ let complement g =
   done;
   Graph.of_edges n !edges
 
-let cluster_partition g labels k =
+let inter_edges g labels =
+  Graph.fold_edges g
+    (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
+    []
+  |> List.rev
+
+type cluster = int list * Graph.t * mapping
+
+let clusters ?(pool = Parallel.Pool.sequential) g labels k =
   let members = Array.make k [] in
   for v = Graph.n g - 1 downto 0 do
     members.(labels.(v)) <- v :: members.(labels.(v))
   done;
-  let inter = ref [] in
-  Graph.iter_edges g (fun e u v ->
-      if labels.(u) <> labels.(v) then inter := e :: !inter);
-  let clusters =
-    Array.map
-      (fun vs ->
-        let sub, map = induced_subgraph g vs in
-        (vs, sub, map))
-      members
-  in
-  (clusters, List.rev !inter)
+  Parallel.Pool.map pool
+    (fun vs ->
+      let sub, mapping = induced_subgraph g vs in
+      (vs, sub, mapping))
+    members
+
+let max_cluster_diameter ?(pool = Parallel.Pool.sequential) clusters =
+  Parallel.Pool.map_reduce pool
+    ~map:(fun (_, sub, _) ->
+      if Traversal.is_connected sub then Traversal.diameter sub else max_int)
+    ~reduce:max ~init:0 clusters
+
+let split_components g labels =
+  let n = Graph.n g in
+  let out = Array.make n (-1) in
+  let k = ref 0 in
+  for s = 0 to n - 1 do
+    if out.(s) < 0 then begin
+      (* flood the class of s over same-label edges *)
+      out.(s) <- !k;
+      let stack = Stack.create () in
+      Stack.push s stack;
+      while not (Stack.is_empty stack) do
+        let v = Stack.pop stack in
+        Graph.iter_neighbors g v (fun w ->
+            if out.(w) < 0 && labels.(w) = labels.(v) then begin
+              out.(w) <- !k;
+              Stack.push w stack
+            end)
+      done;
+      incr k
+    end
+  done;
+  (out, !k)

@@ -55,9 +55,40 @@ val relabel : Graph.t -> int array -> Graph.t
 (** [complement g] is the complement graph (intended for small graphs). *)
 val complement : Graph.t -> Graph.t
 
-(** [cluster_partition g labels k] splits the edges of [g] by the vertex
-    labelling: returns the list of (cluster vertex list, induced subgraph,
-    mapping) per label, plus the list of inter-cluster edge ids. *)
-val cluster_partition :
-  Graph.t -> int array -> int ->
-  (int list * Graph.t * mapping) array * int list
+(** {2 Cluster geometry}
+
+    The one home of "vertex labels -> clusters": every consumer of a
+    partition (decompositions, low-diameter decompositions, the Theorem
+    2.6 pipeline, the benches) derives its inter-cluster edges, per-cluster
+    subgraphs, diameter bound and component refinement here. *)
+
+(** [inter_edges g labels] lists the ids of the edges whose endpoints
+    carry different labels, in ascending id order. Any integer labels
+    are accepted. *)
+val inter_edges : Graph.t -> int array -> int list
+
+(** One cluster: its vertices (ascending), the induced subgraph [G[V_i]],
+    and the mapping between the two numberings. *)
+type cluster = int list * Graph.t * mapping
+
+(** [clusters ?pool g labels k] materializes cluster [l] for every label
+    [l] in [0 .. k-1] (an unused label gives an empty cluster). The
+    induced subgraphs are built on [pool] (default sequential); the
+    result is identical for every pool size. Labels must lie in
+    [0 .. k-1]. *)
+val clusters :
+  ?pool:Parallel.Pool.t -> Graph.t -> int array -> int -> cluster array
+
+(** [max_cluster_diameter ?pool clusters] is the largest strong diameter
+    of any cluster's induced subgraph, or [max_int] if some cluster is
+    disconnected; [0] when every cluster has at most one vertex. One
+    all-pairs {!Traversal.diameter} per cluster, run on [pool] (default
+    sequential). *)
+val max_cluster_diameter : ?pool:Parallel.Pool.t -> cluster array -> int
+
+(** [split_components g labels] refines [labels] so that each class is
+    one connected component of the edges whose endpoints share a label.
+    Classes are numbered [0 .. k-1] in the order of their smallest
+    vertex; returns the new labels and [k]. Any integer labels are
+    accepted. *)
+val split_components : Graph.t -> int array -> int array * int

@@ -10,9 +10,10 @@
 
     The test suite cross-validates this implementation against the
     independent Demoucron embedder ({!Planarity}) on thousands of random
-    graphs; {!Planarity.is_planar} remains the default in the framework
-    (it also produces face structures), with this module as the fast path
-    for pure yes/no queries. *)
+    graphs. Every yes/no planarity query in the framework
+    ({!Properties}, {!Minor_check.has_clique_minor}) goes through this
+    module; {!Planarity} stays for face embeddings and as the
+    cross-check oracle. *)
 
 (** [is_planar g] decides planarity. *)
 val is_planar : Sparse_graph.Graph.t -> bool

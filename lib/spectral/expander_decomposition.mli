@@ -110,19 +110,13 @@ val decompose :
 (** Fraction of edges that are inter-cluster, [|E^r| / m] (0 when m = 0). *)
 val inter_fraction : Sparse_graph.Graph.t -> t -> float
 
-(** [clusters ?pool g t] materializes each cluster: vertex list, induced
-    subgraph, and vertex/edge mappings. Independent clusters build on
-    [pool]. *)
-val clusters :
-  ?pool:Parallel.Pool.t -> Sparse_graph.Graph.t -> t ->
-  (int list * Sparse_graph.Graph.t * Sparse_graph.Graph_ops.mapping) array
-
 (** [verify g t] checks the two decomposition requirements and returns
     [(inter_ok, min_cluster_conductance_lb)]:
     [inter_ok] is [|E^r| <= epsilon * m]; the float is the smallest
     per-cluster conductance bound (exact value for clusters up to
     [exact_limit], sweep-cut upper bound for larger clusters — an upper
-    bound can only under-certify, never over-certify). *)
+    bound can only under-certify, never over-certify), over the clusters
+    of {!Sparse_graph.Graph_ops.clusters}, certified on [pool]. *)
 val verify :
   ?params:params -> ?pool:Parallel.Pool.t -> Sparse_graph.Graph.t -> t ->
   bool * float

@@ -382,6 +382,146 @@ let prop_ldd_budget =
       let r = App_ldd.run ~mode:Charged g ~epsilon:0.4 ~seed in
       r.cut_fraction <= 0.4 +. 1e-9)
 
+(* ------------------------------------------------------------------ *)
+(* Golden pins on everything computed from cluster geometry            *)
+(* ------------------------------------------------------------------ *)
+
+(* Each digest covers the outputs of one consumer of "labels -> clusters"
+   (inter edges, per-cluster subgraphs, component splits, the max cluster
+   diameter), so moving where that geometry is computed cannot silently
+   move a result. *)
+let digest_of f =
+  let b = Buffer.create 4096 in
+  f b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let add_ints b a =
+  Array.iter (fun x -> Printf.bprintf b "%d," x) a;
+  Buffer.add_char b '|'
+
+let golden_graphs =
+  [
+    ("grid 32x32", Generators.grid 32 32);
+    ("apollonian 512", Generators.random_apollonian 512 ~seed:12);
+  ]
+
+let prepare_digest (p : Pipeline.t) =
+  digest_of (fun b ->
+      let r = p.report in
+      Printf.bprintf b "k=%d inter=%d b=%d phi=%h tau=%h frac=%h|" r.k
+        r.inter_edges r.diameter_bound r.phi p.decomposition.tau
+        r.inter_fraction;
+      add_ints b p.leader_of;
+      Array.iter
+        (fun (cl : Pipeline.cluster) ->
+          Printf.bprintf b "%d:" cl.leader;
+          add_ints b (Array.of_list cl.members))
+        p.clusters)
+
+(* epsilon 0.8 splits the grid into several clusters (6 spectral, 3
+   cut-matching); at 0.5 both graphs stay a single cluster *)
+let test_golden_prepare () =
+  let expected =
+    [
+      "f1ae4a648d79c6f47ac44b9e2ec684dd";
+      "a94970a8d7755f5a3f0eb40acb6f1ad7";
+      "5370a8c9cb5e57e5080de89b756e5901";
+      "5370a8c9cb5e57e5080de89b756e5901";
+    ]
+  in
+  let got =
+    List.concat_map
+      (fun (gname, g) ->
+        List.map
+          (fun engine ->
+            ( Printf.sprintf "%s %s" gname (Pipeline.engine_name engine),
+              prepare_digest
+                (Pipeline.prepare ~mode:Charged ~engine g ~epsilon:0.8
+                   ~seed:3) ))
+          [ Pipeline.Spectral_engine; Pipeline.Cut_matching_engine ])
+      golden_graphs
+  in
+  List.iter2
+    (fun (name, d) e -> Alcotest.(check string) name e d)
+    got expected
+
+let golden_demands g =
+  let st = Random.State.make [| 17; 0x5eed |] in
+  let n = Graph.n g in
+  Array.init 3000 (fun i ->
+      {
+        Route.Service.src = Random.State.int st n;
+        dst = (if i mod 4 = 0 then n / 2 else Random.State.int st n);
+        weight = 1 + Random.State.int st 3;
+      })
+
+let test_golden_serve () =
+  let expected =
+    [ "2b6fbcaff08eff3225ec032aa4c55fb9"; "4cf5bd1a82d74d71cb31d939ae0322c5" ]
+  in
+  let got =
+    List.map
+      (fun (gname, g) ->
+        let p =
+          Pipeline.prepare ~mode:Charged ~engine:Cut_matching_engine g
+            ~epsilon:0.8 ~seed:3
+        in
+        let svc = Pipeline.routing_service ~seed:11 p in
+        let ds = golden_demands g in
+        ( gname,
+          digest_of (fun b ->
+              List.iter
+                (fun policy ->
+                  let s = Route.Service.serve ~policy svc ds in
+                  Printf.bprintf b "%d %d %d %d %d %d %d %d %d|"
+                    s.demands s.delivered s.failed s.fallbacks s.rounds_p50
+                    s.rounds_p99 s.rounds_max s.congestion_max
+                    s.congestion_total;
+                  Array.iter (add_ints b) (Route.Service.plan ~policy svc ds))
+                [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ])
+        ))
+      golden_graphs
+  in
+  List.iter2
+    (fun (name, d) e -> Alcotest.(check string) name e d)
+    got expected
+
+let test_golden_distributed_verify () =
+  let got =
+    digest_of (fun b ->
+        List.iter
+          (fun (g, epsilon) ->
+            let dd = Distr.Distributed_decomposition.decompose g ~epsilon in
+            let inter_ok, worst = Distr.Distributed_decomposition.verify g dd in
+            add_ints b dd.labels;
+            Printf.bprintf b "%b %h|" inter_ok worst)
+          [
+            (Generators.path 64, 0.3);
+            (Generators.random_tree 128 ~seed:35, 0.3);
+            (Generators.blob_chain ~blobs:8 ~blob_size:12 ~seed:36, 0.4);
+            (Generators.grid 10 10, 0.3);
+            (Generators.random_apollonian 96 ~seed:37, 0.3);
+            (Generators.barbell 10 2, 0.2);
+          ])
+  in
+  Alcotest.(check string) "E12 inputs" "d6786d3b41133b260fa2c3e84ddd3785" got
+
+let test_golden_max_cluster_diameter () =
+  let got =
+    List.concat_map
+      (fun (_, g) ->
+        let kpr = Decomp.Kpr.chop g ~width:4 ~levels:2 ~seed:14 in
+        let mpx = Decomp.Ldd.mpx g ~beta:0.25 ~seed:13 in
+        [
+          kpr.Decomp.Partition.k;
+          Decomp.Partition.max_cluster_diameter g kpr;
+          mpx.Decomp.Partition.k;
+          Decomp.Partition.max_cluster_diameter g mpx;
+        ])
+      golden_graphs
+  in
+  Alcotest.(check (list int)) "kpr and mpx" [ 151; 8; 32; 31; 55; 6; 1; 7 ] got
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -402,6 +542,13 @@ let () =
           tc "inter-cluster budget" test_pipeline_inter_fraction;
           tc "solve locally" test_pipeline_solve_locally;
           tc "broadcast" test_pipeline_broadcast;
+        ] );
+      ( "geometry golden",
+        [
+          tc "prepare report, leaders, members" test_golden_prepare;
+          tc "service summaries and plans" test_golden_serve;
+          tc "distributed verify" test_golden_distributed_verify;
+          tc "max cluster diameter" test_golden_max_cluster_diameter;
         ] );
       ( "app_mis",
         [

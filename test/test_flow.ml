@@ -329,7 +329,7 @@ let check_against_exact_oracle g eps =
           true
           (Spectral.Conductance.exact sub
           >= d.Spectral.Expander_decomposition.phi -. 1e-9))
-    (Spectral.Expander_decomposition.clusters g d)
+    (Graph_ops.clusters g d.labels d.k)
 
 let test_engine_grid () = ignore (check_cm_decomposition (Generators.grid 8 8) 0.3)
 

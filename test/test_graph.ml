@@ -277,12 +277,42 @@ let test_cluster_partition () =
   let g = Generators.grid 2 4 in
   (* split into left and right 2x2 halves *)
   let labels = Array.init 8 (fun v -> if v mod 4 < 2 then 0 else 1) in
-  let clusters, inter = Graph_ops.cluster_partition g labels 2 in
+  let clusters = Graph_ops.clusters g labels 2 in
   check "two clusters" 2 (Array.length clusters);
   let vs0, sub0, _ = clusters.(0) in
   check "cluster 0 size" 4 (List.length vs0);
   check "cluster 0 edges" 4 (Graph.m sub0);
-  check "two crossing edges" 2 (List.length inter)
+  check "two crossing edges" 2 (List.length (Graph_ops.inter_edges g labels));
+  check "both halves connected, diameter 2" 2
+    (Graph_ops.max_cluster_diameter clusters)
+
+let test_cluster_geometry_degenerate () =
+  let empty = Graph.empty 0 in
+  Alcotest.(check (list int)) "n = 0: no inter edges" []
+    (Graph_ops.inter_edges empty [||]);
+  check "n = 0: no clusters" 0 (Array.length (Graph_ops.clusters empty [||] 0));
+  check "n = 0: diameter 0" 0
+    (Graph_ops.max_cluster_diameter (Graph_ops.clusters empty [||] 0));
+  check "n = 0: no classes" 0 (snd (Graph_ops.split_components empty [||]));
+  let one = Graph.empty 1 in
+  check "n = 1: singleton diameter 0" 0
+    (Graph_ops.max_cluster_diameter (Graph_ops.clusters one [| 0 |] 1));
+  (* labels 0 and 1 unused: empty clusters are vacuously connected *)
+  let unused = Graph_ops.clusters one [| 2 |] 3 in
+  Alcotest.(check (list (list int))) "non-contiguous labels" [ []; []; [ 0 ] ]
+    (Array.to_list (Array.map (fun (vs, _, _) -> vs) unused));
+  check "empty clusters diameter 0" 0 (Graph_ops.max_cluster_diameter unused);
+  let isolated = Graph.empty 3 in
+  check "isolated vertices sharing a label are disconnected" max_int
+    (Graph_ops.max_cluster_diameter
+       (Graph_ops.clusters isolated [| 0; 0; 1 |] 2));
+  Alcotest.(check (pair (array int) int)) "isolated vertices split apart"
+    ([| 0; 1; 2 |], 3)
+    (Graph_ops.split_components isolated [| 0; 0; 0 |]);
+  (* path 0-1-2-3-4 labelled a b a a b: classes {0} {1} {2,3} {4} *)
+  Alcotest.(check (pair (array int) int)) "numbered by smallest vertex"
+    ([| 0; 1; 2; 2; 3 |], 4)
+    (Graph_ops.split_components (Generators.path 5) [| 7; 9; 7; 7; 9 |])
 
 (* ------------------------------------------------------------------ *)
 (* Weights                                                             *)
@@ -565,9 +595,122 @@ let prop_union_find_transitive =
       done;
       !ok)
 
+(* graphs with n in [0, 12] (n = 0 and n = 1 included) and labels drawn
+   from [0, n + 2], so classes are often non-contiguous, singleton or
+   disconnected *)
+let arb_labelled =
+  QCheck.make
+    ~print:(fun (n, edges, labels) ->
+      Printf.sprintf "n=%d edges=%s labels=%s" n
+        (String.concat ";"
+           (List.map (fun (u, v) -> Printf.sprintf "(%d,%d)" u v) edges))
+        (String.concat "," (Array.to_list (Array.map string_of_int labels))))
+    QCheck.Gen.(
+      int_range 0 12 >>= fun n ->
+      let edge = map2 (fun a b -> (a mod n, b mod n)) nat nat in
+      let edges =
+        if n = 0 then return [] else list_size (int_range 0 24) edge
+      in
+      map2
+        (fun es ls -> (n, es, ls))
+        edges
+        (array_size (return n) (int_bound (n + 2))))
+
+(* naive oracles: each reads the graph edge by edge, never through the
+   induced subgraphs or Traversal *)
+let oracle_same_label_classes g labels =
+  let n = Graph.n g in
+  let uf = Union_find.create n in
+  Graph.iter_edges g (fun _ u v ->
+      if labels.(u) = labels.(v) then ignore (Union_find.union uf u v));
+  let number = Hashtbl.create 16 in
+  let out =
+    Array.init n (fun v ->
+        let r = Union_find.find uf v in
+        match Hashtbl.find_opt number r with
+        | Some c -> c
+        | None ->
+            let c = Hashtbl.length number in
+            Hashtbl.add number r c;
+            c)
+  in
+  (out, Hashtbl.length number)
+
+(* BFS from [s] over edges inside [s]'s label class *)
+let oracle_class_dist g labels s =
+  let dist = Array.make (Graph.n g) (-1) in
+  dist.(s) <- 0;
+  let q = Queue.create () in
+  Queue.add s q;
+  while not (Queue.is_empty q) do
+    let v = Queue.pop q in
+    Graph.iter_neighbors g v (fun w ->
+        if dist.(w) < 0 && labels.(w) = labels.(s) then begin
+          dist.(w) <- dist.(v) + 1;
+          Queue.add w q
+        end)
+  done;
+  dist
+
+let oracle_max_diameter g labels =
+  let best = ref 0 in
+  for s = 0 to Graph.n g - 1 do
+    let dist = oracle_class_dist g labels s in
+    Array.iteri
+      (fun v d ->
+        if labels.(v) = labels.(s) then
+          best := if d < 0 then max_int else max !best d)
+      dist
+  done;
+  !best
+
+let prop_geometry_matches_oracles =
+  QCheck.Test.make ~name:"cluster geometry matches naive oracles" ~count:500
+    arb_labelled (fun (n, edges, labels) ->
+      let g = Graph.of_edges n edges in
+      let k = n + 3 in
+      let naive_inter =
+        List.filter
+          (fun e ->
+            let u, v = Graph.endpoints g e in
+            labels.(u) <> labels.(v))
+          (List.init (Graph.m g) Fun.id)
+      in
+      let clusters = Graph_ops.clusters g labels k in
+      let members_ok =
+        Array.for_all Fun.id
+          (Array.mapi
+             (fun l (vs, sub, (map : Graph_ops.mapping)) ->
+               let naive =
+                 List.filter (fun v -> labels.(v) = l) (List.init n Fun.id)
+               in
+               let internal =
+                 Graph.fold_edges g
+                   (fun acc _ u v ->
+                     if labels.(u) = l && labels.(v) = l then acc + 1 else acc)
+                   0
+               in
+               vs = naive
+               && Array.to_list map.to_orig = naive
+               && Graph.m sub = internal)
+             clusters)
+      in
+      let pool = Parallel.Pool.create ~jobs:4 () in
+      let pooled = Graph_ops.clusters ~pool g labels k in
+      Graph_ops.inter_edges g labels = naive_inter
+      && members_ok
+      && Array.map (fun (vs, _, _) -> vs) pooled
+         = Array.map (fun (vs, _, _) -> vs) clusters
+      && Graph_ops.max_cluster_diameter clusters = oracle_max_diameter g labels
+      && Graph_ops.max_cluster_diameter ~pool clusters
+         = oracle_max_diameter g labels
+      && Graph_ops.split_components g labels
+         = oracle_same_label_classes g labels)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_geometry_matches_oracles;
       prop_invariants;
       prop_handshake;
       prop_induced_subgraph_edges;
@@ -625,6 +768,7 @@ let () =
           tc "complement" test_complement;
           tc "relabel" test_relabel;
           tc "cluster partition" test_cluster_partition;
+          tc "cluster geometry degenerate" test_cluster_geometry_degenerate;
         ] );
       ( "weights",
         [

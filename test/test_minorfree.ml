@@ -129,17 +129,16 @@ let test_embed_block_requires_biconnected () =
     (fun () -> ignore (Planarity.embed_block (Generators.path 4)))
 
 let test_outerplanarity () =
-  checkb "cycle outerplanar" true (Planarity.is_outerplanar (Generators.cycle 8));
+  let outerplanar = Properties.outerplanar.holds in
+  checkb "cycle outerplanar" true (outerplanar (Generators.cycle 8));
   checkb "maximal outerplanar" true
-    (Planarity.is_outerplanar (Generators.random_maximal_outerplanar 25 ~seed:7));
-  checkb "K4 not outerplanar" false
-    (Planarity.is_outerplanar (Generators.complete 4));
+    (outerplanar (Generators.random_maximal_outerplanar 25 ~seed:7));
+  checkb "K4 not outerplanar" false (outerplanar (Generators.complete 4));
   checkb "K23 not outerplanar" false
-    (Planarity.is_outerplanar (Generators.complete_bipartite 2 3));
-  checkb "grid 3x3 not outerplanar" false
-    (Planarity.is_outerplanar (Generators.grid 3 3));
+    (outerplanar (Generators.complete_bipartite 2 3));
+  checkb "grid 3x3 not outerplanar" false (outerplanar (Generators.grid 3 3));
   checkb "tree outerplanar" true
-    (Planarity.is_outerplanar (Generators.random_tree 20 ~seed:8))
+    (outerplanar (Generators.random_tree 20 ~seed:8))
 
 (* ------------------------------------------------------------------ *)
 (* Left-right planarity (independent implementation)                   *)
@@ -313,7 +312,7 @@ let prop_outerplanar_implies_sp =
     QCheck.(pair (int_range 3 40) (int_range 0 1000))
     (fun (n, seed) ->
       let g = Generators.random_maximal_outerplanar n ~seed in
-      Planarity.is_outerplanar g && Minor_check.is_series_parallel g)
+      Properties.outerplanar.holds g && Minor_check.is_series_parallel g)
 
 let prop_lr_demoucron_agree =
   QCheck.Test.make ~name:"left-right test agrees with Demoucron" ~count:120
