@@ -55,12 +55,16 @@ type witness = {
   potential : float;       (* final / initial projection variance *)
 }
 
+(* in place: the witness's arrays are the bulk of an accepted cluster's
+   garbage otherwise, and every caller drops [w] right after *)
 let original_matchings (mapping : Graph_ops.mapping) w =
   let o v = mapping.to_orig.(v) in
   List.map2
     (fun pairs embeds ->
-      ( Array.map (fun (a, b) -> (o a, o b)) pairs,
-        Array.map (Array.map o) embeds ))
+      Array.iteri (fun i (a, b) -> pairs.(i) <- (o a, o b)) pairs;
+      Array.iter (fun path -> Array.iteri (fun i v -> path.(i) <- o v) path)
+        embeds;
+      (pairs, embeds))
     w.matchings w.embeddings
 
 type cut = { side : bool array; conductance : float; via : string }

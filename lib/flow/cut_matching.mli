@@ -57,7 +57,8 @@ type witness = {
 (** [original_matchings mapping w] pairs each of [w]'s matchings with its
     embedded paths (newest first), every vertex mapped through
     [mapping.to_orig] — the game played on an induced cluster, read back
-    in the parent graph's ids. *)
+    in the parent graph's ids. The translation is done in place: the
+    result shares [w]'s arrays, which read in parent ids afterwards. *)
 val original_matchings :
   Sparse_graph.Graph_ops.mapping -> witness ->
   ((int * int) array * int array array) list

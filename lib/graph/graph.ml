@@ -6,8 +6,6 @@ type t = {
   edge_ends : (int * int) array;
 }
 
-let normalize (u, v) = if u <= v then (u, v) else (v, u)
-
 (* In-place quicksort of keys.(lo..hi) with pay.(lo..hi) co-moving; insertion
    sort below a small cutoff, median-of-three pivot. Keys within a row are
    distinct, so the result is independent of partitioning details. *)
@@ -70,14 +68,25 @@ let of_edge_array n raw =
           (Printf.sprintf "Graph.of_edges: endpoint out of range (%d,%d), n=%d"
              u v n))
     raw;
-  let cleaned =
-    Array.to_list raw
-    |> List.filter_map (fun (u, v) ->
-           if u = v then None else Some (normalize (u, v)))
-    |> List.sort_uniq compare
-  in
-  let edge_ends = Array.of_list cleaned in
-  let m = Array.length edge_ends in
+  (* each pair with u < v as the key u * n + v (exact for any n a 64-bit
+     host can store): ascending keys are the lexicographic order of the
+     pairs; self-loops get max_int and sort last *)
+  let keys = Array.make (Array.length raw) max_int in
+  Array.iteri
+    (fun i (u, v) -> if u <> v then keys.(i) <- (min u v * n) + max u v)
+    raw;
+  Array.sort Int.compare keys;
+  (* compact the distinct keys into the front of [keys] *)
+  let m = ref 0 in
+  Array.iter
+    (fun k ->
+      if k < max_int && (!m = 0 || k <> keys.(!m - 1)) then begin
+        keys.(!m) <- k;
+        incr m
+      end)
+    keys;
+  let edge_ends = Array.init !m (fun e -> (keys.(e) / n, keys.(e) mod n)) in
+  let m = !m in
   let deg = Array.make n 0 in
   Array.iter
     (fun (u, v) ->

@@ -7,22 +7,34 @@ type mapping = {
 let induced_subgraph g vs =
   let n = Graph.n g in
   let to_sub = Array.make n (-1) in
-  let uniq = List.sort_uniq compare vs in
-  List.iteri (fun i v -> to_sub.(v) <- i) uniq;
-  let to_orig = Array.of_list uniq in
-  let sub_n = Array.length to_orig in
-  let kept = ref [] in
-  Graph.iter_edges g (fun e u v ->
-      if to_sub.(u) >= 0 && to_sub.(v) >= 0 then
-        kept := (e, to_sub.(u), to_sub.(v)) :: !kept);
-  let kept = List.rev !kept in
-  let sub = Graph.of_edges sub_n (List.map (fun (_, u, v) -> (u, v)) kept) in
-  (* Graph.of_edges sorts lexicographically; rebuild edge_to_orig by lookup. *)
-  let edge_to_orig = Array.make (Graph.m sub) (-1) in
-  List.iter
-    (fun (e, u, v) -> edge_to_orig.(Graph.find_edge sub u v) <- e)
-    kept;
-  (sub, { to_sub; to_orig; edge_to_orig })
+  List.iter (fun v -> to_sub.(v) <- 0) vs;
+  let sub_n = ref 0 and sub_m = ref 0 in
+  for v = 0 to n - 1 do
+    if to_sub.(v) >= 0 then begin
+      to_sub.(v) <- !sub_n;
+      incr sub_n;
+      Graph.iter_neighbors g v (fun w ->
+          if w < v && to_sub.(w) >= 0 then incr sub_m)
+    end
+  done;
+  let to_orig = Array.make !sub_n 0 in
+  Array.iteri (fun v i -> if i >= 0 then to_orig.(i) <- v) to_sub;
+  (* new ids ascend with old ones and rows are sorted, so the kept edges
+     come out in the lexicographic order of their new endpoints, which is
+     the edge-id order Graph.of_edge_array assigns *)
+  let ends = Array.make !sub_m (0, 0) in
+  let edge_to_orig = Array.make !sub_m 0 in
+  let next = ref 0 in
+  Array.iteri
+    (fun i v ->
+      Graph.iter_incident g v (fun w e ->
+          if w > v && to_sub.(w) >= 0 then begin
+            ends.(!next) <- (i, to_sub.(w));
+            edge_to_orig.(!next) <- e;
+            incr next
+          end))
+    to_orig;
+  (Graph.of_edge_array !sub_n ends, { to_sub; to_orig; edge_to_orig })
 
 let identity_vertex_maps g =
   let n = Graph.n g in
@@ -140,8 +152,21 @@ let inter_edges g labels =
 type cluster = int list * Graph.t * mapping
 
 let clusters ?(pool = Parallel.Pool.sequential) g labels k =
+  let n = Graph.n g in
+  if Array.length labels <> n then
+    invalid_arg
+      (Printf.sprintf "Graph_ops.clusters: %d labels for %d vertices"
+         (Array.length labels) n);
+  Array.iteri
+    (fun v l ->
+      if l < 0 || l >= k then
+        invalid_arg
+          (Printf.sprintf
+             "Graph_ops.clusters: vertex %d has label %d, outside [0, %d]" v l
+             (k - 1)))
+    labels;
   let members = Array.make k [] in
-  for v = Graph.n g - 1 downto 0 do
+  for v = n - 1 downto 0 do
     members.(labels.(v)) <- v :: members.(labels.(v))
   done;
   Parallel.Pool.map pool

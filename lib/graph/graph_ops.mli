@@ -74,16 +74,18 @@ type cluster = int list * Graph.t * mapping
 (** [clusters ?pool g labels k] materializes cluster [l] for every label
     [l] in [0 .. k-1] (an unused label gives an empty cluster). The
     induced subgraphs are built on [pool] (default sequential); the
-    result is identical for every pool size. Labels must lie in
-    [0 .. k-1]. *)
+    result is identical for every pool size.
+    @raise Invalid_argument naming the vertex and its label if a label
+    lies outside [0 .. k-1], or if [labels] does not have one entry per
+    vertex. *)
 val clusters :
   ?pool:Parallel.Pool.t -> Graph.t -> int array -> int -> cluster array
 
 (** [max_cluster_diameter ?pool clusters] is the largest strong diameter
     of any cluster's induced subgraph, or [max_int] if some cluster is
-    disconnected; [0] when every cluster has at most one vertex. One
-    all-pairs {!Traversal.diameter} per cluster, run on [pool] (default
-    sequential). *)
+    disconnected; [0] when every cluster has at most one vertex. Each
+    connected cluster gets one exact {!Traversal.diameter}, run on [pool]
+    (default sequential). *)
 val max_cluster_diameter : ?pool:Parallel.Pool.t -> cluster array -> int
 
 (** [split_components g labels] refines [labels] so that each class is

@@ -34,11 +34,15 @@ val is_connected : Graph.t -> bool
     vertex. *)
 val eccentricity : Graph.t -> int -> int
 
-(** The maximum {!eccentricity} over all vertices, by running BFS from
-    every vertex: on a disconnected graph, the largest diameter of any
-    component (not necessarily the largest component's); [0] on the
-    empty graph. Linear in [n * m]: intended for small-to-medium graphs
-    and tests. *)
+(** The exact maximum {!eccentricity} over all vertices: on a
+    disconnected graph, the largest diameter of any component (not
+    necessarily the largest component's); [0] on the empty graph.
+    Computed per component by eccentricity-bound pruning: each BFS
+    tightens every vertex's eccentricity bounds, and the search stops once
+    no vertex can exceed the largest eccentricity found. Typically a
+    handful of BFS runs on sparse low-diameter graphs; the worst case is
+    still one BFS per vertex, [O(n * m)]. Adds its BFS count to the
+    [graph.diameter_bfs] counter of the current {!Obs} span. *)
 val diameter : Graph.t -> int
 
 (** Lower bound on the diameter by a double BFS sweep (exact on trees). *)

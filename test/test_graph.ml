@@ -158,9 +158,52 @@ let test_components () =
     (Traversal.component_list g)
 
 let test_diameter_cycle () =
-  check "diameter C10" 5 (Traversal.diameter (Generators.cycle 10));
-  check "diameter P7" 6 (Traversal.diameter (Generators.path 7));
-  check "diameter K5" 1 (Traversal.diameter (Generators.complete 5))
+  let d = Traversal.diameter in
+  check "n = 0" 0 (d (Graph.empty 0));
+  check "n = 1" 0 (d (Graph.empty 1));
+  check "K2" 1 (d (Generators.path 2));
+  check "diameter P7" 6 (d (Generators.path 7));
+  check "star" 2 (d (Generators.star 9));
+  check "diameter C10" 5 (d (Generators.cycle 10));
+  check "odd cycle C11" 5 (d (Generators.cycle 11));
+  check "diameter K5" 1 (d (Generators.complete 5));
+  check "hypercube Q6" 6 (d (Generators.hypercube 6));
+  check "grid 64x64" 126 (d (Generators.grid 64 64));
+  (* the larger component (a 20-clique) has diameter 1, the smaller one
+     (a 10-path placed after it) diameter 9 *)
+  let two =
+    Graph_ops.disjoint_union (Generators.complete 20) (Generators.path 10)
+  in
+  check "smaller component has the larger diameter" 9 (d two);
+  check "isolated vertices" 0 (d (Graph.empty 5))
+
+(* the bounding search's BFS count ([graph.diameter_bfs]) is pinned on
+   the two bench graphs, the 64x64 grid and the planar workloads' fixed
+   random Apollonian graph, and sums the same at every pool size *)
+let test_diameter_sweep_counts () =
+  let grid = Generators.grid 64 64 in
+  let planar = Generators.random_apollonian 4096 ~seed:20220711 in
+  let whole g = (Graph_ops.clusters g (Array.make (Graph.n g) 0) 1).(0) in
+  let sweeps pool clusters =
+    Obs.reset ();
+    Obs.enable ();
+    let diam =
+      Obs.Span.with_ "pipeline.diameter" (fun () ->
+          Graph_ops.max_cluster_diameter ~pool clusters)
+    in
+    let sums, _ = Obs.Agg.totals (Obs.snapshot_tree ()) in
+    Obs.disable ();
+    (diam, Obs.Agg.SMap.find_opt "graph.diameter_bfs" sums)
+  in
+  let seq = Parallel.Pool.sequential in
+  let pair = Alcotest.(pair int (option int)) in
+  Alcotest.check pair "grid 64x64" (126, Some 5) (sweeps seq [| whole grid |]);
+  Alcotest.check pair "random apollonian 4096" (11, Some 21)
+    (sweeps seq [| whole planar |]);
+  let both = [| whole grid; whole planar |] in
+  Alcotest.check pair "both, jobs 1" (126, Some 26) (sweeps seq both);
+  Alcotest.check pair "both, jobs 4" (126, Some 26)
+    (sweeps (Parallel.Pool.create ~jobs:4 ()) both)
 
 let test_double_sweep_tree () =
   let g = Generators.random_tree 60 ~seed:3 in
@@ -309,6 +352,18 @@ let test_cluster_geometry_degenerate () =
   Alcotest.(check (pair (array int) int)) "isolated vertices split apart"
     ([| 0; 1; 2 |], 3)
     (Graph_ops.split_components isolated [| 0; 0; 0 |]);
+  let p3 = Generators.path 3 in
+  Alcotest.check_raises "label above k-1"
+    (Invalid_argument
+       "Graph_ops.clusters: vertex 1 has label 2, outside [0, 1]")
+    (fun () -> ignore (Graph_ops.clusters p3 [| 0; 2; 1 |] 2));
+  Alcotest.check_raises "negative label"
+    (Invalid_argument
+       "Graph_ops.clusters: vertex 2 has label -1, outside [0, 1]")
+    (fun () -> ignore (Graph_ops.clusters p3 [| 0; 1; -1 |] 2));
+  Alcotest.check_raises "one label per vertex"
+    (Invalid_argument "Graph_ops.clusters: 2 labels for 3 vertices")
+    (fun () -> ignore (Graph_ops.clusters p3 [| 0; 1 |] 2));
   (* path 0-1-2-3-4 labelled a b a a b: classes {0} {1} {2,3} {4} *)
   Alcotest.(check (pair (array int) int)) "numbered by smallest vertex"
     ([| 0; 1; 2; 2; 3 |], 4)
@@ -525,7 +580,15 @@ let prop_invariants =
     ~count:300 arb_graph (fun (n, edges) ->
       let g = Graph.of_edges n edges in
       Graph.check_invariants g;
-      true)
+      (* edge ids follow the lexicographic order of the distinct
+         normalized non-loop pairs *)
+      let naive =
+        List.filter_map
+          (fun (u, v) -> if u = v then None else Some (min u v, max u v))
+          edges
+        |> List.sort_uniq compare
+      in
+      Array.to_list (Graph.edges g) = naive)
 
 let prop_handshake =
   QCheck.Test.make ~name:"degree sum equals 2m" ~count:300 arb_graph
@@ -552,7 +615,13 @@ let prop_induced_subgraph_edges =
             if map.to_sub.(u) >= 0 && map.to_sub.(v) >= 0 then acc + 1 else acc)
           0
       in
-      Graph.m sub = expected)
+      let maps_back e =
+        let a, b = Graph.endpoints sub e in
+        let u, v = Graph.endpoints g map.edge_to_orig.(e) in
+        (map.to_orig.(a), map.to_orig.(b)) = (u, v)
+      in
+      Graph.m sub = expected
+      && List.for_all maps_back (List.init (Graph.m sub) Fun.id))
 
 let prop_bfs_triangle_inequality =
   QCheck.Test.make ~name:"bfs distances obey edge triangle inequality"
@@ -707,10 +776,64 @@ let prop_geometry_matches_oracles =
       && Graph_ops.split_components g labels
          = oracle_same_label_classes g labels)
 
+(* all-pairs oracle: the largest finite BFS distance over every source *)
+let oracle_diameter g =
+  let one_class = Array.make (Graph.n g) 0 in
+  let best = ref 0 in
+  for s = 0 to Graph.n g - 1 do
+    Array.iter (fun d -> best := max !best d) (oracle_class_dist g one_class s)
+  done;
+  !best
+
+(* graphs up to n = 300: random sparse graphs, trees, grids, Apollonian
+   graphs, and disjoint unions of two of them with isolated vertices in
+   between, shuffled so that components interleave in id order *)
+let arb_diameter_graph =
+  let open QCheck.Gen in
+  let family max_n =
+    oneof
+      [
+        ( int_range 1 max_n >>= fun n ->
+          map
+            (fun es -> Graph.of_edges n es)
+            (list_size (int_range 0 (2 * n))
+               (pair (int_bound (n - 1)) (int_bound (n - 1)))) );
+        map2
+          (fun n seed -> Generators.random_tree n ~seed)
+          (int_range 1 max_n) nat;
+        map2 Generators.grid (int_range 1 17) (int_range 1 17);
+        map2
+          (fun n seed -> Generators.random_apollonian n ~seed)
+          (int_range 3 max_n) nat;
+      ]
+  in
+  let union =
+    map4
+      (fun a isolated b seed ->
+        let gap = Graph.empty isolated in
+        Graph_ops.disjoint_union (Graph_ops.disjoint_union a gap) b
+        |> Generators.shuffle ~seed)
+      (family 140) (int_range 0 5) (family 140) nat
+  in
+  QCheck.make
+    ~print:(fun g ->
+      Printf.sprintf "n=%d edges=%s" (Graph.n g)
+        (String.concat ";"
+           (Array.to_list
+              (Array.map
+                 (fun (u, v) -> Printf.sprintf "(%d,%d)" u v)
+                 (Graph.edges g)))))
+    (oneof [ family 300; union ])
+
+let prop_diameter_matches_oracle =
+  QCheck.Test.make ~name:"diameter equals all-pairs oracle" ~count:300
+    arb_diameter_graph (fun g -> Traversal.diameter g = oracle_diameter g)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
       prop_geometry_matches_oracles;
+      prop_diameter_matches_oracle;
       prop_invariants;
       prop_handshake;
       prop_induced_subgraph_edges;
@@ -750,6 +873,7 @@ let () =
           tc "bfs layers" test_bfs_layers;
           tc "components" test_components;
           tc "diameter known graphs" test_diameter_cycle;
+          tc "diameter sweep counts" test_diameter_sweep_counts;
           tc "double sweep on trees" test_double_sweep_tree;
           tc "dijkstra unit = bfs" test_dijkstra_unit_matches_bfs;
           tc "dijkstra weighted" test_dijkstra_weighted;
