@@ -1130,13 +1130,12 @@ let congest_bench () =
             ~round:counted_round ~max_rounds:cw.cw_max_rounds)
     in
     let ev_steps = take_counts () in
-    (* the workloads' messages are small non-negative ints, so the packed
-       immediate path of int_codec carries every payload. minor_words for
-       this side only sees the coordinator domain's allocations. *)
+    (* minor_words for this side only sees the coordinator domain's
+       allocations. *)
     let sh_states, sh_stats, sh_s, sh_mw =
       measure (fun () ->
           Congest.Network.run cw.cw_graph
-            ~exec:(congest_sharded_exec ()) ~codec:Congest.Network.int_codec
+            ~exec:(congest_sharded_exec ())
             ~bandwidth:Congest.Network.Local ~msg_bits ~init:cw.cw_init
             ~round:counted_round ~max_rounds:cw.cw_max_rounds)
     in
@@ -1221,7 +1220,7 @@ let congest_bench () =
     let sh_states, sh_stats, sh_s, _ =
       congest_measure (fun () ->
           Congest.Network.run cw.cw_graph
-            ~exec:(congest_sharded_exec ()) ~codec:Congest.Network.int_codec
+            ~exec:(congest_sharded_exec ())
             ~bandwidth:Congest.Network.Local ~msg_bits ~init:cw.cw_init
             ~round:cw.cw_round ~max_rounds:cw.cw_max_rounds)
     in

@@ -1,6 +1,6 @@
 (* A001: allocation on a hot path. A binding marked [(* lint: hot *)] is
    a per-event / per-message inner-loop function: the sharded simulator's
-   step and push helpers, the codec pack/unpack bodies, the Team barrier.
+   step and push helpers, the arena growth helper, the Team barrier.
    The PR-5/6 performance claims assume these paths allocate nothing per
    call, so any AST-level allocation site in a hot root — or in any
    project function it calls, transitively — is a finding.
@@ -253,9 +253,9 @@ and scan_case st (c : case) =
 and note st loc what =
   st.allocs := { loc; what } :: !(st.allocs)
 
-(* scan a definition body: strip the fun shell; a codec-style record of
-   closures ([{ pack = (fun ...); unpack = ... }]) is also shell — the
-   record and its closures exist once, the closure BODIES are hot *)
+(* scan a definition body: strip the fun shell; a record of closures
+   ([{ f = (fun ...); g = ... }]) is also shell — the record and its
+   closures exist once, the closure BODIES are hot *)
 let scan_def_body st body =
   let core = strip_fun_shell body in
   match core.pexp_desc with
@@ -385,7 +385,7 @@ let a001 =
     doc =
       "A [lint: hot] marker declares a function to be per-event inner-loop \
        code whose zero-allocation behavior the performance claims rest on \
-       (the sharded simulator's step and push helpers, codec pack/unpack, \
+       (the sharded simulator's step and push helpers, arena growth, \
        the Team barrier). The rule scans the marked body and every project \
        function it calls, transitively, for AST-level allocation sites: \
        constructors with arguments, tuples, records, closures built \

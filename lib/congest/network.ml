@@ -28,25 +28,6 @@ type ('state, 'msg) step = {
 let step ?wake_after ?(send = []) ?(halt = false) state =
   { state; send; halt; wake_after }
 
-(* Bit-packed message transport for the simulator loop: a message whose
-   [pack] is non-negative travels as one immediate int in the arena's
-   payload column; a negative [pack] is the escape hatch — the message is
-   spilled boxed into the shard's wide-message side array and the payload
-   column stores the (negated, 1-based) spill index. *)
-type 'msg codec = { pack : 'msg -> int; unpack : int -> 'msg }
-
-(* lint: hot *)
-let int_codec = { pack = (fun (m : int) -> m); unpack = (fun w -> w) }
-
-(* lint: hot *)
-let boxed_codec () =
-  {
-    pack = (fun _ -> -1);
-    unpack =
-      (fun _ ->
-        invalid_arg "Congest.Network: boxed codec carries no packed payloads");
-  }
-
 type exec = Sharded of { shards : int; pool : Parallel.Pool.t }
 
 type stats = {
@@ -345,25 +326,19 @@ type 'msg shard = {
   mutable sh_cur_len : int;
   mutable sh_nxt : int array;
   mutable sh_nxt_len : int;
-  (* inbound arena: (src, dst, payload) columns appended sender-ascending
-     by the coordinator's exchange, consumed at the shard's next step.
-     payload >= 0 is a packed immediate; payload < 0 is -(i+1) for slot i
-     of the boxed wide-message spill *)
+  (* inbound arena: (src, dst, msg) columns appended sender-ascending by
+     the coordinator's exchange, consumed at the shard's next step *)
   mutable sh_ib_src : int array;
   mutable sh_ib_dst : int array;
-  mutable sh_ib_pay : int array;
+  mutable sh_ib_msg : 'msg array;
   mutable sh_ib_len : int;
-  mutable sh_ib_wide : 'msg array;
-  mutable sh_ib_wide_len : int;
-  (* outbound packed messages, filled ascending-by-sender during the step
-     phase, drained by the exchange *)
+  (* outbound messages, filled ascending-by-sender during the step phase,
+     drained by the exchange *)
   mutable sh_ob_src : int array;
   mutable sh_ob_dst : int array;
-  mutable sh_ob_pay : int array;
+  mutable sh_ob_msg : 'msg array;
   mutable sh_ob_bits : int array;
   mutable sh_ob_len : int;
-  mutable sh_ob_wide : 'msg array;
-  mutable sh_ob_wide_len : int;
   (* shard-local wake machinery (the pending-wake rounds themselves live
      in the global wake_at array so the coordinator can cancel on crash) *)
   sh_wake_buckets : (int, int list ref) Hashtbl.t;
@@ -436,13 +411,12 @@ let sh_heap_pop sh =
    draws: the single Faults.rng stream is consumed only in the sequential
    exchange.
 
-   The user's init / round / msg_bits / codec functions execute on worker
+   The user's init / round / msg_bits functions execute on worker
    domains; they must be domain-safe pure functions of their arguments
    (the wake-up contract already demands this for round). *)
 let run ?(faults = Faults.none)
     ?(exec = Sharded { shards = 1; pool = Parallel.Pool.sequential })
-    ?(codec = boxed_codec ()) g ~bandwidth ~msg_bits ~init ~round
-    ~max_rounds =
+    g ~bandwidth ~msg_bits ~init ~round ~max_rounds =
   let (Sharded { shards; pool }) = exec in
   let n = Graph.n g in
   let chunk = max 1 ((n + max 1 shards - 1) / max 1 shards) in
@@ -476,17 +450,13 @@ let run ?(faults = Faults.none)
           sh_nxt_len = 0;
           sh_ib_src = [||];
           sh_ib_dst = [||];
-          sh_ib_pay = [||];
+          sh_ib_msg = [||];
           sh_ib_len = 0;
-          sh_ib_wide = [||];
-          sh_ib_wide_len = 0;
           sh_ob_src = [||];
           sh_ob_dst = [||];
-          sh_ob_pay = [||];
+          sh_ob_msg = [||];
           sh_ob_bits = [||];
           sh_ob_len = 0;
-          sh_ob_wide = [||];
-          sh_ob_wide_len = 0;
           sh_wake_buckets = Hashtbl.create 32;
           sh_heap = Array.make 16 0;
           sh_heap_len = 0;
@@ -549,84 +519,46 @@ let run ?(faults = Faults.none)
         Hashtbl.add sh.sh_wake_buckets t (ref [ v ]);
         sh_heap_push sh t
   in
+  (* amortized doubling of an arena column holding [k] live entries; a
+     'msg column is filled with the message that triggered the growth *)
+  (* lint: hot *)
+  let grow a k cap' fill =
+    (* lint: allow A001 amortized doubling growth *)
+    let a' = Array.make cap' fill in
+    Array.blit a 0 a' 0 k;
+    a'
+  in
   (* coordinator side: append one delivery to the destination shard's arena *)
   (* lint: hot *)
-  let push_ib sh src dst pay =
+  let push_ib sh src dst msg =
     let k = sh.sh_ib_len in
     if k = Array.length sh.sh_ib_src then begin
-      let cap = Array.length sh.sh_ib_src in
-      let cap' = if cap = 0 then 64 else 2 * cap in
-      let grow a =
-        (* lint: allow A001 amortized doubling growth *)
-        let a' = Array.make cap' 0 in
-        Array.blit a 0 a' 0 k;
-        a'
-      in
-      sh.sh_ib_src <- grow sh.sh_ib_src;
-      sh.sh_ib_dst <- grow sh.sh_ib_dst;
-      sh.sh_ib_pay <- grow sh.sh_ib_pay;
-      sh.sh_words <- sh.sh_words + (3 * (cap' - cap))
+      let cap' = if k = 0 then 64 else 2 * k in
+      sh.sh_ib_src <- grow sh.sh_ib_src k cap' 0;
+      sh.sh_ib_dst <- grow sh.sh_ib_dst k cap' 0;
+      sh.sh_ib_msg <- grow sh.sh_ib_msg k cap' msg;
+      sh.sh_words <- sh.sh_words + (3 * (cap' - k))
     end;
     sh.sh_ib_src.(k) <- src;
     sh.sh_ib_dst.(k) <- dst;
-    sh.sh_ib_pay.(k) <- pay;
+    sh.sh_ib_msg.(k) <- msg;
     sh.sh_ib_len <- k + 1
   in
-  (* lint: hot *)
-  let spill_wide sh msg =
-    let k = sh.sh_ib_wide_len in
-    if k = Array.length sh.sh_ib_wide then begin
-      let cap = Array.length sh.sh_ib_wide in
-      let cap' = if cap = 0 then 16 else 2 * cap in
-      (* the arriving message doubles as the fill element *)
-      (* lint: allow A001 amortized doubling growth *)
-      let a' = Array.make cap' msg in
-      Array.blit sh.sh_ib_wide 0 a' 0 k;
-      sh.sh_ib_wide <- a';
-      sh.sh_words <- sh.sh_words + (cap' - cap)
-    end;
-    sh.sh_ib_wide.(k) <- msg;
-    sh.sh_ib_wide_len <- k + 1;
-    -(k + 1)
-  in
-  (* shard side: pack one outgoing message *)
+  (* shard side: append one outgoing message *)
   (* lint: hot *)
   let push_out sh v w msg =
     let k = sh.sh_ob_len in
     if k = Array.length sh.sh_ob_src then begin
-      let cap = Array.length sh.sh_ob_src in
-      let cap' = if cap = 0 then 64 else 2 * cap in
-      let grow a =
-        (* lint: allow A001 amortized doubling growth *)
-        let a' = Array.make cap' 0 in
-        Array.blit a 0 a' 0 k;
-        a'
-      in
-      sh.sh_ob_src <- grow sh.sh_ob_src;
-      sh.sh_ob_dst <- grow sh.sh_ob_dst;
-      sh.sh_ob_pay <- grow sh.sh_ob_pay;
-      sh.sh_ob_bits <- grow sh.sh_ob_bits
+      let cap' = if k = 0 then 64 else 2 * k in
+      sh.sh_ob_src <- grow sh.sh_ob_src k cap' 0;
+      sh.sh_ob_dst <- grow sh.sh_ob_dst k cap' 0;
+      sh.sh_ob_msg <- grow sh.sh_ob_msg k cap' msg;
+      sh.sh_ob_bits <- grow sh.sh_ob_bits k cap' 0
     end;
     sh.sh_ob_src.(k) <- v;
     sh.sh_ob_dst.(k) <- w;
+    sh.sh_ob_msg.(k) <- msg;
     sh.sh_ob_bits.(k) <- msg_bits msg;
-    sh.sh_ob_pay.(k) <-
-      (let p = codec.pack msg in
-       if p >= 0 then p
-       else begin
-         let wi = sh.sh_ob_wide_len in
-         if wi = Array.length sh.sh_ob_wide then begin
-           let cap = Array.length sh.sh_ob_wide in
-           let cap' = if cap = 0 then 16 else 2 * cap in
-           (* lint: allow A001 amortized doubling growth *)
-           let a' = Array.make cap' msg in
-           Array.blit sh.sh_ob_wide 0 a' 0 wi;
-           sh.sh_ob_wide <- a'
-         end;
-         sh.sh_ob_wide.(wi) <- msg;
-         sh.sh_ob_wide_len <- wi + 1;
-         -(wi + 1)
-       end);
     sh.sh_ob_len <- k + 1
   in
   (* one shard's slice of a round, executed inside the Team barrier *)
@@ -651,31 +583,23 @@ let run ?(faults = Faults.none)
     let consumed = sh.sh_ib_len in
     for i = consumed - 1 downto 0 do
       let dst = sh.sh_ib_dst.(i) in
-      if not crashed.(dst) then begin
-        let pay = sh.sh_ib_pay.(i) in
-        let msg =
-          if pay >= 0 then codec.unpack pay else sh.sh_ib_wide.(-pay - 1)
-        in
-        inlists.(dst) <- (sh.sh_ib_src.(i), msg) :: inlists.(dst)
-      end
+      if not crashed.(dst) then
+        inlists.(dst) <- (sh.sh_ib_src.(i), sh.sh_ib_msg.(i)) :: inlists.(dst)
     done;
     sh.sh_ib_len <- 0;
-    sh.sh_ib_wide_len <- 0;
     (* high-watermark shrink: an arena that grew for one burst must not
-       keep its peak capacity, and the stale 'msg pointers in its wide
-       spill, for the rest of the run *)
+       keep its peak capacity, and the stale 'msg pointers in its message
+       column, for the rest of the run *)
     let cap = Array.length sh.sh_ib_src in
     if cap > 64 && 4 * consumed < cap then begin
-      sh.sh_words <- sh.sh_words - (3 * cap) - Array.length sh.sh_ib_wide;
+      sh.sh_words <- sh.sh_words - (3 * cap);
       sh.sh_ib_src <- [||];
       sh.sh_ib_dst <- [||];
-      sh.sh_ib_pay <- [||];
-      sh.sh_ib_wide <- [||]
+      sh.sh_ib_msg <- [||]
     end;
     sh.sh_stepped <- 0;
     sh.sh_halts <- 0;
     sh.sh_ob_len <- 0;
-    sh.sh_ob_wide_len <- 0;
     let step_vertex v =
       let ib = inlists.(v) in
       inlists.(v) <- [];
@@ -770,25 +694,20 @@ let run ?(faults = Faults.none)
         then incr dropped
         else begin
           let dsh = shard_tbl.(w / chunk) in
-          let pay = sh.sh_ob_pay.(k) in
-          let pay =
-            if pay >= 0 then pay
-            else spill_wide dsh sh.sh_ob_wide.(-pay - 1)
-          in
-          push_ib dsh v w pay;
+          let msg = sh.sh_ob_msg.(k) in
+          push_ib dsh v w msg;
           push_nxt dsh (r + 1) w;
           if
             faults.Faults.duplicate_rate > 0.
             && Random.State.float frng 1. < faults.Faults.duplicate_rate
           then begin
-            (* the duplicate aliases the same wide slot *)
-            push_ib dsh v w pay;
+            (* the duplicate is the same 'msg value, pushed twice *)
+            push_ib dsh v w msg;
             incr duplicated
           end
         end
       done;
-      sh.sh_ob_len <- 0;
-      sh.sh_ob_wide_len <- 0
+      sh.sh_ob_len <- 0
     done;
     for t = 0 to !touched_len - 1 do
       edge_bits.(touched.(t)) <- 0

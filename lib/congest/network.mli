@@ -66,25 +66,6 @@ val step :
   'state ->
   ('state, 'msg) step
 
-(** Bit-packed message encoding for the simulator's arenas. [pack m] either
-    returns a {e non-negative} int — the message rides in the arena's
-    payload word, no allocation — or any negative int as an escape, in
-    which case the message is boxed in a per-shard wide-message spill
-    array and the payload word stores the spill index. [unpack] must be a
-    left inverse of [pack] on the non-negative range ([unpack (pack m) =
-    m] whenever [pack m >= 0]); it is never called for escaped messages.
-    Both functions run on worker domains and must be pure. *)
-type 'msg codec = { pack : 'msg -> int; unpack : int -> 'msg }
-
-(** The identity codec for [int] messages: every non-negative message is
-    packed immediate; negative ints fall back to the boxed spill. *)
-val int_codec : int codec
-
-(** [boxed_codec ()] never packs: every message goes through the boxed
-    spill. Correct for any message type; the default when {!run} is given
-    no codec. *)
-val boxed_codec : unit -> 'msg codec
-
 (** How {!run} spreads the simulation over domains.
 
     [Sharded { shards; pool }] partitions the vertices into [shards]
@@ -99,7 +80,11 @@ val boxed_codec : unit -> 'msg codec
     least 1. The default is one shard on [Parallel.Pool.sequential],
     which runs the whole loop on the calling domain.
 
-    The user's [init], [round], [msg_bits] and codec functions may execute
+    Each shard keeps its traffic in flat arenas, one column each for
+    sender, receiver and the ['msg] value itself, so a message is stored
+    once as a value whatever its type.
+
+    The user's [init], [round] and [msg_bits] functions may execute
     on worker domains: they must be domain-safe pure functions of their
     arguments (the wake-up contract already demands this of [round]). *)
 type exec = Sharded of { shards : int; pool : Parallel.Pool.t }
@@ -162,10 +147,8 @@ val pp_stats : Format.formatter -> stats -> unit
     depend on which sleeping vertices were skipped.
 
     [?exec] selects the shard count and worker pool (default one shard on
-    [Parallel.Pool.sequential]); see {!exec}. [?codec] supplies the
-    bit-packed message encoding used by the inbound arenas (default
-    [boxed_codec ()]); it changes only how messages are stored, never a
-    result.
+    [Parallel.Pool.sequential]); see {!exec}. It changes only where the
+    work runs, never a result.
 
     @raise Congestion_violation when a CONGEST budget is exceeded.
     @raise Invalid_argument if a vertex sends to a non-neighbor, or
@@ -173,7 +156,6 @@ val pp_stats : Format.formatter -> stats -> unit
 val run :
   ?faults:Faults.t ->
   ?exec:exec ->
-  ?codec:'msg codec ->
   Sparse_graph.Graph.t ->
   bandwidth:bandwidth ->
   msg_bits:('msg -> int) ->
@@ -186,7 +168,7 @@ val run :
     oracle: it steps every non-halted, non-crashed vertex every round,
     re-sorts each inbox, and ignores [wake_after]. It shares no delivery
     code with {!run}, which must be stats- and state-identical to it at
-    every shard count, pool size and codec (the equivalence
+    every shard count and pool size (the equivalence
     suite in [test/] pins this); it is also the slow side of the
     [congest-bench] comparison. Not for production use. *)
 val run_reference :

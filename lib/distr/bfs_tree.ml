@@ -13,11 +13,10 @@ type state = {
   announced : bool;
 }
 
-let run ?exec (view : Cluster_view.t) ~roots ~rounds =
+let run (view : Cluster_view.t) ~roots ~rounds =
   Obs.Span.with_ "distr.bfs_tree" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let init (ctx : Network.ctx) =
     if roots.(ctx.id) then { parent = ctx.id; depth = 0; announced = false }
     else { parent = -1; depth = -1; announced = false }
@@ -37,12 +36,12 @@ let run ?exec (view : Cluster_view.t) ~roots ~rounds =
     else if st.parent >= 0 && not st.announced then
       Network.step
         { st with announced = true }
-        ~send:(List.map (fun w -> (w, st.depth)) intra.(ctx.id))
+        ~send:(Cluster_view.flood view ctx.id st.depth)
         ~wake_after:(rounds + 1 - r)
     else Network.step st ~wake_after:(rounds + 1 - r)
   in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 1)
       ~init ~round ~max_rounds:(rounds + 1)
@@ -69,12 +68,11 @@ type hstate = {
   last_heard : int;  (* round the parent's heartbeat was last received *)
 }
 
-let run_reliable ?faults ?exec ?(patience = 6) (view : Cluster_view.t) ~roots
+let run_reliable ?faults ?(patience = 6) (view : Cluster_view.t) ~roots
     ~rounds =
   Obs.Span.with_ "distr.bfs_tree_reliable" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let init (ctx : Network.ctx) =
     if roots.(ctx.id) then { hparent = ctx.id; hdepth = 0; last_heard = 0 }
     else { hparent = -1; hdepth = -1; last_heard = 0 }
@@ -113,7 +111,7 @@ let run_reliable ?faults ?exec ?(patience = 6) (view : Cluster_view.t) ~roots
       else st
     in
     let send =
-      if st.hdepth >= 0 then List.map (fun w -> (w, st.hdepth)) intra.(self)
+      if st.hdepth >= 0 then Cluster_view.flood view self st.hdepth
       else []
     in
     (* the heartbeat refresh each round IS the retransmission mechanism,
@@ -121,7 +119,7 @@ let run_reliable ?faults ?exec ?(patience = 6) (view : Cluster_view.t) ~roots
     Network.step st ~send ~halt:(r > rounds) ~wake_after:1
   in
   let states, stats =
-    Network.run ?faults ?exec g
+    Network.run ?faults g
       ~bandwidth:(Network.congest_bandwidth ~c:16 n)
       ~msg_bits:(fun _ -> Bits.words n 1)
       ~init ~round ~max_rounds:(rounds + 1)
@@ -146,13 +144,13 @@ let check (view : Cluster_view.t) (result : result) ~roots =
   done;
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in
-    List.iter
+    Array.iter
       (fun w ->
         if dist.(w) < 0 then begin
           dist.(w) <- dist.(v) + 1;
           Queue.add w queue
         end)
-      (Cluster_view.intra_neighbors view v)
+      view.intra.(v)
   done;
   let ok = ref true in
   for v = 0 to n - 1 do

@@ -13,7 +13,6 @@ type result = {
 (** [run view ~roots ~rounds] floods from every vertex [v] with
     [roots.(v) = true], along intra-cluster edges, for [rounds] rounds. *)
 val run :
-  ?exec:Congest.Network.exec ->
   Cluster_view.t -> roots:bool array -> rounds:int -> result
 
 (** Retry-hardened variant for the fault model of {!Congest.Faults}.
@@ -27,7 +26,6 @@ val run :
     drop rate and to [patience] after a crash. *)
 val run_reliable :
   ?faults:Congest.Faults.t ->
-  ?exec:Congest.Network.exec ->
   ?patience:int ->
   Cluster_view.t -> roots:bool array -> rounds:int -> result
 

@@ -11,11 +11,10 @@ type state = {
   fresh : bool;
 }
 
-let run ?exec (view : Cluster_view.t) ~sources ~rounds =
+let run (view : Cluster_view.t) ~sources ~rounds =
   Obs.Span.with_ "distr.broadcast" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let init (ctx : Network.ctx) =
     match sources.(ctx.id) with
     | Some x -> { value = x; fresh = true }
@@ -35,12 +34,12 @@ let run ?exec (view : Cluster_view.t) ~sources ~rounds =
     else if st.fresh then
       Network.step
         { st with fresh = false }
-        ~send:(List.map (fun w -> (w, st.value)) intra.(ctx.id))
+        ~send:(Cluster_view.flood view ctx.id st.value)
         ~wake_after:(rounds + 1 - r)
     else Network.step st ~wake_after:(rounds + 1 - r)
   in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 1)
       ~init ~round ~max_rounds:(rounds + 1)
@@ -61,12 +60,11 @@ type rstate = {
   offered : bool;
 }
 
-let run_reliable ?faults ?exec (view : Cluster_view.t) ~sources ~rounds =
+let run_reliable ?faults (view : Cluster_view.t) ~sources ~rounds =
   Obs.Span.with_ "distr.broadcast_reliable" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
   let w = Bits.id_bits n in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let init (ctx : Network.ctx) =
     {
       rvalue = (match sources.(ctx.id) with Some x -> x | None -> -1);
@@ -82,9 +80,9 @@ let run_reliable ?faults ?exec (view : Cluster_view.t) ~sources ~rounds =
     in
     let rel, offered =
       if rvalue >= 0 && not st.offered then
-        ( List.fold_left
+        ( Array.fold_left
             (fun rel dst -> Reliable.send rel ~dst rvalue)
-            rel intra.(ctx.id),
+            rel view.intra.(ctx.id),
           true )
       else (rel, st.offered)
     in
@@ -95,7 +93,7 @@ let run_reliable ?faults ?exec (view : Cluster_view.t) ~sources ~rounds =
       ~halt:(r > rounds) ~wake_after:1
   in
   let states, stats =
-    Network.run ?faults ?exec g
+    Network.run ?faults g
       ~bandwidth:(Network.congest_bandwidth ~c:16 n)
       ~msg_bits:(Reliable.packet_bits ~word:w ~body:(fun _ -> w))
       ~init ~round ~max_rounds:(rounds + 1)
@@ -116,13 +114,13 @@ let check (view : Cluster_view.t) result ~sources =
   done;
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in
-    List.iter
+    Array.iter
       (fun w ->
         if expected.(w) < 0 then begin
           expected.(w) <- expected.(v);
           Queue.add w queue
         end)
-      (Cluster_view.intra_neighbors view v)
+      view.intra.(v)
   done;
   let ok = ref true in
   for v = 0 to n - 1 do

@@ -13,7 +13,6 @@ type result = {
 (** [run view ~sources ~rounds]: [sources.(v) = Some x] makes [v] originate
     value [x >= 0]. *)
 val run :
-  ?exec:Congest.Network.exec ->
   Cluster_view.t -> sources:int option array -> rounds:int -> result
 
 (** Retry-hardened broadcast: informed vertices offer their value to each
@@ -26,7 +25,6 @@ val run :
     factor over the plain flood's word). *)
 val run_reliable :
   ?faults:Congest.Faults.t ->
-  ?exec:Congest.Network.exec ->
   Cluster_view.t -> sources:int option array -> rounds:int -> result
 
 (** Every vertex in a cluster with a (unique) source must receive the

@@ -40,21 +40,6 @@ let of_labels graph labels =
     invalid_arg "Cluster_view.of_labels: label array length mismatch";
   { graph; labels; intra = build_intra graph labels }
 
-let intra_neighbors t v = Array.to_list t.intra.(v)
-
 let intra_degree t v = Array.length t.intra.(v)
 
-let members t v =
-  let l = t.labels.(v) in
-  let out = ref [] in
-  for u = Graph.n t.graph - 1 downto 0 do
-    if t.labels.(u) = l then out := u :: !out
-  done;
-  !out
-
-let cluster_edges t v =
-  let l = t.labels.(v) in
-  Graph.fold_edges t.graph
-    (fun acc _ a b ->
-      if t.labels.(a) = l && t.labels.(b) = l then acc + 1 else acc)
-    0
+let flood t v m = Array.fold_right (fun w acc -> (w, m) :: acc) t.intra.(v) []

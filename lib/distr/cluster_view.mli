@@ -20,15 +20,9 @@ val whole : Sparse_graph.Graph.t -> t
 (** View induced by an explicit labelling. *)
 val of_labels : Sparse_graph.Graph.t -> int array -> t
 
-(** Neighbors of [v] inside its own cluster (sorted). Allocates a fresh
-    list per call — hot paths should index [t.intra] directly. *)
-val intra_neighbors : t -> int -> int list
-
 (** Degree of [v] counting only intra-cluster edges: [deg_Gi(v)]. *)
 val intra_degree : t -> int -> int
 
-(** Vertices of the cluster containing [v]. *)
-val members : t -> int -> int list
-
-(** Number of intra-cluster edges of [v]'s cluster: [|E_i|]. *)
-val cluster_edges : t -> int -> int
+(** [flood t v m] is the send list [(w, m)] for every intra-cluster
+    neighbor [w] of [v], ascending in [w]. *)
+val flood : t -> int -> 'msg -> (int * 'msg) list

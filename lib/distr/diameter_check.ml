@@ -15,11 +15,10 @@ type state = {
   mark_fresh : bool;
 }
 
-let run ?exec (view : Cluster_view.t) ~b =
+let run (view : Cluster_view.t) ~b =
   Obs.Span.with_ "distr.diameter_check" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   (* rounds 1..b: flood max id; round b+1: exchange final ball max; round
      b+2: evaluate disagreement and start mark flood; rounds up to
      b+2+(2b+1): propagate marks *)
@@ -43,7 +42,7 @@ let run ?exec (view : Cluster_view.t) ~b =
       let st = { st with ball_max = bm } in
       (* the ball-growing phase re-floods every round: tick via wake_after *)
       Network.step st
-        ~send:(List.map (fun w -> (w, Max bm)) intra.(ctx.id))
+        ~send:(Cluster_view.flood view ctx.id (Max bm))
         ~wake_after:1
     end
     else if r = b + 1 then begin
@@ -51,7 +50,7 @@ let run ?exec (view : Cluster_view.t) ~b =
       let bm = List.fold_left max st.ball_max maxima in
       let st = { st with ball_max = bm } in
       Network.step st
-        ~send:(List.map (fun w -> (w, Max bm)) intra.(ctx.id))
+        ~send:(Cluster_view.flood view ctx.id (Max bm))
         ~wake_after:1
     end
     else if r = b + 2 then begin
@@ -61,7 +60,7 @@ let run ?exec (view : Cluster_view.t) ~b =
       let st = { st with neighbor_disagrees = disagree; marked;
                  mark_fresh = marked } in
       let send =
-        if marked then List.map (fun w -> (w, Mark)) intra.(ctx.id) else []
+        if marked then Cluster_view.flood view ctx.id Mark else []
       in
       Network.step st ~send ~wake_after:(total_rounds + 1 - r)
     end
@@ -70,7 +69,7 @@ let run ?exec (view : Cluster_view.t) ~b =
       let st = { st with marked = st.marked || heard_mark;
                  mark_fresh = newly } in
       let send =
-        if newly then List.map (fun w -> (w, Mark)) intra.(ctx.id) else []
+        if newly then Cluster_view.flood view ctx.id Mark else []
       in
       (* mark propagation is message-driven; keep the halt-round timer *)
       Network.step st ~send ~wake_after:(total_rounds + 1 - r)
@@ -79,7 +78,7 @@ let run ?exec (view : Cluster_view.t) ~b =
       Network.step { st with marked = st.marked || heard_mark } ~halt:true
   in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(function Max _ -> Bits.words n 1 | Mark -> 1)
       ~init ~round ~max_rounds:(total_rounds + 1)
@@ -103,13 +102,13 @@ let check (view : Cluster_view.t) (result : result) ~b =
     Queue.add src queue;
     while not (Queue.is_empty queue) do
       let v = Queue.pop queue in
-      List.iter
+      Array.iter
         (fun w ->
           if dist.(w) < 0 then begin
             dist.(w) <- dist.(v) + 1;
             Queue.add w queue
           end)
-        (Cluster_view.intra_neighbors view v)
+        view.intra.(v)
     done;
     dist
   in

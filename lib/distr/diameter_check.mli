@@ -14,7 +14,7 @@ type result = {
 }
 
 (** [run view ~b] executes the three phases ([b] + 1 + [2b+1] rounds). *)
-val run : ?exec:Congest.Network.exec -> Cluster_view.t -> b:int -> result
+val run : Cluster_view.t -> b:int -> result
 
 (** All members of each cluster agree on the mark, clusters of diameter
     at most [b] are unmarked, and clusters of diameter at least [2b + 1]

@@ -69,10 +69,10 @@ let merge ~minmax_bid bid a b =
       else x +. b.(i))
     a
 
-let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
+let run_level (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
+  let intra = view.intra in
   let agg_len = (2 * b) + 2 in
   let init_start = b + 2 in
   let power_start k = init_start + agg_len + ((k - 1) * (agg_len + 1)) in
@@ -94,7 +94,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
   let init (ctx : Network.ctx) =
     let v = ctx.id in
     let st = Random.State.make [| seed; v; 52361 |] in
-    let d = List.length intra.(v) in
+    let d = Array.length intra.(v) in
     {
       depth = (if leader_of.(v) = v then 0 else -1);
       parent = (if leader_of.(v) = v then v else -1);
@@ -116,7 +116,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
   in
   (* contribution of a vertex to a given aggregation block *)
   let contribution st v bid =
-    let d = float_of_int (List.length intra.(v)) in
+    let d = float_of_int (Array.length intra.(v)) in
     if bid = init_bid then [| d; st.x *. st.sqd; st.x *. st.x |]
     else if bid >= 1 && bid <= t then [| st.x *. st.sqd; st.x *. st.x |]
     else if bid = minmax_bid then
@@ -174,7 +174,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
      so every non-halting step wakes the vertex for the next round. *)
   let round r (ctx : Network.ctx) st inbox =
     let v = ctx.id in
-    if intra.(v) = [] then
+    if Array.length intra.(v) = 0 then
       (* no intra edges: nothing to do this level *)
       Network.step st ~halt:true
     else begin
@@ -204,7 +204,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
                 (* flood onward *)
                 if not (List.mem bid !st.forwarded) then begin
                   st := { !st with forwarded = bid :: !st.forwarded };
-                  List.iter
+                  Array.iter
                     (fun w -> send := (w, Res (bid, arr)) :: !send)
                     intra.(v)
                 end
@@ -219,15 +219,15 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
         (* BFS announcements *)
         if r <= b && st0.depth >= 0 && not st0.announced then begin
           st := { st0 with announced = true };
-          List.iter
+          Array.iter
             (fun w -> send := (w, BDepth !st.depth) :: !send)
             intra.(v)
         end;
         let st1 = !st in
         (* degree exchange *)
         if r = b + 1 then
-          List.iter
-            (fun w -> send := (w, Deg (List.length intra.(v))) :: !send)
+          Array.iter
+            (fun w -> send := (w, Deg (Array.length intra.(v))) :: !send)
             intra.(v);
         (* power-iteration neighbor exchange / local W application: round
            r is an exchange round iff r = power_start k for some k *)
@@ -241,11 +241,11 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
         in
         (match power_k_of_round r with
         | Some _ ->
-            List.iter (fun w -> send := (w, Xval st1.x) :: !send) intra.(v)
+            Array.iter (fun w -> send := (w, Xval st1.x) :: !send) intra.(v)
         | None -> ());
         (match power_k_of_round (r - 1) with
         | Some _ ->
-            let d = float_of_int (List.length intra.(v)) in
+            let d = float_of_int (Array.length intra.(v)) in
             if d > 0. then begin
               let sum = ref 0. in
               List.iter
@@ -268,7 +268,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
         (* y / depth exchange for the candidate evaluations *)
         if r = yexch_round then begin
           let stc = !st in
-          List.iter
+          Array.iter
             (fun w -> send := (w, Yval (stc.y, stc.depth)) :: !send)
             intra.(v)
         end;
@@ -308,7 +308,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
                    { stc with results = (bid, acc) :: stc.results;
                      forwarded = bid :: stc.forwarded };
                  st := absorb_result !st bid acc;
-                 List.iter
+                 Array.iter
                    (fun w -> send := (w, Res (bid, acc)) :: !send)
                    intra.(v)
                end
@@ -341,7 +341,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
           st :=
             { stc with results = (decision_bid, decision) :: stc.results;
               forwarded = decision_bid :: stc.forwarded };
-          List.iter
+          Array.iter
             (fun w -> send := (w, Res (decision_bid, decision)) :: !send)
             intra.(v)
         end;
@@ -374,7 +374,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
   in
   let idb = Bits.id_bits n in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.Congest (12 * idb))
       ~msg_bits:(function
         | BDepth _ | Deg _ -> idb
@@ -389,7 +389,7 @@ let run_level ?exec (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
 (* Level orchestration (centralized glue: relabeling only)              *)
 (* ------------------------------------------------------------------ *)
 
-let decompose ?(params = default_params) ?exec g ~epsilon =
+let decompose ?(params = default_params) g ~epsilon =
   if epsilon <= 0. || epsilon >= 1. then
     invalid_arg "Distributed_decomposition.decompose: need 0 < epsilon < 1";
   Obs.Span.with_ "distr.decompose" @@ fun () ->
@@ -441,7 +441,7 @@ let decompose ?(params = default_params) ?exec g ~epsilon =
       end
     in
     let states, stats =
-      run_level ?exec view ~leader_of:leaders.leader_of ~b ~t:t_level
+      run_level view ~leader_of:leaders.leader_of ~b ~t:t_level
         ~c:params.candidates ~tau ~seed:(params.seed + (77 * !levels))
     in
     total_rounds := !total_rounds + stats.Network.rounds;

@@ -52,7 +52,6 @@ val default_params : params
     @raise Invalid_argument unless [0 < epsilon < 1]. *)
 val decompose :
   ?params:params ->
-  ?exec:Congest.Network.exec ->
   Sparse_graph.Graph.t -> epsilon:float -> t
 
 (** [verify g t] — inter-cluster budget and measured minimum cluster

@@ -21,7 +21,7 @@ type state = {
    an edge joins the matching when both endpoints point at each other. The
    globally best live edge is mutual, so every phase makes progress and the
    matching is maximal when no live edge remains. Two rounds per phase. *)
-let run ?exec (view : Cluster_view.t) ?weights ~seed () =
+let run (view : Cluster_view.t) ?weights ~seed () =
   Obs.Span.with_ "distr.greedy_matching" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
@@ -30,10 +30,6 @@ let run ?exec (view : Cluster_view.t) ?weights ~seed () =
     let e = Graph.find_edge g v w in
     let wt = match weights with None -> 1 | Some ws -> Weights.get ws e in
     (wt, e)
-  in
-  let intra =
-    Array.init n (fun v ->
-        List.map (fun w -> (w, key v w)) (Cluster_view.intra_neighbors view v))
   in
   let best live =
     List.fold_left
@@ -44,7 +40,11 @@ let run ?exec (view : Cluster_view.t) ?weights ~seed () =
       None live
   in
   let init (ctx : Network.ctx) =
-    { mate = -1; live_neighbors = intra.(ctx.id); pointed_to = -1 }
+    let v = ctx.id in
+    let live_neighbors =
+      Array.fold_right (fun w acc -> (w, key v w) :: acc) view.intra.(v) []
+    in
+    { mate = -1; live_neighbors; pointed_to = -1 }
   in
   (* An unmatched vertex re-points at its best live neighbor on every odd
      round whether or not anything arrived, so every non-halting step
@@ -85,7 +85,7 @@ let run ?exec (view : Cluster_view.t) ?weights ~seed () =
   in
   let max_rounds = (4 * n) + 8 in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> 2)
       ~init ~round ~max_rounds

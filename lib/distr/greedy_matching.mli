@@ -13,7 +13,6 @@ type result = {
     intra-cluster edges. With [weights] the greedy prefers locally heavier
     edges (locally-heaviest-edge greedy, a 1/2-approximation for MWM). *)
 val run :
-  ?exec:Congest.Network.exec ->
   Cluster_view.t -> ?weights:Sparse_graph.Weights.t -> seed:int -> unit ->
   result
 

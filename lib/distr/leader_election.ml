@@ -16,13 +16,16 @@ type state = {
 
 let better (d1, i1) (d2, i2) = d1 > d2 || (d1 = d2 && i1 > i2)
 
-let run ?exec (view : Cluster_view.t) ~rounds =
+let run (view : Cluster_view.t) ~rounds =
   Obs.Span.with_ "distr.leader_election" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let init (ctx : Network.ctx) =
-    { best_deg = List.length intra.(ctx.id); best_id = ctx.id; changed = true }
+    {
+      best_deg = Cluster_view.intra_degree view ctx.id;
+      best_id = ctx.id;
+      changed = true;
+    }
   in
   let round r (ctx : Network.ctx) st inbox =
     let best =
@@ -38,14 +41,14 @@ let run ?exec (view : Cluster_view.t) ~rounds =
     if r > rounds then Network.step st' ~halt:true
     else begin
       let send =
-        if changed then List.map (fun w -> (w, (bd, bi))) intra.(ctx.id)
+        if changed then Cluster_view.flood view ctx.id (bd, bi)
         else []
       in
       Network.step st' ~send ~wake_after:(rounds + 1 - r)
     end
   in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 2)
       ~init ~round ~max_rounds:(rounds + 1)
@@ -78,14 +81,13 @@ type estate = {
   forwarded : int;  (* newest heartbeat round already forwarded *)
 }
 
-let run_reliable ?faults ?exec ?(patience = 12) (view : Cluster_view.t) ~rounds =
+let run_reliable ?faults ?(patience = 12) (view : Cluster_view.t) ~rounds =
   Obs.Span.with_ "distr.leader_election_reliable" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let init (ctx : Network.ctx) =
     {
-      ebest_deg = List.length intra.(ctx.id);
+      ebest_deg = Cluster_view.intra_degree view ctx.id;
       ebest_id = ctx.id;
       dead = [];
       erel = Reliable.create ();
@@ -94,9 +96,9 @@ let run_reliable ?faults ?exec ?(patience = 12) (view : Cluster_view.t) ~rounds 
     }
   in
   let gossip_all st self (deg, id) =
-    List.fold_left
+    Array.fold_left
       (fun rel dst -> Reliable.send (Reliable.cancel rel ~dst) ~dst (deg, id))
-      st.erel intra.(self)
+      st.erel view.intra.(self)
   in
   let round r (ctx : Network.ctx) st inbox =
     let self = ctx.id in
@@ -138,7 +140,7 @@ let run_reliable ?faults ?exec ?(patience = 12) (view : Cluster_view.t) ~rounds 
        survivor *)
     let st =
       if st.ebest_id <> self && r - st.eheard > patience then
-        let my = (List.length intra.(self), self) in
+        let my = (Cluster_view.intra_degree view self, self) in
         {
           st with
           ebest_deg = fst my;
@@ -159,7 +161,7 @@ let run_reliable ?faults ?exec ?(patience = 12) (view : Cluster_view.t) ~rounds 
        followers forward each newly seen heartbeat once (flood) *)
     let hb_out, st =
       if st.ebest_id = self then
-        (List.map (fun w -> (w, Hb (st.ebest_deg, self, r))) intra.(self), st)
+        (Cluster_view.flood view self (Hb (st.ebest_deg, self, r)), st)
       else begin
         let newest =
           List.fold_left
@@ -167,9 +169,8 @@ let run_reliable ?faults ?exec ?(patience = 12) (view : Cluster_view.t) ~rounds 
             (-1) hbs
         in
         if newest > st.forwarded then
-          ( List.map
-              (fun w -> (w, Hb (st.ebest_deg, st.ebest_id, newest)))
-              intra.(self),
+          ( Cluster_view.flood view self
+              (Hb (st.ebest_deg, st.ebest_id, newest)),
             { st with forwarded = newest } )
         else ([], st)
       end
@@ -186,7 +187,7 @@ let run_reliable ?faults ?exec ?(patience = 12) (view : Cluster_view.t) ~rounds 
       ~halt:(r > rounds) ~wake_after:1
   in
   let states, stats =
-    Network.run ?faults ?exec g
+    Network.run ?faults g
       ~bandwidth:(Network.congest_bandwidth ~c:16 n)
       ~msg_bits:(fun m ->
         match m with

@@ -16,7 +16,7 @@ type result = {
 (** [run view ~rounds] executes the election for [rounds] rounds in CONGEST
     mode. Use [rounds >= diameter(G[V_i])] for correctness (Theorem 2.6 uses
     [O(phi^-1 log n)]). *)
-val run : ?exec:Congest.Network.exec -> Cluster_view.t -> rounds:int -> result
+val run : Cluster_view.t -> rounds:int -> result
 
 (** Retry-hardened variant for the fault model of {!Congest.Faults}:
     candidate gossip goes through the {!Reliable} ack/retry/backoff
@@ -29,7 +29,6 @@ val run : ?exec:Congest.Network.exec -> Cluster_view.t -> rounds:int -> result
     CONGEST with a [16 log n]-bit budget (heartbeat + retry framing). *)
 val run_reliable :
   ?faults:Congest.Faults.t ->
-  ?exec:Congest.Network.exec ->
   ?patience:int ->
   Cluster_view.t -> rounds:int -> result
 

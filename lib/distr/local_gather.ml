@@ -23,16 +23,16 @@ type state = {
   collected : (int * int) list;      (* leader only *)
 }
 
-let run ?exec (view : Cluster_view.t) ~leader_of ~rounds_budget =
+let run (view : Cluster_view.t) ~leader_of ~rounds_budget =
   Obs.Span.with_ "distr.local_gather" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   (* each vertex contributes its intra-cluster edges to larger neighbors *)
   let own_edges =
     Array.init n (fun v ->
-        List.filter_map (fun w -> if w > v then Some (v, w) else None)
-          intra.(v))
+        Array.fold_right
+          (fun w acc -> if w > v then (v, w) :: acc else acc)
+          view.intra.(v) [])
   in
   let init (ctx : Network.ctx) =
     let v = ctx.id in
@@ -89,7 +89,9 @@ let run ?exec (view : Cluster_view.t) ~leader_of ~rounds_budget =
       let send = ref [] in
       (match announce with
       | Some depth ->
-          List.iter (fun w -> send := (w, Depth depth) :: !send) intra.(v);
+          Array.iter
+            (fun w -> send := (w, Depth depth) :: !send)
+            view.intra.(v);
           if st.parent >= 0 && st.parent <> v then
             send := (st.parent, Child) :: !send
       | None -> ());
@@ -122,7 +124,7 @@ let run ?exec (view : Cluster_view.t) ~leader_of ~rounds_budget =
   in
   let idb = Bits.id_bits n in
   let states, stats =
-    Network.run ?exec g ~bandwidth:Network.Local
+    Network.run g ~bandwidth:Network.Local
       ~msg_bits:(function
         | Depth _ -> idb
         | Child -> 1

@@ -23,7 +23,6 @@ type result = {
     its leader with unbounded messages. [rounds_budget] must be at least
     2 * cluster diameter + 3. *)
 val run :
-  ?exec:Congest.Network.exec ->
   Cluster_view.t -> leader_of:int array -> rounds_budget:int -> result
 
 (** Every leader learned exactly its cluster's edge set. *)

@@ -19,17 +19,16 @@ type state = {
 
 type msg = Draw of int | Joined | Died
 
-let run ?exec (view : Cluster_view.t) ~seed =
+let run (view : Cluster_view.t) ~seed =
   Obs.Span.with_ "distr.luby_mis" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let init (ctx : Network.ctx) =
     {
       rng = Random.State.make [| seed; ctx.id; 104729 |];
       status = Live;
       draw = 0;
-      live_neighbors = intra.(ctx.id);
+      live_neighbors = Array.to_list view.intra.(ctx.id);
       phase = 0;
     }
   in
@@ -85,7 +84,7 @@ let run ?exec (view : Cluster_view.t) ~seed =
   in
   let max_rounds = 8 * (int_of_float (log (float_of_int (max 2 n)) /. log 2.) + 4) in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(function Draw _ -> 2 * Bits.id_bits n | Joined | Died -> 2)
       ~init ~round ~max_rounds
@@ -109,9 +108,7 @@ let check (view : Cluster_view.t) (result : result) =
   for v = 0 to Graph.n g - 1 do
     if not result.in_mis.(v) then begin
       let dominated =
-        List.exists
-          (fun w -> result.in_mis.(w))
-          (Cluster_view.intra_neighbors view v)
+        Array.exists (fun w -> result.in_mis.(w)) view.intra.(v)
       in
       if not dominated then ok := false
     end

@@ -13,7 +13,7 @@ type result = {
   stats : Congest.Network.stats;
 }
 
-val run : ?exec:Congest.Network.exec -> Cluster_view.t -> seed:int -> result
+val run : Cluster_view.t -> seed:int -> result
 
 (** The result is independent and maximal with respect to intra-cluster
     edges. *)

@@ -12,12 +12,11 @@ type state = {
   start : int;      (* round at which this vertex's own flood starts *)
 }
 
-let run ?exec (view : Cluster_view.t) ~beta ~seed =
+let run (view : Cluster_view.t) ~beta ~seed =
   if beta <= 0. then invalid_arg "Mpx_clustering.run: beta must be > 0";
   Obs.Span.with_ "distr.mpx_clustering" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let st = Random.State.make [| seed; 15331 |] in
   let delta =
     Array.init n (fun _ ->
@@ -50,8 +49,10 @@ let run ?exec (view : Cluster_view.t) ~beta ~seed =
     if st.fresh then
       Network.step
         { st with fresh = false }
-        ~send:(List.map (fun w -> (w, st.owner)) intra.(v))
-    else if (st.owner >= 0 && r > horizon) || intra.(v) = [] then
+        ~send:(Cluster_view.flood view v st.owner)
+    else if
+      (st.owner >= 0 && r > horizon) || Cluster_view.intra_degree view v = 0
+    then
       Network.step st ~halt:true
     else if st.owner < 0 && st.start > r then
       (* event-driven: an unclaimed vertex sleeps until a flood reaches it
@@ -60,7 +61,7 @@ let run ?exec (view : Cluster_view.t) ~beta ~seed =
     else Network.step st
   in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 1)
       ~init ~round ~max_rounds:horizon

@@ -16,5 +16,4 @@ type result = {
 (** [run view ~beta ~seed]. Operates within clusters of [view] (pass
     {!Cluster_view.whole} for the full graph).
     @raise Invalid_argument unless [beta > 0]. *)
-val run :
-  ?exec:Congest.Network.exec -> Cluster_view.t -> beta:float -> seed:int -> result
+val run : Cluster_view.t -> beta:float -> seed:int -> result

@@ -17,14 +17,17 @@ type state = {
   notified : bool;
 }
 
-let run ?exec (view : Cluster_view.t) ~density ?(delta = 0.5) () =
+let run (view : Cluster_view.t) ~density ?(delta = 0.5) () =
   Obs.Span.with_ "distr.orientation" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
   let threshold = bound ~density ~delta in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let init (ctx : Network.ctx) =
-    { active_neighbors = intra.(ctx.id); peel_phase = -1; notified = false }
+    {
+      active_neighbors = Array.to_list view.intra.(ctx.id);
+      peel_phase = -1;
+      notified = false;
+    }
   in
   (* Each phase is one round: a vertex whose active degree is at most the
      threshold peels, announcing its phase; announcements received this
@@ -44,7 +47,7 @@ let run ?exec (view : Cluster_view.t) ~density ?(delta = 0.5) () =
       let st = { st with peel_phase = r; notified = true } in
       (* wake once more to halt after the notifications settle *)
       Network.step st
-        ~send:(List.map (fun w -> (w, r)) intra.(_ctx.id))
+        ~send:(Cluster_view.flood view _ctx.id r)
         ~wake_after:1
     end
     else
@@ -54,7 +57,7 @@ let run ?exec (view : Cluster_view.t) ~density ?(delta = 0.5) () =
   in
   let max_rounds = (2 * n) + 4 in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(fun _ -> Bits.words n 1)
       ~init ~round ~max_rounds

@@ -21,7 +21,6 @@ type result = {
 (** [run view ~density ?delta ()] orients all intra-cluster edges. [delta]
     defaults to [0.5], giving out-degree at most [ceil(3 * density)]. *)
 val run :
-  ?exec:Congest.Network.exec ->
   Cluster_view.t -> density:float -> ?delta:float -> unit -> result
 
 (** The out-degree bound the orientation guarantees. *)

@@ -18,13 +18,16 @@ type state = {
   announced : bool;
 }
 
-let run ?exec (view : Cluster_view.t) ~max_iterations =
+let run (view : Cluster_view.t) ~max_iterations =
   Obs.Span.with_ "distr.star_elimination" @@ fun () ->
   let g = view.graph in
   let n = Sparse_graph.Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let init (ctx : Network.ctx) =
-    { live = intra.(ctx.id); removed = false; announced = false }
+    {
+      live = Array.to_list view.intra.(ctx.id);
+      removed = false;
+      announced = false;
+    }
   in
   let total_rounds = 3 * max_iterations in
   let round r (_ctx : Network.ctx) st inbox =
@@ -120,7 +123,7 @@ let run ?exec (view : Cluster_view.t) ~max_iterations =
     end
   in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(function
         | Pendant | Bounce | Gone -> 2
@@ -138,9 +141,9 @@ let check (view : Cluster_view.t) (result : result) =
   let n = Sparse_graph.Graph.n g in
   (* surviving intra-cluster degrees *)
   let live_neighbors v =
-    List.filter
-      (fun w -> not result.removed.(w))
-      (Cluster_view.intra_neighbors view v)
+    Array.fold_right
+      (fun w acc -> if result.removed.(w) then acc else w :: acc)
+      view.intra.(v) []
   in
   let ok = ref true in
   (* no 2-star: no survivor has two surviving pendant neighbors *)

@@ -20,8 +20,7 @@ type result = {
 
 (** [run view ~max_iterations] executes the protocol over intra-cluster
     edges. [max_iterations] caps the cycles (n is always enough). *)
-val run :
-  ?exec:Congest.Network.exec -> Cluster_view.t -> max_iterations:int -> result
+val run : Cluster_view.t -> max_iterations:int -> result
 
 (** The surviving subgraph contains no 2-star and no 3-double-star. *)
 val check : Cluster_view.t -> result -> bool

@@ -19,11 +19,10 @@ type state = {
   absorbed : Walk_routing.token list;
 }
 
-let run ?exec (view : Cluster_view.t) ~leader_of ~tokens_of ~max_rounds =
+let run (view : Cluster_view.t) ~leader_of ~tokens_of ~max_rounds =
   Obs.Span.with_ "distr.tree_routing" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let intra = Array.init n (fun v -> Cluster_view.intra_neighbors view v) in
   let budget =
     match Network.congest_bandwidth n with
     | Network.Congest b -> b
@@ -60,7 +59,9 @@ let run ?exec (view : Cluster_view.t) ~leader_of ~tokens_of ~max_rounds =
     let send = ref [] in
     let st =
       if st.parent >= 0 && not st.announced then begin
-        List.iter (fun w -> send := (w, BDepth st.depth) :: !send) intra.(v);
+        Array.iter
+          (fun w -> send := (w, BDepth st.depth) :: !send)
+          view.intra.(v);
         { st with announced = true }
       end
       else st
@@ -87,7 +88,7 @@ let run ?exec (view : Cluster_view.t) ~leader_of ~tokens_of ~max_rounds =
          else None)
   in
   let states, stats =
-    Network.run ?exec g
+    Network.run g
       ~bandwidth:(Network.congest_bandwidth n)
       ~msg_bits:(function BDepth _ -> Bits.id_bits n | Tok _ -> token_bits)
       ~init ~round ~max_rounds

@@ -24,7 +24,6 @@ type result = {
     whose cluster is disconnected from its leader keep their tokens
     (counted in [undelivered]). *)
 val run :
-  ?exec:Congest.Network.exec ->
   Cluster_view.t ->
   leader_of:int array ->
   tokens_of:(int -> int) ->

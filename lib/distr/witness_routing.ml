@@ -17,8 +17,7 @@ open Congest
    as the bandwidth budget admits, costing one framing word plus two
    words (demand id, position) per token — cheaper per token than the
    old one-token-per-message wave, so batches drain in fewer rounds.
-   Single-token flights still bit-pack into the simulator's arena
-   payload word via the codec; wider flights ride the boxed spill.
+   The simulator's arenas hold each flight as the int array itself.
    Deterministic: no RNG, inbox order is the simulator's
    sender-ascending contract, tokens within a flight stay in queue
    order. *)
@@ -42,15 +41,6 @@ type state = {
 
 let token_words = 2 (* demand id, path position *)
 let flight_hdr_words = 1 (* token count / framing *)
-
-(* flights: ordered token batches, one message per edge per round. A
-   one-token flight packs immediate (tokens are non-negative); anything
-   wider escapes to the boxed spill. *)
-let flight_codec : int array Network.codec =
-  {
-    pack = (fun fl -> if Array.length fl = 1 then fl.(0) else -1);
-    unpack = (fun x -> [| x |]);
-  }
 
 (* index of [w] in the sorted CSR row [row], by binary search *)
 (* lint: hot *)
@@ -76,6 +66,11 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
   for d = demands - 1 downto 0 do
     let p = plans.(d) in
     if Array.length p = 0 then invalid_arg "Witness_routing: empty plan";
+    if p.(0) < 0 || p.(0) >= n then
+      invalid_arg
+        (Printf.sprintf
+           "Witness_routing: demand %d starts at vertex %d, outside [0, %d)" d
+           p.(0) n);
     starts.(p.(0)) <- d :: starts.(p.(0))
   done;
   let budget =
@@ -150,8 +145,7 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
   let states, stats =
     Network.run ?exec ?faults g
       ~bandwidth:(Network.congest_bandwidth n)
-      ~msg_bits:flight_bits
-      ~codec:flight_codec ~init ~round ~max_rounds
+      ~msg_bits:flight_bits ~init ~round ~max_rounds
   in
   let rounds_of = Array.make demands (-1) in
   let delivered = ref [] in

@@ -38,7 +38,8 @@ type result = {
     [plans.(d)] is demand [d]'s vertex path — source first, destination
     last; consecutive entries must be edges of [g] (a length-1 plan is a
     self-demand, delivered at init).
-    @raise Invalid_argument on an empty plan or a non-edge step. *)
+    @raise Invalid_argument on an empty plan, a plan whose first vertex
+    lies outside [[0, n)], or a non-edge step. *)
 val run :
   ?exec:Congest.Network.exec ->
   ?faults:Congest.Faults.t ->

@@ -21,13 +21,13 @@ let diam_bound (view : Cluster_view.t) =
     Queue.add v queue;
     while not (Queue.is_empty queue) do
       let u = Queue.pop queue in
-      List.iter
+      Array.iter
         (fun w ->
           if dist.(w) < 0 then begin
             dist.(w) <- dist.(u) + 1;
             Queue.add w queue
           end)
-        (Cluster_view.intra_neighbors view u)
+        view.intra.(u)
     done;
     Array.iter (fun d -> if d > !best then best := d) dist
   done;

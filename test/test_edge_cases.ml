@@ -59,9 +59,8 @@ let test_cluster_view_accessors () =
   let labels = Array.init 8 (fun v -> if v mod 4 < 2 then 0 else 1) in
   let view = Distr.Cluster_view.of_labels g labels in
   check "intra degree corner" 2 (Distr.Cluster_view.intra_degree view 0);
-  Alcotest.(check (list int)) "members" [ 0; 1; 4; 5 ]
-    (Distr.Cluster_view.members view 0);
-  check "cluster edges" 4 (Distr.Cluster_view.cluster_edges view 0);
+  Alcotest.(check (list (pair int int))) "flood" [ (1, 7); (4, 7) ]
+    (Distr.Cluster_view.flood view 0 7);
   Alcotest.check_raises "bad labels"
     (Invalid_argument "Cluster_view.of_labels: label array length mismatch")
     (fun () -> ignore (Distr.Cluster_view.of_labels g [| 0 |]))

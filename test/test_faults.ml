@@ -224,7 +224,7 @@ let test_duplication_last_traffic () =
   let _, sh_stats =
     Network.run ~faults:(faults ()) g
       ~exec:(Network.Sharded { shards = 2; pool })
-      ~codec:Network.int_codec ~bandwidth:Network.Local
+      ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
       ~round ~max_rounds:10

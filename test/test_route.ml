@@ -217,6 +217,21 @@ let test_self_demands_and_degenerate () =
   checki "no congestion from a self-demand beyond the real hop" 1
     r.Route.Service.planner.Route.Service.congestion_max
 
+let test_plan_start_out_of_range () =
+  (* a plan that starts off the graph is rejected at the boundary, naming
+     the demand and the vertex *)
+  let g = Generators.path 4 in
+  List.iter
+    (fun (plans, msg) ->
+      Alcotest.check_raises "bad start" (Invalid_argument msg) (fun () ->
+          ignore (Distr.Witness_routing.run g ~plans ~max_rounds:10)))
+    [
+      ( [| [| 0; 1 |]; [| 4; 3 |] |],
+        "Witness_routing: demand 1 starts at vertex 4, outside [0, 4)" );
+      ( [| [| -1 |] |],
+        "Witness_routing: demand 0 starts at vertex -1, outside [0, 4)" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Walk router: delivery order regression (fixed seed golden)          *)
 (* ------------------------------------------------------------------ *)
@@ -419,6 +434,7 @@ let () =
           tc "matches planner at all shards x jobs"
             test_congest_matches_planner_all_points;
           tc "self-demands and leaves" test_self_demands_and_degenerate;
+          tc "plan start out of range" test_plan_start_out_of_range;
         ] );
       ( "walk router", [ tc "delivery order golden" test_walk_order_golden ] );
       ( "conservation",

@@ -76,6 +76,16 @@ let chaos_wake_everyone r ctx st inbox =
   let s = chaos_round r ctx st inbox in
   if s.Network.halt then s else { s with Network.wake_after = Some 1 }
 
+(* the chaos protocol with every message wrapped in a boxed value, so the
+   arenas carry pointers rather than immediates; the states stay ints and
+   compare directly against the plain run *)
+type boxed = { payload : int }
+
+let boxed_round round r ctx st inbox =
+  let s = round r ctx st (List.map (fun (u, b) -> (u, b.payload)) inbox) in
+  let send = List.map (fun (w, m) -> (w, { payload = m })) s.Network.send in
+  { s with Network.send }
+
 (* worker pools shared by the sharded runs below; created on first use *)
 let shard_pool1 = lazy (Parallel.Pool.create ~jobs:1 ())
 let shard_pool4 = lazy (Parallel.Pool.create ~jobs:4 ())
@@ -100,19 +110,16 @@ let run_chaos ?faults ~how g =
         ~msg_bits:(fun _ -> Bits.id_bits n)
         ~init:chaos_init ~round:chaos_round
         ~max_rounds:(chaos_budget + 2)
-  | `Sharded (wake_everyone, shards, jobs, packed) ->
-      (* chaos messages are small non-negative ints, so both codecs are
-         exact; the boxed one exercises the wide-spill path *)
-      let codec =
-        if packed then Network.int_codec else Network.boxed_codec ()
-      in
-      Network.run ?faults
-        ~exec:(Network.Sharded { shards; pool = shard_pool jobs })
-        ~codec g ~bandwidth:Network.Local
-        ~msg_bits:(fun _ -> Bits.id_bits n)
-        ~init:chaos_init
-        ~round:(if wake_everyone then chaos_wake_everyone else chaos_round)
-        ~max_rounds:(chaos_budget + 2)
+  | `Sharded (wake_everyone, shards, jobs, boxed) ->
+      let exec = Network.Sharded { shards; pool = shard_pool jobs } in
+      let round = if wake_everyone then chaos_wake_everyone else chaos_round in
+      let msg_bits _ = Bits.id_bits n and max_rounds = chaos_budget + 2 in
+      if boxed then
+        Network.run ?faults ~exec g ~bandwidth:Network.Local ~msg_bits
+          ~init:chaos_init ~round:(boxed_round round) ~max_rounds
+      else
+        Network.run ?faults ~exec g ~bandwidth:Network.Local ~msg_bits
+          ~init:chaos_init ~round ~max_rounds
 
 (* ------------------------------------------------------------------ *)
 (* Pinned unit regressions                                             *)
@@ -401,8 +408,7 @@ let wake_crash_harness ~crashes how =
   let run exec =
     log := [];
     let _, st =
-      Network.run g ~faults ?exec ~codec:Network.int_codec
-        ~bandwidth:Network.Local
+      Network.run g ~faults ?exec ~bandwidth:Network.Local
         ~msg_bits:(fun _ -> 1)
         ~init:(fun _ -> ())
         ~round ~max_rounds:20
@@ -495,7 +501,7 @@ let test_fast_forwarded_wake_traffic () =
   let _, sh_stats =
     Network.run g
       ~exec:(Network.Sharded { shards = 2; pool = shard_pool 4 })
-      ~codec:Network.int_codec ~bandwidth:Network.Local
+      ~bandwidth:Network.Local
       ~msg_bits:(fun _ -> 1)
       ~init:(fun _ -> ())
       ~round ~max_rounds:20
@@ -539,7 +545,6 @@ let inbox_shrink_harness ?(late_burst = false) shards =
       ignore
         (Network.run g
            ~exec:(Network.Sharded { shards; pool = shard_pool 4 })
-           ~codec:Network.int_codec
            ~bandwidth:Network.Local
            ~msg_bits:(fun _ -> 1)
            ~init:(fun _ -> 0)
@@ -675,52 +680,53 @@ let equiv_across_pool_sizes =
       = Parallel.Pool.map_list (Lazy.force pool4) task seeds)
 
 (* shard-grid configurations: shard counts around and above the vertex
-   counts the graph generator produces, both pool sizes, both codecs *)
+   counts the graph generator produces, both pool sizes, and messages as
+   plain ints or boxed values *)
 let sharded_conf_gen =
   let open QCheck.Gen in
   oneofl [ 1; 2; 3; 5 ] >>= fun shards ->
   oneofl [ 1; 4 ] >>= fun jobs ->
-  bool >>= fun packed -> return (shards, jobs, packed)
+  bool >>= fun boxed -> return (shards, jobs, boxed)
 
 let sharded_arb =
   QCheck.make
-    ~print:(fun ((name, _), (shards, jobs, packed)) ->
-      Printf.sprintf "%s shards=%d jobs=%d packed=%b" name shards jobs packed)
+    ~print:(fun ((name, _), (shards, jobs, boxed)) ->
+      Printf.sprintf "%s shards=%d jobs=%d boxed=%b" name shards jobs boxed)
     QCheck.Gen.(pair graph_gen sharded_conf_gen)
 
 let sharded_fault_arb =
   QCheck.make
-    ~print:(fun ((name, _, _), (shards, jobs, packed)) ->
-      Printf.sprintf "%s shards=%d jobs=%d packed=%b" name shards jobs packed)
+    ~print:(fun ((name, _, _), (shards, jobs, boxed)) ->
+      Printf.sprintf "%s shards=%d jobs=%d boxed=%b" name shards jobs boxed)
     QCheck.Gen.(pair fault_gen sharded_conf_gen)
 
 let equiv_sharded_fault_free =
   QCheck.Test.make ~name:"sharded = reference (fault-free)" ~count:40
-    sharded_arb (fun ((_, g), (shards, jobs, packed)) ->
+    sharded_arb (fun ((_, g), (shards, jobs, boxed)) ->
       let s_ref, st_ref = run_chaos ~how:`Reference g in
       let s_sh, st_sh =
-        run_chaos ~how:(`Sharded (false, shards, jobs, packed)) g
+        run_chaos ~how:(`Sharded (false, shards, jobs, boxed)) g
       in
       s_ref = s_sh && st_ref = st_sh)
 
 let equiv_sharded_under_faults =
   QCheck.Test.make ~name:"sharded = reference (fixed fault seed)" ~count:40
-    sharded_fault_arb (fun ((_, g, faults), (shards, jobs, packed)) ->
+    sharded_fault_arb (fun ((_, g, faults), (shards, jobs, boxed)) ->
       let s_ref, st_ref = run_chaos ~faults ~how:`Reference g in
       let s_sh, st_sh =
         run_chaos ~faults
-          ~how:(`Sharded (false, shards, jobs, packed))
+          ~how:(`Sharded (false, shards, jobs, boxed))
           g
       in
       s_ref = s_sh && st_ref = st_sh)
 
 let equiv_sharded_every_round =
   QCheck.Test.make ~name:"sharded Every_round = reference (faulty)" ~count:20
-    sharded_fault_arb (fun ((_, g, faults), (shards, jobs, packed)) ->
+    sharded_fault_arb (fun ((_, g, faults), (shards, jobs, boxed)) ->
       let s_ref, st_ref = run_chaos ~faults ~how:`Reference g in
       let s_sh, st_sh =
         run_chaos ~faults
-          ~how:(`Sharded (true, shards, jobs, packed))
+          ~how:(`Sharded (true, shards, jobs, boxed))
           g
       in
       s_ref = s_sh && st_ref = st_sh)
