@@ -12,7 +12,7 @@
        (* lint: allow D003 timing harness *)
    — or by an entry in the checked-in baseline file (grandfathered
    findings; see --write-baseline). Hot-path roots for the A001
-   allocation rule are declared the same way:
+   allocation and A002 comparison rules are declared the same way:
        (* lint: hot *)
 
    The linter eats its own cooking: --jobs N fans file loading and the

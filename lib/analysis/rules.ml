@@ -9,6 +9,7 @@ let all : Rule.t list =
     Rules_races.p002;
     Rules_races.p003;
     Rules_alloc.a001;
+    Rules_alloc.a002;
     Rules_hygiene.h001;
     Rules_hygiene.s001;
   ]

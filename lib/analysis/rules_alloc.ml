@@ -1,4 +1,8 @@
-(* A001: allocation on a hot path. A binding marked [(* lint: hot *)] is
+(* Hot-path rules: A001, allocation on a hot path, and A002, polymorphic
+   comparison on a hot path or in a loop body (its own header is further
+   down). Both walk the same hot reach.
+
+   A001. A binding marked [(* lint: hot *)] is
    a per-event / per-message inner-loop function: the sharded simulator's
    step and push helpers, the arena growth helper, the Team barrier.
    The PR-5/6 performance claims assume these paths allocate nothing per
@@ -104,6 +108,10 @@ let rec is_static_const (e : expression) =
   | Pexp_variant (_, Some arg) -> is_static_const arg
   | _ -> false
 
+(* the stdlib's polymorphic comparison functions: without a known
+   operand type each call goes through the C comparator *)
+let poly_cmp_names = [ "compare"; "min"; "max" ]
+
 (* strip a definition's own leading fun shell: building that closure is a
    per-definition cost, not a per-call one *)
 let rec strip_fun_shell (e : expression) =
@@ -111,10 +119,11 @@ let rec strip_fun_shell (e : expression) =
   | Pexp_fun (_, _, _, body) -> strip_fun_shell body
   | _ -> Ast_scan.peel e
 
-type alloc = { loc : Location.t; what : string }
+type site = { loc : Location.t; what : string }
 
 type scan_state = {
-  allocs : alloc list ref;
+  allocs : site list ref;
+  cmps : site list ref;  (* bare or [Stdlib.] compare / min / max (A002) *)
   paths : string list list ref;  (* identifier paths seen OUTSIDE exempt
                                     subtrees, for the transitive chase *)
   arity_of : string list -> (string * int) option;
@@ -233,7 +242,13 @@ let rec scan st (e : expression) =
   | Pexp_newtype (_, inner) | Pexp_open (_, inner) -> scan st inner
   | Pexp_letmodule (_, _, body) | Pexp_letexception (_, body) ->
       scan st body
-  | Pexp_ident { txt; _ } -> st.paths := Longident.flatten txt :: !(st.paths)
+  | Pexp_ident { txt; _ } ->
+      let comps = Longident.flatten txt in
+      (match comps with
+      | [ op ] | [ "Stdlib"; op ] when List.mem op poly_cmp_names ->
+          st.cmps := { loc = e.pexp_loc; what = op } :: !(st.cmps)
+      | _ -> ());
+      st.paths := comps :: !(st.paths)
   | Pexp_constant _ | Pexp_construct (_, None) | Pexp_variant (_, None)
   | Pexp_unreachable | Pexp_extension _ ->
       ()
@@ -298,31 +313,15 @@ let hot_roots_of_source (src : Source.t) str =
   it.structure it str;
   List.rev !acc
 
-let a001_check ctx =
+let new_scan_state arity_of =
+  { allocs = ref []; cmps = ref []; paths = ref []; arity_of }
+
+(* Walk every hot root and, transitively, every project function it
+   references outside exempt subtrees; [visit ~root ~module_name st]
+   receives the scan of each body reached, once per root. *)
+let iter_hot_reach ctx visit =
   let project = ctx.Rule.project in
   let graph = ctx.Rule.graph in
-  let findings = ref [] in
-  let reported = ref SSet.empty in
-  let emit ~root (a : alloc) =
-    let key =
-      Printf.sprintf "%s:%d:%d:%s" a.loc.Location.loc_start.Lexing.pos_fname
-        a.loc.Location.loc_start.Lexing.pos_lnum
-        (a.loc.Location.loc_start.Lexing.pos_cnum
-        - a.loc.Location.loc_start.Lexing.pos_bol)
-        a.what
-    in
-    if not (SSet.mem key !reported) then begin
-      reported := SSet.add key !reported;
-      findings :=
-        Finding.v ~rule:"A001" ~severity:Finding.Warning ~loc:a.loc
-          (Printf.sprintf
-             "%s on the hot path rooted at '%s'; hot functions must not \
-              allocate per call — hoist the value, reuse a preallocated \
-              buffer, or drop the hot marker if the cost is intended"
-             a.what root)
-        :: !findings
-    end
-  in
   let arity_for module_name comps =
     match Project.resolve project ~current_module:module_name comps with
     | None -> None
@@ -338,18 +337,10 @@ let a001_check ctx =
             if required > 0 then Some (q, required) else None
         | None -> None)
   in
-  (* transitive chase across project functions, attributed to [root];
-     only references seen outside exempt subtrees are followed *)
   let rec chase ~root ~visited ~module_name body =
-    let st =
-      {
-        allocs = ref [];
-        paths = ref [];
-        arity_of = arity_for module_name;
-      }
-    in
+    let st = new_scan_state (arity_for module_name) in
     scan_def_body st body;
-    List.iter (fun a -> emit ~root a) (List.rev !(st.allocs));
+    visit ~root ~module_name st;
     List.iter
       (fun comps ->
         match Project.resolve project ~current_module:module_name comps with
@@ -373,8 +364,42 @@ let a001_check ctx =
             ~module_name:(Source.module_name src)
             vb.pvb_expr)
         (hot_roots_of_source src str))
-    ctx.Rule.sources;
-  List.rev !findings
+    ctx.Rule.sources
+
+(* findings deduplicated by site: a helper reached from several roots,
+   or a loop nested in a loop, is reported once *)
+let site_reporter ~rule =
+  let findings = ref [] in
+  let reported = ref SSet.empty in
+  let emit (site : site) message =
+    let p = site.loc.Location.loc_start in
+    let key =
+      Printf.sprintf "%s:%d:%d:%s" p.Lexing.pos_fname p.Lexing.pos_lnum
+        (p.Lexing.pos_cnum - p.Lexing.pos_bol)
+        site.what
+    in
+    if not (SSet.mem key !reported) then begin
+      reported := SSet.add key !reported;
+      findings :=
+        Finding.v ~rule ~severity:Finding.Warning ~loc:site.loc message
+        :: !findings
+    end
+  in
+  (emit, fun () -> List.rev !findings)
+
+let a001_check ctx =
+  let emit, findings = site_reporter ~rule:"A001" in
+  iter_hot_reach ctx (fun ~root ~module_name:_ st ->
+      List.iter
+        (fun (a : site) ->
+          emit a
+            (Printf.sprintf
+               "%s on the hot path rooted at '%s'; hot functions must not \
+                allocate per call — hoist the value, reuse a preallocated \
+                buffer, or drop the hot marker if the cost is intended"
+               a.what root))
+        (List.rev !(st.allocs)));
+  findings ()
 
 let a001 =
   {
@@ -402,4 +427,96 @@ let a001 =
        array) are legitimate — keep them behind an allow comment naming \
        the amortization argument.";
     check = a001_check;
+  }
+
+(* ------------------------------------------------------------------ *)
+(* A002: polymorphic comparison on a hot path                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A002. Bare or [Stdlib.]-qualified [compare], [min] and [max] are
+   polymorphic: unless the type checker knows the operand type at the
+   call, each use is a call into the C comparator ([caml_compare],
+   [caml_lessequal], ...), and [min] / [max] are out-of-line calls even
+   on ints. The rule flags them in two places: everywhere A001 looks (hot
+   roots and what they reach, with the same error-path exemptions), and
+   in the bodies of [for] / [while] loops of library code (a [while]
+   condition counts; a [for] loop's bounds, evaluated once, do not).
+   Operator comparisons ([<], [=], ...) on unannotated operands are the
+   same cost but invisible to a syntactic rule; those are pinned with
+   type annotations instead. A module's own top-level [compare] / [min] /
+   [max] is not the stdlib's and is skipped. *)
+
+let in_lib (src : Source.t) =
+  String.length src.path >= 4 && String.sub src.path 0 4 = "lib/"
+
+(* every loop body (with its condition, for [while]) in a structure *)
+let loop_bodies str =
+  let acc = ref [] in
+  Ast_scan.iter_expressions_str str (fun e ->
+      match e.pexp_desc with
+      | Pexp_for (_, _, _, _, body) -> acc := body :: !acc
+      | Pexp_while _ -> acc := e :: !acc
+      | _ -> ());
+  List.rev !acc
+
+let a002_check ctx =
+  let graph = ctx.Rule.graph in
+  let emit, findings = site_reporter ~rule:"A002" in
+  let stdlib_cmps ~module_name st =
+    List.filter
+      (fun (c : site) ->
+        Callgraph.find graph (module_name ^ "." ^ c.what) = None)
+      (List.rev !(st.cmps))
+  in
+  let fix what =
+    Printf.sprintf
+      "use Int.%s / Float.%s or a typed comparator, or keep it with a \
+       'lint: allow A002' comment giving the reason"
+      what what
+  in
+  iter_hot_reach ctx (fun ~root ~module_name st ->
+      List.iter
+        (fun (c : site) ->
+          emit c
+            (Printf.sprintf
+               "polymorphic %s on the hot path rooted at '%s'; %s" c.what
+               root (fix c.what)))
+        (stdlib_cmps ~module_name st));
+  List.iter
+    (fun ((src : Source.t), str) ->
+      if in_lib src then
+        List.iter
+          (fun body ->
+            let st = new_scan_state (fun _ -> None) in
+            scan st body;
+            List.iter
+              (fun (c : site) ->
+                emit c
+                  (Printf.sprintf "polymorphic %s in a loop body; %s" c.what
+                     (fix c.what)))
+              (stdlib_cmps ~module_name:(Source.module_name src) st))
+          (loop_bodies str))
+    ctx.Rule.sources;
+  findings ()
+
+let a002 =
+  {
+    Rule.id = "A002";
+    severity = Finding.Warning;
+    scope = Rule.Global;
+    title = "polymorphic comparison on a hot path";
+    doc =
+      "Bare or Stdlib-qualified compare, min and max are polymorphic. \
+       Without flambda, min and max are out-of-line calls whose body runs \
+       the C comparator, and compare is one unless its operand type is \
+       known where it is applied. The rule flags them on hot paths (the \
+       A001 reach: lint: hot roots and the project functions they call, \
+       transitively) and in the bodies of for / while loops in lib/.";
+    fix =
+      "Use the typed function: Int.min, Int.max, Int.compare for ints, \
+       String.compare for strings. Float.min / Float.max treat NaN \
+       differently from Stdlib.min / Stdlib.max, so float and structural \
+       sites keep their comparison behind a 'lint: allow A002' comment \
+       that says why.";
+    check = a002_check;
   }

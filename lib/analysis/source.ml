@@ -17,7 +17,7 @@ type t = {
    style. Two keywords exist:
      lint: allow RULE reason   — suppress RULE here / on the next line
      lint: hot                 — the binding on this (or the next) line is
-                                 a hot-path root for the A001 rule *)
+                                 a hot-path root for A001 and A002 *)
 type marker = Allow of string | Hot
 
 let marker_of_line line =

@@ -18,7 +18,7 @@ type t = {
   suppressions : (int * string) list;
       (** (line, rule id) for each [(* lint: allow RULE reason *)] comment *)
   hot_lines : int list;
-      (** lines carrying a [(* lint: hot *)] marker (A001 roots) *)
+      (** lines carrying a [(* lint: hot *)] marker (A001 / A002 roots) *)
 }
 
 (** Scan [content] for lint comment markers without parsing it. *)

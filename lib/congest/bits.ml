@@ -4,7 +4,7 @@
    would inflate every bandwidth budget derived from it by one word. *)
 let ceil_log2 n =
   let rec go acc x = if x <= 1 then acc else go (acc + 1) ((x + 1) / 2) in
-  go 0 (max n 2)
+  go 0 (Int.max n 2)
 
 let id_bits n = ceil_log2 n
 

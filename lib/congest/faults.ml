@@ -102,13 +102,13 @@ let tables t ~n =
       let tbl : (int * int, int * int) Hashtbl.t = Hashtbl.create 7 in
       List.iter
         (fun (o : outage) ->
-          let key = (min o.u o.v, max o.u o.v) in
+          let key = (Int.min o.u o.v, Int.max o.u o.v) in
           Hashtbl.add tbl key (o.from_round, o.until_round))
         t.outages;
       fun r a b ->
         List.exists
           (fun (lo, hi) -> lo <= r && r <= hi)
-          (Hashtbl.find_all tbl (min a b, max a b))
+          (Hashtbl.find_all tbl (Int.min a b, Int.max a b))
     end
   in
   let event_rounds =

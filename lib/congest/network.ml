@@ -145,6 +145,7 @@ let run_reference ?(faults = Faults.none) g ~bandwidth ~msg_bits ~init ~round
       else begin
         let inbox =
           List.stable_sort
+            (* lint: allow A002 int sender ids: the compiler specializes it *)
             (fun (a, _) (b, _) -> compare a b)
             (List.rev inboxes.(v))
         in
@@ -232,9 +233,11 @@ let run_reference ?(faults = Faults.none) g ~bandwidth ~msg_bits ~init ~round
 (* in-place ascending quicksort of a.(0 .. len-1); entries are distinct
    vertex ids, so partitioning details cannot affect the result. A
    worklist of round-clock vertices arrives already sorted (the step loop
-   queues them in ascending order), so one linear pass settles it *)
+   queues them in ascending order), so one linear pass settles it. The
+   [int array] annotation makes every comparison below an inline integer
+   compare; left polymorphic, each one is a call into the C comparator *)
 (* lint: hot *)
-let sort_prefix a len =
+let sort_prefix (a : int array) len =
   let swap i j =
     let t = a.(i) in
     a.(i) <- a.(j);
@@ -419,7 +422,7 @@ let run ?(faults = Faults.none)
     g ~bandwidth ~msg_bits ~init ~round ~max_rounds =
   let (Sharded { shards; pool }) = exec in
   let n = Graph.n g in
-  let chunk = max 1 ((n + max 1 shards - 1) / max 1 shards) in
+  let chunk = Int.max 1 ((n + Int.max 1 shards - 1) / Int.max 1 shards) in
   let nshards = (n + chunk - 1) / chunk in
   let ctxs =
     Array.init n (fun v ->
@@ -439,8 +442,8 @@ let run ?(faults = Faults.none)
   let shard_tbl =
     Array.init nshards (fun s ->
         let lo = s * chunk in
-        let hi = min n (lo + chunk) in
-        let size = max 1 (hi - lo) in
+        let hi = Int.min n (lo + chunk) in
+        let size = Int.max 1 (hi - lo) in
         {
           sh_lo = lo;
           sh_hi = hi;
@@ -799,7 +802,7 @@ let run ?(faults = Faults.none)
           let m = sh_heap_min shard_tbl.(s) in
           if m < !wake_min then wake_min := m
         done;
-        let cand = min !wake_min (next_fault_round r) in
+        let cand = Int.min !wake_min (next_fault_round r) in
         let target =
           if cand = max_int || cand > max_rounds then max_rounds + 1
           else cand

@@ -107,7 +107,7 @@ let refine g cut ~passes =
       let gain = !cross - !same in
       let new_inside = if side.(v) then !inside - 1 else !inside + 1 in
       let balanced =
-        min new_inside (n - new_inside) >= n / 3
+        Int.min new_inside (n - new_inside) >= n / 3
       in
       if gain > 0 && balanced then begin
         side.(v) <- not side.(v);

@@ -10,7 +10,7 @@ type t = {
    v's same-cluster neighbors in the graph's (ascending) neighbor order.
    Routing batches against one decomposition used to rebuild this O(n+m)
    structure on every call; now they all share the view's copy. *)
-let build_intra graph labels =
+let build_intra graph (labels : int array) =
   let n = Graph.n graph in
   let counts = Array.make n 0 in
   for v = 0 to n - 1 do

@@ -325,7 +325,7 @@ let run_level (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
             | Some res ->
                 let cut = res.(0) /. 2. in
                 let vin = res.(1) in
-                let denom = min vin (vol -. vin) in
+                let denom = min vin (vol -. vin) (* lint: allow A002 floats *) in
                 if denom > 0. then begin
                   let phi = cut /. denom in
                   let fst3 (a, _, _) = a in
@@ -423,7 +423,7 @@ let decompose ?(params = default_params) g ~epsilon =
       else begin
         (* measured max cluster diameter (stand-in for O(phi^-1 log n));
            every cluster is connected, so this is finite *)
-        max 1
+        Int.max 1
           (Graph_ops.max_cluster_diameter (Graph_ops.clusters g !labels !k))
       end
     in
@@ -436,8 +436,8 @@ let decompose ?(params = default_params) g ~epsilon =
             Hashtbl.replace sizes l
               (1 + (try Hashtbl.find sizes l with Not_found -> 0)))
           !labels;
-        let biggest = Hashtbl.fold (fun _ s acc -> max s acc) sizes 1 in
-        min 500 (40 + (2 * biggest))
+        let biggest = Hashtbl.fold (fun _ s acc -> Int.max s acc) sizes 1 in
+        Int.min 500 (40 + (2 * biggest))
       end
     in
     let states, stats =

@@ -14,7 +14,7 @@ type state = {
   changed : bool;
 }
 
-let better (d1, i1) (d2, i2) = d1 > d2 || (d1 = d2 && i1 > i2)
+let better ((d1 : int), (i1 : int)) (d2, i2) = d1 > d2 || (d1 = d2 && i1 > i2)
 
 let run (view : Cluster_view.t) ~rounds =
   Obs.Span.with_ "distr.leader_election" @@ fun () ->

@@ -66,7 +66,7 @@ let run (view : Cluster_view.t) ~max_iterations =
               match live with
               | [ c ] -> [ (c, Pendant) ]
               | [ a; b ] ->
-                  let key = (min a b, max a b) in
+                  let key = (Int.min a b, Int.max a b) in
                   [ (a, Spoke (fst key, snd key)); (b, Spoke (fst key, snd key)) ]
               | _ -> []
             in
@@ -161,7 +161,7 @@ let check (view : Cluster_view.t) (result : result) =
     if not result.removed.(v) then
       match live_neighbors v with
       | [ a; b ] ->
-          let key = (min a b, max a b) in
+          let key = (Int.min a b, Int.max a b) in
           let c = (try Hashtbl.find spokes key with Not_found -> 0) + 1 in
           Hashtbl.replace spokes key c;
           if c >= 3 then ok := false

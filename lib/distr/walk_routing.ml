@@ -14,15 +14,14 @@ type result = {
   stats : Network.stats;
 }
 
-(* a token in flight, held by some vertex; steps is mutated in place so
-   the hot advance loop allocates nothing *)
-type flight = {
-  tok : token;
-  mutable steps : int;  (* lazy steps taken so far *)
-}
+(* Tokens travel as immediate ints: [id * span + steps], where [id] is
+   the token's index in (origin, seq) order — origin [v]'s tokens are ids
+   [first.(v) .. first.(v + 1) - 1] — [steps] counts the lazy steps taken
+   so far, and [span = walk_len + 1]. A step is [tok + 1]; the walk
+   budget is spent once [tok mod span = walk_len]. *)
 
 (* Per-vertex state. [active] holds tokens that walk this round, oldest
-   first; receiving is Queue.add per incoming token, O(|incoming|) — the
+   first; receiving is one push per incoming token, O(|incoming|) — the
    old list-append merge re-walked the whole queue every round, O(q^2)
    total on a hot-spot vertex. [waiting.(j)] parks tokens that sampled a
    move to neighbor slot j (index into the cached intra row) until edge
@@ -30,36 +29,46 @@ type flight = {
    [Hashtbl.create 4] send counter and is allocated once at init. *)
 type state = {
   rng : Random.State.t;
-  active : flight Queue.t;
-  waiting : flight Queue.t array;
-  mutable absorbed_rev : token list;  (* newest first; reversed on extract *)
-  mutable expired : int;              (* walk budget exhausted here *)
-  mutable holding : int;              (* tokens in [active] + [waiting] *)
+  active : Int_fifo.t;
+  waiting : Int_fifo.t array;
+  mutable absorbed_rev : int list;  (* token ids, newest first *)
+  mutable expired : int;            (* walk budget exhausted here *)
+  mutable holding : int;            (* tokens in [active] + [waiting] *)
 }
 
-let token_words = 3 (* origin, seq, step counter *)
+(* declared message size: origin, seq and step counter, the three ids a
+   token carries in the paper's accounting *)
+let token_words = 3
 
 (* one walk step for every token currently active: pop, expire or sample
    (stay -> back of [active], move -> the sampled neighbor's waiting
-   queue). Processes exactly [Queue.length active] tokens, so re-queued
+   queue). Processes exactly the tokens active on entry, so re-queued
    stays are not double-stepped. Returns the number expired. *)
 (* lint: hot *)
-let advance_active st row walk_len =
+let advance_active st row span =
   let deg = Array.length row in
+  let walk_len = span - 1 in
   let expired = ref 0 in
-  let remaining = ref (Queue.length st.active) in
-  while !remaining > 0 do
-    decr remaining;
-    let fl = Queue.pop st.active in
-    if fl.steps >= walk_len then incr expired
+  for _ = 1 to Int_fifo.length st.active do
+    let tok = Int_fifo.pop st.active in
+    if tok mod span >= walk_len then incr expired
     else begin
-      fl.steps <- fl.steps + 1;
       let stay = deg = 0 || Random.State.bool st.rng in
-      if stay then Queue.add fl st.active
-      else Queue.add fl st.waiting.(Random.State.int st.rng deg)
+      if stay then Int_fifo.push st.active (tok + 1)
+      else Int_fifo.push st.waiting.(Random.State.int st.rng deg) (tok + 1)
     end
   done;
   !expired
+
+(* the origin of token [id]: the last vertex [v] with [first.(v) <= id]
+   (vertices without tokens share their successor's offset) *)
+let origin_of (first : int array) id =
+  let lo = ref 0 and hi = ref (Array.length first - 2) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if first.(mid) <= id then lo := mid else hi := mid - 1
+  done;
+  !lo
 
 let run ?exec ?faults (view : Cluster_view.t) ~leader_of ~tokens_of ~walk_len ~seed
     ~max_rounds =
@@ -67,41 +76,61 @@ let run ?exec ?faults (view : Cluster_view.t) ~leader_of ~tokens_of ~walk_len ~s
   let g = view.graph in
   let n = Graph.n g in
   let intra = view.Cluster_view.intra in
+  if walk_len < 0 then
+    invalid_arg
+      (Printf.sprintf "Walk_routing.run: walk_len %d is negative" walk_len);
   let budget =
     match Network.congest_bandwidth n with
     | Network.Congest b -> b
     | Network.Local -> max_int
   in
   let token_bits = Bits.words n token_words in
-  let capacity = max 1 (budget / token_bits) in
-  let total = ref 0 in
+  let capacity = Int.max 1 (budget / token_bits) in
+  (* prefix sums of [tokens_of]: the id range of each origin *)
+  let first = Array.make (n + 1) 0 in
   for v = 0 to n - 1 do
-    total := !total + tokens_of v
+    let k = tokens_of v in
+    if k < 0 then
+      invalid_arg
+        (Printf.sprintf "Walk_routing.run: tokens_of %d is %d, negative" v k);
+    if k > max_int - first.(v) then
+      invalid_arg
+        (Printf.sprintf
+           "Walk_routing.run: token total overflows max_int at vertex %d \
+            (tokens_of %d = %d)"
+           v v k);
+    first.(v + 1) <- first.(v) + k
   done;
-  let total = !total in
+  let total = first.(n) in
+  if total > 0 && walk_len >= max_int / total then
+    invalid_arg
+      (Printf.sprintf
+         "Walk_routing.run: %d tokens x (walk_len %d + 1) overflows max_int"
+         total walk_len);
+  let span = walk_len + 1 in
   let init (ctx : Network.ctx) =
     let rng = Random.State.make [| seed; ctx.id; 7919 |] in
     let deg = Array.length intra.(ctx.id) in
     let st =
       {
         rng;
-        active = Queue.create ();
-        waiting = Array.init deg (fun _ -> Queue.create ());
+        active = Int_fifo.create ();
+        waiting = Array.init deg (fun _ -> Int_fifo.create ());
         absorbed_rev = [];
         expired = 0;
         holding = 0;
       }
     in
-    let k = tokens_of ctx.id in
+    let lo = first.(ctx.id) and hi = first.(ctx.id + 1) in
     if leader_of.(ctx.id) = ctx.id then
       (* the leader's own tokens are already delivered; prepended in
          ascending seq so the final reversal lists them in seq order *)
-      for seq = 0 to k - 1 do
-        st.absorbed_rev <- { origin = ctx.id; seq } :: st.absorbed_rev
+      for id = lo to hi - 1 do
+        st.absorbed_rev <- id :: st.absorbed_rev
       done
     else
-      for seq = 0 to k - 1 do
-        Queue.add { tok = { origin = ctx.id; seq }; steps = 0 } st.active;
+      for id = lo to hi - 1 do
+        Int_fifo.push st.active (id * span);
         st.holding <- st.holding + 1
       done;
     st
@@ -111,28 +140,28 @@ let run ?exec ?faults (view : Cluster_view.t) ~leader_of ~tokens_of ~walk_len ~s
     (* receive tokens in inbox (sender-ascending) order; leader absorbs *)
     if leader_of.(v) = v then
       List.iter
-        (fun (_, fl) -> st.absorbed_rev <- fl.tok :: st.absorbed_rev)
+        (fun (_, tok) -> st.absorbed_rev <- (tok / span) :: st.absorbed_rev)
         inbox
     else
       List.iter
-        (fun (_, fl) ->
-          Queue.add fl st.active;
+        (fun (_, tok) ->
+          Int_fifo.push st.active tok;
           st.holding <- st.holding + 1)
         inbox;
     (* advance each active token by one sampled lazy step *)
-    let expired = advance_active st intra.(v) walk_len in
+    let expired = advance_active st intra.(v) span in
     st.expired <- st.expired + expired;
     st.holding <- st.holding - expired;
     (* transmit waiting tokens, at most [capacity] per neighbor per round;
        the send list itself is the simulator's API boundary and the only
        per-round allocation left. Built by descending slot so the list
-       comes out ascending. *)
+       comes out ascending; within a slot the last token popped leads. *)
     let send = ref [] in
     for j = Array.length intra.(v) - 1 downto 0 do
       let q = st.waiting.(j) in
-      let k = min capacity (Queue.length q) in
+      let k = Int.min capacity (Int_fifo.length q) in
       for _ = 1 to k do
-        send := (intra.(v).(j), Queue.pop q) :: !send
+        send := (intra.(v).(j), Int_fifo.pop q) :: !send
       done;
       st.holding <- st.holding - k
     done;
@@ -148,6 +177,10 @@ let run ?exec ?faults (view : Cluster_view.t) ~leader_of ~tokens_of ~walk_len ~s
       ~msg_bits:(fun _ -> token_bits)
       ~init ~round ~max_rounds
   in
+  let token_of id =
+    let origin = origin_of first id in
+    { origin; seq = id - first.(origin) }
+  in
   let delivered = ref [] in
   let got = ref 0 in
   let expired = ref 0 in
@@ -155,7 +188,7 @@ let run ?exec ?faults (view : Cluster_view.t) ~leader_of ~tokens_of ~walk_len ~s
   Array.iteri
     (fun v st ->
       if st.absorbed_rev <> [] then begin
-        let toks = List.rev st.absorbed_rev in
+        let toks = List.rev_map token_of st.absorbed_rev in
         got := !got + List.length toks;
         delivered := (v, toks) :: !delivered
       end;

@@ -38,7 +38,12 @@ type result = {
     ([leader_of.(v)], e.g. from {!Leader_election}). A token is dropped once
     it has taken [walk_len] lazy steps without reaching the leader
     (experiment E9 sweeps this budget); the run ends when no token is in
-    flight or at [max_rounds]. *)
+    flight or at [max_rounds].
+
+    @raise Invalid_argument if [walk_len < 0], if some [tokens_of v] is
+    negative, or if the token total times [walk_len + 1] exceeds
+    [max_int] (each token travels as one int packing its id and step
+    count). *)
 val run :
   ?exec:Congest.Network.exec ->
   ?faults:Congest.Faults.t ->

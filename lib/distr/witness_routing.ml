@@ -11,8 +11,8 @@ open Congest
 
    Tokens are single ints ([did * stride + pos]); a vertex holding a
    token at position [pos] of its plan forwards it to position [pos + 1],
-   parking it in a per-neighbor-slot queue (same reused-scratch shape as
-   the fixed walk router) while the edge is saturated. Each edge sends
+   parking it in a per-neighbor-slot {!Int_fifo} ring (the same shape as
+   the walk router's) while the edge is saturated. Each edge sends
    one *flight* per round: an int-array batching as many parked tokens
    as the bandwidth budget admits, costing one framing word plus two
    words (demand id, position) per token — cheaper per token than the
@@ -33,7 +33,7 @@ type result = {
 }
 
 type state = {
-  outq : int Queue.t array;  (* per neighbor slot: parked tokens *)
+  outq : Int_fifo.t array;  (* per neighbor slot: parked tokens *)
   mutable absorbed_rev : (int * int) list;
       (* (demand id, arrival round), newest first; shard-private *)
   mutable holding : int;
@@ -44,7 +44,7 @@ let flight_hdr_words = 1 (* token count / framing *)
 
 (* index of [w] in the sorted CSR row [row], by binary search *)
 (* lint: hot *)
-let slot_of row w =
+let slot_of (row : int array) w =
   let lo = ref 0 and hi = ref (Array.length row - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -58,7 +58,7 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
   let n = Graph.n g in
   let demands = Array.length plans in
   let stride =
-    1 + Array.fold_left (fun acc p -> max acc (Array.length p)) 1 plans
+    1 + Array.fold_left (fun acc p -> Int.max acc (Array.length p)) 1 plans
   in
   let adj = Array.init n (fun v -> Array.of_list (Graph.neighbors g v)) in
   (* demands starting at each vertex, ascending demand id *)
@@ -78,14 +78,14 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
     | Network.Congest b -> b
     | Network.Local -> max_int
   in
-  let idb = Bits.id_bits (max n demands) in
-  (* tokens per flight: (hdr + token_words * cap) * idb <= budget *)
+  (* one id width for vertices and demand ids alike, computed once: a
+     flight of k tokens is (hdr + token_words * k) words of idb bits *)
+  let idb = Bits.id_bits (Int.max n demands) in
   let flight_cap =
-    max 1 (((budget / idb) - flight_hdr_words) / token_words)
+    Int.max 1 (((budget / idb) - flight_hdr_words) / token_words)
   in
   let flight_bits fl =
-    Bits.words (max n demands)
-      (flight_hdr_words + (token_words * Array.length fl))
+    idb * (flight_hdr_words + (token_words * Array.length fl))
   in
   (* accept a token that reached plan position [pos] at this vertex:
      absorb it at the path's end, otherwise park it toward the next hop *)
@@ -96,12 +96,13 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
       st.absorbed_rev <- (did, r) :: st.absorbed_rev;
       st.holding <- st.holding - 1
     end
-    else Queue.add tok st.outq.(slot_of adj.(v) p.(pos + 1))
+    else Int_fifo.push st.outq.(slot_of adj.(v) p.(pos + 1)) tok
   in
   let init (ctx : Network.ctx) =
     let st =
       {
-        outq = Array.init (Array.length adj.(ctx.id)) (fun _ -> Queue.create ());
+        outq =
+          Array.init (Array.length adj.(ctx.id)) (fun _ -> Int_fifo.create ());
         absorbed_rev = [];
         holding = 0;
       }
@@ -129,11 +130,11 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
     let send = ref [] in
     for j = Array.length adj.(v) - 1 downto 0 do
       let q = st.outq.(j) in
-      let k = min flight_cap (Queue.length q) in
+      let k = Int.min flight_cap (Int_fifo.length q) in
       if k > 0 then begin
         let fl = Array.make k 0 in
         for idx = 0 to k - 1 do
-          fl.(idx) <- Queue.pop q + 1
+          fl.(idx) <- Int_fifo.pop q + 1
         done;
         send := (adj.(v).(j), fl) :: !send;
         st.holding <- st.holding - k

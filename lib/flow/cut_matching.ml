@@ -153,8 +153,8 @@ let run ?(params = default) g ~tau ~seed =
         (* balanced bisection of the projection order, ties by index *)
         Array.sort
           (fun a b ->
-            let c = compare active.(a) active.(b) in
-            if c <> 0 then c else compare a b)
+            let c = Float.compare active.(a) active.(b) in
+            if c <> 0 then c else Int.compare a b)
           order;
         let half = n / 2 in
         Array.fill supply 0 n 0;
@@ -215,6 +215,7 @@ let run ?(params = default) g ~tau ~seed =
             (* adaptive budget: successive routed rounds that barely move
                the potential mean the remaining variance is already spread
                across the embedded matchings — stop paying for more flow *)
+            (* lint: allow A002 float potential; Float.max handles NaN differently *)
             let rel = (!prev_potential -. p) /. max epsilon_float !prev_potential in
             if rel < params.plateau_drop then incr plateau_streak
             else plateau_streak := 0;

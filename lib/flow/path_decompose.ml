@@ -119,7 +119,7 @@ let decompose net =
   for s = n - 1 downto 0 do
     while w.div_rem.(s) > 0 do
       let t = walk_path w s in
-      let amount = ref (min w.div_rem.(s) (-w.div_rem.(t))) in
+      let amount = ref (Int.min w.div_rem.(s) (-w.div_rem.(t))) in
       for i = 0 to w.top - 1 do
         if w.flow.(w.path_arc.(i)) < !amount then
           amount := w.flow.(w.path_arc.(i))

@@ -66,7 +66,7 @@ let dequeue st =
 (* lint: hot *)
 let absorb st v =
   if st.sink_left.(v) > 0 && st.excess.(v) > 0 then begin
-    let d = min st.sink_left.(v) st.excess.(v) in
+    let d = Int.min st.sink_left.(v) st.excess.(v) in
     st.sink_left.(v) <- st.sink_left.(v) - d;
     st.absorbed.(v) <- st.absorbed.(v) + d;
     st.excess.(v) <- st.excess.(v) - d;
@@ -150,7 +150,7 @@ let discharge st v =
       let a = net.Net.arcs.(!i) in
       let w = net.Net.arc_head.(a) in
       if net.Net.cap.(a) > 0 && hv = st.height.(w) + 1 then begin
-        let d = min st.excess.(v) net.Net.cap.(a) in
+        let d = Int.min st.excess.(v) net.Net.cap.(a) in
         net.Net.cap.(a) <- net.Net.cap.(a) - d;
         let t = Net.twin a in
         net.Net.cap.(t) <- net.Net.cap.(t) + d;
@@ -298,7 +298,7 @@ let level_cut g ~height ~limit =
     let vol_at = Array.make (max_h + 2) 0 in
     let cross = Array.make (max_h + 2) 0 in
     for v = 0 to n - 1 do
-      let h = min height.(v) max_h in
+      let h = Int.min height.(v) max_h in
       vol_at.(h) <- vol_at.(h) + Graph.degree g v
     done;
     Graph.iter_edges g (fun _ u v ->
@@ -322,7 +322,7 @@ let level_cut g ~height ~limit =
     for l = 1 to max_h do
       crossing := !crossing + cross.(l);
       let vol_s = suffix.(l) in
-      let denom = min vol_s (total_vol - vol_s) in
+      let denom = Int.min vol_s (total_vol - vol_s) in
       if denom > 0 then begin
         let phi = float_of_int !crossing /. float_of_int denom in
         if phi < !best then begin

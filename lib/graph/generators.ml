@@ -169,7 +169,7 @@ let random_regular n d ~seed =
     let i = ref 0 in
     while !ok && !i < n * d do
       let u = stubs.(!i) and v = stubs.(!i + 1) in
-      let key = (min u v, max u v) in
+      let key = (Int.min u v, Int.max u v) in
       if u = v || Hashtbl.mem seen key then ok := false
       else begin
         Hashtbl.add seen key ();
@@ -340,7 +340,7 @@ let add_random_edges g count ~seed =
   while !found < count && !tries < 100 * (count + 1) do
     incr tries;
     let u = Random.State.int st n and v = Random.State.int st n in
-    let key = (min u v, max u v) in
+    let key = (Int.min u v, Int.max u v) in
     if u <> v && (not (Graph.mem_edge g u v)) && not (Hashtbl.mem added key)
     then begin
       Hashtbl.add added key ();

@@ -9,7 +9,7 @@ type t = {
 (* In-place quicksort of keys.(lo..hi) with pay.(lo..hi) co-moving; insertion
    sort below a small cutoff, median-of-three pivot. Keys within a row are
    distinct, so the result is independent of partitioning details. *)
-let sort_row keys pay lo hi =
+let sort_row (keys : int array) (pay : int array) lo hi =
   let swap i j =
     let k = keys.(i) in
     keys.(i) <- keys.(j);

@@ -146,8 +146,8 @@ let tighten b size count =
   for i = 0 to count - 1 do
     let w = b.live.(i) in
     let d = b.dist.(w) in
-    b.lo.(w) <- max b.lo.(w) (max d (e - d));
-    b.hi.(w) <- min b.hi.(w) (e + d);
+    b.lo.(w) <- Int.max b.lo.(w) (Int.max d (e - d));
+    b.hi.(w) <- Int.min b.hi.(w) (e + d);
     if b.hi.(w) > b.best then begin
       b.live.(!kept) <- w;
       incr kept

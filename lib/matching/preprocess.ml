@@ -24,7 +24,7 @@ let eliminate g =
     if Graph.degree g u = 2 then begin
       match Graph.neighbors g u with
       | [ a; b ] ->
-          let key = (min a b, max a b) in
+          let key = (Int.min a b, Int.max a b) in
           let cur = try Hashtbl.find spokes key with Not_found -> [] in
           Hashtbl.replace spokes key (u :: cur)
       | ns ->
@@ -116,7 +116,7 @@ let has_3_double_star g =
     if Graph.degree g u = 2 then begin
       match Graph.neighbors g u with
       | [ a; b ] ->
-          let key = (min a b, max a b) in
+          let key = (Int.min a b, Int.max a b) in
           let c = (try Hashtbl.find spokes key with Not_found -> 0) + 1 in
           Hashtbl.replace spokes key c;
           if c >= 3 then found := true

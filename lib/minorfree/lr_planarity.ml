@@ -88,7 +88,7 @@ let is_planar g =
           []
       in
       let arr = Array.of_list out in
-      Array.sort (fun a b -> compare (get nesting a) (get nesting b)) arr;
+      Array.sort (fun a b -> Int.compare (get nesting a) (get nesting b)) arr;
       ordered.(v) <- arr
     done;
 

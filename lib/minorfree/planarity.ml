@@ -114,7 +114,7 @@ let fragments g embedded_v embedded_e =
         !members;
       let attachments =
         Hashtbl.fold (fun k () acc -> k :: acc) attach []
-        |> List.sort compare
+        |> List.sort Int.compare
       in
       (* path between two attachments through the component: BFS from an
          attachment a entering only component vertices, stopping at the

@@ -155,7 +155,7 @@ let add_sum name v =
 let add_max name v =
   if is_enabled () then begin
     let st = state () in
-    bump (row_of st (current_key st)).r_maxes name v max
+    bump (row_of st (current_key st)).r_maxes name v Int.max
   end
 
 let add_volatile name v =

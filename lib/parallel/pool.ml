@@ -135,7 +135,7 @@ module Team = struct
   (* lint: hot *)
   let run_block st w f =
     let per = st.tasks / st.workers and extra = st.tasks mod st.workers in
-    let lo = (w * per) + min w extra in
+    let lo = (w * per) + Int.min w extra in
     let hi = lo + per + if w < extra then 1 else 0 in
     for t = lo to hi - 1 do
       match f t with

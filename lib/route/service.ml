@@ -178,12 +178,12 @@ let serve_core ~policy ~keep t (ds : demand array) =
   let nepochs = (nd + epoch - 1) / epoch in
   for ep = 0 to nepochs - 1 do
     let base = ep * epoch in
-    let active = min tasks_per_epoch ((nd - base + chunk - 1) / chunk) in
+    let active = Int.min tasks_per_epoch ((nd - base + chunk - 1) / chunk) in
     ignore
       (Parallel.Pool.mapi t.pool
          (fun ti () ->
            let lo = base + (ti * chunk) in
-           let hi = min nd (lo + chunk) in
+           let hi = Int.min nd (lo + chunk) in
            if lo < hi then serve_chunk t ~policy ~ti ds lengths paths lo hi)
          t.tspan);
     merge_cong t ~active;

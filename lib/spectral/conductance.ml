@@ -64,7 +64,7 @@ let exact_cut g =
             cut := !cut + Popcount.popcount (adj.(v) land lnot s)
           end
         done;
-        let denom = min !vol (total_vol - !vol) in
+        let denom = Int.min !vol (total_vol - !vol) in
         let phi =
           if denom = 0 then infinity
           else float_of_int !cut /. float_of_int denom

@@ -22,7 +22,7 @@ let ppr g ~seed_vertex ~alpha ~eps =
   while not (Queue.is_empty queue) do
     let v = Queue.pop queue in
     Hashtbl.remove in_queue v;
-    let d = float_of_int (max 1 (Graph.degree g v)) in
+    let d = float_of_int (Int.max 1 (Graph.degree g v)) in
     let rv = get r v in
     if rv > eps *. d then begin
       Hashtbl.replace p v (get p v +. (alpha *. rv));
@@ -32,7 +32,7 @@ let ppr g ~seed_vertex ~alpha ~eps =
       let share = (1. -. alpha) *. rv /. (2. *. d) in
       Graph.iter_neighbors g v (fun w ->
           Hashtbl.replace r w (get r w +. share);
-          let dw = float_of_int (max 1 (Graph.degree g w)) in
+          let dw = float_of_int (Int.max 1 (Graph.degree g w)) in
           if get r w > eps *. dw && not (Hashtbl.mem in_queue w) then begin
             Hashtbl.replace in_queue w ();
             Queue.add w queue

@@ -73,7 +73,7 @@ let sweep g embedding =
     inside.(v) <- true;
     cut := !cut + Graph.degree g v - (2 * to_inside);
     vol := !vol + Graph.degree g v;
-    let denom = min !vol (total_vol - !vol) in
+    let denom = Int.min !vol (total_vol - !vol) in
     let phi =
       if denom = 0 then if !cut = 0 then 0. else infinity
       else float_of_int !cut /. float_of_int denom
@@ -183,7 +183,7 @@ let tree_cut g =
   for root = 0 to n - 1 do
     if parent.(root) >= 0 then begin
       let crossing = 1 + path_count.(root) in
-      let denom = min subtree_vol.(root) (total_vol - subtree_vol.(root)) in
+      let denom = Int.min subtree_vol.(root) (total_vol - subtree_vol.(root)) in
       let phi =
         if denom = 0 then infinity
         else float_of_int crossing /. float_of_int denom

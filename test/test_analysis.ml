@@ -456,6 +456,104 @@ let test_a001_error_path_exempt_negative () =
   check "error path is exempt" 0 (count_rule "A001" fs)
 
 (* ------------------------------------------------------------------ *)
+(* A002: polymorphic comparison on a hot path                           *)
+(* ------------------------------------------------------------------ *)
+
+let test_a002_hot_and_loop_positive () =
+  (* bare min in a hot root, Stdlib.max in a loop body, compare passed
+     as a function value in a while condition *)
+  let fs =
+    fresh
+      [
+        ( "lib/fake/a.ml",
+          "(* lint: hot *)\n\
+           let cap a b = min a b\n\
+           let widest a =\n\
+          \  let w = ref 0 in\n\
+          \  for i = 0 to Array.length a - 1 do\n\
+          \    w := Stdlib.max !w a.(i)\n\
+          \  done;\n\
+          \  !w\n\
+           let scan a x =\n\
+          \  let i = ref 0 in\n\
+          \  while !i < Array.length a && compare a.(!i) x < 0 do incr i done;\n\
+          \  !i" );
+      ]
+  in
+  check "hot min, loop max, loop compare" 3 (count_rule "A002" fs)
+
+let test_a002_transitive_positive () =
+  (* the comparison lives in an unmarked, loop-free helper reached from
+     the hot root; the finding names the root *)
+  let fs =
+    fresh
+      [
+        ( "lib/fake/a.ml",
+          "let larger a b = max a b\n\
+           (* lint: hot *)\n\
+           let hot a b = larger a b + 1" );
+      ]
+  in
+  check "helper comparison reached from hot root" 1 (count_rule "A002" fs);
+  let f = List.find (fun (f : Finding.t) -> f.rule = "A002") fs in
+  checkb "attributed to the hot root" true
+    (let rec contains i =
+       i + 5 <= String.length f.message
+       && (String.sub f.message i 5 = "'hot'" || contains (i + 1))
+     in
+     contains 0)
+
+let test_a002_typed_and_cold_negative () =
+  (* Int.min / Int.compare are typed; a comparison outside any loop in a
+     cold function is not flagged, nor is a loop outside lib/, nor a
+     module's own top-level max *)
+  let fs =
+    fresh
+      [
+        ( "lib/fake/a.ml",
+          "(* lint: hot *)\n\
+           let cap a b = Int.min a b\n\
+           let order a = Array.sort Int.compare a\n\
+           let cold a b = min a b\n\
+           let sum a =\n\
+          \  let s = ref 0 in\n\
+          \  for i = 0 to Array.length a - 1 do s := Int.max !s a.(i) done;\n\
+          \  !s" );
+        ( "lib/fake/b.ml",
+          "let max (a : int) b = if a >= b then a else b\n\
+           let top a =\n\
+          \  let s = ref 0 in\n\
+          \  for i = 0 to Array.length a - 1 do s := max !s a.(i) done;\n\
+          \  !s" );
+        ( "bench/fake.ml",
+          "let top a =\n\
+          \  let s = ref 0 in\n\
+          \  for i = 0 to Array.length a - 1 do s := max !s a.(i) done;\n\
+          \  !s" );
+      ]
+  in
+  check "typed, cold, shadowed and non-lib sites pass" 0
+    (count_rule "A002" fs)
+
+let test_a002_suppressed () =
+  let report =
+    run
+      [
+        ( "lib/fake/a.ml",
+          "let lo a =\n\
+          \  let m = ref infinity in\n\
+          \  for i = 0 to Array.length a - 1 do\n\
+          \    (* lint: allow A002 floats: Float.min treats NaN differently *)\n\
+          \    m := min !m a.(i)\n\
+          \  done;\n\
+          \  !m" );
+      ]
+  in
+  check "no fresh A002" 0 (count_rule "A002" (Engine.fresh report));
+  let _, suppressed, _ = Engine.counts report in
+  check "one site suppressed" 1 suppressed
+
+(* ------------------------------------------------------------------ *)
 (* H001: float equality                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -603,7 +701,8 @@ let test_repo_tree_loads () =
         List.filter
           (fun (f : Finding.t) ->
             match f.rule with
-            | "D001" | "D002" | "P001" | "P002" | "P003" | "A001" | "E000" ->
+            | "D001" | "D002" | "P001" | "P002" | "P003" | "A001" | "A002"
+            | "E000" ->
                 true
             | _ -> false)
           (Engine.fresh report)
@@ -684,6 +783,13 @@ let () =
           t "non-allocating hot passes" test_a001_non_allocating_hot_negative;
           t "transitive helper flagged" test_a001_transitive_via_helper_positive;
           t "error path exempt" test_a001_error_path_exempt_negative;
+        ] );
+      ( "a002",
+        [
+          t "hot and loop sites flagged" test_a002_hot_and_loop_positive;
+          t "transitive helper flagged" test_a002_transitive_positive;
+          t "typed and cold pass" test_a002_typed_and_cold_negative;
+          t "allow comment suppresses" test_a002_suppressed;
         ] );
       ( "h001",
         [

@@ -10,7 +10,11 @@
    - planner and CONGEST execution deliver the same demand multiset at
      every shards {1,4} x jobs {1,4} point, byte-identically;
    - the walk router's delivery order is pinned by a fixed-seed golden
-     (own tokens in seq order, then arrival order);
+     (own tokens in seq order, then arrival order), once on a complete
+     graph and once on a grid where the per-edge capacity binds, which
+     also pins the per-slot send order and the message accounting;
+   - the walk router rejects a negative walk budget, negative token
+     counts and token ids that would overflow their int encoding;
    - qcheck: [delivered + undelivered = total] survives drop/crash
      schedules, every shards x jobs point, and halting-round cutoffs,
      for both the walk router and the witness router. *)
@@ -236,32 +240,94 @@ let test_plan_start_out_of_range () =
 (* Walk router: delivery order regression (fixed seed golden)          *)
 (* ------------------------------------------------------------------ *)
 
-let golden_run () =
-  let g = Generators.complete 8 in
+(* fixed-seed run on [g] with [tokens] per vertex; checks that one
+   leader absorbs everything and returns its (origin, seq) delivery order *)
+let walk_golden g ~rounds ~tokens ~seed ~max_rounds ~leader =
   let view = Distr.Cluster_view.whole g in
-  let leaders = Distr.Leader_election.run view ~rounds:2 in
-  Distr.Walk_routing.run view ~leader_of:leaders.Distr.Leader_election.leader_of
-    ~tokens_of:(fun _ -> 2)
-    ~walk_len:200 ~seed:3 ~max_rounds:2000
-
-let test_walk_order_golden () =
-  let r = golden_run () in
+  let leaders = Distr.Leader_election.run view ~rounds in
+  let r =
+    Distr.Walk_routing.run view
+      ~leader_of:leaders.Distr.Leader_election.leader_of
+      ~tokens_of:(fun _ -> tokens)
+      ~walk_len:200 ~seed ~max_rounds
+  in
   match r.Distr.Walk_routing.delivered with
-  | [ (leader, toks) ] ->
-      checki "complete graph: max-degree tie broken to largest id" 7 leader;
-      let got =
+  | [ (l, toks) ] ->
+      checki "leader" leader l;
+      ( r,
         List.map
           (fun (t : Distr.Walk_routing.token) -> (t.origin, t.seq))
-          toks
-      in
-      (* leader's own tokens first in seq order, then arrival order;
-         pinned against the fixed-seed run this PR ships *)
-      Alcotest.(check (list (pair int int)))
-        "delivery order"
-        [ (7, 0); (7, 1); (6, 0); (0, 0); (3, 0); (6, 1); (3, 1); (4, 1);
-          (2, 0); (5, 0); (1, 1); (4, 0); (0, 1); (1, 0); (2, 1); (5, 1) ]
-        got
+          toks )
   | _ -> Alcotest.fail "expected a single leader"
+
+(* leader's own tokens first in seq order, then arrival order *)
+let test_walk_order_golden () =
+  (* complete graph: the max-degree tie is broken to the largest id *)
+  let _, order =
+    walk_golden (Generators.complete 8) ~rounds:2 ~tokens:2 ~seed:3
+      ~max_rounds:2000 ~leader:7
+  in
+  Alcotest.(check (list (pair int int)))
+    "complete 8: delivery order"
+    [ (7, 0); (7, 1); (6, 0); (0, 0); (3, 0); (6, 1); (3, 1); (4, 1);
+      (2, 0); (5, 0); (1, 1); (4, 0); (0, 1); (1, 0); (2, 1); (5, 1) ]
+    order;
+  (* grid 4x4, 4 tokens per vertex: a token is 3 words of 4 bits against
+     a 32-bit budget, so at most 2 tokens cross an edge per round and
+     parked tokens queue behind the capacity (19 binding drains on this
+     seed); this pins the per-slot send order and the accounting too *)
+  let r, order =
+    walk_golden (Generators.grid 4 4) ~rounds:8 ~tokens:4 ~seed:5
+      ~max_rounds:4000 ~leader:10
+  in
+  Alcotest.(check (list (pair int int)))
+    "grid 4x4: delivery order"
+    [ (10, 0); (10, 1); (10, 2); (10, 3); (9, 1); (14, 0); (8, 2); (7, 1);
+      (13, 0); (9, 3); (14, 2); (6, 2); (12, 3); (7, 0); (7, 2); (14, 1);
+      (4, 1); (6, 3); (2, 2); (15, 0); (13, 1); (1, 2); (9, 0); (0, 0);
+      (6, 0); (12, 0); (8, 3); (7, 3); (5, 3); (5, 1); (11, 3); (13, 3);
+      (0, 3); (4, 0); (13, 2); (3, 3); (6, 1); (12, 1); (5, 0); (1, 3);
+      (11, 2); (0, 1); (9, 2); (2, 3); (4, 3); (1, 0); (2, 0); (4, 2);
+      (15, 3); (8, 1); (8, 0); (3, 0); (2, 1); (14, 3); (11, 1); (3, 2);
+      (5, 2); (15, 1); (15, 2); (1, 1); (3, 1); (11, 0); (0, 2); (12, 2) ]
+    order;
+  let s = r.Distr.Walk_routing.stats in
+  checki "grid 4x4: messages" 944 s.Congest.Network.messages;
+  checki "grid 4x4: total_bits" 11328 s.Congest.Network.total_bits;
+  checki "grid 4x4: two tokens share an edge" 24
+    s.Congest.Network.max_edge_bits;
+  checki "grid 4x4: last_traffic_round" 174
+    s.Congest.Network.last_traffic_round
+
+let test_walk_rejects_bad_input () =
+  let g = Generators.path 3 in
+  let view = Distr.Cluster_view.whole g in
+  let run ~tokens_of ~walk_len () =
+    ignore
+      (Distr.Walk_routing.run view ~leader_of:[| 2; 2; 2 |] ~tokens_of
+         ~walk_len ~seed:1 ~max_rounds:10)
+  in
+  Alcotest.check_raises "negative walk_len"
+    (Invalid_argument "Walk_routing.run: walk_len -1 is negative")
+    (run ~tokens_of:(fun _ -> 1) ~walk_len:(-1));
+  Alcotest.check_raises "negative token count"
+    (Invalid_argument "Walk_routing.run: tokens_of 1 is -2, negative")
+    (run ~tokens_of:(fun v -> if v = 1 then -2 else 1) ~walk_len:4);
+  Alcotest.check_raises "token total overflows"
+    (Invalid_argument
+       (Printf.sprintf
+          "Walk_routing.run: token total overflows max_int at vertex 1 \
+           (tokens_of 1 = %d)"
+          max_int))
+    (run ~tokens_of:(fun _ -> max_int) ~walk_len:4);
+  Alcotest.check_raises "packed token ids overflow"
+    (Invalid_argument
+       (Printf.sprintf
+          "Walk_routing.run: 3 tokens x (walk_len %d + 1) overflows max_int"
+          (max_int / 3)))
+    (run ~tokens_of:(fun _ -> 1) ~walk_len:(max_int / 3));
+  (* the largest budget that still fits runs normally *)
+  run ~tokens_of:(fun _ -> 1) ~walk_len:((max_int / 3) - 1) ()
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: conservation under faults, shards x jobs, halting rounds    *)
@@ -436,7 +502,11 @@ let () =
           tc "self-demands and leaves" test_self_demands_and_degenerate;
           tc "plan start out of range" test_plan_start_out_of_range;
         ] );
-      ( "walk router", [ tc "delivery order golden" test_walk_order_golden ] );
+      ( "walk router",
+        [
+          tc "delivery order golden" test_walk_order_golden;
+          tc "rejects bad input" test_walk_rejects_bad_input;
+        ] );
       ( "conservation",
         [
           qt qcheck_walk_conservation;
