@@ -93,14 +93,6 @@ let timing () =
             fun () ->
               ignore
                 (Distr.Distributed_decomposition.decompose bc ~epsilon:0.4)));
-      (* local clustering *)
-      Test.make ~name:"nibble: PPR local cluster (blob-chain 720)"
-        (Staged.stage
-           (let bc = Generators.blob_chain ~blobs:60 ~blob_size:12 ~seed:11 in
-            fun () ->
-              ignore
-                (Spectral.Local_cluster.find bc ~seed_vertex:360
-                   ~target_volume:70)));
       (* E13 workload: exact dominating set *)
       Test.make ~name:"e13: exact dominating set (grid 36)"
         (Staged.stage

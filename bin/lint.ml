@@ -1,4 +1,5 @@
-(* Determinism & domain-safety linter over lib/, bench/ and bin/.
+(* Determinism, domain-safety, hot-path and dead-surface linter over
+   lib/, bench/, bench_e2e/ and bin/.
 
      dune build @lint                  # full run, fails on new findings
      dune exec bin/lint.exe -- --format json
@@ -15,6 +16,10 @@
    allocation and A002 comparison rules are declared the same way:
        (* lint: hot *)
 
+   The scanned files outside lib/ are the production program: U001
+   flags every lib/ value that none of them reaches through the call
+   graph, so each --dirs entry must exist under --root.
+
    The linter eats its own cooking: --jobs N fans file loading and the
    per-file rules out over the Parallel.Pool, and the report is
    byte-identical at every N (see --compare-reports). *)
@@ -23,7 +28,8 @@ let usage () =
   print_string
     "usage: lint.exe [options]\n\
      \  --root DIR        repo root to scan (default .)\n\
-     \  --dirs A,B,C      directories under root (default lib,bench,bin)\n\
+     \  --dirs A,B,C      directories under root, each of which must exist\n\
+     \                    (default lib,bench,bench_e2e,bin)\n\
      \  --format FMT      text | json (default text)\n\
      \  --jobs N          fan per-file work out over N domains (default 1)\n\
      \  --baseline FILE   baseline of grandfathered findings\n\
@@ -126,7 +132,7 @@ let compare_reports a b =
 
 let () =
   let root = ref "." in
-  let dirs = ref [ "lib"; "bench"; "bin" ] in
+  let dirs = ref [ "lib"; "bench"; "bench_e2e"; "bin" ] in
   let format = ref "text" in
   let jobs = ref 1 in
   let baseline_path = ref None in
@@ -178,6 +184,15 @@ let () =
     Printf.eprintf "lint: --format must be text or json, got %S\n" !format;
     exit 2
   end;
+  List.iter
+    (fun d ->
+      let path = Filename.concat !root d in
+      if not (Sys.file_exists path && Sys.is_directory path) then begin
+        Printf.eprintf "lint: --dirs entry %S is not a directory under %s\n"
+          d !root;
+        exit 2
+      end)
+    !dirs;
   let pool = Parallel.Pool.create ~jobs:!jobs () in
   let sources, libraries =
     Analysis.Engine.load_tree ~pool ~root:!root ~dirs:!dirs ()

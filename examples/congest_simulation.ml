@@ -56,10 +56,4 @@ let () =
   let check = Diameter_check.run view ~b:12 in
   pp_stats "diameter check" check.stats;
   Printf.printf "  marked vertices: %d (0 expected on a successful clustering)\n"
-    (Array.fold_left (fun a b -> if b then a + 1 else a) 0 check.marked);
-
-  print_endline "\nbaselines on the same network:";
-  let mis = Luby_mis.run (Cluster_view.whole g) ~seed:3 in
-  pp_stats "Luby MIS" mis.stats;
-  let matching = Greedy_matching.run (Cluster_view.whole g) ~seed:4 () in
-  pp_stats "greedy matching" matching.stats
+    (Array.fold_left (fun a b -> if b then a + 1 else a) 0 check.marked)

@@ -17,7 +17,8 @@ type t = {
   aliases : string SMap.t;
       (* "Pool.run_block" -> "Pool.Team.run_block": submodule values are
          also reachable under their file-module-qualified short name, which
-         is what Project.resolve produces for intra-file references *)
+         is what Project.resolve produces for an unqualified reference
+         inside the submodule's own body *)
 }
 
 (* constructors whose application at a toplevel binding makes the binding
@@ -98,7 +99,7 @@ let build project sources =
                         in
                         if not (SMap.mem qname !by_qname) then begin
                           by_qname := SMap.add qname d !by_qname;
-                          (* intra-file references to a submodule value
+                          (* unqualified references inside the submodule
                              resolve to "File.value"; point that short name
                              here unless a toplevel value owns it *)
                           if mpath <> [] then begin
@@ -137,14 +138,13 @@ let defs t = List.map snd (SMap.bindings t.by_qname)
 let reachable t seeds =
   let rec go visited = function
     | [] -> visited
-    | q :: rest ->
-        if SSet.mem q visited then go visited rest
-        else
-          let visited = SSet.add q visited in
-          let next =
-            match find t q with Some d -> d.refs | None -> []
-          in
-          go visited (next @ rest)
+    | q :: rest -> (
+        match find t q with
+        | None -> go (SSet.add q visited) rest
+        | Some d ->
+            (* visit under the canonical qname, never an alias *)
+            if SSet.mem d.qname visited then go visited rest
+            else go (SSet.add d.qname visited) (d.refs @ rest))
   in
   SSet.elements (go SSet.empty seeds)
 

@@ -13,8 +13,6 @@ type t
     entry fall back to the directory basename. *)
 val build : libraries:(string * string) list -> Source.t list -> t
 
-val entries : t -> entry list
-
 val find_module : t -> string -> entry list
 (** All entries with the given module name (several libraries may define
     the same module basename). *)
@@ -30,6 +28,10 @@ val is_wrapper : t -> string -> string option
       lowercase component is the value (handles both [Graph.degree] and
       [Sparse_graph.Graph.degree]);
     - a leading library-wrapper component restricts the module lookup to
-      that library.
+      that library;
+    - module components naming a [module X = struct ... end] inside a
+      file module give ["Module.X.value"] ([Parallel.Pool.Team.create] is
+      ["Pool.Team.create"]); inside that file the short [Team.create]
+      resolves the same way, shadowing any project module named [Team].
     Returns [None] for identifiers outside the project (stdlib, locals). *)
 val resolve : t -> current_module:string -> string list -> string option

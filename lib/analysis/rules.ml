@@ -12,6 +12,7 @@ let all : Rule.t list =
     Rules_alloc.a002;
     Rules_hygiene.h001;
     Rules_hygiene.s001;
+    Rules_dead.u001;
   ]
 
 let find id = List.find_opt (fun (r : Rule.t) -> r.id = id) all

@@ -446,9 +446,6 @@ let a001 =
    type annotations instead. A module's own top-level [compare] / [min] /
    [max] is not the stdlib's and is skipped. *)
 
-let in_lib (src : Source.t) =
-  String.length src.path >= 4 && String.sub src.path 0 4 = "lib/"
-
 (* every loop body (with its condition, for [while]) in a structure *)
 let loop_bodies str =
   let acc = ref [] in
@@ -484,7 +481,7 @@ let a002_check ctx =
         (stdlib_cmps ~module_name st));
   List.iter
     (fun ((src : Source.t), str) ->
-      if in_lib src then
+      if Source.in_lib src then
         List.iter
           (fun body ->
             let st = new_scan_state (fun _ -> None) in

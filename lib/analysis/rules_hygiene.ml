@@ -63,12 +63,9 @@ let h001 =
 (* S001: Obj.* / assert false in library code                           *)
 (* ------------------------------------------------------------------ *)
 
-let in_library (src : Source.t) =
-  String.length src.path >= 4 && String.sub src.path 0 4 = "lib/"
-
 let s001_check ctx =
   Rule.per_source ctx (fun src str ->
-      if not (in_library src) then []
+      if not (Source.in_lib src) then []
       else begin
         let acc = ref [] in
         Ast_scan.iter_expressions_str str (fun e ->

@@ -88,13 +88,7 @@ let of_string ?prescan:pre ~path content =
     hot_lines = pre.hot_lines;
   }
 
-let load ?file ~path () =
-  let file = Option.value file ~default:path in
-  let ic = open_in_bin file in
-  let n = in_channel_length ic in
-  let content = really_input_string ic n in
-  close_in ic;
-  of_string ~path content
+let in_lib t = String.starts_with ~prefix:"lib/" t.path
 
 let module_name t =
   let base = Filename.remove_extension (Filename.basename t.path) in

@@ -29,8 +29,9 @@ val prescan : string -> prescan
     reused instead of recomputed. *)
 val of_string : ?prescan:prescan -> path:string -> string -> t
 
-(** Read the file at [file] (defaults to [path]) and parse it. *)
-val load : ?file:string -> path:string -> unit -> t
+(** The file lies under [lib/]: library code, as opposed to the bench,
+    binaries and the end-to-end harness. *)
+val in_lib : t -> bool
 
 (** Capitalized module name derived from the basename, e.g.
     ["lib/graph/union_find.ml"] -> ["Union_find"]. *)

@@ -44,6 +44,3 @@ let run ?(mode = Pipeline.Simulated) g ~labels ~epsilon ~seed =
     pipeline.clusters;
   let score = Optimize.Correlation.score g labels clustering in
   { clustering; score; pipeline }
-
-let ratio result ~opt =
-  if opt = 0 then 1. else float_of_int result.score /. float_of_int opt

@@ -19,6 +19,3 @@ val run :
 
 (** gamma(G) >= |E| / 2 (the trivial clustering bound, used by E4). *)
 val trivial_bound : Sparse_graph.Graph.t -> int
-
-(** Ratio against a reference optimum score. *)
-val ratio : result -> opt:int -> float

@@ -7,10 +7,6 @@ type result = {
   pipeline : Pipeline.t;
 }
 
-let alpha_lower_bound g =
-  let d = max 1. (Graph.edge_density g) in
-  int_of_float (floor (float_of_int (Graph.n g) /. ((2. *. d) +. 1.)))
-
 let run ?(mode = Pipeline.Simulated) ?(exact_limit = 120) g ~epsilon ~seed =
   let d = max 1. (Graph.edge_density g) in
   let eps' = epsilon /. ((2. *. d) +. 1.) in

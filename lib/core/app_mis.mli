@@ -21,10 +21,6 @@ val run :
   ?mode:Pipeline.mode -> ?exact_limit:int -> Sparse_graph.Graph.t ->
   epsilon:float -> seed:int -> result
 
-(** Lower bound on alpha(G) from the min-degree greedy argument:
-    [n / (2d + 1)]. *)
-val alpha_lower_bound : Sparse_graph.Graph.t -> int
-
 (** Weighted MAXIS through the same framework (the extension the paper's
     Section 1.1 credits to [10, 66]): per-cluster exact weighted solves,
     conflicts across inter-cluster edges resolved by dropping the lighter

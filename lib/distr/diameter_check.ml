@@ -85,6 +85,7 @@ let run (view : Cluster_view.t) ~b =
   in
   { marked = Array.map (fun st -> st.marked) states; stats }
 
+(* lint: allow U001 test oracle: marks match cluster diameters *)
 let check (view : Cluster_view.t) (result : result) ~b =
   let g = view.graph in
   let n = Graph.n g in

@@ -78,6 +78,7 @@ let run (view : Cluster_view.t) ~density ?(delta = 0.5) () =
   let phases = Array.fold_left max 0 phase in
   { owner; out_degree; phases; stats }
 
+(* lint: allow U001 test oracle: intra edges owned, out-degree bounded *)
 let check (view : Cluster_view.t) result ~density ~delta =
   let g = view.graph in
   let b = bound ~density ~delta in

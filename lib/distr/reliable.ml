@@ -83,7 +83,3 @@ let flush ?max_per_dst st ~now =
       st.queue
   in
   ({ st with queue }, List.rev !out)
-
-let idle st = st.queue = []
-
-let pending st = List.length st.queue

@@ -60,9 +60,3 @@ val deliver :
     first, deterministic), for protocols that must respect a tight
     per-edge budget. *)
 val flush : ?max_per_dst:int -> 'msg t -> now:int -> 'msg t * (int * 'msg packet) list
-
-(** No pending unacked payloads. *)
-val idle : 'msg t -> bool
-
-(** Number of pending unacked payloads. *)
-val pending : 'msg t -> int

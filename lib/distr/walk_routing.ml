@@ -223,6 +223,7 @@ let delivery_rate view ~tokens_of result =
     float_of_int got /. float_of_int total
   end
 
+(* lint: allow U001 test oracle: every token delivered once to its leader *)
 let check (view : Cluster_view.t) ~leader_of ~tokens_of result =
   let seen = Hashtbl.create 64 in
   let ok = ref true in

@@ -68,6 +68,7 @@ let divergence net v =
   done;
   !s
 
+(* lint: allow U001 test oracle: residual capacities stay in range *)
 let feasible net =
   let ok = ref true in
   Array.iteri (fun a c -> if c < 0 || c > 2 * net.cap0.(a) then ok := false)

@@ -42,20 +42,6 @@ let grid r c =
   done;
   Graph.of_edges (r * c) !edges
 
-let grid3d a b c =
-  let idx i j k = (((i * b) + j) * c) + k in
-  let edges = ref [] in
-  for i = 0 to a - 1 do
-    for j = 0 to b - 1 do
-      for k = 0 to c - 1 do
-        if k + 1 < c then edges := (idx i j k, idx i j (k + 1)) :: !edges;
-        if j + 1 < b then edges := (idx i j k, idx i (j + 1) k) :: !edges;
-        if i + 1 < a then edges := (idx i j k, idx (i + 1) j k) :: !edges
-      done
-    done
-  done;
-  Graph.of_edges (a * b * c) !edges
-
 let torus r c =
   if r < 3 || c < 3 then invalid_arg "Generators.torus: need r, c >= 3";
   let idx i j = (i * c) + j in
@@ -76,14 +62,6 @@ let hypercube d =
       let w = v lxor (1 lsl bit) in
       if v < w then edges := (v, w) :: !edges
     done
-  done;
-  Graph.of_edges n !edges
-
-let complete_binary_tree depth =
-  let n = (1 lsl (depth + 1)) - 1 in
-  let edges = ref [] in
-  for v = 1 to n - 1 do
-    edges := ((v - 1) / 2, v) :: !edges
   done;
   Graph.of_edges n !edges
 

@@ -22,19 +22,12 @@ val double_star : int -> Graph.t
 (** [grid r c] is the r-by-c planar grid; vertex [(i, j)] is [i * c + j]. *)
 val grid : int -> int -> Graph.t
 
-(** [grid3d a b c] is the 3-dimensional grid (not H-minor-free for fixed H;
-    contrast family). *)
-val grid3d : int -> int -> int -> Graph.t
-
 (** [torus r c] is the grid with wraparound (genus 1). *)
 val torus : int -> int -> Graph.t
 
 (** [hypercube d] is the d-dimensional hypercube on [2^d] vertices (contrast
     family: conductance Theta(1/d) after decomposition, Section 2). *)
 val hypercube : int -> Graph.t
-
-(** [complete_binary_tree depth] has [2^(depth+1) - 1] vertices. *)
-val complete_binary_tree : int -> Graph.t
 
 (** [barbell k len] joins two k-cliques by a path with [len] internal
     vertices: the canonical low-conductance graph. *)

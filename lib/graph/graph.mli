@@ -91,11 +91,6 @@ val volume : t -> int list -> int
 (** [edge_density g] is [m / n] as a float; 0 on the empty graph. *)
 val edge_density : t -> float
 
-(** {1 Printing} *)
-
-(** Human-readable one-line summary, e.g. ["graph(n=9, m=12)"]. *)
-val pp : Format.formatter -> t -> unit
-
 (** Verify internal CSR invariants (symmetry, sortedness, edge-id
     consistency); intended for tests.
     @raise Failure describing the first violated invariant. *)

@@ -10,6 +10,7 @@ let to_string ?weights g =
             (Printf.sprintf "%d %d %d\n" u v (Weights.get w e)));
   Buffer.contents buf
 
+(* lint: allow U001 test oracle: round trip against save *)
 let of_string s =
   let lines =
     String.split_on_char '\n' s

@@ -54,16 +54,6 @@ let bfs_multi g sources =
 
 let bfs g src = bfs_multi g [ src ]
 
-let bfs_tree g src =
-  let n = Graph.n g in
-  let dist = Array.make n (-1) and queue = fifo n in
-  let parent = Array.make n (-1) in
-  dist.(src) <- 0;
-  parent.(src) <- src;
-  queue.(0) <- src;
-  ignore (drain g dist parent queue 1);
-  (dist, parent)
-
 let bfs_layers g src =
   let dist = bfs g src in
   let radius = Array.fold_left max 0 dist in
@@ -287,26 +277,6 @@ let dijkstra g weight src =
           end)
   done;
   dist
-
-let dfs_order g src =
-  let n = Graph.n g in
-  let seen = Array.make n false in
-  let order = ref [] in
-  let stack = ref [ src ] in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | v :: rest ->
-        stack := rest;
-        if not seen.(v) then begin
-          seen.(v) <- true;
-          order := v :: !order;
-          (* push neighbors in reverse so smaller ids are visited first *)
-          let nbrs = Graph.fold_neighbors g v (fun acc w -> w :: acc) [] in
-          List.iter (fun w -> if not seen.(w) then stack := w :: !stack) nbrs
-        end
-  done;
-  List.rev !order
 
 let is_acyclic g =
   let _, count = components g in

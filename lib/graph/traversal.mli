@@ -8,10 +8,6 @@ val bfs : Graph.t -> int -> int array
     unreachable vertices get [-1]. *)
 val bfs_multi : Graph.t -> int list -> int array
 
-(** [bfs_tree g src] returns [(dist, parent)] where [parent.(src) = src] and
-    [parent.(v) = -1] for unreachable [v]. *)
-val bfs_tree : Graph.t -> int -> int array * int array
-
 (** [bfs_layers g src] groups reachable vertices by distance: element [d] of
     the result lists the vertices at distance exactly [d], in increasing
     vertex order. *)
@@ -52,9 +48,6 @@ val diameter_double_sweep : Graph.t -> int
     non-negative per-edge weights ([weight e] for edge id [e]); unreachable
     vertices get [max_int]. *)
 val dijkstra : Graph.t -> (int -> int) -> int -> int array
-
-(** [dfs_order g src] lists vertices reachable from [src] in preorder. *)
-val dfs_order : Graph.t -> int -> int list
 
 (** [is_acyclic g] tests whether [g] is a forest. *)
 val is_acyclic : Graph.t -> bool

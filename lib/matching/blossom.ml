@@ -114,6 +114,7 @@ let edges g mate =
     []
   |> List.rev
 
+(* lint: allow U001 test oracle: mate array is a symmetric matching *)
 let is_valid_matching g mate =
   let ok = ref true in
   Array.iteri
@@ -125,6 +126,7 @@ let is_valid_matching g mate =
     mate;
   !ok
 
+(* lint: allow U001 test oracle: no augmenting path remains *)
 let is_maximum g mate =
   is_valid_matching g mate
   &&

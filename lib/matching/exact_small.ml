@@ -77,6 +77,7 @@ let max_weight_matching_edges g w =
     (dp.((1 lsl n) - 1), !picked)
   end
 
+(* lint: allow U001 test oracle: exact DP reference for Blossom *)
 let max_cardinality g =
   let n = Graph.n g in
   if n = 0 then 0

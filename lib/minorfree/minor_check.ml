@@ -1,5 +1,6 @@
 open Sparse_graph
 
+(* lint: allow U001 test oracle: brute-force reference for minor tests *)
 let subgraph_isomorphic h g =
   let nh = Graph.n h and ng = Graph.n g in
   if nh > ng || Graph.m h > Graph.m g then false
@@ -45,6 +46,7 @@ let subgraph_isomorphic h g =
     place 0
   end
 
+(* lint: allow U001 test oracle: brute-force minor reference for Properties *)
 let has_minor h g =
   if Graph.n g > 64 then
     invalid_arg "Minor_check.has_minor: graph too large for exact search";
@@ -102,6 +104,7 @@ let is_series_parallel g =
   done;
   !remaining = 0
 
+(* lint: allow U001 test oracle: brute-force clique-minor reference *)
 let has_clique_minor g t =
   if t <= 1 then Graph.n g >= t
   else if t = 2 then Graph.m g >= 1

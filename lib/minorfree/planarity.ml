@@ -249,6 +249,7 @@ let embed_block_exn g =
     !faces
   end
 
+(* lint: allow U001 test oracle: planar faces checked against Lr_planarity *)
 let embed_block g =
   if not (Blocks.is_biconnected g) then
     invalid_arg "Planarity.embed_block: graph is not biconnected";

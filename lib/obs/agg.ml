@@ -124,27 +124,6 @@ let rec volatile_json node =
   in
   Json.Obj fields
 
-(* flat dump: "a/b/c" -> metrics, sorted by path *)
-let flat_json tree =
-  let rows = ref [] in
-  let rec go prefix node =
-    let path = String.concat "/" (List.rev prefix) in
-    if node.count > 0 || not (SMap.is_empty node.sums) then
-      rows :=
-        ( path,
-          Json.Obj
-            ([ ("count", Json.Int node.count) ]
-            @ (if SMap.is_empty node.sums then []
-               else [ ("metrics", int_map_json node.sums) ])
-            @
-            if SMap.is_empty node.maxes then []
-            else [ ("max", int_map_json node.maxes) ]) )
-        :: !rows;
-    SMap.iter (fun name c -> go (name :: prefix) c) node.children
-  in
-  go [] tree;
-  Json.Obj (List.sort (fun (a, _) (b, _) -> compare a b) !rows)
-
 (* ------------------------------------------------------------------ *)
 (* ASCII rendering                                                      *)
 (* ------------------------------------------------------------------ *)

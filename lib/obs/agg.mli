@@ -37,8 +37,5 @@ val to_json : node -> Json.t
 val volatile_json : node -> Json.t
 (** Timing mirror of the tree: the volatile metrics only. *)
 
-val flat_json : node -> Json.t
-(** Flat metrics dump: ["a/b/c" -> {count, metrics, max}], sorted. *)
-
 val to_ascii : node -> string
 (** Indented span-tree summary for terminals. *)

@@ -10,7 +10,7 @@
    The split is structural rather than a naming convention so that a new
    metric cannot silently end up on the wrong side: deterministic values
    flow through Metric.count/set_max/hist, volatile ones through span
-   timing and Metric.volatile. *)
+   timing. *)
 
 let schema_name = "expander-obs-profile"
 
@@ -36,8 +36,6 @@ let profile_json ?(meta = []) tree =
       ( "volatile",
         Json.Obj (meta @ [ ("spans", Agg.volatile_json tree) ]) );
     ]
-
-let metrics_json tree = Agg.flat_json tree
 
 let to_ascii tree = Agg.to_ascii tree
 

@@ -1,5 +1,5 @@
-(** Profile assembly: the deterministic / volatile split, the flat
-    metrics dump and the ASCII summary. *)
+(** Profile assembly: the deterministic / volatile split and the ASCII
+    summary. *)
 
 val schema_name : string
 val schema_version : int
@@ -14,9 +14,6 @@ val deterministic_string : Agg.node -> string
 val profile_json : ?meta:(string * Json.t) list -> Agg.node -> Json.t
 (** Full BENCH_profile.json document; [meta] lands in the volatile
     section (jobs, wall seconds, workload name...). *)
-
-val metrics_json : Agg.node -> Json.t
-(** Flat ["path" -> {count, metrics, max}] dump. *)
 
 val to_ascii : Agg.node -> string
 

@@ -18,7 +18,3 @@ let bucket_of v =
   if v <= 0 then 0 else go 0 1
 
 let hist name v = Rt.add_sum (Printf.sprintf "%s.p2_%02d" name (bucket_of v)) 1
-
-(* timing-class values (ns, GC words): summed, but kept out of the
-   deterministic exports *)
-let volatile name v = Rt.add_volatile name v

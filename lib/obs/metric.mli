@@ -14,7 +14,3 @@ val set_max : string -> int -> unit
 val hist : string -> int -> unit
 (** Record [v] in a power-of-two bucket histogram: increments the
     counter [name.p2_<b>] where [2^b] is the smallest power >= [v]. *)
-
-val volatile : string -> int -> unit
-(** Add to a timing-class metric (exported only in the volatile
-    section; never part of parity comparisons). *)

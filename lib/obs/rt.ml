@@ -158,12 +158,6 @@ let add_max name v =
     bump (row_of st (current_key st)).r_maxes name v Int.max
   end
 
-let add_volatile name v =
-  if is_enabled () then begin
-    let st = state () in
-    bump (row_of st (current_key st)).r_volatile name v ( + )
-  end
-
 let span_begin st name args =
   let path = current_path st @ [ name ] in
   st.d_stack <-

@@ -112,6 +112,7 @@ let exact g =
 
 let exact_size g = List.length (exact g)
 
+(* lint: allow U001 test oracle: exhaustive reference for Dominating.exact *)
 let brute_force g =
   let n = Graph.n g in
   if n > 20 then invalid_arg "Dominating.brute_force: too large";

@@ -160,6 +160,7 @@ let exact_size g = List.length (exact g)
 
 let greedy g = List.sort compare (greedy_on (adjacency g) [])
 
+(* lint: allow U001 test oracle: validity of every MIS output *)
 let is_independent g vs =
   let rec go = function
     | [] -> true
@@ -269,6 +270,7 @@ let exact_weighted g w =
   if weight_of w found >= weight_of w greedy_set then List.sort compare found
   else List.sort compare greedy_set
 
+(* lint: allow U001 test oracle: exhaustive reference for the weighted MIS *)
 let brute_force_weighted g w =
   let n = Graph.n g in
   if n > 20 then invalid_arg "Mis.brute_force_weighted: too large";
@@ -290,6 +292,7 @@ let brute_force_weighted g w =
   done;
   !best
 
+(* lint: allow U001 test oracle: exhaustive reference for Mis.exact *)
 let brute_force g =
   let n = Graph.n g in
   if n > 20 then invalid_arg "Mis.brute_force: too large";

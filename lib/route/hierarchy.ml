@@ -39,8 +39,6 @@ type vec = { mutable buf : int array; mutable len : int }
 
 let vec_create () = { buf = Array.make 64 0; len = 0 }
 
-let vec_clear v = v.len <- 0
-
 let vec_push v x =
   if v.len = Array.length v.buf then begin
     let b = Array.make (2 * v.len) 0 in

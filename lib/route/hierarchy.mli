@@ -33,7 +33,6 @@
 type vec = { mutable buf : int array; mutable len : int }
 
 val vec_create : unit -> vec
-val vec_clear : vec -> unit
 val vec_push : vec -> int -> unit
 val vec_to_array : vec -> int array
 

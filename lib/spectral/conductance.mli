@@ -28,9 +28,5 @@ val exact : Sparse_graph.Graph.t -> float
     @raise Invalid_argument as {!exact}. *)
 val exact_cut : Sparse_graph.Graph.t -> float * bool array
 
-(** [is_expander_exact g phi] tests [Phi(G) >= phi] exactly (small graphs
-    only, same limit as {!exact}). *)
-val is_expander_exact : Sparse_graph.Graph.t -> float -> bool
-
 (** [mask_of_list n vs] builds a membership mask from a vertex list. *)
 val mask_of_list : int -> int list -> bool array

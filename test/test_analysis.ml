@@ -11,13 +11,14 @@ let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 
 (* run the engine over (path, content) fixtures; returns fresh findings *)
-let run ?baseline fixtures =
+let run ?libraries ?baseline fixtures =
   let sources =
     List.map (fun (path, content) -> Source.of_string ~path content) fixtures
   in
-  Engine.analyze ?baseline sources
+  Engine.analyze ?libraries ?baseline sources
 
-let fresh ?baseline fixtures = Engine.fresh (run ?baseline fixtures)
+let fresh ?libraries ?baseline fixtures =
+  Engine.fresh (run ?libraries ?baseline fixtures)
 
 let count_rule rule findings =
   List.length (List.filter (fun (f : Finding.t) -> f.rule = rule) findings)
@@ -604,6 +605,148 @@ let test_s001_outside_lib_negative () =
   check "bench code exempt from S001" 0 (count_rule "S001" fs)
 
 (* ------------------------------------------------------------------ *)
+(* call graph: submodule paths                                          *)
+(* ------------------------------------------------------------------ *)
+
+let graph_of ?(libraries = []) fixtures =
+  let sources =
+    List.map (fun (path, content) -> Source.of_string ~path content) fixtures
+  in
+  let parsed =
+    List.filter_map
+      (fun (s : Source.t) -> Option.map (fun a -> (s, a)) s.ast)
+      sources
+  in
+  Callgraph.build (Project.build ~libraries sources) parsed
+
+let pool_fixture =
+  ( "lib/parallel/pool.ml",
+    "let spawn () = 1\n\
+     module Team = struct\n\
+    \  let run_block () = spawn ()\n\
+    \  let create () = run_block ()\n\
+     end" )
+
+let refs_of graph q =
+  match Callgraph.find graph q with
+  | Some d -> d.refs
+  | None -> Alcotest.failf "%s is not a definition" q
+
+let test_callgraph_intra_file_submodule () =
+  let graph =
+    graph_of
+      [
+        ( "lib/graph/traversal.ml",
+          "module Heap = struct\n\
+          \  let push h x = h := x :: !h\n\
+           end\n\
+           let dijkstra h = Heap.push h 0" );
+      ]
+  in
+  checkb "dijkstra refs Traversal.Heap.push" true
+    (List.mem "Traversal.Heap.push" (refs_of graph "Traversal.dijkstra"))
+
+let test_callgraph_qualified_submodule () =
+  let graph =
+    graph_of
+      ~libraries:[ ("lib/parallel", "parallel") ]
+      [
+        pool_fixture;
+        ( "lib/congest/network.ml",
+          "let run () = Parallel.Pool.Team.create ()" );
+      ]
+  in
+  checkb "run refs Pool.Team.create" true
+    (List.mem "Pool.Team.create" (refs_of graph "Network.run"));
+  (* the chase reaches the toplevel helper, and lists the alias
+     "Pool.run_block" of the unqualified call in [create] under its
+     canonical name *)
+  Alcotest.(check (list string))
+    "reachable"
+    [
+      "Network.run"; "Pool.Team.create"; "Pool.Team.run_block"; "Pool.spawn";
+    ]
+    (Callgraph.reachable graph [ "Network.run" ])
+
+(* ------------------------------------------------------------------ *)
+(* U001: library value with no production caller                        *)
+(* ------------------------------------------------------------------ *)
+
+let u001_messages fs =
+  List.filter_map
+    (fun (f : Finding.t) ->
+      if f.rule = "U001" then Some (Printf.sprintf "%d %s" f.line f.message)
+      else None)
+    fs
+
+let test_u001_uncalled_value () =
+  let fs =
+    fresh
+      [
+        ("lib/fake/a.ml", "let used () = 1\nlet unused () = 2");
+        ("bin/main.ml", "let () = ignore (A.used ())");
+      ]
+  in
+  check "one finding" 1 (count_rule "U001" fs);
+  let f = List.find (fun (f : Finding.t) -> f.rule = "U001") fs in
+  check "at the definition" 2 f.line;
+  checkb "names the value" true
+    (String.starts_with ~prefix:"A.unused has no production caller" f.message)
+
+let test_u001_transitive () =
+  (* [helper] is called, but only from [dead] *)
+  let fs =
+    fresh
+      [
+        ( "lib/fake/a.ml",
+          "let helper () = 1\nlet dead () = helper ()\nlet live () = 2" );
+        ("bench/main.ml", "let run () = A.live ()\nlet () = run ()");
+      ]
+  in
+  Alcotest.(check (list int))
+    "helper and dead flagged" [ 1; 2 ]
+    (List.filter_map
+       (fun (f : Finding.t) -> if f.rule = "U001" then Some f.line else None)
+       fs)
+
+let test_u001_roots_negative () =
+  let fs =
+    fresh
+      [
+        ("lib/fake/a.ml", "let from_bin () = 1\nlet from_init () = 2");
+        (* lib/ side effects are roots: a [let () =] body is not a def *)
+        ("lib/fake/b.ml", "let setup () = A.from_init ()\nlet () = setup ()");
+        ("bin/main.ml", "let () = print_int (A.from_bin ())");
+      ]
+  in
+  Alcotest.(check (list string)) "no finding" [] (u001_messages fs)
+
+let test_u001_submodule_path_negative () =
+  (* [Pool.spawn] is reached only through [Parallel.Pool.Team.create] *)
+  let fs =
+    fresh
+      ~libraries:[ ("lib/parallel", "parallel") ]
+      [
+        pool_fixture;
+        ("bench_e2e/e2e.ml", "let () = ignore (Parallel.Pool.Team.create ())");
+      ]
+  in
+  Alcotest.(check (list string)) "no finding" [] (u001_messages fs)
+
+let test_u001_allow_comment () =
+  let report =
+    run
+      [
+        ( "lib/fake/a.ml",
+          "(* lint: allow U001 test oracle: checks outputs *)\n\
+           let check () = true" );
+      ]
+  in
+  let fresh_count, suppressed, _ = Engine.counts report in
+  check "nothing fresh" 0 fresh_count;
+  check "oracle suppressed" 1 suppressed
+
+(* ------------------------------------------------------------------ *)
 (* suppression comments                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -616,6 +759,8 @@ let test_suppression_same_and_preceding_line () =
            (* lint: allow D003 timing *)\n\
            let b () = Unix.gettimeofday ()\n\
            let c () = Unix.gettimeofday ()" );
+        (* a production caller, so U001 stays quiet *)
+        ("bin/main.ml", "let () = ignore (A.a (), A.b (), A.c ())");
       ]
   in
   let fresh_count, suppressed, _ = Engine.counts report in
@@ -637,10 +782,15 @@ let test_suppression_wrong_rule_does_not_mask () =
 (* ------------------------------------------------------------------ *)
 
 let test_baseline_round_trip () =
+  (* a production caller for every value, so U001 stays quiet *)
+  let main =
+    ("bin/main.ml", "let () = ignore (A.pick, A.degenerate, A.extra)")
+  in
   let fixtures =
     [
       ( "lib/fake/a.ml",
         "let pick n = Random.int n\nlet degenerate x = x = 0." );
+      main;
     ]
   in
   let before = fresh fixtures in
@@ -658,6 +808,7 @@ let test_baseline_round_trip () =
         "let pick n = Random.int n\n\
          let degenerate x = x = 0.\n\
          let extra () = Sys.time ()" );
+      main;
     ]
   in
   check "new finding escapes the baseline" 1
@@ -689,13 +840,14 @@ let test_repo_tree_loads () =
   | None -> () (* sandboxed test run without the tree; nothing to assert *)
   | Some root ->
       let sources, libraries =
-        Engine.load_tree ~root ~dirs:[ "lib"; "bench"; "bin" ] ()
+        Engine.load_tree ~root ~dirs:[ "lib"; "bench"; "bench_e2e"; "bin" ]
+          ()
       in
       checkb "found a library map" true (List.length libraries >= 5);
       checkb "found the sources" true (List.length sources >= 50);
       let report = Engine.analyze ~libraries sources in
       (* D-rules and the parallel-safety/allocation rules must be clean
-         modulo inline suppressions; H001 may carry baseline entries,
+         modulo inline suppressions; H001 and U001 may carry baseline entries,
          which appear as fresh here because we pass no baseline *)
       let hard =
         List.filter
@@ -721,7 +873,9 @@ let test_jobs_parity () =
       let report_with jobs =
         let pool = Parallel.Pool.create ~jobs () in
         let sources, libraries =
-          Engine.load_tree ~pool ~root ~dirs:[ "lib"; "bench"; "bin" ] ()
+          Engine.load_tree ~pool ~root
+            ~dirs:[ "lib"; "bench"; "bench_e2e"; "bin" ]
+            ()
         in
         Engine.to_json (Engine.analyze ~pool ~libraries sources)
       in
@@ -800,6 +954,19 @@ let () =
         [
           t "assert false and Obj flagged" test_s001_positive;
           t "bench exempt" test_s001_outside_lib_negative;
+        ] );
+      ( "callgraph",
+        [
+          t "intra-file submodule call" test_callgraph_intra_file_submodule;
+          t "qualified submodule call" test_callgraph_qualified_submodule;
+        ] );
+      ( "u001",
+        [
+          t "uncalled value flagged" test_u001_uncalled_value;
+          t "value reached only from dead code flagged" test_u001_transitive;
+          t "bin and let () roots pass" test_u001_roots_negative;
+          t "submodule path root passes" test_u001_submodule_path_negative;
+          t "allow comment suppresses" test_u001_allow_comment;
         ] );
       ( "engine",
         [

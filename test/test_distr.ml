@@ -389,94 +389,6 @@ let test_star_elimination_clean_input () =
   checkb "nothing removed" true (Array.for_all not r.removed)
 
 (* ------------------------------------------------------------------ *)
-(* Baselines: Luby MIS, greedy matching                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_luby_mis_whole () =
-  List.iter
-    (fun (name, g) ->
-      let view = Cluster_view.whole g in
-      let r = Luby_mis.run view ~seed:11 in
-      checkb (name ^ " valid MIS") true (Luby_mis.check view r))
-    [
-      ("grid", Generators.grid 8 8);
-      ("apollonian", Generators.random_apollonian 80 ~seed:12);
-      ("tree", Generators.random_tree 60 ~seed:13);
-      ("complete", Generators.complete 15);
-    ]
-
-let test_luby_mis_clustered () =
-  let g = Generators.random_apollonian 70 ~seed:14 in
-  let view = decomposed_view g 0.3 in
-  let r = Luby_mis.run view ~seed:15 in
-  checkb "valid over clusters" true (Luby_mis.check view r)
-
-let test_greedy_matching_whole () =
-  List.iter
-    (fun (name, g) ->
-      let view = Cluster_view.whole g in
-      let r = Greedy_matching.run view ~seed:16 () in
-      checkb (name ^ " valid maximal matching") true
-        (Greedy_matching.check view r))
-    [
-      ("grid", Generators.grid 7 6);
-      ("apollonian", Generators.random_apollonian 60 ~seed:17);
-      ("path", Generators.path 11);
-      ("complete", Generators.complete 12);
-    ]
-
-let test_greedy_matching_weighted () =
-  (* path of 3 edges with the middle edge heaviest: greedy takes it *)
-  let g = Generators.path 4 in
-  let w = Weights.of_array g [| 1; 5; 1 |] in
-  let view = Cluster_view.whole g in
-  let r = Greedy_matching.run view ~weights:w ~seed:18 () in
-  checkb "valid" true (Greedy_matching.check view r);
-  check "middle edge matched" 2 r.mate.(1);
-  check "middle edge matched (rev)" 1 r.mate.(2)
-
-let test_greedy_matching_half_approx () =
-  (* cardinality at least half of maximum: on even path P10 max = 5 *)
-  let g = Generators.path 10 in
-  let view = Cluster_view.whole g in
-  let r = Greedy_matching.run view ~seed:19 () in
-  let size =
-    Array.fold_left (fun acc m -> if m >= 0 then acc + 1 else acc) 0 r.mate / 2
-  in
-  checkb "at least half of optimum" true (size >= 3)
-
-(* ------------------------------------------------------------------ *)
-(* Distributed MPX clustering                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_mpx_clustering_valid () =
-  let g = Generators.grid 10 10 in
-  let view = Cluster_view.whole g in
-  let r = Mpx_clustering.run view ~beta:0.3 ~seed:61 in
-  checkb "valid partition" true (Decomp.Partition.is_valid g r.partition);
-  checkb "connected clusters" true
-    (Decomp.Partition.max_cluster_diameter g r.partition < max_int);
-  checkb "rounds positive" true (r.stats.Congest.Network.rounds > 0)
-
-let test_mpx_clustering_beta_tradeoff () =
-  let g = Generators.grid 12 12 in
-  let small = Mpx_clustering.run (Cluster_view.whole g) ~beta:0.05 ~seed:62 in
-  let large = Mpx_clustering.run (Cluster_view.whole g) ~beta:0.9 ~seed:62 in
-  checkb "more clusters at larger beta" true
-    (large.partition.k >= small.partition.k)
-
-let test_mpx_clustering_respects_view () =
-  (* clusters never cross the view's boundaries *)
-  let g = Graph_ops.disjoint_union (Generators.grid 4 4) (Generators.grid 4 4) in
-  let labels = Array.init (Graph.n g) (fun v -> if v < 16 then 0 else 1) in
-  let view = Cluster_view.of_labels g labels in
-  let r = Mpx_clustering.run view ~beta:0.2 ~seed:63 in
-  Graph.iter_edges g (fun _ u v ->
-      if labels.(u) <> labels.(v) then
-        checkb "no cross-boundary cluster" true
-          (r.partition.labels.(u) <> r.partition.labels.(v)))
-
-(* ------------------------------------------------------------------ *)
 (* Distributed expander decomposition                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -564,20 +476,6 @@ let prop_leader_election =
       let r = Leader_election.run view ~rounds:(Graph.n g) in
       Leader_election.check view r)
 
-let prop_luby =
-  QCheck.Test.make ~name:"Luby MIS valid on random graphs" ~count:40
-    arb_connected (fun input ->
-      let g = build input in
-      let view = Cluster_view.whole g in
-      Luby_mis.check view (Luby_mis.run view ~seed:1))
-
-let prop_greedy_matching =
-  QCheck.Test.make ~name:"greedy matching maximal on random graphs" ~count:40
-    arb_connected (fun input ->
-      let g = build input in
-      let view = Cluster_view.whole g in
-      Greedy_matching.check view (Greedy_matching.run view ~seed:2 ()))
-
 let prop_orientation =
   QCheck.Test.make ~name:"orientation covers intra edges with bounded degree"
     ~count:40 arb_connected (fun input ->
@@ -601,7 +499,7 @@ let prop_bfs =
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
-      prop_leader_election; prop_luby; prop_greedy_matching; prop_orientation;
+      prop_leader_election; prop_orientation;
       prop_bfs;
     ]
 
@@ -648,12 +546,6 @@ let () =
           tc "large diameter marked" test_diameter_check_large_diameter;
           tc "mixed clusters" test_diameter_check_mixed_clusters;
         ] );
-      ( "mpx_clustering",
-        [
-          tc "valid partition" test_mpx_clustering_valid;
-          tc "beta tradeoff" test_mpx_clustering_beta_tradeoff;
-          tc "respects cluster view" test_mpx_clustering_respects_view;
-        ] );
       ( "distributed_decomposition",
         [
           tc "quality across families" test_distributed_decomposition_quality;
@@ -675,14 +567,6 @@ let () =
           tc "pinned elimination" test_star_elimination_pinned;
           tc "matches centralized fixpoint" test_star_elimination_matches_centralized;
           tc "clean input untouched" test_star_elimination_clean_input;
-        ] );
-      ( "baselines",
-        [
-          tc "Luby MIS" test_luby_mis_whole;
-          tc "Luby MIS clustered" test_luby_mis_clustered;
-          tc "greedy matching" test_greedy_matching_whole;
-          tc "greedy matching weighted" test_greedy_matching_weighted;
-          tc "half approximation" test_greedy_matching_half_approx;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -643,8 +643,8 @@ let equiv_fault_free =
       s_ref = s_ev && st_ref = st_ev)
 
 (* the chaos algorithm with every vertex woken every round: the shape of
-   the round-clock protocols (Luby MIS, greedy matching, the reliable
-   transports) *)
+   the round-clock protocols (leader election, orientation, the diameter
+   check, the reliable transports) *)
 let equiv_every_round =
   QCheck.Test.make ~name:"run Every_round = reference (faulty)" ~count:40
     fault_arb (fun (_, g, faults) ->

@@ -203,7 +203,7 @@ let test_sweep_tie_break_by_vertex_id () =
     cut4.side
 
 (* Regression: lambda2 used to be a NaN placeholder on cuts that came
-   from non-spectral sweep orders (BFS, tree, PPR, plain sweep), and the
+   from non-spectral sweep orders (BFS, tree, plain sweep), and the
    NaN leaked into certified lower bounds and reports. The field is now a
    [float option]: [Some] only when a converged spectral embedding backs
    the estimate. *)
@@ -216,10 +216,7 @@ let test_lambda2_only_from_spectral_embeddings () =
     ((Sweep_cut.sweep g (Array.init 16 float_of_int)).lambda2 = None);
   checkb "bfs sweep has none" true ((Sweep_cut.bfs_sweep g).lambda2 = None);
   checkb "tree cut has none" true
-    ((Sweep_cut.tree_cut (Generators.random_tree 20 ~seed:13)).lambda2 = None);
-  let chain = Generators.blob_chain ~blobs:6 ~blob_size:12 ~seed:71 in
-  checkb "local PPR cut has none" true
-    ((Local_cluster.find chain ~seed_vertex:30 ~target_volume:70).lambda2 = None)
+    ((Sweep_cut.tree_cut (Generators.random_tree 20 ~seed:13)).lambda2 = None)
 
 let test_lambda2_lower_bound_branches () =
   let mk lambda2 =
@@ -288,72 +285,6 @@ let test_combined_cut_dominates () =
       ("grid", Generators.grid 7 7);
       ("barbell", Generators.barbell 8 2);
     ]
-
-(* ------------------------------------------------------------------ *)
-(* Local clustering (PPR nibble)                                       *)
-(* ------------------------------------------------------------------ *)
-
-let test_ppr_mass_bounds () =
-  let g = Generators.grid 8 8 in
-  let v = Local_cluster.ppr g ~seed_vertex:0 ~alpha:0.1 ~eps:1e-4 in
-  let total = List.fold_left (fun acc (_, m) -> acc +. m) 0. v in
-  checkb "positive mass" true (total > 0.);
-  checkb "mass at most 1" true (total <= 1. +. 1e-9);
-  checkb "seed has mass" true (List.mem_assoc 0 v)
-
-let test_ppr_locality () =
-  (* on a blob chain, PPR from inside a blob stays concentrated there *)
-  let g = Generators.blob_chain ~blobs:6 ~blob_size:12 ~seed:70 in
-  let v = Local_cluster.ppr g ~seed_vertex:30 ~alpha:0.2 ~eps:1e-4 in
-  let inside, outside =
-    List.fold_left
-      (fun (i, o) (u, m) -> if u / 12 = 2 then (i +. m, o) else (i, o +. m))
-      (0., 0.) v
-  in
-  checkb "concentrated in the seed blob" true (inside > 4. *. outside)
-
-let test_ppr_pairs_vertex_sorted () =
-  (* regression: the sparse PPR vector is accumulated in a Hashtbl; the
-     pairs must leave in ascending vertex order, not hash order *)
-  let g = Generators.blob_chain ~blobs:6 ~blob_size:12 ~seed:72 in
-  let v = Local_cluster.ppr g ~seed_vertex:17 ~alpha:0.15 ~eps:1e-4 in
-  let rec ascending = function
-    | (a, _) :: ((b, _) :: _ as rest) -> a < b && ascending rest
-    | _ -> true
-  in
-  checkb "nonempty" true (v <> []);
-  checkb "strictly ascending vertices" true (ascending v)
-
-let test_local_cluster_finds_blob () =
-  let g = Generators.blob_chain ~blobs:6 ~blob_size:12 ~seed:71 in
-  let cut = Local_cluster.find g ~seed_vertex:30 ~target_volume:70 in
-  (* blob boundaries are bridges: the local cut should be very sparse *)
-  checkb
-    (Printf.sprintf "sparse local cut %.4f" cut.conductance)
-    true
-    (cut.conductance <= 0.05);
-  checkf "cut value consistent" ~eps:1e-9
-    (Conductance.of_cut g cut.side)
-    cut.conductance
-
-let test_local_sweep_cut_tie_break () =
-  (* all support vertices have equal mass/degree: the sweep order is
-     decided entirely by the ascending-id tie-break, pinning the cut to
-     the contiguous low-id arc rather than an arbitrary tied permutation *)
-  let g = Generators.cycle 8 in
-  let vector = [ (5, 0.25); (2, 0.25); (0, 0.25); (1, 0.25) ] in
-  let cut = Local_cluster.sweep_cut g vector in
-  Alcotest.(check (array bool))
-    "tied masses sweep in id order"
-    [| true; true; true; false; false; false; false; false |]
-    cut.side;
-  checkf "arc conductance" ~eps:1e-9 (1. /. 3.) cut.conductance
-
-let test_ppr_validation () =
-  let g = Generators.cycle 5 in
-  Alcotest.check_raises "bad alpha"
-    (Invalid_argument "Local_cluster.ppr: need 0 < alpha < 1") (fun () ->
-      ignore (Local_cluster.ppr g ~seed_vertex:0 ~alpha:1.5 ~eps:0.1))
 
 (* ------------------------------------------------------------------ *)
 (* Expander decomposition                                              *)
@@ -606,15 +537,6 @@ let () =
           tc "tree cut exact on trees" test_tree_cut_exact_on_trees;
           tc "tree cut on augmented trees" test_tree_cut_with_extra_edges;
           tc "combined cut dominates" test_combined_cut_dominates;
-        ] );
-      ( "local_cluster",
-        [
-          tc "ppr mass bounds" test_ppr_mass_bounds;
-          tc "ppr locality" test_ppr_locality;
-          tc "ppr pairs sorted" test_ppr_pairs_vertex_sorted;
-          tc "finds the seed blob" test_local_cluster_finds_blob;
-          tc "sweep_cut tie-break by vertex id" test_local_sweep_cut_tie_break;
-          tc "parameter validation" test_ppr_validation;
         ] );
       ( "expander_decomposition",
         [
