@@ -487,6 +487,25 @@ let e9 () =
   let max_leader = election.leader_of in
   (* ablation leader: vertex 0 regardless of degree *)
   let fixed_leader = Array.make (Graph.n g) 0 in
+  (* deterministic contrast (Lemma 2.5 stand-in), independent of the walk
+     budget: a BFS tree from the leaders, then the same 2 tokens per
+     vertex shipped up each vertex's parent chain to its root *)
+  let roots = Array.init (Graph.n g) (fun v -> max_leader.(v) = v) in
+  let bfs = Distr.Bfs_tree.run view ~roots ~rounds:(Graph.n g) in
+  if not (Distr.Bfs_tree.check view bfs ~roots) then
+    failwith "E9: BFS tree from the leaders is not a shortest-path tree";
+  let rec chain v acc =
+    let p = bfs.parent.(v) in
+    if p = v then List.rev (v :: acc) else chain p (v :: acc)
+  in
+  let plans =
+    Array.init (2 * Graph.n g) (fun d -> Array.of_list (chain (d / 2) []))
+  in
+  let ship = Distr.Witness_routing.run g ~plans ~max_rounds:4000 in
+  if not (Distr.Witness_routing.check ~plans ship && ship.undelivered = 0) then
+    failwith "E9: parent-chain shipping lost a token";
+  let det_bfs = bfs.stats.Congest.Network.last_traffic_round in
+  let det_rounds = det_bfs + ship.last_round in
   let rows =
     grid [ 4; 16; 64; 256; 1024 ] (fun walk_len ->
         let run leader_of =
@@ -499,12 +518,6 @@ let e9 () =
         let rate r =
           Distr.Walk_routing.delivery_rate view ~tokens_of:(fun _ -> 2) r
         in
-        (* deterministic tree pipelining (Lemma 2.5 stand-in) for contrast *)
-        let det =
-          Distr.Tree_routing.run view ~leader_of:max_leader
-            ~tokens_of:(fun _ -> 2)
-            ~max_rounds:4000
-        in
         [
           [
             i walk_len;
@@ -512,17 +525,18 @@ let e9 () =
             i r_max.stats.Congest.Network.last_traffic_round;
             i r_max.stats.Congest.Network.max_edge_bits;
             pct (rate r_fixed);
-            i det.stats.Congest.Network.last_traffic_round;
+            i det_rounds;
           ];
         ])
   in
   print_table
     ~title:
       (Printf.sprintf
-         "E9: walk routing on apollonian n=%d (leader deg %d; ablation leader deg %d)"
+         "E9: walk routing on apollonian n=%d (leader deg %d; ablation leader \
+          deg %d; det-tree = %d BFS + %d shipping rounds)"
          (Graph.n g)
          (Graph.degree g max_leader.(0))
-         (Graph.degree g 0))
+         (Graph.degree g 0) det_bfs ship.last_round)
     ~header:
       [ "walk budget"; "delivered"; "rounds"; "max edge bits";
         "delivered (low-deg leader)"; "det-tree rounds" ]
@@ -606,6 +620,8 @@ let e11 () =
         Distr.Local_gather.run view ~leader_of
           ~rounds_budget:((2 * diam) + 6)
       in
+      if not (Distr.Gather.complete view ~leader_of local.edges_at_leader) then
+        failwith ("E11: LOCAL gathering incomplete on " ^ name);
       let congest_budget =
         match Congest.Network.congest_bandwidth (Graph.n g) with
         | Congest.Network.Congest b -> b
@@ -616,7 +632,9 @@ let e11 () =
           Distr.Gather.run view ~leader_of ~density:3. ~walk_len
             ~seed:(27 + attempts) ~max_rounds:(walk_len * 50)
         in
-        if Distr.Gather.complete view ~leader_of r || attempts > 6 then r
+        if Distr.Gather.complete view ~leader_of r.edges_at_leader then r
+        else if attempts > 6 then
+          failwith ("E11: walk gathering incomplete on " ^ name)
         else congest_gather (walk_len * 2) (attempts + 1)
       in
       let congest = congest_gather 256 0 in

@@ -12,8 +12,11 @@
    inline comment on the same or the preceding line —
        (* lint: allow D003 timing harness *)
    — or by an entry in the checked-in baseline file (grandfathered
-   findings; see --write-baseline). Hot-path roots for the A001
-   allocation and A002 comparison rules are declared the same way:
+   findings; see --write-baseline). A baseline entry that matches no
+   finding is named as stale, and --verify-report fails on it: once its
+   finding is fixed, it would grandfather the next one on that line.
+   Hot-path roots for the A001 allocation and A002 comparison rules are
+   declared the same way:
        (* lint: hot *)
 
    The scanned files outside lib/ are the production program: U001
@@ -38,6 +41,7 @@ let usage () =
      \  --rules           print the rule catalog and exit\n\
      \  --explain RULE    print one rule's rationale and how to fix it\n\
      \  --verify-report FILE   exit 1 unless FILE reports zero new findings\n\
+     \                    and zero stale baseline entries\n\
      \  --compare-reports A B  exit 1 unless files A and B are byte-identical\n"
 
 let print_rules () =
@@ -75,10 +79,11 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
-(* "\"new\": N" in a version-2 report without a JSON parser: the key is
-   emitted exactly once, at the top level, by Engine.to_json *)
-let new_count_of_report content =
-  let key = "\"new\":" in
+(* "\"KEY\": N" in a version-3 report without a JSON parser: the keys
+   "new" and "stale" are emitted exactly once, at the top level, by
+   Engine.to_json *)
+let count_of_report key content =
+  let key = Printf.sprintf "%S:" key in
   let klen = String.length key in
   let len = String.length content in
   let rec find i =
@@ -102,19 +107,29 @@ let new_count_of_report content =
   find 0
 
 let verify_report path =
-  match new_count_of_report (read_file path) with
-  | Some 0 ->
-      Printf.printf "lint: %s reports 0 new findings\n" path;
+  let content = read_file path in
+  match (count_of_report "new" content, count_of_report "stale" content) with
+  | Some 0, Some 0 ->
+      Printf.printf "lint: %s reports 0 new findings, 0 stale baseline entries\n"
+        path;
       exit 0
-  | Some n ->
+  | Some n, Some _ when n > 0 ->
       Printf.eprintf
         "lint: %s reports %d new finding%s; fix them or suppress each with \
          a reasoned allow comment (never silently baseline)\n"
         path n
         (if n = 1 then "" else "s");
       exit 1
-  | None ->
-      Printf.eprintf "lint: %s has no \"new\" count — not a lint report?\n"
+  | Some _, Some n ->
+      Printf.eprintf
+        "lint: %s reports %d stale baseline entr%s matching no finding; \
+         regenerate the baseline with --write-baseline\n"
+        path n
+        (if n = 1 then "y" else "ies");
+      exit 1
+  | _ ->
+      Printf.eprintf
+        "lint: %s has no \"new\" or \"stale\" count — not a lint report?\n"
         path;
       exit 2
 

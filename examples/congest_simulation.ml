@@ -50,7 +50,8 @@ let () =
     gather.routing_stats.messages gather.routing_stats.max_edge_bits;
   Printf.printf "  tokens delivered: %.1f%%, every leader knows its cluster: %b\n\n"
     (100. *. gather.delivery)
-    (Gather.complete view ~leader_of:election.leader_of gather);
+    (Gather.complete view ~leader_of:election.leader_of
+       gather.edges_at_leader);
 
   print_endline "phase 4: failure detection (Section 2.3 diameter check)";
   let check = Diameter_check.run view ~b:12 in

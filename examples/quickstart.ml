@@ -1,9 +1,9 @@
 (* Quickstart: the Theorem 2.6 framework end to end on a planar network.
 
-   Build a random planar graph, run the full simulated pipeline (expander
+   Build a random planar graph, run the simulated pipeline (expander
    decomposition -> leader election -> topology gathering by random walks ->
-   local solve -> broadcast), and compute a (1 - eps)-approximate maximum
-   independent set (Theorem 1.2).
+   local solve), and compute a (1 - eps)-approximate maximum independent
+   set (Theorem 1.2).
 
    Run with: dune exec examples/quickstart.exe *)
 

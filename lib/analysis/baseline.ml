@@ -1,10 +1,15 @@
-module SSet = Set.Make (String)
+(* entries keyed by (rule, file, line) *)
+module KSet = Set.Make (struct
+  type t = string * string * int
 
-type t = { keys : SSet.t; lines : string list }
+  let compare = compare
+end)
 
-let empty = { keys = SSet.empty; lines = [] }
+type t = { keys : KSet.t; lines : string list }
 
-let key ~rule ~file ~line = Printf.sprintf "%s\t%s\t%d" rule file line
+let empty = { keys = KSet.empty; lines = [] }
+
+let key (f : Finding.t) = (f.rule, f.file, f.line)
 
 let parse content =
   let lines = String.split_on_char '\n' content in
@@ -17,10 +22,10 @@ let parse content =
           match String.split_on_char '\t' line with
           | rule :: file :: ln :: _ -> (
               match int_of_string_opt ln with
-              | Some l -> SSet.add (key ~rule ~file ~line:l) acc
+              | Some l -> KSet.add (rule, file, l) acc
               | None -> acc)
           | _ -> acc)
-      SSet.empty lines
+      KSet.empty lines
   in
   { keys; lines }
 
@@ -34,8 +39,11 @@ let load path =
   end
   else empty
 
-let mem t (f : Finding.t) =
-  SSet.mem (key ~rule:f.rule ~file:f.file ~line:f.line) t.keys
+let mem t f = KSet.mem (key f) t.keys
+
+let unmatched t findings =
+  KSet.elements
+    (List.fold_left (fun acc f -> KSet.remove (key f) acc) t.keys findings)
 
 let of_findings findings =
   let sorted = List.sort_uniq Finding.order findings in
@@ -47,14 +55,9 @@ let of_findings findings =
            Printf.sprintf "%s\t%s\t%d\t%s" f.rule f.file f.line f.message)
          sorted
   in
-  let keys =
-    List.fold_left
-      (fun acc (f : Finding.t) ->
-        SSet.add (key ~rule:f.rule ~file:f.file ~line:f.line) acc)
-      SSet.empty sorted
-  in
+  let keys = KSet.of_list (List.map key sorted) in
   { keys; lines }
 
 let to_string t = String.concat "\n" t.lines ^ "\n"
 
-let size t = SSet.cardinal t.keys
+let size t = KSet.cardinal t.keys

@@ -4,6 +4,7 @@ type report = {
   files_scanned : int;
   results : (Finding.t * status) list;
   baseline_size : int;
+  stale : Finding.t list;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -157,10 +158,22 @@ let analyze ?(pool = Parallel.Pool.sequential) ?(rules = Rules.all)
       (fun (a, _) (b, _) -> Finding.order a b)
       (List.map (fun f -> (f, status_of f)) raw)
   in
+  let stale =
+    Baseline.unmatched baseline
+      (List.filter_map
+         (fun (f, st) -> if st = Baselined then Some f else None)
+         results)
+    |> List.map (fun (rule, file, line) ->
+           Finding.at ~rule ~severity:Finding.Error ~file ~line ~col:0
+             "stale baseline entry: it matches no finding; regenerate the \
+              baseline with --write-baseline")
+    |> List.sort Finding.order
+  in
   {
     files_scanned = List.length sources;
     results;
     baseline_size = Baseline.size baseline;
+    stale;
   }
 
 let fresh report =
@@ -182,7 +195,7 @@ let exit_code report = if fresh report = [] then 0 else 1
 let to_text report =
   let fresh_findings = fresh report in
   let f, s, b = counts report in
-  let body = List.map Finding.to_text fresh_findings in
+  let body = List.map Finding.to_text (fresh_findings @ report.stale) in
   let summary =
     Printf.sprintf
       "lint: %d file%s scanned; %d finding%s (%d new, %d suppressed, %d \
@@ -229,7 +242,7 @@ let to_json report =
   String.concat "\n"
     [
       "{";
-      "  \"version\": 2,";
+      "  \"version\": 3,";
       Printf.sprintf "  \"severities\": {%s},"
         (String.concat ", " severities);
       Printf.sprintf "  \"files_scanned\": %d," report.files_scanned;
@@ -237,6 +250,9 @@ let to_json report =
       Printf.sprintf "  \"suppressed\": %d," s;
       Printf.sprintf "  \"baselined\": %d," b;
       Printf.sprintf "  \"baseline_size\": %d," report.baseline_size;
+      Printf.sprintf "  \"stale\": %d," (List.length report.stale);
+      Printf.sprintf "  \"stale_entries\": [%s],"
+        (String.concat ", " (List.map Finding.to_json report.stale));
       Printf.sprintf "  \"counts\": {%s},"
         (String.concat ", "
            (List.map

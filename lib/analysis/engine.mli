@@ -7,6 +7,9 @@ type report = {
   files_scanned : int;
   results : (Finding.t * status) list;  (** sorted by location *)
   baseline_size : int;
+  stale : Finding.t list;
+      (** baseline entries that no unsuppressed finding matches, one
+          pseudo-finding each at the entry's rule and location *)
 }
 
 (** Recursively collect [dirs] (relative to [root]) for [*.ml] files and
@@ -43,11 +46,14 @@ val fresh : report -> Finding.t list
 (** Per-status counts as (fresh, suppressed, baselined). *)
 val counts : report -> int * int * int
 
-(** Human-readable listing of fresh findings plus a summary line. *)
+(** Human-readable listing of fresh findings and stale baseline entries
+    plus a summary line. *)
 val to_text : report -> string
 
 (** Full machine-readable report (all statuses, per-rule counts). *)
 val to_json : report -> string
 
-(** 0 when no fresh findings, 1 otherwise. *)
+(** 0 when no fresh findings, 1 otherwise. Stale baseline entries do not
+    count here (a narrowed [--dirs] run leaves entries unmatched); the
+    [@lint] gate rejects them through the report's ["stale"] count. *)
 val exit_code : report -> int

@@ -31,7 +31,6 @@ type report = {
   election_stats : Congest.Network.stats option;
   orientation_stats : Congest.Network.stats option;
   routing_stats : Congest.Network.stats option;
-  broadcast_stats : Congest.Network.stats option;
   simulated_rounds : int;
 }
 
@@ -121,7 +120,6 @@ let prepare ?(mode = Simulated) ?(engine = Spectral_engine)
       election_stats = None;
       orientation_stats = None;
       routing_stats = None;
-      broadcast_stats = None;
       simulated_rounds = 0;
     }
   in
@@ -147,7 +145,7 @@ let prepare ?(mode = Simulated) ?(engine = Spectral_engine)
             ~seed:(seed + attempts)
             ~max_rounds:(budget * 40)
         in
-        if Distr.Gather.complete view ~leader_of r then r
+        if Distr.Gather.complete view ~leader_of r.edges_at_leader then r
         else if attempts >= 8 then
           failwith "Pipeline.prepare: gathering did not complete"
         else gather_with (budget * 2) (attempts + 1)
@@ -186,17 +184,3 @@ let solve_locally t f = Array.map f t.clusters
    in exactly where matchings were retained *)
 let routing_service ?reuse ?seed ?pool t =
   Route.Service.preprocess ?reuse ?seed ?pool t.graph t.decomposition
-
-let broadcast_result t ~payload =
-  match t.report.election_stats with
-  | None -> None
-  | Some _ ->
-      let sources =
-        Array.init (Graph.n t.graph) (fun v ->
-            if t.leader_of.(v) = v then Some (payload v) else None)
-      in
-      let r =
-        Distr.Broadcast.run t.view ~sources
-          ~rounds:(t.report.diameter_bound + 1)
-      in
-      Some r.stats

@@ -1,10 +1,12 @@
 (** The framework of Theorem 2.6: expander-decompose, elect a maximum-degree
-    leader per cluster, gather each cluster's topology at its leader, let
-    the leader solve locally, and broadcast results back.
+    leader per cluster, gather each cluster's topology at its leader, and
+    let the leader solve locally. The final broadcast of results back over
+    each cluster is not run here; its cost is one leader-rooted
+    {!Distr.Bfs_tree.run} (one word per intra edge, diameter rounds).
 
     Two execution modes:
-    - [Simulated]: leader election, low-out-degree orientation, random-walk
-      routing (Lemma 2.4) and broadcast all actually run on the CONGEST
+    - [Simulated]: leader election, low-out-degree orientation and
+      random-walk routing (Lemma 2.4) actually run on the CONGEST
       simulator, with real round/bandwidth accounting. The walk budget
       doubles until gathering completes.
     - [Charged]: the communication phases are skipped (results produced
@@ -50,7 +52,6 @@ type report = {
   election_stats : Congest.Network.stats option;
   orientation_stats : Congest.Network.stats option;
   routing_stats : Congest.Network.stats option;
-  broadcast_stats : Congest.Network.stats option;
   simulated_rounds : int;           (** total measured rounds of the
                                         simulated phases (0 in Charged) *)
 }
@@ -90,13 +91,6 @@ val solve_locally : t -> (cluster -> 'a) -> 'a array
     any worker count. *)
 val routing_service :
   ?reuse:bool -> ?seed:int -> ?pool:Parallel.Pool.t -> t -> Route.Service.t
-
-(** [broadcast_result t ~payload] simulates broadcasting one word from each
-    leader over its cluster and returns the stats (Simulated mode); in
-    Charged mode returns [None]. [payload] maps each leader to the value it
-    announces. *)
-val broadcast_result :
-  t -> payload:(int -> int) -> Congest.Network.stats option
 
 (** Theorem 2.1 construction-round charge: [ceil(eps^-2 * log2(max n 2)^3)]. *)
 val construction_charge : n:int -> epsilon:float -> int

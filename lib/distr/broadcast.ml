@@ -6,53 +6,11 @@ type result = {
   stats : Network.stats;
 }
 
-type state = {
-  value : int;
-  fresh : bool;
-}
-
-let run (view : Cluster_view.t) ~sources ~rounds =
-  Obs.Span.with_ "distr.broadcast" @@ fun () ->
-  let g = view.graph in
-  let n = Graph.n g in
-  let init (ctx : Network.ctx) =
-    match sources.(ctx.id) with
-    | Some x -> { value = x; fresh = true }
-    | None -> { value = -1; fresh = false }
-  in
-  let round r (ctx : Network.ctx) st inbox =
-    let st =
-      if st.value >= 0 then st
-      else
-        match inbox with
-        | [] -> st
-        | (_, x) :: _ -> { value = x; fresh = true }
-    in
-    (* event-driven: idle vertices sleep on their inbox and set a timer
-       for round [rounds + 1], where everyone halts *)
-    if r > rounds then Network.step st ~halt:true
-    else if st.fresh then
-      Network.step
-        { st with fresh = false }
-        ~send:(Cluster_view.flood view ctx.id st.value)
-        ~wake_after:(rounds + 1 - r)
-    else Network.step st ~wake_after:(rounds + 1 - r)
-  in
-  let states, stats =
-    Network.run g
-      ~bandwidth:(Network.congest_bandwidth n)
-      ~msg_bits:(fun _ -> Bits.words n 1)
-      ~init ~round ~max_rounds:(rounds + 1)
-  in
-  { received = Array.map (fun st -> st.value) states; stats }
-
-(* ------------------------------------------------------------------ *)
-(* Retry-hardened variant: every informed vertex offers its value to     *)
-(* each intra neighbor through the Reliable ack/retry transport, so the  *)
-(* flood survives message drops and duplication. One payload per         *)
-(* neighbor ever enters the queue, so the per-edge load stays within     *)
-(* the CONGEST budget (payload + acks).                                  *)
-(* ------------------------------------------------------------------ *)
+(* Every informed vertex offers its value to each intra neighbor through
+   the Reliable ack/retry transport, so the flood survives message drops
+   and duplication. One payload per neighbor ever enters the queue, so
+   the per-edge load stays within the CONGEST budget (payload + acks).
+   The fault-free flood is {!Bfs_tree.run}: the same one word per edge. *)
 
 type rstate = {
   rvalue : int;

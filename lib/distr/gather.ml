@@ -47,7 +47,7 @@ let run (view : Cluster_view.t) ~leader_of ~density ~walk_len ~seed ~max_rounds 
     routing_stats = routing.stats;
   }
 
-let complete (view : Cluster_view.t) ~leader_of result =
+let complete (view : Cluster_view.t) ~leader_of edges_at_leader =
   let g = view.graph in
   (* expected edges per leader *)
   let expected = Hashtbl.create 16 in
@@ -62,7 +62,7 @@ let complete (view : Cluster_view.t) ~leader_of result =
     (fun leader edges ->
       let want = List.sort_uniq compare edges in
       let got =
-        match List.assoc_opt leader result.edges_at_leader with
+        match List.assoc_opt leader edges_at_leader with
         | Some es -> es
         | None -> []
       in
@@ -79,5 +79,5 @@ let complete (view : Cluster_view.t) ~leader_of result =
             || not (Graph.mem_edge g u v)
           then ok := false)
         es)
-    result.edges_at_leader;
+    edges_at_leader;
   !ok

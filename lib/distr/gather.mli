@@ -27,6 +27,9 @@ val run :
   max_rounds:int ->
   result
 
-(** [complete view ~leader_of result] holds when every leader learned
-    exactly the edge set of its cluster. *)
-val complete : Cluster_view.t -> leader_of:int array -> result -> bool
+(** [complete view ~leader_of edges_at_leader] holds when every leader
+    learned exactly the edge set of its cluster and no edge outside it.
+    It checks either gather: this module's [edges_at_leader] or
+    {!Local_gather}'s. *)
+val complete :
+  Cluster_view.t -> leader_of:int array -> (int * (int * int) list) list -> bool

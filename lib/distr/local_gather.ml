@@ -144,26 +144,3 @@ let run (view : Cluster_view.t) ~leader_of ~rounds_budget =
     max_message_bits = stats.Network.max_edge_bits;
     stats;
   }
-
-(* lint: allow U001 test oracle: each leader knows its cluster's edges *)
-let complete (view : Cluster_view.t) ~leader_of result =
-  let g = view.graph in
-  let expected = Hashtbl.create 16 in
-  Graph.iter_edges g (fun _ u v ->
-      if view.labels.(u) = view.labels.(v) then begin
-        let leader = leader_of.(u) in
-        let cur = try Hashtbl.find expected leader with Not_found -> [] in
-        Hashtbl.replace expected leader ((u, v) :: cur)
-      end);
-  let ok = ref true in
-  Hashtbl.iter
-    (fun leader edges ->
-      let want = List.sort_uniq compare edges in
-      let got =
-        match List.assoc_opt leader result.edges_at_leader with
-        | Some es -> es
-        | None -> []
-      in
-      if got <> want then ok := false)
-    expected;
-  !ok

@@ -21,9 +21,7 @@ type result = {
 
 (** [run view ~leader_of ~rounds_budget] gathers every cluster's topology at
     its leader with unbounded messages. [rounds_budget] must be at least
-    2 * cluster diameter + 3. *)
+    2 * cluster diameter + 3. {!Gather.complete} checks the result's
+    [edges_at_leader]. *)
 val run :
   Cluster_view.t -> leader_of:int array -> rounds_budget:int -> result
-
-(** Every leader learned exactly its cluster's edge set. *)
-val complete : Cluster_view.t -> leader_of:int array -> result -> bool

@@ -2,12 +2,13 @@ open Sparse_graph
 open Congest
 
 (* Source-routed store-and-forward execution of pre-planned demand paths
-   on the CONGEST simulator: the [route_via_witness] counterpart to
-   {!Walk_routing} (lazy random walks) and {!Tree_routing} (BFS-tree
-   convergecast). The expander-routing planner (lib/route) turns a demand
-   into a concrete vertex path along the witness hierarchy; this module
-   only ships the tokens, throttled to the per-edge CONGEST budget, so
-   planner and simulator deliver exactly the same multiset of demands.
+   on the CONGEST simulator: the deterministic counterpart to
+   {!Walk_routing} (lazy random walks). The expander-routing planner
+   (lib/route) turns a demand into a concrete vertex path along the
+   witness hierarchy, and a Bfs_tree parent chain is another such path;
+   this module only ships the tokens, throttled to the per-edge CONGEST
+   budget, so planner and simulator deliver exactly the same multiset of
+   demands.
 
    Tokens are single ints ([did * stride + pos]); a vertex holding a
    token at position [pos] of its plan forwards it to position [pos + 1],

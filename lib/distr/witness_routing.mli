@@ -1,10 +1,13 @@
 (** Source-routed execution of pre-planned demand paths: the
-    [route_via_witness] counterpart to {!Walk_routing} (lazy random
-    walks, Lemma 2.4) and {!Tree_routing} (BFS-tree convergecast).
+    deterministic counterpart to {!Walk_routing} (lazy random walks,
+    Lemma 2.4).
 
     The expander-routing planner ([lib/route]) turns each demand into a
-    concrete vertex path along the witness hierarchy; this module ships
-    one token per demand along its path on the CONGEST simulator. Each
+    concrete vertex path along the witness hierarchy; a {!Bfs_tree}
+    parent chain is another such path, so tokens shipped up chains to
+    their roots are the deterministic leader gathering of experiment E9.
+    This module ships one token per demand along its path on the CONGEST
+    simulator. Each
     edge sends one {e flight} per round: a batch of parked tokens
     costing one framing word plus two id-words (demand, position) per
     token, sized to the bandwidth budget — so under the default budget

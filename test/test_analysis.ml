@@ -814,6 +814,41 @@ let test_baseline_round_trip () =
   check "new finding escapes the baseline" 1
     (List.length (fresh ~baseline fixtures2))
 
+let has_sub s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_baseline_stale_entry () =
+  (* the Random.int on line 1 was baselined, then fixed: its entry now
+     matches nothing, and would silently grandfather the next D001 that
+     lands on line 1 *)
+  let main = ("bin/main.ml", "let () = ignore (A.pick, A.degenerate)") in
+  let a body =
+    [ ("lib/fake/a.ml", body ^ "\nlet degenerate x = x = 0."); main ]
+  in
+  let original = a "let pick n = Random.int n" in
+  let baseline =
+    Baseline.parse (Baseline.to_string (Baseline.of_findings (fresh original)))
+  in
+  checkb "no stale entry while both match" true
+    (has_sub (Engine.to_json (run ~baseline original)) "\"stale\": 0,");
+  let report = run ~baseline (a "let pick n = n - 1") in
+  let fresh_count, _, baselined = Engine.counts report in
+  check "nothing new" 0 fresh_count;
+  check "the float compare stays grandfathered" 1 baselined;
+  let json = Engine.to_json report in
+  checkb "report counts the stale entry" true (has_sub json "\"stale\": 1,");
+  checkb "report names it" true
+    (has_sub json
+       "{\"rule\": \"D001\", \"severity\": \"error\", \"file\": \
+        \"lib/fake/a.ml\", \"line\": 1,");
+  checkb "text names it" true
+    (has_sub (Engine.to_text report)
+       "lib/fake/a.ml:1:0: [D001] stale baseline entry")
+
 let test_parse_error_is_a_finding () =
   let fs = fresh [ ("lib/fake/bad.ml", "let = ") ] in
   check "E000 reported" 1 (count_rule "E000" fs)
@@ -973,6 +1008,7 @@ let () =
           t "suppression lines" test_suppression_same_and_preceding_line;
           t "suppression rule mismatch" test_suppression_wrong_rule_does_not_mask;
           t "baseline round trip" test_baseline_round_trip;
+          t "stale baseline entry reported" test_baseline_stale_entry;
           t "parse error finding" test_parse_error_is_a_finding;
           t "repo tree clean" test_repo_tree_loads;
           t "cross-jobs parity" test_jobs_parity;

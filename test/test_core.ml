@@ -50,13 +50,6 @@ let test_pipeline_solve_locally () =
   let sizes = Pipeline.solve_locally p (fun cl -> List.length cl.members) in
   check "sizes sum to n" 25 (Array.fold_left ( + ) 0 sizes)
 
-let test_pipeline_broadcast () =
-  let g = Generators.random_apollonian 30 ~seed:5 in
-  let p = Pipeline.prepare g ~epsilon:0.3 ~seed:5 in
-  match Pipeline.broadcast_result p ~payload:(fun leader -> leader) with
-  | None -> Alcotest.fail "expected stats in simulated mode"
-  | Some stats -> checkb "broadcast ran" true (stats.Congest.Network.rounds > 0)
-
 (* ------------------------------------------------------------------ *)
 (* MaxIS application (Theorem 1.2)                                     *)
 (* ------------------------------------------------------------------ *)
@@ -541,7 +534,6 @@ let () =
           tc "charged matches simulated" test_pipeline_charged_matches_simulated_clusters;
           tc "inter-cluster budget" test_pipeline_inter_fraction;
           tc "solve locally" test_pipeline_solve_locally;
-          tc "broadcast" test_pipeline_broadcast;
         ] );
       ( "geometry golden",
         [
