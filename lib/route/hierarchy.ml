@@ -35,17 +35,33 @@ open Sparse_graph
 
 (* ---- growable int vector (the planner's path accumulator) ---- *)
 
-type vec = { mutable buf : int array; mutable len : int }
+(* [ebuf.(i)] joins [buf.(i-1)] and [buf.(i)] (see hierarchy.mli) *)
+type vec = { mutable buf : int array; mutable ebuf : int array; mutable len : int }
 
-let vec_create () = { buf = Array.make 64 0; len = 0 }
+let vec_create () = { buf = Array.make 64 0; ebuf = Array.make 64 0; len = 0 }
 
+let vec_grow v =
+  (* lint: allow A001 amortized doubling growth *)
+  let b = Array.make (2 * v.len) 0 in
+  Array.blit v.buf 0 b 0 v.len;
+  v.buf <- b;
+  (* lint: allow A001 amortized doubling growth *)
+  let eb = Array.make (2 * v.len) 0 in
+  Array.blit v.ebuf 0 eb 0 v.len;
+  v.ebuf <- eb
+
+(* lint: hot *)
 let vec_push v x =
-  if v.len = Array.length v.buf then begin
-    let b = Array.make (2 * v.len) 0 in
-    Array.blit v.buf 0 b 0 v.len;
-    v.buf <- b
-  end;
+  if v.len = Array.length v.buf then vec_grow v;
   v.buf.(v.len) <- x;
+  v.len <- v.len + 1
+
+(* append vertex [x], reached from the current last vertex over edge [e] *)
+(* lint: hot *)
+let vec_hop v e x =
+  if v.len = Array.length v.buf then vec_grow v;
+  v.buf.(v.len) <- x;
+  v.ebuf.(v.len) <- e;
   v.len <- v.len + 1
 
 let vec_to_array v = Array.sub v.buf 0 v.len
@@ -95,8 +111,9 @@ type node = {
   ranks : int array;        (* sorted child ranks (recursion child ids) *)
   children : node array;    (* aligned with [ranks] *)
   cluster : int;            (* leaf: the cluster label; internal: -1 *)
-  tmp_buckets : (int, (int * int) list ref) Hashtbl.t;
-      (* build-time accumulator, emptied by [fill_buckets] *)
+  tmp_buckets : (int, (int * int * int) list ref) Hashtbl.t;
+      (* build-time accumulator of (u, v, edge id), emptied by
+         [fill_buckets] *)
   mutable nd_id : int;      (* dense id across internal nodes *)
   mutable bkeys : int array;      (* sorted (i * nc + j) bucket keys *)
   mutable bvals : bucket array;   (* aligned with [bkeys] *)
@@ -123,8 +140,9 @@ type router = {
   ecur : int array;     (* vertex -> destination-entry probe position *)
   eadv : int array;     (* vertex -> advances since the last sync *)
   chain : vec;          (* scratch: LCA descent on the y side *)
-  fb_pred : int array;  (* scratch: global-BFS fallback predecessors *)
-  fb_queue : int array;
+  mutable fb_pred : int array;  (* scratch: global-BFS fallback incoming
+                                   edges; [||] until the first fallback *)
+  mutable fb_queue : int array;
   seq_memo : (int, int array) Hashtbl.t;  (* memoized child sequences *)
   mutable fallbacks : int;  (* legs that left the witness structures *)
 }
@@ -138,8 +156,8 @@ let make_router t =
     ecur = Array.make n 0;
     eadv = Array.make n 0;
     chain = vec_create ();
-    fb_pred = Array.make n (-1);
-    fb_queue = Array.make n 0;
+    fb_pred = [||];
+    fb_queue = [||];
     seq_memo = Hashtbl.create 16;
     fallbacks = 0;
   }
@@ -399,8 +417,8 @@ let fill_buckets root paths labels g inter_edges =
         | Some r -> r := port :: !r
         | None -> Hashtbl.add nd.tmp_buckets key (ref [ port ])
       in
-      add ((i * nc) + j) (u, v);
-      add ((j * nc) + i) (v, u))
+      add ((i * nc) + j) (u, v, e);
+      add ((j * nc) + i) (v, u, e))
     inter_edges;
   let acc = ref [] in
   let nbk = ref 0 and nnd = ref 0 and stride = ref 1 in
@@ -420,12 +438,11 @@ let fill_buckets root paths labels g inter_edges =
       nd.bvals <-
         Array.map
           (fun key ->
-            let ports =
+            let l =
               Array.of_list (List.rev !(Hashtbl.find nd.tmp_buckets key))
             in
-            let port_eids =
-              Array.map (fun (u, v) -> Graph.find_edge g u v) ports
-            in
+            let ports = Array.map (fun (u, v, _) -> (u, v)) l in
+            let port_eids = Array.map (fun (_, _, e) -> e) l in
             let b = { ports; port_eids; bk_id = !nbk } in
             incr nbk;
             acc := b :: !acc;
@@ -558,49 +575,43 @@ let bundle_cost cong eids =
   done;
   !c
 
-(* append member [c]'s hop up to its parent (out currently ends at c) *)
-let push_up lf out c =
-  let p = lf.up_path.(c) in
+(* append the walk along the real path [p] with edge ids [eids]
+   ([eids.(q)] joins [p.(q)] and [p.(q+1)]): forward emits p.(1) ..
+   p.(len-1), backward p.(len-2) .. p.(0); out ends at the start end *)
+(* lint: hot *)
+let push_path out p eids fwd =
   let len = Array.length p in
-  if len = 0 then vec_push out lf.members.(lf.parent.(c))
-  else if lf.up_fwd.(c) then
+  if fwd then
     for i = 1 to len - 1 do
-      vec_push out p.(i)
+      vec_hop out eids.(i - 1) p.(i)
     done
   else
     for i = len - 2 downto 0 do
-      vec_push out p.(i)
+      vec_hop out eids.(i) p.(i)
     done
 
+(* append member [c]'s hop up to its parent (out currently ends at c) *)
+(* lint: hot *)
+let push_up lf out c =
+  let p = lf.up_path.(c) in
+  if Array.length p = 0 then
+    vec_hop out lf.up_eids.(c).(0) lf.members.(lf.parent.(c))
+  else push_path out p lf.up_eids.(c) lf.up_fwd.(c)
+
 (* append the hop down from [c]'s parent to [c] (out ends at the parent) *)
+(* lint: hot *)
 let push_down lf out c =
   let p = lf.up_path.(c) in
-  let len = Array.length p in
-  if len = 0 then vec_push out lf.members.(c)
-  else if lf.up_fwd.(c) then
-    for i = len - 2 downto 0 do
-      vec_push out p.(i)
-    done
-  else
-    for i = 1 to len - 1 do
-      vec_push out p.(i)
-    done
+  if Array.length p = 0 then vec_hop out lf.up_eids.(c).(0) lf.members.(c)
+  else push_path out p lf.up_eids.(c) (not lf.up_fwd.(c))
 
 (* append the traversal of witness entry [e] (stored on member [self]'s
    row, so oriented self -> nbr iff [e.lfwd]) in the nbr -> self
    direction; out currently ends at nbr *)
+(* lint: hot *)
 let push_entry_back lf out self e =
-  let p = e.lpath in
-  let len = Array.length p in
-  if len = 0 then vec_push out lf.members.(self)
-  else if e.lfwd then
-    for i = len - 2 downto 0 do
-      vec_push out p.(i)
-    done
-  else
-    for i = 1 to len - 1 do
-      vec_push out p.(i)
-    done
+  if Array.length e.lpath = 0 then vec_hop out e.eids.(0) lf.members.(self)
+  else push_path out e.lpath e.eids (not e.lfwd)
 
 (* last-resort leg: BFS on the whole graph. Reached when the witness
    structures cannot connect the endpoints (disconnected input, or a
@@ -610,17 +621,25 @@ let fallback t rt out x y =
   rt.fallbacks <- rt.fallbacks + 1;
   Obs.Metric.incr "route.fallbacks";
   let n = Graph.n t.g in
+  (* fallbacks stay cold on connected clusters, so a router allocates its
+     two n-sized BFS arrays only when it first needs them *)
+  if Array.length rt.fb_pred < n then begin
+    rt.fb_pred <- Array.make n (-1);
+    rt.fb_queue <- Array.make n 0
+  end;
+  (* fb_pred.(w) = id of the edge w was first reached over (-1 =
+     unreached); its other endpoint is w's BFS predecessor *)
   Array.fill rt.fb_pred 0 n (-1);
-  rt.fb_pred.(x) <- x;
+  rt.fb_pred.(x) <- max_int;  (* reached, with no incoming edge *)
   let head = ref 0 and tail = ref 0 in
   rt.fb_queue.(!tail) <- x;
   incr tail;
   while !head < !tail && rt.fb_pred.(y) < 0 do
     let v = rt.fb_queue.(!head) in
     incr head;
-    Graph.iter_neighbors t.g v (fun w ->
+    Graph.iter_incident t.g v (fun w e ->
         if rt.fb_pred.(w) < 0 then begin
-          rt.fb_pred.(w) <- v;
+          rt.fb_pred.(w) <- e;
           rt.fb_queue.(!tail) <- w;
           incr tail
         end)
@@ -632,16 +651,19 @@ let fallback t rt out x y =
     let c = ref y in
     while !c <> x do
       vec_push chain !c;
-      c := rt.fb_pred.(!c)
+      let a, b = Graph.endpoints t.g rt.fb_pred.(!c) in
+      c := if a = !c then b else a
     done;
     for i = chain.len - 1 downto 0 do
-      vec_push out chain.buf.(i)
+      let c = chain.buf.(i) in
+      vec_hop out rt.fb_pred.(c) c
     done;
     true
   end
 
 (* walk the witness BFS tree from member [px] to member [py] (LCA walk);
    both must be reached. out currently ends at members.(px) *)
+(* lint: hot *)
 let tree_walk rt lf out px py =
   let px = ref px and py = ref py in
   let chain = rt.chain in
@@ -835,10 +857,11 @@ and route_across t rt ~ll ~cong nd out i j x y =
       | -1 -> ok := false
       | bi ->
           let bk = nd.bvals.(bi) in
-          let u, v = bk.ports.(pick_port rt ~ll ~cong bk) in
+          let k = pick_port rt ~ll ~cong bk in
+          let u, v = bk.ports.(k) in
           ok := route_under t rt ~ll ~cong nd.children.(a) out !cur u;
           if !ok then begin
-            vec_push out v;
+            vec_hop out bk.port_eids.(k) v;
             cur := v
           end);
       incr s

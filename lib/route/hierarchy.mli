@@ -29,8 +29,13 @@
     seeded via [Pool.derive_seed]. *)
 
 (** Growable int vector used as the planner's path accumulator, so a
-    serving loop can reuse one buffer across millions of demands. *)
-type vec = { mutable buf : int array; mutable len : int }
+    serving loop can reuse one buffer across millions of demands.
+    [buf.(0 .. len-1)] is the vertex path. After {!route}, for
+    [1 <= i < len], [ebuf.(i)] is the id of the edge joining
+    [buf.(i-1)] and [buf.(i)]: the planner writes it from the witness
+    structure it read the hop out of, so a caller charges per-edge load
+    without searching for the edge. [ebuf.(0)] is unspecified. *)
+type vec = { mutable buf : int array; mutable ebuf : int array; mutable len : int }
 
 val vec_create : unit -> vec
 val vec_push : vec -> int -> unit

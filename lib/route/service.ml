@@ -2,7 +2,10 @@ open Sparse_graph
 
 (* Batched serving on top of the witness hierarchy. [serve] is the
    in-memory planner: it answers a demand matrix with per-demand path
-   lengths (p50/p99/max) and per-edge weighted congestion. The batch is
+   lengths (p50/p99/max) and per-edge weighted congestion. A demand is
+   charged once it is fully routed, one increment per hop, at the edge
+   ids the planner recorded in its path buffer ([Hierarchy.vec.ebuf]),
+   so serving never searches the graph for an edge. The batch is
    sharded over the worker pool in fixed-size epochs: each task routes
    one chunk with a private router and a private snapshot of the
    congestion array, and the coordinator folds the congestion deltas and
@@ -123,11 +126,13 @@ let percentile a len p =
     a.(max 0 (min (len - 1) (rank - 1)))
   end
 
-(* charge the path in [out] against [cong] *)
+(* charge the path in [out] against [cong]: the planner recorded each
+   hop's edge id in [ebuf] *)
 (* lint: hot *)
-let charge g cong (out : Hierarchy.vec) w =
+let charge cong (out : Hierarchy.vec) w =
+  let ebuf = out.Hierarchy.ebuf in
   for i = 1 to out.Hierarchy.len - 1 do
-    let e = Graph.find_edge g out.Hierarchy.buf.(i - 1) out.Hierarchy.buf.(i) in
+    let e = ebuf.(i) in
     cong.(e) <- cong.(e) + w
   done
 
@@ -143,7 +148,7 @@ let serve_chunk t ~policy ~ti (ds : demand array) lengths paths lo hi =
   for i = lo to hi - 1 do
     let d = ds.(i) in
     if Hierarchy.route ~policy ~cong:tc t.hier rt out d.src d.dst then begin
-      charge t.g tc out d.weight;
+      charge tc out d.weight;
       lengths.(i) <- out.Hierarchy.len - 1;
       if keep then paths.(i) <- Hierarchy.vec_to_array out
     end

@@ -7,6 +7,10 @@
    - the planner summary's accounting is internally consistent
      (delivered + failed = demands, p50 <= p99 <= max, congestion total
      = sum of weighted path lengths);
+   - the edge id the planner records for each hop joins that hop's two
+     vertices, and the per-edge congestion equals a [Graph.find_edge]
+     recount of the plans, over rebuilt leaves, portal crossings and
+     global-BFS fallback legs;
    - planner and CONGEST execution deliver the same demand multiset at
      every shards {1,4} x jobs {1,4} point, byte-identically;
    - the walk router's delivery order is pinned by a fixed-seed golden
@@ -63,6 +67,68 @@ let valid_plan g (d : Route.Service.demand) p =
   done;
   !ok
 
+(* per-edge weighted load of [plans], recounted hop by hop with
+   [Graph.find_edge]: the oracle for the edge ids the planner emits *)
+let recount g (ds : Route.Service.demand array) plans =
+  let cong = Array.make (Graph.m g) 0 in
+  Array.iteri
+    (fun i p ->
+      for q = 1 to Array.length p - 1 do
+        let e = Graph.find_edge g p.(q - 1) p.(q) in
+        cong.(e) <- cong.(e) + ds.(i).Route.Service.weight
+      done)
+    plans;
+  cong
+
+(* every recorded hop edge joins the two vertices it sits between *)
+let ebuf_joins g (out : Route.Hierarchy.vec) =
+  let ok = ref true in
+  for i = 1 to out.Route.Hierarchy.len - 1 do
+    let a = out.Route.Hierarchy.buf.(i - 1) and b = out.Route.Hierarchy.buf.(i) in
+    let u, v = Graph.endpoints g out.Route.Hierarchy.ebuf.(i) in
+    if not ((u = a && v = b) || (u = b && v = a)) then ok := false
+  done;
+  !ok
+
+(* route every ordered pair straight through [Hierarchy.route] under both
+   policies, feeding Least_loaded a live load array, and check the edge
+   id of every hop *)
+let check_route_ebuf name g h =
+  let n = Graph.n g in
+  let rt = Route.Hierarchy.make_router h in
+  let out = Route.Hierarchy.vec_create () in
+  let cong = Array.make (Graph.m g) 0 in
+  List.iter
+    (fun policy ->
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          checkb name true (Route.Hierarchy.route ~policy ~cong h rt out src dst);
+          checkb name true (ebuf_joins g out);
+          for i = 1 to out.Route.Hierarchy.len - 1 do
+            let e = out.Route.Hierarchy.ebuf.(i) in
+            cong.(e) <- cong.(e) + 1
+          done
+        done
+      done)
+    [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ]
+
+(* serve every ordered pair and compare the service's per-edge loads with
+   the recount of its plans, under both policies *)
+let check_congestion_recount name g svc =
+  let n = Graph.n g in
+  let ds =
+    Array.init (n * n) (fun i ->
+        { Route.Service.src = i / n; dst = i mod n; weight = 1 + (i mod 3) })
+  in
+  List.iter
+    (fun policy ->
+      let s = Route.Service.serve ~policy svc ds in
+      let plans = Route.Service.plan ~policy svc ds in
+      checki (name ^ ": all routable") 0 s.Route.Service.failed;
+      checkb (name ^ ": per-edge recount") true
+        (recount g ds plans = Route.Service.congestion svc))
+    [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ]
+
 (* ------------------------------------------------------------------ *)
 (* Planner: path validity and summary accounting                       *)
 (* ------------------------------------------------------------------ *)
@@ -100,7 +166,8 @@ let test_summary_accounting () =
   checki "congestion accounting" !expect s.Route.Service.congestion_total;
   let cong = Route.Service.congestion svc in
   checki "per-edge loads sum to the total" s.Route.Service.congestion_total
-    (Array.fold_left ( + ) 0 cong)
+    (Array.fold_left ( + ) 0 cong);
+  checkb "per-edge loads equal the plans' recount" true (recount g ds plans = cong)
 
 (* hot-spot pattern: most demands converge on one destination *)
 let hot_demands g ~count ~seed =
@@ -180,6 +247,51 @@ let test_reuse_vs_rebuild () =
   Array.iteri
     (fun i p -> checkb "rebuilt plan valid" true (valid_plan g ds.(i) p))
     (Route.Service.plan rebuilt ds)
+
+(* rebuilt leaves route over fresh matching shortcuts; all ordered pairs
+   walk each expansion up (push_up) and down (push_down), and
+   Least_loaded diverts through push_entry_back *)
+let test_edge_ids_rebuilt_leaves () =
+  let g = Generators.random_regular 48 4 ~seed:2 in
+  let svc = service ~engine:Core.Pipeline.Cut_matching_engine ~reuse:false g in
+  let h = Route.Service.hierarchy svc in
+  checkb "rebuilt leaves carry shortcuts" true
+    ((Route.Hierarchy.info h).Route.Hierarchy.shortcuts > 0);
+  check_route_ebuf "rebuilt: hop edge joins its vertices" g h;
+  check_congestion_recount "rebuilt" g svc
+
+(* a hand-built decomposition of grid 4x4 into the even and the odd
+   columns: both clusters are internally disconnected, so legs between
+   columns leave the witness tree and run the global-BFS fallback *)
+let test_edge_ids_fallback () =
+  let g = Generators.grid 4 4 in
+  let labels = Array.init (Graph.n g) (fun v -> v mod 2) in
+  let inter_edges =
+    Graph.fold_edges g
+      (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
+      []
+    |> List.rev
+  in
+  let decomp =
+    {
+      Spectral.Expander_decomposition.labels;
+      k = 2;
+      inter_edges;
+      epsilon = 0.5;
+      phi = 0.01;
+      tau = 0.2;
+      witnesses =
+        Array.init 2 (fun l ->
+            Spectral.Expander_decomposition.no_witness ~path:[ l ]
+              ~source:"hand-built");
+    }
+  in
+  let svc = Route.Service.preprocess g decomp in
+  check_route_ebuf "fallback: hop edge joins its vertices" g
+    (Route.Service.hierarchy svc);
+  check_congestion_recount "fallback" g svc;
+  let s = Route.Service.serve svc [| { Route.Service.src = 0; dst = 2; weight = 1 } |] in
+  checkb "cross-column leg falls back" true (s.Route.Service.fallbacks > 0)
 
 (* ------------------------------------------------------------------ *)
 (* CONGEST execution parity                                            *)
@@ -437,36 +549,54 @@ let qcheck_witness_conservation =
       && Distr.Witness_routing.check ~plans r)
 
 (* qcheck: the serve summary's congestion_total always equals the
-   weighted sum of the planned path lengths, under either policy *)
+   weighted sum of the planned path lengths, and the per-edge loads equal
+   a find_edge recount of the plans, under either policy and for
+   spectral leaves, reused game matchings and rebuilt ones *)
 let accounting_case_arb =
   let open QCheck.Gen in
   let gen =
-    let* pick = 0 -- 2 in
+    let* pick = 0 -- 3 in
     let* count = 50 -- 250 in
     let* seed = int_bound 10_000 in
     let* ll = bool in
-    return (pick, count, seed, ll)
+    let* witness = 0 -- 2 in
+    return (pick, count, seed, ll, witness)
   in
   QCheck.make
-    ~print:(fun (pick, count, seed, ll) ->
-      Printf.sprintf "graph %d count %d seed %d policy %s" pick count seed
-        (if ll then "least_loaded" else "round_robin"))
+    ~print:(fun (pick, count, seed, ll, witness) ->
+      Printf.sprintf "graph %d count %d seed %d policy %s witness %s" pick
+        count seed
+        (if ll then "least_loaded" else "round_robin")
+        (match witness with
+        | 0 -> "spectral"
+        | 1 -> "cut-matching reuse"
+        | _ -> "cut-matching rebuild"))
     gen
 
 let qcheck_congestion_accounting =
-  QCheck.Test.make ~name:"serve: congestion_total = sum weight x length"
+  QCheck.Test.make
+    ~name:"serve: congestion_total = sum weight x length, per-edge recount"
     ~count:30 accounting_case_arb
-    (fun (pick, count, seed, ll) ->
-      let g =
+    (fun (pick, count, seed, ll, witness) ->
+      (* the first three graphs decompose into one cluster; grid 24x24
+         at epsilon 0.8 splits, so its demands cross portal edges *)
+      let g, epsilon =
         match pick with
-        | 0 -> Generators.grid 9 7
-        | 1 -> Generators.random_planar 80 1.6 ~seed:(1 + (seed land 7))
-        | _ -> Generators.random_regular 64 4 ~seed:(1 + (seed land 15))
+        | 0 -> (Generators.grid 9 7, 0.3)
+        | 1 -> (Generators.random_planar 80 1.6 ~seed:(1 + (seed land 7)), 0.3)
+        | 2 -> (Generators.random_regular 64 4 ~seed:(1 + (seed land 15)), 0.3)
+        | _ -> (Generators.grid 24 24, 0.8)
       in
       let policy =
         if ll then Route.Hierarchy.Least_loaded else Route.Hierarchy.Round_robin
       in
-      let svc = service g in
+      let svc =
+        match witness with
+        | 0 -> service ~epsilon g
+        | w ->
+            service ~engine:Core.Pipeline.Cut_matching_engine ~reuse:(w = 1)
+              ~epsilon g
+      in
       let ds = demands_of g ~count ~seed in
       let s = Route.Service.serve ~policy svc ds in
       let plans = Route.Service.plan ~policy svc ds in
@@ -480,7 +610,8 @@ let qcheck_congestion_accounting =
       s.Route.Service.demands = s.Route.Service.delivered + s.Route.Service.failed
       && !expect = s.Route.Service.congestion_total
       && Array.fold_left ( + ) 0 (Route.Service.congestion svc)
-         = s.Route.Service.congestion_total)
+         = s.Route.Service.congestion_total
+      && recount g ds plans = Route.Service.congestion svc)
 
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
@@ -494,6 +625,8 @@ let () =
           tc "least-loaded vs round-robin" test_least_loaded_beats_round_robin;
           tc "jobs parity (serve epochs)" test_jobs_parity_serve;
           tc "witness reuse vs rebuild" test_reuse_vs_rebuild;
+          tc "hop edge ids, rebuilt leaves" test_edge_ids_rebuilt_leaves;
+          tc "hop edge ids, fallback legs" test_edge_ids_fallback;
         ] );
       ( "congest",
         [
