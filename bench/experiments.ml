@@ -403,9 +403,9 @@ let e7 () =
       [
         [
           name; i d.k; Printf.sprintf "%.1e" d.phi;
-          (if !worst_ratio = infinity then "-" else f4 !worst_ratio);
-          (if !worst_slack = infinity then "-"
-           else Printf.sprintf "%.1e" !worst_slack);
+          (if Float.is_finite !worst_ratio then f4 !worst_ratio else "-");
+          (if Float.is_finite !worst_slack then Printf.sprintf "%.1e" !worst_slack
+           else "-");
         ];
       ])
   in
@@ -436,7 +436,9 @@ let e8 () =
         let g = gen n in
         let real_n = Graph.n g in
         let d = Spectral.Expander_decomposition.decompose g ~epsilon:eps in
-        let _, worst = Spectral.Expander_decomposition.verify g d in
+        let _, worst =
+          Spectral.Expander_decomposition.verify ~power_iters:120 ~seed:0 g d
+        in
         let charged = Core.Pipeline.construction_charge ~n:real_n ~epsilon:eps in
         let logn = log (float_of_int (max 2 real_n)) /. log 2. in
         let simulated =
@@ -449,7 +451,7 @@ let e8 () =
         (* ablation: BFS balls of comparable cluster count *)
         let bfs = Spectral.Expander_decomposition.bfs_ball_baseline g ~radius:3 in
         let _, bfs_worst =
-          Spectral.Expander_decomposition.verify g
+          Spectral.Expander_decomposition.verify ~power_iters:120 ~seed:0 g
             { bfs with epsilon = 1.0 }
         in
         let det =
@@ -682,7 +684,10 @@ let e12 () =
         let dd = Distr.Distributed_decomposition.decompose g ~epsilon:eps in
         let inter_ok, worst = Distr.Distributed_decomposition.verify g dd in
         let oracle = Spectral.Expander_decomposition.decompose g ~epsilon:eps in
-        let _, oworst = Spectral.Expander_decomposition.verify g oracle in
+        let _, oworst =
+          Spectral.Expander_decomposition.verify ~power_iters:120 ~seed:0 g
+            oracle
+        in
         let charge = Core.Pipeline.construction_charge ~n:(Graph.n g) ~epsilon:eps in
         [
           [
@@ -728,7 +733,7 @@ let e13 () =
         let st = Random.State.make [| seed; 6151 |] in
         let weights = Array.init n (fun _ -> 1 + Random.State.int st 30) in
         let r =
-          Core.App_mis.run_weighted ~mode:charged ~exact_limit:100 g ~weights
+          Core.App_mis.run_weighted ~mode:charged g ~weights
             ~epsilon:0.3 ~seed
         in
         let opt =
@@ -1357,7 +1362,7 @@ let decomp_bench () =
     let oracle_checked = Graph.n g <= decomp_oracle_limit in
     let oracle =
       if oracle_checked then begin
-        let inter_ok, worst = verify ~pool:!pool g d in
+        let inter_ok, worst = verify ~power_iters:120 ~seed:0 ~pool:!pool g d in
         Some (inter_ok && worst +. 1e-9 >= d.phi, worst)
       end
       else None

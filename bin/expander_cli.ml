@@ -118,7 +118,9 @@ let decompose_cmd =
                 st.Flow.Decomp_engine.heuristic_cuts;
               d
         in
-        let _, worst = Spectral.Expander_decomposition.verify g d in
+        let _, worst =
+          Spectral.Expander_decomposition.verify ~power_iters:120 ~seed:0 g d
+        in
         Printf.printf "measured min cluster conductance: %.4f\n" worst;
         (d.labels, d.k, List.length d.inter_edges, d.tau)
       end

@@ -34,7 +34,7 @@ let () =
   Printf.printf "  election valid: %b\n\n" (Leader_election.check view election);
 
   print_endline "phase 2: low-out-degree orientation (Barenboim-Elkin)";
-  let orientation = Orientation.run view ~density:3. () in
+  let orientation = Orientation.run view ~density:3. in
   pp_stats "orientation" orientation.stats;
   Printf.printf "  peeling phases: %d, max out-degree: %d\n\n"
     orientation.phases

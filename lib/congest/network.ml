@@ -230,62 +230,6 @@ let run_reference ?(faults = Faults.none) g ~bandwidth ~msg_bits ~init ~round
 (* Active-vertex scheduler                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* in-place ascending quicksort of a.(0 .. len-1); entries are distinct
-   vertex ids, so partitioning details cannot affect the result. A
-   worklist of round-clock vertices arrives already sorted (the step loop
-   queues them in ascending order), so one linear pass settles it. The
-   [int array] annotation makes every comparison below an inline integer
-   compare; left polymorphic, each one is a call into the C comparator *)
-(* lint: hot *)
-let sort_prefix (a : int array) len =
-  let swap i j =
-    let t = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- t
-  in
-  let insertion lo hi =
-    for i = lo + 1 to hi do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  in
-  let rec go lo hi =
-    if hi - lo < 16 then insertion lo hi
-    else begin
-      let mid = lo + ((hi - lo) / 2) in
-      if a.(mid) < a.(lo) then swap mid lo;
-      if a.(hi) < a.(lo) then swap hi lo;
-      if a.(hi) < a.(mid) then swap hi mid;
-      let pivot = a.(mid) in
-      let i = ref lo and j = ref hi in
-      while !i <= !j do
-        while a.(!i) < pivot do
-          incr i
-        done;
-        while a.(!j) > pivot do
-          decr j
-        done;
-        if !i <= !j then begin
-          swap !i !j;
-          incr i;
-          decr j
-        end
-      done;
-      go lo !j;
-      go !i hi
-    end
-  in
-  let i = ref 1 in
-  while !i < len && a.(!i - 1) < a.(!i) do
-    incr i
-  done;
-  if !i < len then go 0 (len - 1)
-
 (* sends are normally listed in ascending neighbor order, so a moving
    cursor over the sorted row validates them in O(1) amortized; an
    out-of-order send falls back to binary search *)
@@ -578,7 +522,7 @@ let run ?(faults = Faults.none)
         Hashtbl.remove sh.sh_wake_buckets r
     | None -> ());
     if sh_heap_min sh = r then sh_heap_pop sh;
-    sort_prefix sh.sh_cur sh.sh_cur_len;
+    Graph.sort_prefix sh.sh_cur sh.sh_cur_len;
     (* rebuild per-vertex inboxes from the arena: walking backward while
        consing restores arrival (sender-ascending) order; a vertex that
        crashed this round loses its pending inbox, exactly like the

@@ -23,26 +23,24 @@ let finalize chosen =
   done;
   !out
 
-let dominating_set ?(mode = Pipeline.Simulated) ?(exact_limit = 80) g ~epsilon
-    ~seed =
+let dominating_set ?(mode = Pipeline.Simulated) g ~epsilon ~seed =
   let eps' = min 0.999 (max 1e-6 epsilon) in
   let pipeline = Pipeline.prepare ~mode g ~epsilon:eps' ~seed in
   let per_cluster =
     Pipeline.solve_locally pipeline (fun c ->
-        if Graph.n c.sub <= exact_limit then Optimize.Dominating.exact c.sub
+        if Graph.n c.sub <= 80 then Optimize.Dominating.exact c.sub
         else Optimize.Dominating.greedy c.sub)
   in
   let chosen = collect (Graph.n g) per_cluster pipeline.clusters in
   let solution = finalize chosen in
   { solution; size = List.length solution; pipeline }
 
-let vertex_cover ?(mode = Pipeline.Simulated) ?(exact_limit = 200) g ~epsilon
-    ~seed =
+let vertex_cover ?(mode = Pipeline.Simulated) g ~epsilon ~seed =
   let eps' = min 0.999 (max 1e-6 epsilon) in
   let pipeline = Pipeline.prepare ~mode g ~epsilon:eps' ~seed in
   let per_cluster =
     Pipeline.solve_locally pipeline (fun c ->
-        if Graph.n c.sub <= exact_limit then Optimize.Vertex_cover.exact c.sub
+        if Graph.n c.sub <= 200 then Optimize.Vertex_cover.exact c.sub
         else Optimize.Vertex_cover.two_approx c.sub)
   in
   let chosen = collect (Graph.n g) per_cluster pipeline.clusters in

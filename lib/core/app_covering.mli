@@ -16,16 +16,17 @@ type result = {
   pipeline : Pipeline.t;
 }
 
-(** [dominating_set ?mode ?exact_limit g ~epsilon ~seed]: union of
-    per-cluster minimum dominating sets (exact up to [exact_limit], default
-    80; greedy above). Always returns a valid dominating set. *)
+(** [dominating_set ?mode g ~epsilon ~seed]: union of per-cluster minimum
+    dominating sets (exact for clusters of up to 80 vertices, greedy
+    above). Always returns a valid dominating set. *)
 val dominating_set :
-  ?mode:Pipeline.mode -> ?exact_limit:int -> Sparse_graph.Graph.t ->
-  epsilon:float -> seed:int -> result
+  ?mode:Pipeline.mode -> Sparse_graph.Graph.t -> epsilon:float ->
+  seed:int -> result
 
-(** [vertex_cover ?mode ?exact_limit g ~epsilon ~seed]: union of
-    per-cluster minimum vertex covers plus one endpoint of every
-    inter-cluster edge. Always returns a valid cover. *)
+(** [vertex_cover ?mode g ~epsilon ~seed]: union of per-cluster minimum
+    vertex covers (exact for clusters of up to 200 vertices, a
+    2-approximation above) plus one endpoint of every inter-cluster edge.
+    Always returns a valid cover. *)
 val vertex_cover :
-  ?mode:Pipeline.mode -> ?exact_limit:int -> Sparse_graph.Graph.t ->
-  epsilon:float -> seed:int -> result
+  ?mode:Pipeline.mode -> Sparse_graph.Graph.t -> epsilon:float ->
+  seed:int -> result

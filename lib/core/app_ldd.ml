@@ -7,7 +7,7 @@ type result = {
   pipeline : Pipeline.t;
 }
 
-let run ?(mode = Pipeline.Simulated) ?(levels = 2) g ~epsilon ~seed =
+let run ?(mode = Pipeline.Simulated) g ~epsilon ~seed =
   let eps_half = min 0.999 (max 1e-6 (epsilon /. 2.)) in
   let pipeline = Pipeline.prepare ~mode g ~epsilon:eps_half ~seed in
   let n = Graph.n g in
@@ -22,7 +22,7 @@ let run ?(mode = Pipeline.Simulated) ?(levels = 2) g ~epsilon ~seed =
           Decomp.Partition.of_labels cl.sub
             (Array.make (Graph.n cl.sub) 0)
         else begin
-          let kpr = Decomp.Kpr.ldd cl.sub ~epsilon:eps_half ~levels ~seed in
+          let kpr = Decomp.Kpr.ldd cl.sub ~epsilon:eps_half ~levels:2 ~seed in
           if Decomp.Partition.cut_fraction cl.sub kpr <= eps_half +. 1e-9 then
             kpr
           else Decomp.Ldd.region_growing cl.sub ~epsilon:eps_half

@@ -14,9 +14,9 @@ type result = {
   pipeline : Pipeline.t;
 }
 
-(** [run ?mode ?levels g ~epsilon ~seed] ([levels] is the KPR iteration
-    count, default 2 — one per excluded-minor level for the planar-like
-    families used in the experiments). *)
+(** [run ?mode g ~epsilon ~seed]. The KPR refinement runs 2 chopping
+    levels, one per excluded-minor level for the planar-like families
+    used in the experiments. *)
 val run :
-  ?mode:Pipeline.mode -> ?levels:int -> Sparse_graph.Graph.t ->
-  epsilon:float -> seed:int -> result
+  ?mode:Pipeline.mode -> Sparse_graph.Graph.t -> epsilon:float ->
+  seed:int -> result

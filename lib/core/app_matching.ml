@@ -15,10 +15,11 @@ let matching_weight g w mate =
     mate;
   !total
 
-let mcm_planar ?(mode = Pipeline.Simulated) ?(c = 0.25) g ~epsilon ~seed =
+let mcm_planar ?(mode = Pipeline.Simulated) g ~epsilon ~seed =
   let reduced = Matching.Preprocess.eliminate_fixpoint g in
   let gbar = reduced.graph in
-  let eps' = min 0.999 (max 1e-6 (c *. epsilon)) in
+  (* eps' = c * epsilon with the Lemma 3.1 constant c = 0.25 *)
+  let eps' = min 0.999 (max 1e-6 (0.25 *. epsilon)) in
   let pipeline = Pipeline.prepare ~mode gbar ~epsilon:eps' ~seed in
   let n = Graph.n g in
   let mate = Array.make n (-1) in
@@ -42,7 +43,9 @@ let mcm_planar ?(mode = Pipeline.Simulated) ?(c = 0.25) g ~epsilon ~seed =
   in
   { mate; size; weight = size; pipeline = Some pipeline }
 
-let mwm ?(mode = Pipeline.Simulated) ?(exact_limit = 18) g w ~epsilon ~seed =
+let mwm ?(mode = Pipeline.Simulated) g w ~epsilon ~seed =
+  (* clusters (and whole graphs) up to this size are solved exactly *)
+  let exact_limit = 18 in
   let n = Graph.n g in
   let mate = Array.make n (-1) in
   let params = Matching.Scaling.of_epsilon epsilon in

@@ -19,16 +19,17 @@ type result = {
   pipeline : Pipeline.t option;  (** last pipeline run (MWM: the last scale) *)
 }
 
-(** [mcm_planar ?mode ?c g ~epsilon ~seed]. [c] is the Lemma 3.1 constant
-    used as [eps' = c * epsilon] (default 0.25). *)
+(** [mcm_planar ?mode g ~epsilon ~seed] decomposes with
+    [eps' = c * epsilon], where [c = 0.25] is the Lemma 3.1 constant. *)
 val mcm_planar :
-  ?mode:Pipeline.mode -> ?c:float -> Sparse_graph.Graph.t -> epsilon:float ->
+  ?mode:Pipeline.mode -> Sparse_graph.Graph.t -> epsilon:float ->
   seed:int -> result
 
-(** [mwm ?mode ?exact_limit g w ~epsilon ~seed] (default exact_limit 18). *)
+(** [mwm ?mode g w ~epsilon ~seed]. Clusters of at most 18 vertices, and
+    a whole graph of at most 18 vertices, are solved exactly. *)
 val mwm :
-  ?mode:Pipeline.mode -> ?exact_limit:int -> Sparse_graph.Graph.t ->
-  Sparse_graph.Weights.t -> epsilon:float -> seed:int -> result
+  ?mode:Pipeline.mode -> Sparse_graph.Graph.t -> Sparse_graph.Weights.t ->
+  epsilon:float -> seed:int -> result
 
 (** Ratio against a reference optimum value. *)
 val ratio : result -> opt:int -> float

@@ -53,8 +53,7 @@ type weighted_result = {
   w_pipeline : Pipeline.t;
 }
 
-let run_weighted ?(mode = Pipeline.Simulated) ?(exact_limit = 100) g ~weights
-    ~epsilon ~seed =
+let run_weighted ?(mode = Pipeline.Simulated) g ~weights ~epsilon ~seed =
   let d = max 1. (Graph.edge_density g) in
   let eps' = min 0.999 (max 1e-6 (epsilon /. ((2. *. d) +. 1.))) in
   let pipeline = Pipeline.prepare ~mode g ~epsilon:eps' ~seed in
@@ -64,8 +63,7 @@ let run_weighted ?(mode = Pipeline.Simulated) ?(exact_limit = 100) g ~weights
           Array.map (fun orig -> weights.(orig)) c.mapping.to_orig
         in
         let local =
-          if Graph.n c.sub <= exact_limit then
-            Optimize.Mis.exact_weighted c.sub local_w
+          if Graph.n c.sub <= 100 then Optimize.Mis.exact_weighted c.sub local_w
           else Optimize.Mis.greedy c.sub
         in
         List.map (fun v -> c.mapping.to_orig.(v)) local)

@@ -24,7 +24,8 @@ val run :
 (** Weighted MAXIS through the same framework (the extension the paper's
     Section 1.1 credits to [10, 66]): per-cluster exact weighted solves,
     conflicts across inter-cluster edges resolved by dropping the lighter
-    endpoint. [weights.(v) > 0] required. Measured ratios in the test
+    endpoint. [weights.(v) > 0] required. Clusters of up to 100 vertices
+    are solved exactly, larger ones greedily. Measured ratios in the test
     suite; no (1 - eps) guarantee is claimed for the weighted case. *)
 type weighted_result = {
   w_independent_set : int list;
@@ -33,8 +34,8 @@ type weighted_result = {
 }
 
 val run_weighted :
-  ?mode:Pipeline.mode -> ?exact_limit:int -> Sparse_graph.Graph.t ->
-  weights:int array -> epsilon:float -> seed:int -> weighted_result
+  ?mode:Pipeline.mode -> Sparse_graph.Graph.t -> weights:int array ->
+  epsilon:float -> seed:int -> weighted_result
 
 (** The achieved approximation ratio against a reference optimum. *)
 val ratio : result -> opt:int -> float

@@ -8,8 +8,8 @@ type verdict = {
   pipeline : Pipeline.t;
 }
 
-let run ?(mode = Pipeline.Simulated) ?(c_deg = 0.5) g
-    (property : Minorfree.Properties.t) ~epsilon ~seed =
+let run ?(mode = Pipeline.Simulated) g (property : Minorfree.Properties.t)
+    ~epsilon ~seed =
   let eps' = min 0.999 (max 1e-6 epsilon) in
   let pipeline = Pipeline.prepare ~mode g ~epsilon:eps' ~seed in
   let phi = pipeline.decomposition.phi in
@@ -18,14 +18,15 @@ let run ?(mode = Pipeline.Simulated) ?(c_deg = 0.5) g
   Array.iter
     (fun (cl : Pipeline.cluster) ->
       let mi = Graph.m cl.sub in
-      (* Lemma 2.3 condition: the leader's degree must be large relative to
-         phi^2 |E_i|; a failure certifies a non-minor-free input. Only
-         meaningful for clusters with edges. *)
+      (* Lemma 2.3 condition, with explicit constant 0.5: the leader's
+         degree must be large relative to phi^2 |E_i|; a failure
+         certifies a non-minor-free input. Only meaningful for clusters
+         with edges. *)
       let leader_sub = cl.mapping.to_sub.(cl.leader) in
       let deg_ok =
         mi = 0
         || float_of_int (Graph.degree cl.sub leader_sub)
-           >= c_deg *. phi *. phi *. float_of_int mi
+           >= 0.5 *. phi *. phi *. float_of_int mi
       in
       if not deg_ok then begin
         incr degree_failures;

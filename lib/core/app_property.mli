@@ -5,7 +5,7 @@
     (s = the property's smallest forbidden clique). Each leader checks its
     gathered cluster topology against the property; a cluster also rejects
     when the Lemma 2.3 high-degree condition
-    deg_Gi(leader) at least c * phi^2 * |E_i| fails — the signature of a
+    deg_Gi(leader) at least 0.5 * phi^2 * |E_i| fails — the signature of a
     non-H-minor-free input. One-sided: a graph with the property is always
     accepted; an epsilon-far graph has a rejecting cluster because removing
     the <= epsilon|E| inter-cluster edges leaves a disjoint union of
@@ -22,8 +22,8 @@ type verdict = {
   pipeline : Pipeline.t;
 }
 
-(** [run ?mode ?c_deg g property ~epsilon ~seed]. [c_deg] (default 0.5) is
-    the explicit constant in the Lemma 2.3 degree condition. *)
+(** [run ?mode g property ~epsilon ~seed]. The explicit constant in the
+    Lemma 2.3 degree condition is [c = 0.5]. *)
 val run :
-  ?mode:Pipeline.mode -> ?c_deg:float -> Sparse_graph.Graph.t ->
-  Minorfree.Properties.t -> epsilon:float -> seed:int -> verdict
+  ?mode:Pipeline.mode -> Sparse_graph.Graph.t -> Minorfree.Properties.t ->
+  epsilon:float -> seed:int -> verdict

@@ -131,7 +131,8 @@ let best g ~seed =
       List.fold_left (fun a b -> if b.crossing < a.crossing then b else a) c rest
 
 let quality g cut =
-  let denom =
-    sqrt (float_of_int (Graph.max_degree g) *. float_of_int (Graph.n g))
-  in
-  if denom = 0. then 0. else float_of_int cut.crossing /. denom
+  let d = Graph.max_degree g in
+  if d = 0 then 0.
+  else
+    float_of_int cut.crossing
+    /. sqrt (float_of_int d *. float_of_int (Graph.n g))

@@ -13,20 +13,9 @@ type t = {
   max_edge_bits : int;
 }
 
-type params = {
-  power_iters : int;
-  candidates : int;
-  depth_budget : int;
-  max_levels : int;
-  seed : int;
-}
-
-let default_params =
-  (* power_iters = 0 means adaptive: 40 + 2 * (largest cluster size),
-     capped at 500 — low-spectral-gap clusters (paths, trees) need more
-     iterations than expanders *)
-  { power_iters = 0; candidates = 16; depth_budget = 0; max_levels = 40;
-    seed = 0 }
+(* C, the candidate sweep levels per embedding, and the level cap *)
+let candidates = 16
+let max_levels = 40
 
 (* ------------------------------------------------------------------ *)
 (* One level: every cluster runs the phased spectral-cut protocol in    *)
@@ -349,6 +338,7 @@ let run_level (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
         if r >= decision_start then begin
           let stc = !st in
           match List.assoc_opt decision_bid stc.results with
+          (* lint: allow H001 decision flag: the leader sends exactly 1. (split) or 0. *)
           | Some d when d.(0) = 1. && not stc.split ->
               let j = int_of_float d.(1) in
               (match List.assoc_opt minmax_bid stc.results with
@@ -389,7 +379,7 @@ let run_level (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
 (* Level orchestration (centralized glue: relabeling only)              *)
 (* ------------------------------------------------------------------ *)
 
-let decompose ?(params = default_params) g ~epsilon =
+let decompose g ~epsilon =
   if epsilon <= 0. || epsilon >= 1. then
     invalid_arg "Distributed_decomposition.decompose: need 0 < epsilon < 1";
   Obs.Span.with_ "distr.decompose" @@ fun () ->
@@ -406,7 +396,7 @@ let decompose ?(params = default_params) g ~epsilon =
   let max_edge_bits = ref 0 in
   let levels = ref 0 in
   let continue = ref true in
-  while !continue && !levels < params.max_levels do
+  while !continue && !levels < max_levels do
     incr levels;
     (* one span per level: Network.run meters inside attribute this level's
        rounds/messages to it *)
@@ -418,31 +408,28 @@ let decompose ?(params = default_params) g ~epsilon =
     total_messages := !total_messages + leaders.stats.Network.messages;
     if leaders.stats.Network.max_edge_bits > !max_edge_bits then
       max_edge_bits := leaders.stats.Network.max_edge_bits;
+    (* B: the measured max cluster diameter (stand-in for
+       O(phi^-1 log n)); every cluster is connected, so this is finite *)
     let b =
-      if params.depth_budget > 0 then params.depth_budget
-      else begin
-        (* measured max cluster diameter (stand-in for O(phi^-1 log n));
-           every cluster is connected, so this is finite *)
-        Int.max 1
-          (Graph_ops.max_cluster_diameter (Graph_ops.clusters g !labels !k))
-      end
+      Int.max 1
+        (Graph_ops.max_cluster_diameter (Graph_ops.clusters g !labels !k))
     in
+    (* T: 40 + 2 * (largest cluster size), capped at 500 —
+       low-spectral-gap clusters (paths, trees) need more iterations than
+       expanders *)
     let t_level =
-      if params.power_iters > 0 then params.power_iters
-      else begin
-        let sizes = Hashtbl.create 16 in
-        Array.iter
-          (fun l ->
-            Hashtbl.replace sizes l
-              (1 + (try Hashtbl.find sizes l with Not_found -> 0)))
-          !labels;
-        let biggest = Hashtbl.fold (fun _ s acc -> Int.max s acc) sizes 1 in
-        Int.min 500 (40 + (2 * biggest))
-      end
+      let sizes = Hashtbl.create 16 in
+      Array.iter
+        (fun l ->
+          Hashtbl.replace sizes l
+            (1 + (try Hashtbl.find sizes l with Not_found -> 0)))
+        !labels;
+      let biggest = Hashtbl.fold (fun _ s acc -> Int.max s acc) sizes 1 in
+      Int.min 500 (40 + (2 * biggest))
     in
     let states, stats =
-      run_level view ~leader_of:leaders.leader_of ~b ~t:t_level
-        ~c:params.candidates ~tau ~seed:(params.seed + (77 * !levels))
+      run_level view ~leader_of:leaders.leader_of ~b ~t:t_level ~c:candidates
+        ~tau ~seed:(77 * !levels)
     in
     total_rounds := !total_rounds + stats.Network.rounds;
     total_messages := !total_messages + stats.Network.messages;
@@ -492,9 +479,7 @@ let decompose ?(params = default_params) g ~epsilon =
 
 let verify g (t : t) =
   let open Spectral.Expander_decomposition in
-  verify
-    ~params:{ power_iters = 200; exact_limit = 14; seed = 1 }
-    g
+  verify ~power_iters:200 ~seed:1 g
     {
       labels = t.labels;
       k = t.k;

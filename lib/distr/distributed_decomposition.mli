@@ -38,24 +38,16 @@ type t = {
   max_edge_bits : int;          (** peak per-edge bits in any round *)
 }
 
-type params = {
-  power_iters : int;        (** T, default 60 *)
-  candidates : int;         (** C per embedding, default 12 *)
-  depth_budget : int;       (** B; 0 means "use the measured diameter" *)
-  max_levels : int;         (** default 40 *)
-  seed : int;
-}
-
-val default_params : params
-
-(** [decompose ?params g ~epsilon].
+(** [decompose g ~epsilon] runs at most 40 levels. At each level, B is
+    the measured maximum cluster diameter (at least 1), T is
+    [min 500 (40 + 2 * largest cluster size)] power iterations, and
+    C = 16 candidates per embedding; level [i]'s protocol is seeded with
+    [77 * i].
     @raise Invalid_argument unless [0 < epsilon < 1]. *)
-val decompose :
-  ?params:params ->
-  Sparse_graph.Graph.t -> epsilon:float -> t
+val decompose : Sparse_graph.Graph.t -> epsilon:float -> t
 
 (** [verify g t] — inter-cluster budget and measured minimum cluster
     conductance: {!Spectral.Expander_decomposition.verify} with
-    [power_iters = 200], [exact_limit = 14], [seed = 1], on [t] viewed
+    [~power_iters:200 ~seed:1], on [t] viewed
     as a decomposition whose clusters carry no witness. *)
 val verify : Sparse_graph.Graph.t -> t -> bool * float

@@ -12,7 +12,7 @@ let run (view : Cluster_view.t) ~leader_of ~density ~walk_len ~seed ~max_rounds 
   Obs.Span.with_ "distr.gather" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let orientation = Orientation.run view ~density () in
+  let orientation = Orientation.run view ~density in
   (* out-edges per vertex, in a stable order so that token seq identifies
      the edge: seq k of vertex v = v's k-th owned edge by edge id *)
   let out_edges = Array.make n [] in

@@ -8,8 +8,8 @@ type result = {
   stats : Network.stats;
 }
 
-let bound ~density ~delta =
-  int_of_float (ceil (2. *. (1. +. delta) *. density))
+(* peeling threshold ceil(2 (1 + delta) density) at delta = 0.5 *)
+let bound ~density = int_of_float (ceil (2. *. 1.5 *. density))
 
 type state = {
   active_neighbors : int list;  (* intra-cluster neighbors not yet peeled *)
@@ -17,11 +17,11 @@ type state = {
   notified : bool;
 }
 
-let run (view : Cluster_view.t) ~density ?(delta = 0.5) () =
+let run (view : Cluster_view.t) ~density =
   Obs.Span.with_ "distr.orientation" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in
-  let threshold = bound ~density ~delta in
+  let threshold = bound ~density in
   let init (ctx : Network.ctx) =
     {
       active_neighbors = Array.to_list view.intra.(ctx.id);
@@ -79,9 +79,9 @@ let run (view : Cluster_view.t) ~density ?(delta = 0.5) () =
   { owner; out_degree; phases; stats }
 
 (* lint: allow U001 test oracle: intra edges owned, out-degree bounded *)
-let check (view : Cluster_view.t) result ~density ~delta =
+let check (view : Cluster_view.t) result ~density =
   let g = view.graph in
-  let b = bound ~density ~delta in
+  let b = bound ~density in
   let ok = ref true in
   Graph.iter_edges g (fun e u v ->
       if view.labels.(u) = view.labels.(v) then begin

@@ -1,48 +1,28 @@
 open Sparse_graph
 
-(* The cut-matching game (Khandekar-Rao-Vazirani style, with the
-   practical knobs): the cut player sorts the vertices by a random
-   projection vector and proposes the balanced bisection; the matching
-   player tries to route a perfect matching across it with per-edge
-   capacity ~ 1/tau and bounded push-relabel height. A routed matching
-   averages the projection vectors (driving their variance potential
-   down); a failed routing yields a level cut. The game ends with either
-   a sparse cut or a sequence of embedded matchings that certifies the
-   cluster behaves like an expander.
+(* The cut-matching game (Khandekar-Rao-Vazirani style): the cut player
+   sorts the vertices by a random projection vector and proposes the
+   balanced bisection; the matching player tries to route a perfect
+   matching across it with per-edge capacity ~ 1/tau and bounded
+   push-relabel height. A routed matching averages the projection
+   vectors (driving their variance potential down); a failed routing
+   yields a level cut. The game ends with either a sparse cut or a
+   sequence of embedded matchings that certifies the cluster behaves
+   like an expander.
 
    Before any flow runs in a round, the projection vector itself is swept
    (Spectral.Sweep_cut.sweep): if the order already exposes a cut sparser
    than tau, the round is settled for free. *)
 
-type params = {
-  max_rounds_const : int;
-  max_rounds_log : float;     (* rounds = const + ceil(log * log2 n) *)
-  flow_vectors : int;         (* projection vectors maintained in parallel *)
-  cap_scale : float;          (* per-edge capacity = ceil(cap_scale / tau) *)
-  height_scale : float;       (* height limit = ceil(scale * log2 n / tau) *)
-  potential_drop : float;     (* declare expander when P <= drop * P0 *)
-  global_relabel_period : int;
-  plateau_window : int;       (* accept after this many low-drop rounds; 0 off *)
-  plateau_drop : float;       (* relative per-round drop counted as progress *)
-  scale_vectors : bool;       (* scale flow_vectors down with cluster size *)
-}
-
-let default =
-  {
-    max_rounds_const = 4;
-    max_rounds_log = 2.0;
-    flow_vectors = 2;
-    cap_scale = 1.0;
-    height_scale = 1.0;
-    potential_drop = 1e-3;
-    global_relabel_period = 8;
-    plateau_window = 0;
-    plateau_drop = 0.;
-    scale_vectors = false;
-  }
-
-let adaptive =
-  { default with plateau_window = 2; plateau_drop = 0.05; scale_vectors = true }
+(* The game's budgets, the same for every caller: 4 + ceil(2 log2 n)
+   rounds, per-edge capacity ceil(1 / tau), push-relabel height
+   ceil(log2 n / tau), two projection vectors, and acceptance once the
+   potential falls to 1e-3 of its start. [~adaptive] adds the plateau
+   exit and the size-scaled vector count. *)
+let potential_drop = 1e-3
+let flow_vectors = 2
+let plateau_window = 2      (* accept after this many low-drop rounds *)
+let plateau_drop = 0.05     (* relative per-round drop counted as progress *)
 
 type witness = {
   rounds : int;            (* rounds actually played *)
@@ -90,31 +70,25 @@ let potential_of vecs =
 
 let log2f x = log x /. log 2.
 
-let run ?(params = default) g ~tau ~seed =
+let run ~adaptive g ~tau ~seed =
   let n = Graph.n g in
   if n <= 3 || Graph.m g = 0 || tau <= 0. then
     (Expander trivial_witness, { rounds_played = 0; flow_calls = 0 })
   else begin
-    let rounds_cap =
-      params.max_rounds_const
-      + int_of_float (ceil (params.max_rounds_log *. log2f (float_of_int n)))
-    in
-    let cap = max 1 (int_of_float (ceil (params.cap_scale /. tau))) in
+    let rounds_cap = 4 + int_of_float (ceil (2. *. log2f (float_of_int n))) in
+    let cap = max 1 (int_of_float (ceil (1. /. tau))) in
     let limit =
       min (n + 1)
-        (max 2
-           (int_of_float
-              (ceil (params.height_scale *. log2f (float_of_int n) /. tau))))
+        (max 2 (int_of_float (ceil (log2f (float_of_int n) /. tau))))
     in
     let net = Net.of_graph ~capacity:(fun _ -> cap) g in
     let k =
-      let fv = max 1 params.flow_vectors in
-      if params.scale_vectors then
+      if adaptive then
         (* small clusters mix with fewer projection vectors; one per ~7
-           doubling levels, capped at the configured count *)
+           doubling levels, capped at [flow_vectors] *)
         let lg = int_of_float (ceil (log2f (float_of_int n))) in
-        max 1 (min fv (lg / 7))
-      else fv
+        max 1 (min flow_vectors (lg / 7))
+      else flow_vectors
     in
     let vecs =
       Array.init k (fun i ->
@@ -167,10 +141,7 @@ let run ?(params = default) g ~tau ~seed =
         done;
         Net.reset net;
         incr flow_calls;
-        let outcome =
-          Push_relabel.run ~global_relabel_period:params.global_relabel_period
-            net ~supply ~sink_cap ~limit
-        in
+        let outcome = Push_relabel.run net ~supply ~sink_cap ~limit in
         if Push_relabel.fully_routed outcome then begin
           (* embed the matching, average the vectors along its pairs *)
           let dec = Path_decompose.decompose net in
@@ -210,16 +181,16 @@ let run ?(params = default) g ~tau ~seed =
                      max_path_length = !max_path_length;
                      potential = p /. p0 })
           in
-          if p <= params.potential_drop *. p0 then accept ()
-          else if params.plateau_window > 0 then begin
+          if p <= potential_drop *. p0 then accept ()
+          else if adaptive then begin
             (* adaptive budget: successive routed rounds that barely move
                the potential mean the remaining variance is already spread
                across the embedded matchings — stop paying for more flow *)
             (* lint: allow A002 float potential; Float.max handles NaN differently *)
             let rel = (!prev_potential -. p) /. max epsilon_float !prev_potential in
-            if rel < params.plateau_drop then incr plateau_streak
+            if rel < plateau_drop then incr plateau_streak
             else plateau_streak := 0;
-            if !plateau_streak >= params.plateau_window then begin
+            if !plateau_streak >= plateau_window then begin
               Obs.Metric.incr "cm.plateau_exits";
               accept ()
             end

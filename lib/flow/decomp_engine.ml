@@ -4,14 +4,6 @@
    thresholds and labels are the driver's, so the two engines are drop-in
    interchangeable and both are deterministic across pool sizes. *)
 
-type params = {
-  game : Cut_matching.params;
-  exact_limit : int;  (* clusters up to this size use exhaustive conductance *)
-  seed : int;
-}
-
-let default_params = { game = Cut_matching.default; exact_limit = 14; seed = 0 }
-
 type stats = {
   games : int;           (* cut-matching games played *)
   game_rounds : int;     (* rounds across all games *)
@@ -33,15 +25,13 @@ let add_stats a b =
 (* Judge one connected cluster: a heuristic cut if one is below tau,
    otherwise the game's verdict; an accepted cluster keeps the game's
    routed matchings as its witness. *)
-let judge params sub mapping ~tau ~seed =
+let judge sub mapping ~tau ~seed =
   let open Spectral.Expander_decomposition in
   match Cut_heuristics.cheapest sub ~tau with
   | Some hit ->
       (Cut hit.Cut_heuristics.side, { zero_stats with heuristic_cuts = 1 })
   | None -> (
-      let verdict, g_stats =
-        Cut_matching.run ~params:params.game sub ~tau ~seed
-      in
+      let verdict, g_stats = Cut_matching.run ~adaptive:false sub ~tau ~seed in
       let stats =
         {
           games = 1;
@@ -65,11 +55,9 @@ let judge params sub mapping ~tau ~seed =
             stats )
       | Cut_matching.Cut c -> (Cut c.Cut_matching.side, stats))
 
-let decompose ?(params = default_params) ?(pool = Parallel.Pool.sequential) g
-    ~epsilon =
+let decompose ?(pool = Parallel.Pool.sequential) g ~epsilon =
   Spectral.Expander_decomposition.drive ~entry:"Decomp_engine.decompose"
-    ~span:"cm-decompose" ~exact_limit:params.exact_limit ~seed:params.seed
-    ~singleton:"trivial" ~exact:"exact" ~judge:(judge params) ~zero:zero_stats
+    ~span:"cm-decompose" ~singleton:"trivial" ~exact:"exact" ~judge ~zero:zero_stats
     ~add:add_stats
     ~report:(fun s ->
       Obs.Metric.count "cm.games" s.games;

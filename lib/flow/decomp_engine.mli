@@ -8,18 +8,10 @@
     instead of Fiedler sweeps. The result is the spectral engine's record,
     so verification and everything downstream is shared. Witness sources
     are ["trivial"] (single vertex, or a game accepted without routing),
-    ["exact"] (exhaustive conductance) and ["cutmatching"].
+    ["exact"] (exhaustive conductance, for clusters of at most 14
+    vertices, as in the spectral engine) and ["cutmatching"] (the game
+    at its full budget, [~adaptive:false]).
     Deterministic for every pool size. *)
-
-type params = {
-  game : Cut_matching.params;
-  exact_limit : int;
-      (** clusters up to this size are judged by exhaustive conductance
-          (default 14, matching the spectral engine) *)
-  seed : int;
-}
-
-val default_params : params
 
 type stats = {
   games : int;           (** cut-matching games played *)
@@ -31,10 +23,10 @@ type stats = {
 val zero_stats : stats
 val add_stats : stats -> stats -> stats
 
-(** [decompose ?params ?pool g ~epsilon] computes the decomposition (span
+(** [decompose ?pool g ~epsilon] computes the decomposition (span
     ["cm-decompose"], metrics [cm.games] and [cm.heuristic_cuts]) and the
     work statistics.
     @raise Invalid_argument unless [0 < epsilon < 1]. *)
 val decompose :
-  ?params:params -> ?pool:Parallel.Pool.t -> Sparse_graph.Graph.t ->
-  epsilon:float -> Spectral.Expander_decomposition.t * stats
+  ?pool:Parallel.Pool.t -> Sparse_graph.Graph.t -> epsilon:float ->
+  Spectral.Expander_decomposition.t * stats

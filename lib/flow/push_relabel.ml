@@ -188,7 +188,7 @@ let discharge st v =
     end
   done
 
-let run ?(global_relabel_period = 8) net ~supply ~sink_cap ~limit =
+let run net ~supply ~sink_cap ~limit =
   let n = net.Net.n in
   if Array.length supply <> n || Array.length sink_cap <> n then
     invalid_arg "Flow.Push_relabel.run: supply/sink_cap length mismatch";
@@ -230,9 +230,8 @@ let run ?(global_relabel_period = 8) net ~supply ~sink_cap ~limit =
     absorb st v;
     enqueue st v
   done;
-  let work_budget =
-    global_relabel_period * (n + (2 * Array.length net.Net.arc_head))
-  in
+  (* exact distances are rebuilt after every 8 passes' worth of work *)
+  let work_budget = 8 * (n + (2 * Array.length net.Net.arc_head)) in
   while st.qhead <> st.qtail do
     let v = dequeue st in
     discharge st v;

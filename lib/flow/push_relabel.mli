@@ -30,15 +30,14 @@ type outcome = {
 (** [routed = supply_total]: every unit reached a sink. *)
 val fully_routed : outcome -> bool
 
-(** [run ?global_relabel_period net ~supply ~sink_cap ~limit] routes the
-    supplies toward the sinks over the residual network, mutating
-    [net.cap]. [global_relabel_period] scales the work budget between
-    exact-distance rebuilds (default 8 passes over the arcs).
+(** [run net ~supply ~sink_cap ~limit] routes the supplies toward the
+    sinks over the residual network, mutating [net.cap]. A global
+    relabel rebuilds exact distances after every 8 passes' worth of work
+    over the arcs.
     @raise Invalid_argument on negative supplies/capacities, length
     mismatches, or [limit < 1]. *)
 val run :
-  ?global_relabel_period:int -> Net.t -> supply:int array ->
-  sink_cap:int array -> limit:int -> outcome
+  Net.t -> supply:int array -> sink_cap:int array -> limit:int -> outcome
 
 (** [max_flow_st ?capacity g ~s ~t] is the exact s-t max flow of the
     undirected graph under the per-edge capacities (default 1): builds a

@@ -60,6 +60,62 @@ let sort_row (keys : int array) (pay : int array) lo hi =
   in
   if hi > lo then go lo hi
 
+(* In-place ascending sort of a.(0 .. len-1): [sort_row]'s quicksort
+   without the payload. Ints are indistinguishable, so the result is
+   independent of partitioning details. An already-sorted prefix (the
+   simulator's worklists usually are) is settled by one linear pass. The
+   [int array] annotation makes every comparison an inline integer
+   compare; left polymorphic, each one is a call into the C comparator *)
+(* lint: hot *)
+let sort_prefix (a : int array) len =
+  let swap i j =
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  in
+  let insertion lo hi =
+    for i = lo + 1 to hi do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  in
+  let rec go lo hi =
+    if hi - lo < 16 then insertion lo hi
+    else begin
+      let mid = lo + ((hi - lo) / 2) in
+      if a.(mid) < a.(lo) then swap mid lo;
+      if a.(hi) < a.(lo) then swap hi lo;
+      if a.(hi) < a.(mid) then swap hi mid;
+      let pivot = a.(mid) in
+      let i = ref lo and j = ref hi in
+      while !i <= !j do
+        while a.(!i) < pivot do
+          incr i
+        done;
+        while a.(!j) > pivot do
+          decr j
+        done;
+        if !i <= !j then begin
+          swap !i !j;
+          incr i;
+          decr j
+        end
+      done;
+      go lo !j;
+      go !i hi
+    end
+  in
+  let i = ref 1 in
+  while !i < len && a.(!i - 1) <= a.(!i) do
+    incr i
+  done;
+  if !i < len then go 0 (len - 1)
+
 let of_edge_array n raw =
   Array.iter
     (fun (u, v) ->

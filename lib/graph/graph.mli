@@ -95,3 +95,11 @@ val edge_density : t -> float
     consistency); intended for tests.
     @raise Failure describing the first violated invariant. *)
 val check_invariants : t -> unit
+
+(** {1 Int sorting} *)
+
+(** [sort_prefix a len] sorts [a.(0 .. len-1)] ascending in place, with
+    integer comparisons only (no call into the polymorphic comparator).
+    An already-sorted prefix costs one linear pass. The simulator's
+    worklists and the serving summaries' percentiles both use it. *)
+val sort_prefix : int array -> int -> unit

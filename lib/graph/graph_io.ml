@@ -81,24 +81,15 @@ let palette =
   [| "#4477aa"; "#ee6677"; "#228833"; "#ccbb44"; "#66ccee"; "#aa3377";
      "#bbbbbb"; "#999933"; "#882255"; "#44aa99" |]
 
-let to_dot ?labels ?highlight g =
+let to_dot ~labels g =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "graph G {\n  node [shape=circle, style=filled];\n";
   for v = 0 to Graph.n g - 1 do
-    let color =
-      match labels with
-      | None -> "#dddddd"
-      | Some l -> palette.(l.(v) mod Array.length palette)
-    in
+    let color = palette.(labels.(v) mod Array.length palette) in
     Buffer.add_string buf
       (Printf.sprintf "  %d [fillcolor=\"%s\"];\n" v color)
   done;
-  let bold = Hashtbl.create 16 in
-  Option.iter (List.iter (fun e -> Hashtbl.replace bold e ())) highlight;
-  Graph.iter_edges g (fun e u v ->
-      if Hashtbl.mem bold e then
-        Buffer.add_string buf
-          (Printf.sprintf "  %d -- %d [penwidth=3, color=\"#cc3311\"];\n" u v)
-      else Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v));
+  Graph.iter_edges g (fun _ u v ->
+      Buffer.add_string buf (Printf.sprintf "  %d -- %d;\n" u v));
   Buffer.add_string buf "}\n";
   Buffer.contents buf

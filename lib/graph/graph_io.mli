@@ -19,8 +19,6 @@ val save : ?weights:Weights.t -> Graph.t -> path:string -> unit
 
 val load : path:string -> Graph.t * Weights.t option
 
-(** [to_dot ?labels ?highlight g] renders GraphViz DOT; [labels] maps a
-    vertex to its cluster (colored), [highlight] marks edges (e.g. a
-    matching) drawn bold. *)
-val to_dot :
-  ?labels:int array -> ?highlight:int list -> Graph.t -> string
+(** [to_dot ~labels g] renders GraphViz DOT; [labels] maps a vertex to
+    its cluster (colored). *)
+val to_dot : labels:int array -> Graph.t -> string

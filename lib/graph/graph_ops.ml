@@ -87,24 +87,14 @@ let contract g labels k =
   in
   Graph.of_edges k edges
 
+(* contracted vertices are the components of the listed edges, numbered
+   by smallest member *)
 let contract_edges g es =
-  let uf = Union_find.create (Graph.n g) in
-  List.iter
-    (fun e ->
-      let u, v = Graph.endpoints g e in
-      ignore (Union_find.union uf u v))
-    es;
-  let labels = Array.make (Graph.n g) (-1) in
-  let next = ref 0 in
-  for v = 0 to Graph.n g - 1 do
-    let r = Union_find.find uf v in
-    if labels.(r) < 0 then begin
-      labels.(r) <- !next;
-      incr next
-    end;
-    labels.(v) <- labels.(r)
-  done;
-  (contract g labels !next, labels)
+  let labels, k =
+    Traversal.components
+      (Graph.of_edges (Graph.n g) (List.map (Graph.endpoints g) es))
+  in
+  (contract g labels k, labels)
 
 let subdivide g e k =
   let u, v = Graph.endpoints g e in

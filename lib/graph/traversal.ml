@@ -283,8 +283,25 @@ let is_acyclic g =
   Graph.m g = Graph.n g - count
 
 let spanning_forest g =
-  let uf = Union_find.create (Graph.n g) in
-  Graph.fold_edges g
-    (fun acc e u v -> if Union_find.union uf u v then e :: acc else acc)
-    []
-  |> List.rev
+  let n = Graph.n g in
+  let seen = Array.make n false and queue = fifo n in
+  let forest = ref [] in
+  for s = 0 to n - 1 do
+    if not seen.(s) then begin
+      seen.(s) <- true;
+      queue.(0) <- s;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        Graph.iter_incident g v (fun w e ->
+            if not seen.(w) then begin
+              seen.(w) <- true;
+              forest := e :: !forest;
+              queue.(!tail) <- w;
+              incr tail
+            end)
+      done
+    end
+  done;
+  List.sort Int.compare !forest

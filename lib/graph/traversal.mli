@@ -52,5 +52,6 @@ val dijkstra : Graph.t -> (int -> int) -> int -> int array
 (** [is_acyclic g] tests whether [g] is a forest. *)
 val is_acyclic : Graph.t -> bool
 
-(** [spanning_forest g] returns the edge ids of a BFS spanning forest. *)
+(** [spanning_forest g] returns the edge ids, ascending, of a BFS spanning
+    forest (one BFS from the smallest unreached vertex per component). *)
 val spanning_forest : Graph.t -> int list

@@ -243,8 +243,7 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
       else begin
         let game_tau = if tau > 0. then tau else 0.1 in
         let verdict, _ =
-          Flow.Cut_matching.run ~params:Flow.Cut_matching.adaptive sub
-            ~tau:game_tau
+          Flow.Cut_matching.run ~adaptive:true sub ~tau:game_tau
             ~seed:(Parallel.Pool.derive_seed seed (label + 1))
         in
         match verdict with

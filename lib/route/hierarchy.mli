@@ -10,7 +10,7 @@
     edges bucketed as portal edges per ordered child pair, plus the
     child-connectivity graph). Clusters whose decomposition retained no
     matchings rebuild their witness by playing a fresh cut-matching game
-    (under {!Flow.Cut_matching.adaptive} budgets) on the induced
+    (with [Flow.Cut_matching.run ~adaptive:true] budgets) on the induced
     subgraph — the reuse-vs-rebuild axis that route-bench measures.
 
     [route] then plans one demand as a concrete vertex path: descend the

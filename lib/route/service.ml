@@ -70,54 +70,6 @@ let preprocess ?reuse ?seed ?(pool = Parallel.Pool.sequential) g decomp =
 let hierarchy t = t.hier
 let congestion t = t.cong
 
-(* in-place monomorphic quicksort of a.(0 .. len-1): insertion sort below
-   a small cutoff, median-of-three pivot (same shape as Graph.sort_row,
-   without the payload) *)
-let sort_ints (a : int array) len =
-  let swap i j =
-    let x = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- x
-  in
-  let insertion lo hi =
-    for i = lo + 1 to hi do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= lo && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
-  in
-  let rec go lo hi =
-    if hi - lo < 16 then insertion lo hi
-    else begin
-      let mid = lo + ((hi - lo) / 2) in
-      if a.(mid) < a.(lo) then swap mid lo;
-      if a.(hi) < a.(lo) then swap hi lo;
-      if a.(hi) < a.(mid) then swap hi mid;
-      let pivot = a.(mid) in
-      let i = ref lo and j = ref hi in
-      while !i <= !j do
-        while a.(!i) < pivot do
-          incr i
-        done;
-        while a.(!j) > pivot do
-          decr j
-        done;
-        if !i <= !j then begin
-          swap !i !j;
-          incr i;
-          decr j
-        end
-      done;
-      if lo < !j then go lo !j;
-      if !i < hi then go !i hi
-    end
-  in
-  if len > 1 then go 0 (len - 1)
-
 (* nearest-rank percentile of the sorted prefix [a.(0 .. len-1)] *)
 let percentile a len p =
   if len = 0 then 0
@@ -213,7 +165,7 @@ let summarize t (ds : demand array) lengths =
       incr k
     end
   done;
-  sort_ints sorted del;
+  Graph.sort_prefix sorted del;
   let congestion_max = Array.fold_left max 0 t.cong in
   let congestion_total = Array.fold_left ( + ) 0 t.cong in
   let s =

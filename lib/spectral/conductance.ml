@@ -77,7 +77,7 @@ let exact_cut g =
       end
     done;
     let mask = Array.init n (fun v -> !best_mask land (1 lsl v) <> 0) in
-    ((if !best = infinity then 0. else !best), mask)
+    ((if Float.is_finite !best then !best else 0.), mask)
   end
 
 let exact g = fst (exact_cut g)

@@ -22,13 +22,10 @@ type t = {
   witnesses : cluster_witness array;
 }
 
-type params = {
-  power_iters : int;
-  exact_limit : int;
-  seed : int;
-}
-
-let default_params = { power_iters = 120; exact_limit = 14; seed = 0 }
+(* clusters up to this size are judged, and certified, by exhaustive
+   conductance; larger ones by a sweep cut after [power_iters] steps *)
+let exact_limit = 14
+let power_iters = 120
 
 let threshold ~m ~epsilon =
   if m = 0 then epsilon
@@ -45,8 +42,8 @@ type task = { rev_path : int list; depth : int; vs : int list }
 
 type outcome = Keep of cluster_witness | Drop | Split of int list list
 
-let drive ~entry ~span ~exact_limit ~seed ~singleton ~exact ~judge ~zero ~add
-    ~report ~pool g ~epsilon =
+let drive ~entry ~span ~singleton ~exact ~judge ~zero ~add ~report ~pool g
+    ~epsilon =
   if epsilon <= 0. || epsilon >= 1. then
     invalid_arg (entry ^ ": need 0 < epsilon < 1");
   Obs.Span.with_ span @@ fun () ->
@@ -55,7 +52,7 @@ let drive ~entry ~span ~exact_limit ~seed ~singleton ~exact ~judge ~zero ~add
   (* per-task seed from the cluster's identity (recursion depth, smallest
      member, size), never from global mutable state *)
   let task_seed ~depth ~anchor ~sub_n =
-    Parallel.Pool.derive_seed seed
+    Parallel.Pool.derive_seed 0
       ((depth * 1_000_003) lxor (anchor * 8191) lxor sub_n)
   in
   (* a side mask over the induced subgraph -> the two children, in
@@ -176,15 +173,13 @@ let drive ~entry ~span ~exact_limit ~seed ~singleton ~exact ~judge ~zero ~add
     },
     !work )
 
-let decompose ?(params = default_params) ?(pool = Parallel.Pool.sequential) g
-    ~epsilon =
+let decompose ?(pool = Parallel.Pool.sequential) g ~epsilon =
   let accept = Accept (no_witness ~path:[] ~source:"spectral") in
   fst
     (drive ~entry:"Expander_decomposition.decompose" ~span:"decompose"
-       ~exact_limit:params.exact_limit ~seed:params.seed ~singleton:"spectral"
-       ~exact:"spectral"
+       ~singleton:"spectral" ~exact:"spectral"
        ~judge:(fun sub _ ~tau ~seed ->
-         let cut = Sweep_cut.combined_cut sub ~iters:params.power_iters ~seed in
+         let cut = Sweep_cut.combined_cut sub ~iters:power_iters ~seed in
          ((if cut.conductance >= tau then accept else Cut cut.side), ()))
        ~zero:() ~add:(fun () () -> ()) ~report:ignore ~pool g ~epsilon)
 
@@ -193,7 +188,7 @@ let inter_fraction g t =
   if m = 0 then 0.
   else float_of_int (List.length t.inter_edges) /. float_of_int m
 
-let verify ?(params = default_params) ?(pool = Parallel.Pool.sequential) g t =
+let verify ~power_iters ~seed ?(pool = Parallel.Pool.sequential) g t =
   let m = Graph.m g in
   let inter_ok =
     float_of_int (List.length t.inter_edges) <= (t.epsilon *. float_of_int m) +. 1e-9
@@ -204,11 +199,8 @@ let verify ?(params = default_params) ?(pool = Parallel.Pool.sequential) g t =
     Parallel.Pool.map_reduce pool
       ~map:(fun (_, sub, _) ->
         if Graph.n sub >= 2 && Graph.m sub > 0 then
-          if Graph.n sub <= params.exact_limit then Conductance.exact sub
-          else
-            (Sweep_cut.combined_cut sub ~iters:params.power_iters
-               ~seed:params.seed)
-              .conductance
+          if Graph.n sub <= exact_limit then Conductance.exact sub
+          else (Sweep_cut.combined_cut sub ~iters:power_iters ~seed).conductance
         else infinity)
       ~reduce:min ~init:infinity
       (Graph_ops.clusters ~pool g t.labels t.k)

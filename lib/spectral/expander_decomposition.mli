@@ -53,16 +53,6 @@ type t = {
           cluster [l] in the recursion tree *)
 }
 
-(** Parameters for the recursive splitter. *)
-type params = {
-  power_iters : int;     (** power-iteration steps per split (default 120) *)
-  exact_limit : int;     (** clusters up to this size are certified by
-                             exhaustive conductance (default 14) *)
-  seed : int;
-}
-
-val default_params : params
-
 (** [threshold ~m ~epsilon] is the split threshold
     [tau = epsilon / (2 log2(2m))] for a graph with [m] edges ([epsilon]
     itself when [m = 0]). *)
@@ -73,53 +63,53 @@ val threshold : m:int -> epsilon:float -> float
     over the cluster's induced subgraph. *)
 type verdict = Accept of cluster_witness | Cut of bool array
 
-(** [drive ~entry ~span ~exact_limit ~seed ~singleton ~exact ~judge ~zero
-    ~add ~report ~pool g ~epsilon] is the one decomposition recursion.
+(** [drive ~entry ~span ~singleton ~exact ~judge ~zero ~add ~report ~pool
+    g ~epsilon] is the one decomposition recursion.
     Starting from the connected components of [g], every frontier wave
     runs inside span ["level-d"] on [pool]; a task re-splits a
     disconnected cluster into its components, accepts a single vertex
-    (witness source [singleton]), rules on clusters of at most
-    [exact_limit] vertices by exhaustive conductance (source [exact]),
-    and hands every larger connected cluster to
-    [judge sub mapping ~tau ~seed]. The seed is derived from [seed] and
-    the cluster's identity (depth, smallest member, size), never from
-    shared state. Each task's work value is folded with [add] from
+    (witness source [singleton]), rules on clusters of at most 14
+    vertices by exhaustive conductance (source [exact]), and hands every
+    larger connected cluster to [judge sub mapping ~tau ~seed]. The seed
+    is derived from the cluster's identity (depth, smallest member,
+    size), never from shared state. Each task's work value is folded with [add] from
     [zero] in task order; [report] receives the total inside [span] when
     observability is on. Labels follow the DFS pre-order of the recursion
     tree, so the result is identical for every pool size.
     @raise Invalid_argument ["<entry>: need 0 < epsilon < 1"] unless
     [0 < epsilon < 1]. *)
 val drive :
-  entry:string -> span:string -> exact_limit:int -> seed:int ->
-  singleton:string -> exact:string ->
+  entry:string -> span:string -> singleton:string -> exact:string ->
   judge:
     (Sparse_graph.Graph.t -> Sparse_graph.Graph_ops.mapping -> tau:float ->
      seed:int -> verdict * 's) ->
   zero:'s -> add:('s -> 's -> 's) -> report:('s -> unit) ->
   pool:Parallel.Pool.t -> Sparse_graph.Graph.t -> epsilon:float -> t * 's
 
-(** [decompose ?params ?pool g ~epsilon] computes the decomposition with
+(** [decompose ?pool g ~epsilon] computes the decomposition with
     {!drive} (span ["decompose"], pool default sequential), judging each
-    cluster by its best combined sweep cut ({!Sweep_cut.combined_cut});
-    every witness has source ["spectral"].
+    cluster by its best combined sweep cut ({!Sweep_cut.combined_cut},
+    120 power-iteration steps); every witness has source ["spectral"].
     @raise Invalid_argument unless [0 < epsilon < 1]. *)
 val decompose :
-  ?params:params -> ?pool:Parallel.Pool.t -> Sparse_graph.Graph.t ->
-  epsilon:float -> t
+  ?pool:Parallel.Pool.t -> Sparse_graph.Graph.t -> epsilon:float -> t
 
 (** Fraction of edges that are inter-cluster, [|E^r| / m] (0 when m = 0). *)
 val inter_fraction : Sparse_graph.Graph.t -> t -> float
 
-(** [verify g t] checks the two decomposition requirements and returns
-    [(inter_ok, min_cluster_conductance_lb)]:
+(** [verify ~power_iters ~seed g t] checks the two decomposition
+    requirements and returns [(inter_ok, min_cluster_conductance_lb)]:
     [inter_ok] is [|E^r| <= epsilon * m]; the float is the smallest
-    per-cluster conductance bound (exact value for clusters up to
-    [exact_limit], sweep-cut upper bound for larger clusters — an upper
-    bound can only under-certify, never over-certify), over the clusters
-    of {!Sparse_graph.Graph_ops.clusters}, certified on [pool]. *)
+    per-cluster conductance bound (exact value for clusters of at most 14
+    vertices, for larger clusters the sweep-cut upper bound after
+    [power_iters] steps from [seed] — an upper bound can only
+    under-certify, never over-certify), over the clusters of
+    {!Sparse_graph.Graph_ops.clusters}, certified on [pool]. The
+    centralized decompositions are checked at [~power_iters:120 ~seed:0],
+    the distributed one at [~power_iters:200 ~seed:1]. *)
 val verify :
-  ?params:params -> ?pool:Parallel.Pool.t -> Sparse_graph.Graph.t -> t ->
-  bool * float
+  power_iters:int -> seed:int -> ?pool:Parallel.Pool.t ->
+  Sparse_graph.Graph.t -> t -> bool * float
 
 (** Naive baseline for ablation: BFS balls of fixed radius, no conductance
     control. Same result shape, with [phi = 0.]. *)

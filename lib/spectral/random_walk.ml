@@ -1,8 +1,8 @@
 open Sparse_graph
 
 let stationary g =
+  if Graph.m g = 0 then invalid_arg "Random_walk.stationary: graph has no edges";
   let vol = float_of_int (2 * Graph.m g) in
-  if vol = 0. then invalid_arg "Random_walk.stationary: graph has no edges";
   Array.init (Graph.n g) (fun v -> float_of_int (Graph.degree g v) /. vol)
 
 let step g p =

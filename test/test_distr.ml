@@ -104,23 +104,23 @@ let test_orientation_planar () =
   (* maximal planar: density < 3, so out-degree <= ceil(2 * 1.5 * 3) = 9 *)
   let g = Generators.random_apollonian 100 ~seed:3 in
   let view = Cluster_view.whole g in
-  let r = Orientation.run view ~density:3. () in
-  checkb "valid" true (Orientation.check view r ~density:3. ~delta:0.5);
+  let r = Orientation.run view ~density:3. in
+  checkb "valid" true (Orientation.check view r ~density:3.);
   checkb "finished peeling" true (r.phases > 0)
 
 let test_orientation_tree () =
   let g = Generators.random_tree 64 ~seed:4 in
   let view = Cluster_view.whole g in
-  let r = Orientation.run view ~density:1. () in
-  checkb "valid" true (Orientation.check view r ~density:1. ~delta:0.5);
+  let r = Orientation.run view ~density:1. in
+  checkb "valid" true (Orientation.check view r ~density:1.);
   (* trees have density < 1: every vertex out-degree <= 3 *)
   Array.iter (fun d -> checkb "small out-degree" true (d <= 3)) r.out_degree
 
 let test_orientation_clustered () =
   let g = Generators.grid 7 7 in
   let view = decomposed_view g 0.3 in
-  let r = Orientation.run view ~density:2. () in
-  checkb "valid" true (Orientation.check view r ~density:2. ~delta:0.5);
+  let r = Orientation.run view ~density:2. in
+  checkb "valid" true (Orientation.check view r ~density:2.);
   (* inter-cluster edges must stay unoriented *)
   Graph.iter_edges g (fun e u v ->
       if view.labels.(u) <> view.labels.(v) then
@@ -129,7 +129,7 @@ let test_orientation_clustered () =
 let test_orientation_counts_cover () =
   let g = Generators.random_maximal_outerplanar 40 ~seed:5 in
   let view = Cluster_view.whole g in
-  let r = Orientation.run view ~density:2. () in
+  let r = Orientation.run view ~density:2. in
   let total = Array.fold_left ( + ) 0 r.out_degree in
   check "every intra edge owned once" (Graph.m g) total
 
@@ -524,8 +524,8 @@ let prop_orientation =
       let density =
         max 1. (float_of_int (Graph.m g) /. float_of_int (Graph.n g))
       in
-      let r = Orientation.run view ~density () in
-      Orientation.check view r ~density ~delta:0.5)
+      let r = Orientation.run view ~density in
+      Orientation.check view r ~density)
 
 let prop_bfs =
   QCheck.Test.make ~name:"distributed BFS matches centralized distances"

@@ -97,33 +97,6 @@ let test_iter_edges_order () =
     "lexicographic ids" [ (2, 3); (0, 2); (0, 1) ] order
 
 (* ------------------------------------------------------------------ *)
-(* Union-find                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let test_union_find () =
-  let uf = Union_find.create 6 in
-  check "initial count" 6 (Union_find.count uf);
-  checkb "union new" true (Union_find.union uf 0 1);
-  checkb "union again" false (Union_find.union uf 1 0);
-  ignore (Union_find.union uf 2 3);
-  ignore (Union_find.union uf 0 3);
-  checkb "same" true (Union_find.same uf 1 2);
-  checkb "not same" false (Union_find.same uf 1 4);
-  check "count" 3 (Union_find.count uf);
-  Alcotest.(check (list (list int)))
-    "groups" [ [ 0; 1; 2; 3 ]; [ 4 ]; [ 5 ] ] (Union_find.groups uf)
-
-let test_union_find_groups_sorted () =
-  (* regression: [groups] leaves its internal hash table sorted — members
-     ascending, groups by smallest member — whatever the union order *)
-  let uf = Union_find.create 7 in
-  List.iter
-    (fun (a, b) -> ignore (Union_find.union uf a b))
-    [ (6, 5); (5, 4); (1, 0); (6, 2) ];
-  Alcotest.(check (list (list int)))
-    "groups" [ [ 0; 1 ]; [ 2; 4; 5; 6 ]; [ 3 ] ] (Union_find.groups uf)
-
-(* ------------------------------------------------------------------ *)
 (* Traversal                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -550,7 +523,7 @@ let test_io_file_roundtrip () =
 
 let test_dot_output () =
   let g = Generators.cycle 4 in
-  let dot = Graph_io.to_dot ~labels:[| 0; 0; 1; 1 |] ~highlight:[ 0 ] g in
+  let dot = Graph_io.to_dot ~labels:[| 0; 0; 1; 1 |] g in
   checkb "has graph header" true
     (String.length dot > 10 && String.sub dot 0 7 = "graph G");
   let contains hay needle =
@@ -558,7 +531,8 @@ let test_dot_output () =
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
     go 0
   in
-  checkb "has bold edge" true (contains dot "penwidth")
+  checkb "cluster 1 colored" true (contains dot "3 [fillcolor=\"#ee6677\"]");
+  checkb "has an edge" true (contains dot "0 -- 1;")
 
 (* ------------------------------------------------------------------ *)
 (* QCheck properties                                                   *)
@@ -645,24 +619,19 @@ let prop_contract_minor_smaller =
         Graph.n minor < n && Graph.m minor < Graph.m g
       end)
 
-let prop_union_find_transitive =
-  QCheck.Test.make ~name:"union-find equivalence is transitive" ~count:200
-    QCheck.(list (pair (int_bound 19) (int_bound 19)))
-    (fun pairs ->
-      let uf = Union_find.create 20 in
-      List.iter (fun (a, b) -> ignore (Union_find.union uf a b)) pairs;
-      let ok = ref true in
-      for a = 0 to 19 do
-        for b = 0 to 19 do
-          for c = 0 to 19 do
-            if
-              Union_find.same uf a b && Union_find.same uf b c
-              && not (Union_find.same uf a c)
-            then ok := false
-          done
-        done
-      done;
-      !ok)
+(* the shared int sort: the prefix comes out as List.sort would order it
+   (repeats, sorted and reversed runs included) and the tail is untouched *)
+let prop_sort_prefix =
+  QCheck.Test.make ~name:"sort_prefix sorts exactly the prefix" ~count:300
+    QCheck.(pair (list (int_bound 40)) small_nat)
+    (fun (xs, cut) ->
+      let a = Array.of_list xs in
+      let len = Int.min cut (Array.length a) in
+      let tail = Array.sub a len (Array.length a - len) in
+      Graph.sort_prefix a len;
+      Array.to_list (Array.sub a 0 len)
+      = List.sort Int.compare (List.filteri (fun i _ -> i < len) xs)
+      && Array.sub a len (Array.length a - len) = tail)
 
 (* graphs with n in [0, 12] (n = 0 and n = 1 included) and labels drawn
    from [0, n + 2], so classes are often non-contiguous, singleton or
@@ -689,13 +658,24 @@ let arb_labelled =
    induced subgraphs or Traversal *)
 let oracle_same_label_classes g labels =
   let n = Graph.n g in
-  let uf = Union_find.create n in
-  Graph.iter_edges g (fun _ u v ->
-      if labels.(u) = labels.(v) then ignore (Union_find.union uf u v));
+  (* relax every same-label edge to a fixpoint: each vertex ends at the
+     smallest id of its same-label component *)
+  let root = Array.init n (fun v -> v) in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Graph.iter_edges g (fun _ u v ->
+        if labels.(u) = labels.(v) && root.(u) <> root.(v) then begin
+          let r = Int.min root.(u) root.(v) in
+          root.(u) <- r;
+          root.(v) <- r;
+          changed := true
+        end)
+  done;
   let number = Hashtbl.create 16 in
   let out =
     Array.init n (fun v ->
-        let r = Union_find.find uf v in
+        let r = root.(v) in
         match Hashtbl.find_opt number r with
         | Some c -> c
         | None ->
@@ -839,7 +819,7 @@ let qcheck_cases =
       prop_induced_subgraph_edges;
       prop_bfs_triangle_inequality;
       prop_contract_minor_smaller;
-      prop_union_find_transitive;
+      prop_sort_prefix;
     ]
 
 let () =
@@ -859,11 +839,6 @@ let () =
           tc "handshake lemma" test_degree_sum;
           tc "volume" test_volume;
           tc "edge id order" test_iter_edges_order;
-        ] );
-      ( "union_find",
-        [
-          tc "operations" test_union_find;
-          tc "groups sorted" test_union_find_groups_sorted;
         ] );
       ( "traversal",
         [

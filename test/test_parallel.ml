@@ -264,7 +264,8 @@ let verify_equivalence =
     (fun (_, g) ->
       let open Spectral.Expander_decomposition in
       let d = decompose g ~epsilon:0.3 in
-      verify g d = verify ~pool:(Lazy.force pool4) g d)
+      verify ~power_iters:120 ~seed:0 g d
+      = verify ~power_iters:120 ~seed:0 ~pool:(Lazy.force pool4) g d)
 
 let prepare_equivalence =
   QCheck.Test.make ~name:"Pipeline.prepare Charged: jobs 1 = jobs 4"

@@ -133,22 +133,38 @@ let check_congestion_recount name g svc =
 (* Planner: path validity and summary accounting                       *)
 (* ------------------------------------------------------------------ *)
 
+(* A planner-test input: a graph, its epsilon, and whether its
+   decomposition must have k > 1. The epsilon = 0.3 inputs are single
+   clusters; grid 24x24 at epsilon = 0.8 splits under both engines, so
+   its demands cross portals (route_across, portal cursors, and
+   merge_router's cursor fold at jobs > 1). *)
+let single g = (g, 0.3, false)
+let multi_cluster_grid () = (Generators.grid 24 24, 0.8, true)
+
+let input_service ?engine ?pool (g, epsilon, multi) =
+  let svc = service ?engine ?pool ~epsilon g in
+  if multi then
+    checkb "decomposition has k > 1" true
+      ((Route.Hierarchy.info (Route.Service.hierarchy svc))
+         .Route.Hierarchy.clusters > 1);
+  svc
+
 let test_plans_valid_both_engines () =
   List.iter
     (fun engine ->
-      let g = Generators.grid 7 6 in
-      let svc = service ~engine g in
-      let ds = demands_of g ~count:60 ~seed:3 in
-      let plans = Route.Service.plan svc ds in
-      Array.iteri
-        (fun i p ->
-          checkb "plan is a real walk" true (valid_plan g ds.(i) p))
-        plans)
+      List.iter
+        (fun ((g, _, _) as input) ->
+          let svc = input_service ~engine input in
+          let ds = demands_of g ~count:60 ~seed:3 in
+          let plans = Route.Service.plan svc ds in
+          Array.iteri
+            (fun i p ->
+              checkb "plan is a real walk" true (valid_plan g ds.(i) p))
+            plans)
+        [ single (Generators.grid 7 6); multi_cluster_grid () ])
     [ Core.Pipeline.Spectral_engine; Core.Pipeline.Cut_matching_engine ]
 
-let test_summary_accounting () =
-  let g = Generators.random_planar 90 1.6 ~seed:4 in
-  let svc = service g in
+let check_summary_accounting g svc =
   let ds = demands_of g ~count:200 ~seed:9 in
   let s = Route.Service.serve svc ds in
   checki "delivered + failed = demands" s.Route.Service.demands
@@ -169,6 +185,11 @@ let test_summary_accounting () =
     (Array.fold_left ( + ) 0 cong);
   checkb "per-edge loads equal the plans' recount" true (recount g ds plans = cong)
 
+let test_summary_accounting () =
+  List.iter
+    (fun ((g, _, _) as input) -> check_summary_accounting g (input_service input))
+    [ single (Generators.random_planar 90 1.6 ~seed:4); multi_cluster_grid () ]
+
 (* hot-spot pattern: most demands converge on one destination *)
 let hot_demands g ~count ~seed =
   let st = Random.State.make [| seed; 0x407 |] in
@@ -187,8 +208,8 @@ let hot_demands g ~count ~seed =
    small) *)
 let test_least_loaded_beats_round_robin () =
   List.iter
-    (fun (g, count, seed) ->
-      let svc = service g in
+    (fun (((g, _, _) as input), count, seed) ->
+      let svc = input_service input in
       let ds = hot_demands g ~count ~seed in
       let rr = Route.Service.serve ~policy:Route.Hierarchy.Round_robin svc ds in
       let ll = Route.Service.serve ~policy:Route.Hierarchy.Least_loaded svc ds in
@@ -197,36 +218,39 @@ let test_least_loaded_beats_round_robin () =
       checkb "least-loaded congestion_max <= round-robin" true
         (ll.Route.Service.congestion_max <= rr.Route.Service.congestion_max))
     [
-      (Generators.grid 12 12, 2000, 21);
-      (Generators.random_planar 160 1.7 ~seed:6, 2000, 22);
-      (Generators.random_regular 96 4 ~seed:3, 1500, 23);
+      (single (Generators.grid 12 12), 2000, 21);
+      (single (Generators.random_planar 160 1.7 ~seed:6), 2000, 22);
+      (single (Generators.random_regular 96 4 ~seed:3), 1500, 23);
+      (multi_cluster_grid (), 2000, 24);
     ]
 
 (* epoch-parallel serving: summaries and plans are byte-identical at
    every pool size, for both policies *)
 let test_jobs_parity_serve () =
-  let g = Generators.grid 11 9 in
-  let ds = demands_of g ~count:9000 ~seed:17 in
   List.iter
-    (fun policy ->
-      let base = service ~pool:(pool_of 1) g in
-      let s1 = Route.Service.serve ~policy base ds in
-      let p1 = Route.Service.plan ~policy base ds in
+    (fun ((g, _, _) as input) ->
+      let ds = demands_of g ~count:9000 ~seed:17 in
       List.iter
-        (fun jobs ->
-          let svc = service ~pool:(pool_of jobs) g in
-          let s = Route.Service.serve ~policy svc ds in
-          checkb
-            (Printf.sprintf "summary identical at jobs %d" jobs)
-            true (s = s1);
-          let p = Route.Service.plan ~policy svc ds in
-          checkb
-            (Printf.sprintf "plans identical at jobs %d" jobs)
-            true (p = p1);
-          checkb "congestion arrays identical" true
-            (Route.Service.congestion svc = Route.Service.congestion base))
-        [ 2; 4 ])
-    [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ]
+        (fun policy ->
+          let base = input_service ~pool:(pool_of 1) input in
+          let s1 = Route.Service.serve ~policy base ds in
+          let p1 = Route.Service.plan ~policy base ds in
+          List.iter
+            (fun jobs ->
+              let svc = input_service ~pool:(pool_of jobs) input in
+              let s = Route.Service.serve ~policy svc ds in
+              checkb
+                (Printf.sprintf "summary identical at jobs %d" jobs)
+                true (s = s1);
+              let p = Route.Service.plan ~policy svc ds in
+              checkb
+                (Printf.sprintf "plans identical at jobs %d" jobs)
+                true (p = p1);
+              checkb "congestion arrays identical" true
+                (Route.Service.congestion svc = Route.Service.congestion base))
+            [ 2; 4 ])
+        [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ])
+    [ single (Generators.grid 11 9); multi_cluster_grid () ]
 
 let test_reuse_vs_rebuild () =
   let g = Generators.random_regular 48 4 ~seed:2 in

@@ -290,13 +290,15 @@ let test_combined_cut_dominates () =
 (* Expander decomposition                                              *)
 (* ------------------------------------------------------------------ *)
 
-let check_decomposition ?(params = Expander_decomposition.default_params) g eps =
-  let d = Expander_decomposition.decompose ~params g ~epsilon:eps in
+let check_decomposition g eps =
+  let d = Expander_decomposition.decompose g ~epsilon:eps in
   (* labels cover 0..k-1 *)
   Array.iter
     (fun l -> checkb "label in range" true (l >= 0 && l < d.k))
     d.labels;
-  let inter_ok, worst = Expander_decomposition.verify ~params g d in
+  let inter_ok, worst =
+    Expander_decomposition.verify ~power_iters:120 ~seed:0 g d
+  in
   checkb "inter-cluster fraction within epsilon" true inter_ok;
   (* every accepted cluster's measured conductance should be >= tau (sweep
      value it was accepted at) up to re-estimation noise; we check the
