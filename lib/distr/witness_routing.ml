@@ -61,7 +61,6 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
   let stride =
     1 + Array.fold_left (fun acc p -> Int.max acc (Array.length p)) 1 plans
   in
-  let adj = Array.init n (fun v -> Array.of_list (Graph.neighbors g v)) in
   (* demands starting at each vertex, ascending demand id *)
   let starts = Array.make n [] in
   for d = demands - 1 downto 0 do
@@ -88,22 +87,23 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
   let flight_bits fl =
     idb * (flight_hdr_words + (token_words * Array.length fl))
   in
-  (* accept a token that reached plan position [pos] at this vertex:
-     absorb it at the path's end, otherwise park it toward the next hop *)
-  let accept st v tok r =
+  (* accept a token that reached plan position [pos] at the vertex whose
+     neighbor row is [row]: absorb it at the path's end, otherwise park it
+     toward the next hop *)
+  let accept st row tok r =
     let did = tok / stride and pos = tok mod stride in
     let p = plans.(did) in
     if pos = Array.length p - 1 then begin
       st.absorbed_rev <- (did, r) :: st.absorbed_rev;
       st.holding <- st.holding - 1
     end
-    else Int_fifo.push st.outq.(slot_of adj.(v) p.(pos + 1)) tok
+    else Int_fifo.push st.outq.(slot_of row p.(pos + 1)) tok
   in
   let init (ctx : Network.ctx) =
     let st =
       {
         outq =
-          Array.init (Array.length adj.(ctx.id)) (fun _ -> Int_fifo.create ());
+          Array.init (Array.length ctx.neighbors) (fun _ -> Int_fifo.create ());
         absorbed_rev = [];
         holding = 0;
       }
@@ -111,25 +111,25 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
     List.iter
       (fun did ->
         st.holding <- st.holding + 1;
-        accept st ctx.id (did * stride) 0)
+        accept st ctx.neighbors (did * stride) 0)
       starts.(ctx.id);
     st
   in
   let round r (ctx : Network.ctx) st inbox =
-    let v = ctx.id in
+    let row = ctx.neighbors in
     List.iter
       (fun (_, flight) ->
         Array.iter
           (fun tok ->
             st.holding <- st.holding + 1;
-            accept st v tok r)
+            accept st row tok r)
           flight)
       inbox;
     (* drain each neighbor slot into one flight of up to [flight_cap]
        tokens; ascending slot order (built descending so the send list
        comes out ascending) *)
     let send = ref [] in
-    for j = Array.length adj.(v) - 1 downto 0 do
+    for j = Array.length row - 1 downto 0 do
       let q = st.outq.(j) in
       let k = Int.min flight_cap (Int_fifo.length q) in
       if k > 0 then begin
@@ -137,7 +137,7 @@ let run ?exec ?faults g ~(plans : int array array) ~max_rounds =
         for idx = 0 to k - 1 do
           fl.(idx) <- Int_fifo.pop q + 1
         done;
-        send := (adj.(v).(j), fl) :: !send;
+        send := (row.(j), fl) :: !send;
         st.holding <- st.holding - k
       end
     done;

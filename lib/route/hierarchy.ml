@@ -23,7 +23,9 @@ open Sparse_graph
    tree along the common prefix of the two clusters' addresses, walk a
    child sequence at the divergence node crossing one portal edge per
    hop, and solve intra-cluster legs in the leaf witness by an LCA walk
-   of the BFS tree, expanding shortcuts to their embedded real paths.
+   of the BFS tree. The route is logged as legs, not hops: a shortcut is
+   one leg naming its embedded real path and edge ids, which charging
+   walks in place and only path expansion copies out.
 
    Portal (and, under [Least_loaded], destination-entry) choices are
    per-*router* state: a [router] owns every cursor, scratch buffer and
@@ -33,38 +35,136 @@ open Sparse_graph
    fixed, cursors advance in demand order, rebuild games are seeded via
    Pool.derive_seed. *)
 
-(* ---- growable int vector (the planner's path accumulator) ---- *)
+(* ---- the planner's leg log ---- *)
 
-(* [ebuf.(i)] joins [buf.(i-1)] and [buf.(i)] (see hierarchy.mli) *)
-type vec = { mutable buf : int array; mutable ebuf : int array; mutable len : int }
+(* Leg [i] of a planned route is either
+   - a single hop ([leg_v.(i) >= 0]): the vertex reached, over the edge
+     [leg_e.(i)] — a direct intra edge, a portal, or one fallback BFS
+     step; or
+   - a witness bundle ([leg_v.(i)] is [fwd_leg] or [bwd_leg]): the
+     shortcut's embedded real path [leg_path.(i)] with its edge ids
+     [leg_eids.(i)] ([leg_eids.(i).(q)] joins [leg_path.(i).(q)] and
+     [leg_path.(i).(q+1)]), walked from its first vertex to its last
+     ([fwd_leg]) or back.
+   A single hop leaves its bundle slots stale; they are never read. The
+   four counters are the route's hops by leg kind, so their sum is its
+   length. *)
+type vec = {
+  mutable src : int;
+  mutable leg_v : int array;
+  mutable leg_e : int array;
+  mutable leg_path : int array array;
+  mutable leg_eids : int array array;
+  mutable legs : int;
+  mutable n_direct : int;
+  mutable n_shortcut : int;
+  mutable n_portal : int;
+  mutable n_fallback : int;
+}
 
-let vec_create () = { buf = Array.make 64 0; ebuf = Array.make 64 0; len = 0 }
+let fwd_leg = -1
+let bwd_leg = -2
+
+let vec_create () =
+  {
+    src = 0;
+    leg_v = Array.make 64 0;
+    leg_e = Array.make 64 0;
+    leg_path = Array.make 64 [||];
+    leg_eids = Array.make 64 [||];
+    legs = 0;
+    n_direct = 0;
+    n_shortcut = 0;
+    n_portal = 0;
+    n_fallback = 0;
+  }
 
 let vec_grow v =
-  (* lint: allow A001 amortized doubling growth *)
-  let b = Array.make (2 * v.len) 0 in
-  Array.blit v.buf 0 b 0 v.len;
-  v.buf <- b;
-  (* lint: allow A001 amortized doubling growth *)
-  let eb = Array.make (2 * v.len) 0 in
-  Array.blit v.ebuf 0 eb 0 v.len;
-  v.ebuf <- eb
+  let cap = 2 * v.legs in
+  let grow a fill =
+    (* lint: allow A001 amortized doubling growth *)
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 v.legs;
+    b
+  in
+  v.leg_v <- grow v.leg_v 0;
+  v.leg_e <- grow v.leg_e 0;
+  v.leg_path <- grow v.leg_path [||];
+  v.leg_eids <- grow v.leg_eids [||]
+
+(* append a single hop to vertex [x] over edge [e]; the caller counts it
+   under its kind *)
+(* lint: hot *)
+let push_hop v e x =
+  if v.legs = Array.length v.leg_v then vec_grow v;
+  v.leg_v.(v.legs) <- x;
+  v.leg_e.(v.legs) <- e;
+  v.legs <- v.legs + 1
 
 (* lint: hot *)
-let vec_push v x =
-  if v.len = Array.length v.buf then vec_grow v;
-  v.buf.(v.len) <- x;
-  v.len <- v.len + 1
+let push_direct v e x =
+  push_hop v e x;
+  v.n_direct <- v.n_direct + 1
 
-(* append vertex [x], reached from the current last vertex over edge [e] *)
+(* append the walk along the shortcut path [p] with edge ids [eids]:
+   forward ends at p.(len-1), backward at p.(0) *)
 (* lint: hot *)
-let vec_hop v e x =
-  if v.len = Array.length v.buf then vec_grow v;
-  v.buf.(v.len) <- x;
-  v.ebuf.(v.len) <- e;
-  v.len <- v.len + 1
+let push_bundle v p eids fwd =
+  if v.legs = Array.length v.leg_v then vec_grow v;
+  v.leg_v.(v.legs) <- (if fwd then fwd_leg else bwd_leg);
+  v.leg_path.(v.legs) <- p;
+  v.leg_eids.(v.legs) <- eids;
+  v.legs <- v.legs + 1;
+  v.n_shortcut <- v.n_shortcut + Array.length eids
 
-let vec_to_array v = Array.sub v.buf 0 v.len
+let vec_hops v = v.n_direct + v.n_shortcut + v.n_portal + v.n_fallback
+
+(* add [w] to the load of every edge the route crosses: a single hop's
+   edge, or each id of a bundle's edge-id array *)
+(* lint: hot *)
+let charge cong v w =
+  for i = 0 to v.legs - 1 do
+    if v.leg_v.(i) >= 0 then begin
+      let e = v.leg_e.(i) in
+      cong.(e) <- cong.(e) + w
+    end
+    else begin
+      let eids = v.leg_eids.(i) in
+      for q = 0 to Array.length eids - 1 do
+        let e = eids.(q) in
+        cong.(e) <- cong.(e) + w
+      done
+    end
+  done
+
+(* write the route's vertex path into [a] (length [vec_hops v + 1]):
+   a forward bundle is one blit of its path minus the start vertex *)
+(* lint: hot *)
+let expand_into v a =
+  a.(0) <- v.src;
+  let pos = ref 1 in
+  for i = 0 to v.legs - 1 do
+    let x = v.leg_v.(i) in
+    if x >= 0 then begin
+      a.(!pos) <- x;
+      incr pos
+    end
+    else begin
+      let p = v.leg_path.(i) in
+      let len = Array.length p in
+      if x = fwd_leg then Array.blit p 1 a !pos (len - 1)
+      else
+        for q = 0 to len - 2 do
+          a.(!pos + q) <- p.(len - 2 - q)
+        done;
+      pos := !pos + len - 1
+    end
+  done
+
+let vec_to_array v =
+  let a = Array.make (vec_hops v + 1) 0 in
+  expand_into v a;
+  a
 
 (* ---- selection policy ---- *)
 
@@ -139,28 +239,49 @@ type router = {
   cadv : int array;     (* bk_id -> advances since the last sync *)
   ecur : int array;     (* vertex -> destination-entry probe position *)
   eadv : int array;     (* vertex -> advances since the last sync *)
-  chain : vec;          (* scratch: LCA descent on the y side *)
+  chain : int array;    (* scratch: LCA descent on the y side *)
   mutable fb_pred : int array;  (* scratch: global-BFS fallback incoming
                                    edges; [||] until the first fallback *)
   mutable fb_queue : int array;
   seq_memo : (int, int array) Hashtbl.t;  (* memoized child sequences *)
   mutable fallbacks : int;  (* legs that left the witness structures *)
+  mutable hops_direct : int;  (* hops of the delivered routes, by leg kind *)
+  mutable hops_shortcut : int;
+  mutable hops_portal : int;
+  mutable hops_fallback : int;
 }
 
 let make_router t =
   let n = Graph.n t.g in
   let nb = Array.length t.bucket_of in
+  (* the y side of an LCA walk stacks at most the deepest member's depth *)
+  let max_depth =
+    Array.fold_left
+      (fun acc (lf : leaf) -> Array.fold_left Int.max acc lf.depth)
+      0 t.leaves
+  in
   {
     cursors = Array.make (max 1 nb) 0;
     cadv = Array.make (max 1 nb) 0;
     ecur = Array.make n 0;
     eadv = Array.make n 0;
-    chain = vec_create ();
+    chain = Array.make (max_depth + 1) 0;
     fb_pred = [||];
     fb_queue = [||];
     seq_memo = Hashtbl.create 16;
     fallbacks = 0;
+    hops_direct = 0;
+    hops_shortcut = 0;
+    hops_portal = 0;
+    hops_fallback = 0;
   }
+
+let zero_counters rt =
+  rt.fallbacks <- 0;
+  rt.hops_direct <- 0;
+  rt.hops_shortcut <- 0;
+  rt.hops_portal <- 0;
+  rt.hops_fallback <- 0
 
 let reset_router t rt =
   let n = Graph.n t.g in
@@ -169,7 +290,7 @@ let reset_router t rt =
   Array.fill rt.cadv 0 nb 0;
   Array.fill rt.ecur 0 n 0;
   Array.fill rt.eadv 0 n 0;
-  rt.fallbacks <- 0
+  zero_counters rt
 
 (* adopt [src]'s cursor positions and start counting advances from zero
    (the memoized child sequences are pure and stay) *)
@@ -180,7 +301,7 @@ let sync_router t ~src ~dst =
   Array.fill dst.cadv 0 nb 0;
   Array.blit src.ecur 0 dst.ecur 0 n;
   Array.fill dst.eadv 0 n 0;
-  dst.fallbacks <- 0
+  zero_counters dst
 
 (* fold [src]'s advances into [dst]'s positions; merging every task of an
    epoch in task order is jobs-invariant because the advance counts only
@@ -199,9 +320,23 @@ let merge_router t ~src ~dst =
     let a = src.eadv.(v) in
     if a > 0 then dst.ecur.(v) <- (dst.ecur.(v) + a) mod t.wdeg.(v)
   done;
-  dst.fallbacks <- dst.fallbacks + src.fallbacks
+  dst.fallbacks <- dst.fallbacks + src.fallbacks;
+  dst.hops_direct <- dst.hops_direct + src.hops_direct;
+  dst.hops_shortcut <- dst.hops_shortcut + src.hops_shortcut;
+  dst.hops_portal <- dst.hops_portal + src.hops_portal;
+  dst.hops_fallback <- dst.hops_fallback + src.hops_fallback
 
 let router_fallbacks rt = rt.fallbacks
+
+type hops = { direct : int; shortcut : int; portal : int; fallback : int }
+
+let router_hops rt =
+  {
+    direct = rt.hops_direct;
+    shortcut = rt.hops_shortcut;
+    portal = rt.hops_portal;
+    fallback = rt.hops_fallback;
+  }
 
 let rebuild_min = 9  (* clusters below this size keep the plain BFS tree *)
 
@@ -574,43 +709,29 @@ let bundle_cost cong eids =
   done;
   !c
 
-(* append the walk along the real path [p] with edge ids [eids]
-   ([eids.(q)] joins [p.(q)] and [p.(q+1)]): forward emits p.(1) ..
-   p.(len-1), backward p.(len-2) .. p.(0); out ends at the start end *)
-(* lint: hot *)
-let push_path out p eids fwd =
-  let len = Array.length p in
-  if fwd then
-    for i = 1 to len - 1 do
-      vec_hop out eids.(i - 1) p.(i)
-    done
-  else
-    for i = len - 2 downto 0 do
-      vec_hop out eids.(i) p.(i)
-    done
-
-(* append member [c]'s hop up to its parent (out currently ends at c) *)
+(* append member [c]'s hop up to its parent (the route ends at c) *)
 (* lint: hot *)
 let push_up lf out c =
   let p = lf.up_path.(c) in
   if Array.length p = 0 then
-    vec_hop out lf.up_eids.(c).(0) lf.members.(lf.parent.(c))
-  else push_path out p lf.up_eids.(c) lf.up_fwd.(c)
+    push_direct out lf.up_eids.(c).(0) lf.members.(lf.parent.(c))
+  else push_bundle out p lf.up_eids.(c) lf.up_fwd.(c)
 
-(* append the hop down from [c]'s parent to [c] (out ends at the parent) *)
+(* append the hop down from [c]'s parent to [c] (the route ends at the
+   parent) *)
 (* lint: hot *)
 let push_down lf out c =
   let p = lf.up_path.(c) in
-  if Array.length p = 0 then vec_hop out lf.up_eids.(c).(0) lf.members.(c)
-  else push_path out p lf.up_eids.(c) (not lf.up_fwd.(c))
+  if Array.length p = 0 then push_direct out lf.up_eids.(c).(0) lf.members.(c)
+  else push_bundle out p lf.up_eids.(c) (not lf.up_fwd.(c))
 
 (* append the traversal of witness entry [e] (stored on member [self]'s
    row, so oriented self -> nbr iff [e.lfwd]) in the nbr -> self
-   direction; out currently ends at nbr *)
+   direction; the route currently ends at nbr *)
 (* lint: hot *)
 let push_entry_back lf out self e =
-  if Array.length e.lpath = 0 then vec_hop out e.eids.(0) lf.members.(self)
-  else push_path out e.lpath e.eids (not e.lfwd)
+  if Array.length e.lpath = 0 then push_direct out e.eids.(0) lf.members.(self)
+  else push_bundle out e.lpath e.eids (not e.lfwd)
 
 (* last-resort leg: BFS on the whole graph. Reached when the witness
    structures cannot connect the endpoints (disconnected input, or a
@@ -645,18 +766,22 @@ let fallback t rt out x y =
   done;
   if rt.fb_pred.(y) < 0 then false
   else begin
-    let chain = rt.chain in
-    chain.len <- 0;
+    (* stack the path's vertices from y back to x in the queue, whose BFS
+       use is over, then append them from x's end *)
+    let stack = rt.fb_queue in
+    let k = ref 0 in
     let c = ref y in
     while !c <> x do
-      vec_push chain !c;
+      stack.(!k) <- !c;
+      incr k;
       let a, b = Graph.endpoints t.g rt.fb_pred.(!c) in
       c := if a = !c then b else a
     done;
-    for i = chain.len - 1 downto 0 do
-      let c = chain.buf.(i) in
-      vec_hop out rt.fb_pred.(c) c
+    for i = !k - 1 downto 0 do
+      let c = stack.(i) in
+      push_hop out rt.fb_pred.(c) c
     done;
+    out.n_fallback <- out.n_fallback + !k;
     true
   end
 
@@ -666,23 +791,25 @@ let fallback t rt out x y =
 let tree_walk rt lf out px py =
   let px = ref px and py = ref py in
   let chain = rt.chain in
-  chain.len <- 0;
+  let k = ref 0 in
   while lf.depth.(!px) > lf.depth.(!py) do
     push_up lf out !px;
     px := lf.parent.(!px)
   done;
   while lf.depth.(!py) > lf.depth.(!px) do
-    vec_push chain !py;
+    chain.(!k) <- !py;
+    incr k;
     py := lf.parent.(!py)
   done;
   while !px <> !py do
     push_up lf out !px;
     px := lf.parent.(!px);
-    vec_push chain !py;
+    chain.(!k) <- !py;
+    incr k;
     py := lf.parent.(!py)
   done;
-  for i = chain.len - 1 downto 0 do
-    push_down lf out chain.buf.(i)
+  for i = !k - 1 downto 0 do
+    push_down lf out chain.(i)
   done
 
 (* is member [anc] an ancestor of member [c] (inclusive)? O(depth) *)
@@ -860,7 +987,8 @@ and route_across t rt ~ll ~cong nd out i j x y =
           let u, v = bk.ports.(k) in
           ok := route_under t rt ~ll ~cong nd.children.(a) out !cur u;
           if !ok then begin
-            vec_hop out bk.port_eids.(k) v;
+            push_hop out bk.port_eids.(k) v;
+            out.n_portal <- out.n_portal + 1;
             cur := v
           end);
       incr s
@@ -871,13 +999,24 @@ and route_across t rt ~ll ~cong nd out i j x y =
 
 (* plan one demand into [out] (cleared first). Returns [false] iff the
    endpoints are unreachable even by the global fallback; on success the
-   vec holds the full vertex path, [src] first, [dst] last, consecutive
-   entries real edges. *)
+   vec holds the route's legs from [src] to [dst] in hop order, and the
+   router's per-kind hop counters take its hops. *)
 let route ?(policy = Round_robin) ?(cong = [||]) t rt out src dst =
   let n = Graph.n t.g in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Route.Hierarchy.route: vertex out of range";
-  out.len <- 0;
-  vec_push out src;
+  out.src <- src;
+  out.legs <- 0;
+  out.n_direct <- 0;
+  out.n_shortcut <- 0;
+  out.n_portal <- 0;
+  out.n_fallback <- 0;
   let ll = policy = Least_loaded in
-  route_under t rt ~ll ~cong t.root out src dst
+  let ok = route_under t rt ~ll ~cong t.root out src dst in
+  if ok then begin
+    rt.hops_direct <- rt.hops_direct + out.n_direct;
+    rt.hops_shortcut <- rt.hops_shortcut + out.n_shortcut;
+    rt.hops_portal <- rt.hops_portal + out.n_portal;
+    rt.hops_fallback <- rt.hops_fallback + out.n_fallback
+  end;
+  ok

@@ -13,33 +13,48 @@
     (with [Flow.Cut_matching.run ~adaptive:true] budgets) on the induced
     subgraph — the reuse-vs-rebuild axis that route-bench measures.
 
-    [route] then plans one demand as a concrete vertex path: descend the
+    [route] then plans one demand as a log of legs: descend the
     recursion tree along the common prefix of the endpoint clusters'
     addresses, cross one portal edge per hop of a child sequence at the
     divergence node, and solve intra-cluster legs by an LCA walk of the
-    leaf's BFS tree, expanding shortcuts to their embedded real paths.
+    leaf's BFS tree, logging each shortcut as one bundle leg that stands
+    for its embedded real path.
 
     Every piece of state a serving stream mutates — portal cursors,
-    destination-entry probes, scratch buffers, the fallback counter —
-    lives in a {!router}, not in the hierarchy, so a worker pool can
-    route concurrently with one router per task over one shared
+    destination-entry probes, scratch buffers, the fallback and hop
+    counters — lives in a {!router}, not in the hierarchy, so a worker
+    pool can route concurrently with one router per task over one shared
     hierarchy and fold the cursor advances back deterministically
     ({!sync_router} / {!merge_router}). Planning is deterministic: fixed
     adjacency orders, cursors advance in demand order, rebuild games
     seeded via [Pool.derive_seed]. *)
 
-(** Growable int vector used as the planner's path accumulator, so a
-    serving loop can reuse one buffer across millions of demands.
-    [buf.(0 .. len-1)] is the vertex path. After {!route}, for
-    [1 <= i < len], [ebuf.(i)] is the id of the edge joining
-    [buf.(i-1)] and [buf.(i)]: the planner writes it from the witness
-    structure it read the hop out of, so a caller charges per-edge load
-    without searching for the edge. [ebuf.(0)] is unspecified. *)
-type vec = { mutable buf : int array; mutable ebuf : int array; mutable len : int }
+(** The planner's output buffer, reused across demands: one planned
+    route as a log of {e legs} in hop order, with a running hop count.
+    A leg is either a reference to a witness bundle — a matching
+    shortcut's embedded real path, its edge-id array and the direction
+    it is walked in — or a single hop (edge id, vertex reached) for a
+    direct intra edge, a portal or a fallback BFS step. A route is about
+    471 hops but about 15 legs on the 64×64 grid, so consumers work per
+    leg: {!charge} walks each bundle's stored edge ids, and only
+    {!vec_to_array} expands the legs into a vertex path. *)
+type vec
 
 val vec_create : unit -> vec
-val vec_push : vec -> int -> unit
+
+(** Length in edges of the route in the vec: the sum of its legs' hops. *)
+val vec_hops : vec -> int
+
+(** The route's vertex path, source first, destination last,
+    consecutive entries joined by real edges; an exact-size array, in
+    which each forward bundle is one blit. *)
 val vec_to_array : vec -> int array
+
+(** [charge cong out w] adds [w] to [cong.(e)] for every edge [e] the
+    route in [out] crosses, once per crossing. Reads the edge ids the
+    planner took from the witness structures, so it never searches the
+    graph for an edge. *)
+val charge : int array -> vec -> int -> unit
 
 (** How serving picks among parallel witness edges. [Round_robin]
     rotates a cursor per portal bucket. [Least_loaded] is
@@ -88,13 +103,21 @@ val merge_router : t -> src:router -> dst:router -> unit
     global BFS, since the router's last reset/sync. *)
 val router_fallbacks : router -> int
 
-(** [route ?policy ?cong t rt out src dst] clears [out] and fills it
-    with a full vertex path, [src] first, [dst] last, consecutive
-    entries real edges of the graph. [cong] is the live per-edge load
-    that [Least_loaded] (default [Round_robin]) selection reads; absent
-    or short arrays read as zero load. Returns [false] iff the endpoints
-    are disconnected (then [out] holds a partial prefix and must be
-    discarded). *)
+(** Hops of the routes a router delivered since its last reset/sync, by
+    the kind of leg they lie on: a direct intra-cluster edge, a matching
+    shortcut's expansion, a portal edge, or a global-BFS fallback step.
+    The four sum to the delivered routes' total length. *)
+type hops = { direct : int; shortcut : int; portal : int; fallback : int }
+
+val router_hops : router -> hops
+
+(** [route ?policy ?cong t rt out src dst] clears [out] and logs into
+    it the legs of a walk from [src] to [dst] over real edges of the
+    graph, and adds its hops to [rt]'s {!router_hops}. [cong] is the
+    live per-edge load that [Least_loaded] (default [Round_robin])
+    selection reads; absent or short arrays read as zero load. Returns
+    [false] iff the endpoints are disconnected (then [out] holds a
+    partial prefix and must be discarded, and no hop is counted). *)
 val route : ?policy:policy -> ?cong:int array -> t -> router -> vec ->
   int -> int -> bool
 

@@ -3,9 +3,10 @@ open Sparse_graph
 (* Batched serving on top of the witness hierarchy. [serve] is the
    in-memory planner: it answers a demand matrix with per-demand path
    lengths (p50/p99/max) and per-edge weighted congestion. A demand is
-   charged once it is fully routed, one increment per hop, at the edge
-   ids the planner recorded in its path buffer ([Hierarchy.vec.ebuf]),
-   so serving never searches the graph for an edge. The batch is
+   charged once it is fully routed, per leg of the planner's log
+   ([Hierarchy.charge]): a single hop at its recorded edge id, a witness
+   bundle by walking its stored edge-id array. Serving therefore neither
+   searches the graph for an edge nor writes out the path. The batch is
    sharded over the worker pool in fixed-size epochs: each task routes
    one chunk with a private router and a private snapshot of the
    congestion array, and the coordinator folds the congestion deltas and
@@ -14,7 +15,8 @@ open Sparse_graph
    — and therefore every path, length and summary byte — are identical
    at every [--jobs].
 
-   [plan] retains the concrete paths; [serve_congest] executes the
+   [plan] expands each demand's legs into its concrete path (an
+   exact-size array, forward bundles blitted); [serve_congest] executes the
    single serve pass's plans as a CONGEST workload on the sharded
    simulator via Distr.Witness_routing and checks the deliveries against
    the planner. *)
@@ -36,7 +38,7 @@ type t = {
   coord : Hierarchy.router;        (* the merged serving stream *)
   trouters : Hierarchy.router array;  (* per task-slot routers *)
   tcong : int array array;            (* per task-slot load snapshots *)
-  touts : Hierarchy.vec array;        (* per task-slot path buffers *)
+  touts : Hierarchy.vec array;        (* per task-slot leg logs *)
   tspan : unit array;                 (* mapi input, one slot per task *)
 }
 
@@ -78,16 +80,6 @@ let percentile a len p =
     a.(max 0 (min (len - 1) (rank - 1)))
   end
 
-(* charge the path in [out] against [cong]: the planner recorded each
-   hop's edge id in [ebuf] *)
-(* lint: hot *)
-let charge cong (out : Hierarchy.vec) w =
-  let ebuf = out.Hierarchy.ebuf in
-  for i = 1 to out.Hierarchy.len - 1 do
-    let e = ebuf.(i) in
-    cong.(e) <- cong.(e) + w
-  done
-
 (* route demands [lo, hi) with task slot [ti]'s private router and load
    snapshot, recording lengths (and paths) at the demands' own indices *)
 let serve_chunk t ~policy ~ti (ds : demand array) lengths paths lo hi =
@@ -100,8 +92,8 @@ let serve_chunk t ~policy ~ti (ds : demand array) lengths paths lo hi =
   for i = lo to hi - 1 do
     let d = ds.(i) in
     if Hierarchy.route ~policy ~cong:tc t.hier rt out d.src d.dst then begin
-      charge tc out d.weight;
-      lengths.(i) <- out.Hierarchy.len - 1;
+      Hierarchy.charge tc out d.weight;
+      lengths.(i) <- Hierarchy.vec_hops out;
       if keep then paths.(i) <- Hierarchy.vec_to_array out
     end
     else lengths.(i) <- -1
@@ -187,7 +179,12 @@ let summarize t (ds : demand array) lengths =
     Obs.Metric.count "route.failed" s.failed;
     Obs.Metric.count "route.rounds_p50" s.rounds_p50;
     Obs.Metric.count "route.rounds_p99" s.rounds_p99;
-    Obs.Metric.count "route.congestion_max" s.congestion_max
+    Obs.Metric.count "route.congestion_max" s.congestion_max;
+    let h = Hierarchy.router_hops t.coord in
+    Obs.Metric.count "route.hops_direct" h.Hierarchy.direct;
+    Obs.Metric.count "route.hops_shortcut" h.Hierarchy.shortcut;
+    Obs.Metric.count "route.hops_portal" h.Hierarchy.portal;
+    Obs.Metric.count "route.hops_fallback" h.Hierarchy.fallback
   end;
   s
 

@@ -479,6 +479,82 @@ let test_golden_serve () =
     (fun (name, d) e -> Alcotest.(check string) name e d)
     got expected
 
+(* grid 24x24 at epsilon 0.8 decomposes into several clusters, and 40 000
+   demands span three serve epochs of 16 384: every epoch after the first
+   routes from the portal cursors and entry probes that merge_router
+   folded back, so this digest reads the fold that the one-epoch golden
+   above cannot reach *)
+let multi_epoch_input ?pool () =
+  let g = Generators.grid 24 24 in
+  let p =
+    Pipeline.prepare ~mode:Charged ~engine:Spectral_engine g ~epsilon:0.8
+      ~seed:3
+  in
+  checkb "decomposition has k > 1" true (p.report.k > 1);
+  let svc = Pipeline.routing_service ?pool ~seed:11 p in
+  let st = Random.State.make [| 23; 0x5eed |] in
+  let n = Graph.n g in
+  let ds =
+    Array.init 40_000 (fun i ->
+        {
+          Route.Service.src = Random.State.int st n;
+          dst = (if i mod 4 = 0 then n / 2 else Random.State.int st n);
+          weight = 1 + Random.State.int st 3;
+        })
+  in
+  (svc, ds)
+
+let test_golden_serve_multi_epoch () =
+  let svc, ds = multi_epoch_input () in
+  let got =
+    digest_of (fun b ->
+        List.iter
+          (fun policy ->
+            let s = Route.Service.serve ~policy svc ds in
+            Printf.bprintf b "%d %d %d %d %d %d %d %d %d|" s.demands
+              s.delivered s.failed s.fallbacks s.rounds_p50 s.rounds_p99
+              s.rounds_max s.congestion_max s.congestion_total;
+            add_ints b (Route.Service.congestion svc);
+            Array.iter (add_ints b) (Route.Service.plan ~policy svc ds))
+          [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ])
+  in
+  Alcotest.(check string) "grid 24x24, three epochs"
+    "0563dc87b6626ca2b516013c31b22267" got
+
+(* the route.hops_* counters that [Service.summarize] emits, by leg kind:
+   direct intra edge, shortcut expansion, portal, fallback *)
+let hop_counts svc ds policy =
+  Obs.reset ();
+  Obs.enable ();
+  ignore (Route.Service.serve ~policy svc ds);
+  let tree = Obs.snapshot_tree () in
+  Obs.disable ();
+  let sums, _ = Obs.Agg.totals tree in
+  List.map
+    (fun kind ->
+      Option.value ~default:0
+        (Obs.Agg.SMap.find_opt ("route.hops_" ^ kind) sums))
+    [ "direct"; "shortcut"; "portal"; "fallback" ]
+
+(* on the multi-epoch inputs, the per-kind hop counts add up to the plans'
+   total length and are the same at pool sizes 1 and 4 *)
+let test_hop_attribution () =
+  let svc1, ds = multi_epoch_input ~pool:(Parallel.Pool.create ~jobs:1 ()) () in
+  let svc4, _ = multi_epoch_input ~pool:(Parallel.Pool.create ~jobs:4 ()) () in
+  List.iter
+    (fun policy ->
+      let counts = hop_counts svc1 ds policy in
+      let plans = Route.Service.plan ~policy svc1 ds in
+      let total =
+        Array.fold_left (fun acc p -> acc + Array.length p - 1) 0 plans
+      in
+      check "hops by kind sum to the plan lengths" total
+        (List.fold_left ( + ) 0 counts);
+      checkb "routes cross portals" true (List.nth counts 2 > 0);
+      Alcotest.(check (list int)) "same counts at jobs 1 and 4" counts
+        (hop_counts svc4 ds policy))
+    [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ]
+
 let test_golden_distributed_verify () =
   let got =
     digest_of (fun b ->
@@ -539,6 +615,8 @@ let () =
         [
           tc "prepare report, leaders, members" test_golden_prepare;
           tc "service summaries and plans" test_golden_serve;
+          tc "multi-epoch serve" test_golden_serve_multi_epoch;
+          tc "hops by leg kind" test_hop_attribution;
           tc "distributed verify" test_golden_distributed_verify;
           tc "max cluster diameter" test_golden_max_cluster_diameter;
         ] );

@@ -7,8 +7,9 @@
    - the planner summary's accounting is internally consistent
      (delivered + failed = demands, p50 <= p99 <= max, congestion total
      = sum of weighted path lengths);
-   - the edge id the planner records for each hop joins that hop's two
-     vertices, and the per-edge congestion equals a [Graph.find_edge]
+   - the edges [Hierarchy.charge] charges for a route, read from its
+     legs' recorded edge ids, equal a [Graph.find_edge] recount of the
+     route's expanded path, and the per-edge congestion equals the same
      recount of the plans, over rebuilt leaves, portal crossings and
      global-BFS fallback legs;
    - planner and CONGEST execution deliver the same demand multiset at
@@ -80,34 +81,31 @@ let recount g (ds : Route.Service.demand array) plans =
     plans;
   cong
 
-(* every recorded hop edge joins the two vertices it sits between *)
-let ebuf_joins g (out : Route.Hierarchy.vec) =
-  let ok = ref true in
-  for i = 1 to out.Route.Hierarchy.len - 1 do
-    let a = out.Route.Hierarchy.buf.(i - 1) and b = out.Route.Hierarchy.buf.(i) in
-    let u, v = Graph.endpoints g out.Route.Hierarchy.ebuf.(i) in
-    if not ((u = a && v = b) || (u = b && v = a)) then ok := false
-  done;
-  !ok
-
 (* route every ordered pair straight through [Hierarchy.route] under both
-   policies, feeding Least_loaded a live load array, and check the edge
-   id of every hop *)
-let check_route_ebuf name g h =
+   policies, feeding Least_loaded the live load that [Hierarchy.charge]
+   accumulates, and check after every demand that the charge matches a
+   [Graph.find_edge] recount of the expanded path *)
+let check_route_charges name g h =
   let n = Graph.n g in
   let rt = Route.Hierarchy.make_router h in
   let out = Route.Hierarchy.vec_create () in
   let cong = Array.make (Graph.m g) 0 in
+  let recounted = Array.make (Graph.m g) 0 in
   List.iter
     (fun policy ->
       for src = 0 to n - 1 do
         for dst = 0 to n - 1 do
           checkb name true (Route.Hierarchy.route ~policy ~cong h rt out src dst);
-          checkb name true (ebuf_joins g out);
-          for i = 1 to out.Route.Hierarchy.len - 1 do
-            let e = out.Route.Hierarchy.ebuf.(i) in
-            cong.(e) <- cong.(e) + 1
-          done
+          let p = Route.Hierarchy.vec_to_array out in
+          checkb name true
+            (valid_plan g { Route.Service.src; dst; weight = 1 } p);
+          checki name (Route.Hierarchy.vec_hops out) (Array.length p - 1);
+          Route.Hierarchy.charge cong out 1;
+          for q = 1 to Array.length p - 1 do
+            let e = Graph.find_edge g p.(q - 1) p.(q) in
+            recounted.(e) <- recounted.(e) + 1
+          done;
+          checkb name true (cong = recounted)
         done
       done)
     [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ]
@@ -281,7 +279,7 @@ let test_edge_ids_rebuilt_leaves () =
   let h = Route.Service.hierarchy svc in
   checkb "rebuilt leaves carry shortcuts" true
     ((Route.Hierarchy.info h).Route.Hierarchy.shortcuts > 0);
-  check_route_ebuf "rebuilt: hop edge joins its vertices" g h;
+  check_route_charges "rebuilt: charged edges match the path" g h;
   check_congestion_recount "rebuilt" g svc
 
 (* a hand-built decomposition of grid 4x4 into the even and the odd
@@ -311,7 +309,7 @@ let test_edge_ids_fallback () =
     }
   in
   let svc = Route.Service.preprocess g decomp in
-  check_route_ebuf "fallback: hop edge joins its vertices" g
+  check_route_charges "fallback: charged edges match the path" g
     (Route.Service.hierarchy svc);
   check_congestion_recount "fallback" g svc;
   let s = Route.Service.serve svc [| { Route.Service.src = 0; dst = 2; weight = 1 } |] in
