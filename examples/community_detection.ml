@@ -41,4 +41,4 @@ let () =
   Printf.printf "trivial clustering bound:    %d (gamma >= m/2 = %d)\n" trivial
     (Graph.m g / 2);
   Printf.printf "clusters used: %d\n"
-    (Optimize.Correlation.cluster_count r.clustering)
+    (List.length (List.sort_uniq Int.compare (Array.to_list r.clustering)))

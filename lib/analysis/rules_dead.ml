@@ -2,9 +2,10 @@
    program is every scanned file outside lib/ (bin/, bench/, bench_e2e/):
    every value any of their structure items references is a root, and so
    is every value a toplevel side-effect item of lib/ references, since
-   [let () = ...] bodies are not call-graph definitions. A toplevel lib/
-   definition that Callgraph.reachable does not reach from those roots is
-   dead surface: only tests, or nothing at all, call it. *)
+   [let () = ...] bodies are not call-graph definitions. A lib/
+   definition, toplevel or inside a submodule, that Callgraph.reachable
+   does not reach from those roots is dead surface: only tests, or
+   nothing at all, call it. *)
 
 open Parsetree
 module SSet = Set.Make (String)
@@ -54,10 +55,8 @@ let check ctx =
   List.filter_map
     (fun (d : Callgraph.def) ->
       let file = d.loc.Location.loc_start.Lexing.pos_fname in
-      let toplevel = d.qname = d.module_name ^ "." ^ d.name in
       if
-        toplevel
-        && String.starts_with ~prefix:"lib/" file
+        String.starts_with ~prefix:"lib/" file
         && not (SSet.mem d.qname live)
       then
         Some
@@ -80,9 +79,10 @@ let u001 =
       "Every value referenced by a scanned file outside lib/ (bin/, bench/, \
        bench_e2e/), from any structure item including let () = ..., is a \
        root, and so is every value a toplevel side-effect item of lib/ \
-       references. A toplevel lib/ definition that the call graph does not \
-       reach from those roots is code no production path can run: tests \
-       may call it, nothing else does.";
+       references. A lib/ definition that the call graph does not reach \
+       from those roots, whether toplevel or inside a submodule \
+       (Module.Sub.value), is code no production path can run: tests may \
+       call it, nothing else does.";
     fix =
       "Delete the value, its .mli entry and the tests that check only it. \
        A test oracle (a validity checker, a brute-force reference solver) \

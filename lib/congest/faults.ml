@@ -120,8 +120,3 @@ let tables t ~n =
             (Hashtbl.fold (fun k _ acc -> k :: acc) recover_at [])))
   in
   { crash_at; recover_at; link_down; event_rounds }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "seed=%d drop=%g dup=%g crashes=%d outages=%d" t.seed t.drop_rate
-    t.duplicate_rate (List.length t.crashes) (List.length t.outages)

@@ -89,5 +89,3 @@ type tables = {
     Crash entries for vertices [>= n] are ignored; with [is_active t =
     false] every table is empty. *)
 val tables : t -> n:int -> tables
-
-val pp : Format.formatter -> t -> unit

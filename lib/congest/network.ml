@@ -42,15 +42,6 @@ type stats = {
   last_traffic_round : int;
 }
 
-let delivered s = s.messages - s.dropped
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "rounds=%d messages=%d dropped=%d duplicated=%d crashed_rounds=%d \
-     total_bits=%d max_edge_bits=%d completed=%b last_traffic=%d"
-    s.rounds s.messages s.dropped s.duplicated s.crashed_rounds s.total_bits
-    s.max_edge_bits s.completed s.last_traffic_round
-
 (* Shared fault bookkeeping lives in Faults.tables (crash / recovery
    schedules keyed by round, the link-outage predicate, the sorted event
    rounds); the loops below only unpack it. *)
@@ -184,8 +175,8 @@ let run_reference ?(faults = Faults.none) g ~bandwidth ~msg_bits ~init ~round
           incr messages;
           last_traffic := r;
           (* fate of the message: the sender has spent the bandwidth
-             either way; every non-delivery is counted in [dropped] so
-             that delivered + dropped = messages always holds *)
+             either way; every non-delivery is counted in [dropped], so
+             exactly [messages - dropped] messages reach an inbox *)
           if faulty && link_down r v w then incr dropped
           else if crashed.(w) then incr dropped
           else if halted.(w) then incr dropped

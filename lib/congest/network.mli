@@ -89,10 +89,12 @@ val step :
     arguments (the wake-up contract already demands this of [round]). *)
 type exec = Sharded of { shards : int; pool : Parallel.Pool.t }
 
-(** Cumulative execution statistics. The accounting invariant is
-    [delivered stats + stats.dropped = stats.messages]: every sent message
-    is either delivered into an inbox or counted as dropped (injected
-    fault, destination crashed, or destination already halted). *)
+(** Cumulative execution statistics. Every sent message is either
+    delivered into an inbox or counted in [dropped] (injected fault,
+    destination crashed, or destination already halted), so
+    [messages - dropped] messages reach an inbox, and the fault layer's
+    [duplicated] copies arrive on top of them. A crash that wipes an
+    inbox loses its messages without counting them as dropped. *)
 type stats = {
   rounds : int;                (** rounds executed *)
   messages : int;              (** total messages sent (bandwidth spent) *)
@@ -108,12 +110,6 @@ type stats = {
   last_traffic_round : int;    (** last round in which any message was sent;
                                    0 if the run was silent *)
 }
-
-(** [messages - dropped]: messages that actually reached an inbox (each
-    duplicated message is delivered once more on top of this). *)
-val delivered : stats -> int
-
-val pp_stats : Format.formatter -> stats -> unit
 
 (** [run g ~bandwidth ~msg_bits ~init ~round ~max_rounds] executes the
     algorithm synchronously on the topology [g] and returns the final

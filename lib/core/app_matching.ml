@@ -153,6 +153,3 @@ let mwm ?(mode = Pipeline.Simulated) g w ~epsilon ~seed =
     Array.fold_left (fun acc m -> if m >= 0 then acc + 1 else acc) 0 mate / 2
   in
   { mate; size; weight = matching_weight g w mate; pipeline = !last_pipeline }
-
-let ratio result ~opt =
-  if opt = 0 then 1. else float_of_int result.weight /. float_of_int opt

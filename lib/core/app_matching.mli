@@ -30,6 +30,3 @@ val mcm_planar :
 val mwm :
   ?mode:Pipeline.mode -> Sparse_graph.Graph.t -> Sparse_graph.Weights.t ->
   epsilon:float -> seed:int -> result
-
-(** Ratio against a reference optimum value. *)
-val ratio : result -> opt:int -> float

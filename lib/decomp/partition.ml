@@ -34,11 +34,6 @@ let cut_fraction g t =
 let max_cluster_diameter g t =
   Graph_ops.max_cluster_diameter (Graph_ops.clusters g t.labels t.k)
 
-let sizes t =
-  let s = Array.make t.k 0 in
-  Array.iter (fun l -> s.(l) <- s.(l) + 1) t.labels;
-  s
-
 (* lint: allow U001 test oracle: every vertex has an in-range cluster label *)
 let is_valid g t =
   Array.length t.labels = Graph.n g

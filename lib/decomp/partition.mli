@@ -20,8 +20,5 @@ val cut_fraction : Sparse_graph.Graph.t -> t -> float
     clusters. *)
 val max_cluster_diameter : Sparse_graph.Graph.t -> t -> int
 
-(** Sizes of the clusters. *)
-val sizes : t -> int array
-
 (** Every vertex has a label in range. *)
 val is_valid : Sparse_graph.Graph.t -> t -> bool

@@ -81,7 +81,7 @@ type estate = {
   forwarded : int;  (* newest heartbeat round already forwarded *)
 }
 
-let run_reliable ?faults ?(patience = 12) (view : Cluster_view.t) ~rounds =
+let run_reliable ?faults ~patience (view : Cluster_view.t) ~rounds =
   Obs.Span.with_ "distr.leader_election_reliable" @@ fun () ->
   let g = view.graph in
   let n = Graph.n g in

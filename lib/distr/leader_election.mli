@@ -23,13 +23,13 @@ val run : Cluster_view.t -> rounds:int -> result
     transport (a dropped announcement retransmits until acked), and the
     self-believed leader floods a per-round heartbeat that doubles as
     gossip. A vertex that stops hearing its current leader's heartbeat
-    for [patience] rounds (default 12; use a bound comfortably above the
-    cluster diameter) declares it dead, never re-adopts it, and
+    for [patience] rounds (use a bound comfortably above the cluster
+    diameter) declares it dead, never re-adopts it, and
     re-elects — gossip re-converges on the best live candidate. Runs in
     CONGEST with a [16 log n]-bit budget (heartbeat + retry framing). *)
 val run_reliable :
   ?faults:Congest.Faults.t ->
-  ?patience:int ->
+  patience:int ->
   Cluster_view.t -> rounds:int -> result
 
 (** [check view result] verifies that within every cluster all vertices

@@ -18,7 +18,7 @@ type t = {
   arcs : int array;  (* arc ids grouped by tail, neighbor-sorted per row *)
 }
 
-let of_graph ?(capacity = fun _ -> 1) g =
+let of_graph ~capacity g =
   let n = Graph.n g in
   let m = Graph.m g in
   let arc_head = Array.make (2 * m) 0 in
@@ -51,10 +51,6 @@ let of_graph ?(capacity = fun _ -> 1) g =
 let reset net = Array.blit net.cap0 0 net.cap 0 (Array.length net.cap)
 
 let twin a = a lxor 1
-
-(* signed net flow on edge e, positive in the u -> v direction of the
-   normalized endpoints: pushing f along 2e leaves cap.(2e) = c - f *)
-let edge_flow net e = net.cap0.(2 * e) - net.cap.(2 * e)
 
 let arc_flow net a = max 0 (net.cap0.(a) - net.cap.(a))
 

@@ -18,20 +18,16 @@ type t = {
   arcs : int array;      (** arc ids grouped by tail, neighbor-sorted *)
 }
 
-(** [of_graph ?capacity g] builds the residual network; [capacity]
-    (default [fun _ -> 1]) gives each undirected edge's capacity.
+(** [of_graph ~capacity g] builds the residual network; [capacity e]
+    is undirected edge [e]'s capacity.
     @raise Invalid_argument on a negative capacity. *)
-val of_graph : ?capacity:(int -> int) -> Sparse_graph.Graph.t -> t
+val of_graph : capacity:(int -> int) -> Sparse_graph.Graph.t -> t
 
 (** Restore all residual capacities to their initial values. *)
 val reset : t -> unit
 
 (** [twin a] is the reverse arc of [a] ([a lxor 1]). *)
 val twin : int -> int
-
-(** [edge_flow net e] is the signed net flow on edge [e], positive in the
-    [u -> v] direction of the normalized endpoints. *)
-val edge_flow : t -> int -> int
 
 (** [arc_flow net a] is the non-negative flow along arc [a] (zero when the
     net flow runs along the twin). *)

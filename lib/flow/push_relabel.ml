@@ -256,34 +256,6 @@ let run net ~supply ~sink_cap ~limit =
     global_relabels = st.global_relabels;
   }
 
-let max_flow_st ?capacity g ~s ~t =
-  let n = Graph.n g in
-  if s = t || s < 0 || t < 0 || s >= n || t >= n then
-    invalid_arg "Flow.Push_relabel.max_flow_st: bad endpoints";
-  let net = Net.of_graph ?capacity g in
-  let supply = Array.make n 0 in
-  let sink_cap = Array.make n 0 in
-  let out_cap = ref 0 in
-  for i = net.Net.first.(s) to net.Net.first.(s + 1) - 1 do
-    out_cap := !out_cap + net.Net.cap0.(net.Net.arcs.(i))
-  done;
-  supply.(s) <- !out_cap;
-  sink_cap.(t) <- max 1 (!out_cap);
-  let o = run net ~supply ~sink_cap ~limit:(n + 1) in
-  (* phase 2: excess parked at interior vertices provably cannot reach
-     [t]; drain it back to [s] along residual arcs (reversing its own
-     inflow paths, which always exist), leaving a clean s-t flow whose
-     divergence is zero everywhere but the endpoints *)
-  let leftover = Array.copy o.excess in
-  leftover.(s) <- 0;
-  if Array.exists (fun e -> e > 0) leftover then begin
-    let back_cap = Array.make n 0 in
-    back_cap.(s) <- o.supply_total;
-    let drain = run net ~supply:leftover ~sink_cap:back_cap ~limit:(n + 1) in
-    assert (fully_routed drain)
-  end;
-  (o.absorbed.(t), net, o)
-
 (* Level-cut sweep over the heights of a terminated bounded run: for each
    threshold level l, the side {v | height v >= l} is separated from the
    sinks; pick the threshold of minimum conductance. Crossing counts and

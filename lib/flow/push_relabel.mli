@@ -39,18 +39,6 @@ val fully_routed : outcome -> bool
 val run :
   Net.t -> supply:int array -> sink_cap:int array -> limit:int -> outcome
 
-(** [max_flow_st ?capacity g ~s ~t] is the exact s-t max flow of the
-    undirected graph under the per-edge capacities (default 1): builds a
-    fresh network, saturates [s]'s supply, and runs with [limit = n + 1];
-    excess the preflow parks at interior vertices is then drained back to
-    [s]. Returns [(value, net, outcome)] with a clean s-t flow left in
-    [net] — divergence is [value] at [s], [-value] at [t], zero
-    elsewhere. [outcome] is the first (forward) run's.
-    @raise Invalid_argument if [s = t] or either endpoint is out of range. *)
-val max_flow_st :
-  ?capacity:(int -> int) -> Sparse_graph.Graph.t -> s:int -> t:int ->
-  int * Net.t * outcome
-
 (** [level_cut g ~height ~limit] sweeps the height thresholds of a
     terminated bounded run: for each level [l], the side
     [{v | height v >= l}] is separated from the unsaturated sinks; the

@@ -14,23 +14,6 @@ let complete n =
   done;
   Graph.of_edges n !edges
 
-let complete_bipartite a b =
-  let edges = ref [] in
-  for u = 0 to a - 1 do
-    for v = 0 to b - 1 do
-      edges := (u, a + v) :: !edges
-    done
-  done;
-  Graph.of_edges (a + b) !edges
-
-let star k = Graph.of_edges (k + 1) (List.init k (fun i -> (0, i + 1)))
-
-let double_star k =
-  let spokes =
-    List.concat_map (fun i -> [ (0, i + 2); (1, i + 2) ]) (List.init k Fun.id)
-  in
-  Graph.of_edges (k + 2) spokes
-
 let grid r c =
   let idx i j = (i * c) + j in
   let edges = ref [] in
@@ -38,18 +21,6 @@ let grid r c =
     for j = 0 to c - 1 do
       if j + 1 < c then edges := (idx i j, idx i (j + 1)) :: !edges;
       if i + 1 < r then edges := (idx i j, idx (i + 1) j) :: !edges
-    done
-  done;
-  Graph.of_edges (r * c) !edges
-
-let torus r c =
-  if r < 3 || c < 3 then invalid_arg "Generators.torus: need r, c >= 3";
-  let idx i j = (i * c) + j in
-  let edges = ref [] in
-  for i = 0 to r - 1 do
-    for j = 0 to c - 1 do
-      edges := (idx i j, idx i ((j + 1) mod c)) :: !edges;
-      edges := (idx i j, idx ((i + 1) mod r) j) :: !edges
     done
   done;
   Graph.of_edges (r * c) !edges
@@ -113,16 +84,6 @@ let random_tree n ~seed =
     let b = IntSet.max_elt !leaves in
     Graph.of_edges n ((a, b) :: !edges)
   end
-
-let erdos_renyi n p ~seed =
-  let st = Random.State.make [| seed; 23 |] in
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if Random.State.float st 1. < p then edges := (u, v) :: !edges
-    done
-  done;
-  Graph.of_edges n !edges
 
 let random_regular n d ~seed =
   if n * d mod 2 = 1 then
@@ -359,18 +320,6 @@ let attach_double_stars g ~hubs ~spokes ~seed =
   done;
   let edges = Graph.fold_edges g (fun acc _ u v -> (u, v) :: acc) !extra in
   Graph.of_edges !next edges
-
-let shuffle g ~seed =
-  let n = Graph.n g in
-  let st = Random.State.make [| seed; 89 |] in
-  let perm = Array.init n Fun.id in
-  for i = n - 1 downto 1 do
-    let j = Random.State.int st (i + 1) in
-    let t = perm.(i) in
-    perm.(i) <- perm.(j);
-    perm.(j) <- t
-  done;
-  Graph_ops.relabel g perm
 
 let random_sign_labels g ~frac_pos ~seed =
   let st = Random.State.make [| seed; 97 |] in

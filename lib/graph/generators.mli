@@ -9,21 +9,9 @@
 val path : int -> Graph.t
 val cycle : int -> Graph.t
 val complete : int -> Graph.t
-val complete_bipartite : int -> int -> Graph.t
-
-(** [star k] is the k-star of Section 3.2: a center (vertex 0) joined to [k]
-    leaves. *)
-val star : int -> Graph.t
-
-(** [double_star k] is the k-double-star of Section 3.2: vertices 0 and 1
-    are the hubs; vertices [2 .. k+1] are each adjacent to both hubs. *)
-val double_star : int -> Graph.t
 
 (** [grid r c] is the r-by-c planar grid; vertex [(i, j)] is [i * c + j]. *)
 val grid : int -> int -> Graph.t
-
-(** [torus r c] is the grid with wraparound (genus 1). *)
-val torus : int -> int -> Graph.t
 
 (** [hypercube d] is the d-dimensional hypercube on [2^d] vertices (contrast
     family: conductance Theta(1/d) after decomposition, Section 2). *)
@@ -37,10 +25,6 @@ val barbell : int -> int -> Graph.t
 
 (** Uniform random tree via a random Pruefer sequence. *)
 val random_tree : int -> seed:int -> Graph.t
-
-(** [erdos_renyi n p ~seed] includes each pair independently with
-    probability [p]. *)
-val erdos_renyi : int -> float -> seed:int -> Graph.t
 
 (** [random_regular n d ~seed] samples a d-regular simple graph by the
     configuration model with restarts.
@@ -95,9 +79,6 @@ val attach_stars : Graph.t -> stars:int -> leaves:int -> seed:int -> Graph.t
     exercises the 3-double-star preprocessing. *)
 val attach_double_stars :
   Graph.t -> hubs:int -> spokes:int -> seed:int -> Graph.t
-
-(** Randomly permute vertex ids (defeats generator-order artifacts). *)
-val shuffle : Graph.t -> seed:int -> Graph.t
 
 (** [random_sign_labels g ~frac_pos ~seed] draws a +/- label per edge
     ([true] = positive) for correlation clustering. *)

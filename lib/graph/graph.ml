@@ -256,8 +256,6 @@ let fold_edges g f init =
 
 let edges g = Array.copy g.edge_ends
 
-let volume g vs = List.fold_left (fun acc v -> acc + degree g v) 0 vs
-
 let edge_density g = if g.n = 0 then 0. else float_of_int (m g) /. float_of_int g.n
 
 (* lint: allow U001 test oracle: CSR invariants of every constructor *)

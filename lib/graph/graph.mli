@@ -85,9 +85,6 @@ val edges : t -> (int * int) array
 
 (** {1 Derived quantities} *)
 
-(** Sum of degrees of the given vertex set (each vertex counted once). *)
-val volume : t -> int list -> int
-
 (** [edge_density g] is [m / n] as a float; 0 on the empty graph. *)
 val edge_density : t -> float
 

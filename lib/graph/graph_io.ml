@@ -65,17 +65,10 @@ let of_string s =
           (g, weights)
       | _ -> failwith "Graph_io.of_string: header must be \"n m\"")
 
-let save ?weights g ~path =
+let save g ~path =
   let oc = open_out path in
-  output_string oc (to_string ?weights g);
+  output_string oc (to_string g);
   close_out oc
-
-let load ~path =
-  let ic = open_in path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  of_string s
 
 let palette =
   [| "#4477aa"; "#ee6677"; "#228833"; "#ccbb44"; "#66ccee"; "#aa3377";

@@ -1,6 +1,6 @@
 (** Plain-text graph serialization: a simple edge-list format and DOT
-    export, so generated workloads can be saved, reloaded, and visualized
-    by downstream users. *)
+    export, so generated workloads can be saved and visualized by
+    downstream users. *)
 
 (** Format: first non-comment line ["n m"], then [m] lines ["u v"] (or
     ["u v w"] with weights); ['#'] starts a comment. *)
@@ -13,11 +13,8 @@ val to_string : ?weights:Weights.t -> Graph.t -> string
     @raise Failure on malformed input. *)
 val of_string : string -> Graph.t * Weights.t option
 
-(** [save ?weights g ~path] / [load ~path] wrap the string codecs with file
-    IO. *)
-val save : ?weights:Weights.t -> Graph.t -> path:string -> unit
-
-val load : path:string -> Graph.t * Weights.t option
+(** [save g ~path] writes the unweighted {!to_string} of [g] to [path]. *)
+val save : Graph.t -> path:string -> unit
 
 (** [to_dot ~labels g] renders GraphViz DOT; [labels] maps a vertex to
     its cluster (colored). *)

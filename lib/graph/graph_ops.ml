@@ -52,14 +52,6 @@ let subgraph_of_edges g es =
   let to_sub, to_orig = identity_vertex_maps g in
   (sub, { to_sub; to_orig; edge_to_orig })
 
-let remove_edges g es =
-  let drop = Array.make (Graph.m g) false in
-  List.iter (fun e -> drop.(e) <- true) es;
-  let kept =
-    Graph.fold_edges g (fun acc e _ _ -> if drop.(e) then acc else e :: acc) []
-  in
-  subgraph_of_edges g (List.rev kept)
-
 let remove_vertices g vs =
   let gone = Array.make (Graph.n g) false in
   List.iter (fun v -> gone.(v) <- true) vs;
@@ -69,69 +61,9 @@ let remove_vertices g vs =
   done;
   induced_subgraph g !survivors
 
-let disjoint_union a b =
-  let na = Graph.n a in
-  let edges =
-    Graph.fold_edges a (fun acc _ u v -> (u, v) :: acc) []
-    |> Graph.fold_edges b (fun acc _ u v -> (u + na, v + na) :: acc)
-  in
-  Graph.of_edges (na + Graph.n b) edges
-
-let contract g labels k =
-  let edges =
-    Graph.fold_edges g
-      (fun acc _ u v ->
-        let lu = labels.(u) and lv = labels.(v) in
-        if lu = lv then acc else (lu, lv) :: acc)
-      []
-  in
-  Graph.of_edges k edges
-
-(* contracted vertices are the components of the listed edges, numbered
-   by smallest member *)
-let contract_edges g es =
-  let labels, k =
-    Traversal.components
-      (Graph.of_edges (Graph.n g) (List.map (Graph.endpoints g) es))
-  in
-  (contract g labels k, labels)
-
-let subdivide g e k =
-  let u, v = Graph.endpoints g e in
-  let n = Graph.n g in
-  let others =
-    Graph.fold_edges g
-      (fun acc e' a b -> if e' = e then acc else (a, b) :: acc)
-      []
-  in
-  let path =
-    if k = 0 then [ (u, v) ]
-    else begin
-      let mid = List.init (k - 1) (fun i -> (n + i, n + i + 1)) in
-      ((u, n) :: mid) @ [ (n + k - 1, v) ]
-    end
-  in
-  Graph.of_edges (n + k) (path @ others)
-
 let add_edges g extra =
   let edges = Graph.fold_edges g (fun acc _ u v -> (u, v) :: acc) extra in
   Graph.of_edges (Graph.n g) edges
-
-let relabel g perm =
-  let edges =
-    Graph.fold_edges g (fun acc _ u v -> (perm.(u), perm.(v)) :: acc) []
-  in
-  Graph.of_edges (Graph.n g) edges
-
-let complement g =
-  let n = Graph.n g in
-  let edges = ref [] in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if not (Graph.mem_edge g u v) then edges := (u, v) :: !edges
-    done
-  done;
-  Graph.of_edges n !edges
 
 let inter_edges g labels =
   Graph.fold_edges g

@@ -54,15 +54,6 @@ let bfs_multi g sources =
 
 let bfs g src = bfs_multi g [ src ]
 
-let bfs_layers g src =
-  let dist = bfs g src in
-  let radius = Array.fold_left max 0 dist in
-  let layers = Array.make (radius + 1) [] in
-  for v = Graph.n g - 1 downto 0 do
-    if dist.(v) >= 0 then layers.(dist.(v)) <- v :: layers.(dist.(v))
-  done;
-  layers
-
 let components g =
   let n = Graph.n g in
   let label = Array.make n (-1) and queue = fifo n in
@@ -209,99 +200,6 @@ let diameter_double_sweep g =
     eccentricity g far
   end
 
-module Heap = struct
-  (* binary min-heap of (key, vertex) pairs *)
-  type t = {
-    mutable data : (int * int) array;
-    mutable len : int;
-  }
-
-  let create () = { data = Array.make 16 (0, 0); len = 0 }
-  let is_empty h = h.len = 0
-
-  let swap h i j =
-    let t = h.data.(i) in
-    h.data.(i) <- h.data.(j);
-    h.data.(j) <- t
-
-  let push h key v =
-    if h.len = Array.length h.data then begin
-      let bigger = Array.make (2 * h.len) (0, 0) in
-      Array.blit h.data 0 bigger 0 h.len;
-      h.data <- bigger
-    end;
-    h.data.(h.len) <- (key, v);
-    h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while !i > 0 && fst h.data.((!i - 1) / 2) > fst h.data.(!i) do
-      swap h ((!i - 1) / 2) !i;
-      i := (!i - 1) / 2
-    done
-
-  let pop h =
-    let top = h.data.(0) in
-    h.len <- h.len - 1;
-    h.data.(0) <- h.data.(h.len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.len && fst h.data.(l) < fst h.data.(!smallest) then smallest := l;
-      if r < h.len && fst h.data.(r) < fst h.data.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        swap h !i !smallest;
-        i := !smallest
-      end
-    done;
-    top
-end
-
-let dijkstra g weight src =
-  let n = Graph.n g in
-  let dist = Array.make n max_int in
-  let heap = Heap.create () in
-  dist.(src) <- 0;
-  Heap.push heap 0 src;
-  while not (Heap.is_empty heap) do
-    let d, v = Heap.pop heap in
-    if d = dist.(v) then
-      Graph.iter_incident g v (fun w e ->
-          let we = weight e in
-          if we < 0 then invalid_arg "Traversal.dijkstra: negative weight";
-          let nd = d + we in
-          if nd < dist.(w) then begin
-            dist.(w) <- nd;
-            Heap.push heap nd w
-          end)
-  done;
-  dist
-
 let is_acyclic g =
   let _, count = components g in
   Graph.m g = Graph.n g - count
-
-let spanning_forest g =
-  let n = Graph.n g in
-  let seen = Array.make n false and queue = fifo n in
-  let forest = ref [] in
-  for s = 0 to n - 1 do
-    if not seen.(s) then begin
-      seen.(s) <- true;
-      queue.(0) <- s;
-      let head = ref 0 and tail = ref 1 in
-      while !head < !tail do
-        let v = queue.(!head) in
-        incr head;
-        Graph.iter_incident g v (fun w e ->
-            if not seen.(w) then begin
-              seen.(w) <- true;
-              forest := e :: !forest;
-              queue.(!tail) <- w;
-              incr tail
-            end)
-      done
-    end
-  done;
-  List.sort Int.compare !forest

@@ -1,4 +1,4 @@
-(** Breadth-first / depth-first traversals and shortest paths. *)
+(** Breadth-first traversals: hop distances, components, diameters. *)
 
 (** [bfs g src] returns the array of hop distances from [src]; unreachable
     vertices get [-1]. *)
@@ -7,11 +7,6 @@ val bfs : Graph.t -> int -> int array
 (** [bfs_multi g sources] returns hop distances from the nearest source;
     unreachable vertices get [-1]. *)
 val bfs_multi : Graph.t -> int list -> int array
-
-(** [bfs_layers g src] groups reachable vertices by distance: element [d] of
-    the result lists the vertices at distance exactly [d], in increasing
-    vertex order. *)
-val bfs_layers : Graph.t -> int -> int list array
 
 (** [components g] assigns each vertex a component label in
     [0 .. count-1] (labelled in order of smallest member) and returns
@@ -44,14 +39,5 @@ val diameter : Graph.t -> int
 (** Lower bound on the diameter by a double BFS sweep (exact on trees). *)
 val diameter_double_sweep : Graph.t -> int
 
-(** [dijkstra g weight src] computes shortest-path distances with
-    non-negative per-edge weights ([weight e] for edge id [e]); unreachable
-    vertices get [max_int]. *)
-val dijkstra : Graph.t -> (int -> int) -> int -> int array
-
 (** [is_acyclic g] tests whether [g] is a forest. *)
 val is_acyclic : Graph.t -> bool
-
-(** [spanning_forest g] returns the edge ids, ascending, of a BFS spanning
-    forest (one BFS from the smallest unreached vertex per component). *)
-val spanning_forest : Graph.t -> int list

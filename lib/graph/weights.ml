@@ -6,10 +6,6 @@ let validate a =
       if w <= 0 then invalid_arg "Weights: weights must be positive integers")
     a
 
-let uniform ?(w = 1) g =
-  if w <= 0 then invalid_arg "Weights.uniform: weight must be positive";
-  Array.make (Graph.m g) w
-
 let of_array g a =
   if Array.length a <> Graph.m g then
     invalid_arg "Weights.of_array: length mismatch";
@@ -25,11 +21,5 @@ let get w e = w.(e)
 
 let max_weight w = Array.fold_left max 0 w
 
-let total w es = List.fold_left (fun acc e -> acc + w.(e)) 0 es
-
-let total_all w = Array.fold_left ( + ) 0 w
-
 let restrict w (mapping : Graph_ops.mapping) =
   Array.map (fun orig -> w.(orig)) mapping.edge_to_orig
-
-let raw w = w

@@ -5,9 +5,6 @@
 
 type t
 
-(** [uniform g w] gives every edge weight [w] (default 1). *)
-val uniform : ?w:int -> Graph.t -> t
-
 (** [of_array g a] wraps an explicit weight array ([a.(e)] is edge [e]'s
     weight).
     @raise Invalid_argument on length mismatch or non-positive entry. *)
@@ -22,16 +19,7 @@ val get : t -> int -> int
 (** Maximum edge weight [W]; [0] if there are no edges. *)
 val max_weight : t -> int
 
-(** Sum of weights over an edge-id list. *)
-val total : t -> int list -> int
-
-(** Sum over all edges. *)
-val total_all : t -> int
-
 (** [restrict w mapping] carries weights to a subgraph built with
     {!Graph_ops}: new edge [e] gets the weight of
     [mapping.edge_to_orig.(e)]. *)
 val restrict : t -> Graph_ops.mapping -> t
-
-(** Underlying array (not copied; treat as read-only). *)
-val raw : t -> int array

@@ -75,64 +75,6 @@ let path_growing g w =
   let c1 = to_mate !m1 and c2 = to_mate !m2 in
   if weight g w c1 >= weight g w c2 then c1 else c2
 
-let augment_short_paths g mate ~k =
-  let n = Graph.n g in
-  let max_len = (2 * k) - 1 in
-  (* alternating DFS from a free vertex; [on_path] guards the current walk,
-     [visited] prunes re-exploration within one search *)
-  let visited = Array.make n false in
-  let on_path = Array.make n false in
-  let rec search u depth =
-    (* u is at an even position; try to end or extend via a matched edge *)
-    if depth > max_len then false
-    else begin
-      let result = ref false in
-      let finish = ref false in
-      Graph.iter_neighbors g u (fun v ->
-          if (not !finish) && (not on_path.(v)) && not visited.(v) then begin
-            if mate.(v) = -1 then begin
-              (* augmenting path found: flip (u, v) *)
-              mate.(v) <- u;
-              mate.(u) <- v;
-              result := true;
-              finish := true
-            end
-            else begin
-              let w = mate.(v) in
-              if (not on_path.(w)) && not visited.(w) then begin
-                visited.(v) <- true;
-                on_path.(v) <- true;
-                on_path.(w) <- true;
-                if search w (depth + 2) then begin
-                  (* w got re-matched deeper; claim v for u *)
-                  mate.(u) <- v;
-                  mate.(v) <- u;
-                  result := true;
-                  finish := true
-                end
-                else begin
-                  on_path.(v) <- false;
-                  on_path.(w) <- false
-                end
-              end
-            end
-          end);
-      !result
-    end
-  in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    for v = 0 to n - 1 do
-      if mate.(v) = -1 then begin
-        Array.fill visited 0 n false;
-        Array.fill on_path 0 n false;
-        on_path.(v) <- true;
-        if search v 1 then progress := true
-      end
-    done
-  done
-
 let local_search g w ?init ~len ~passes () =
   let n = Graph.n g in
   let mate =

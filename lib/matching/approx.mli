@@ -12,15 +12,6 @@ val greedy : Sparse_graph.Graph.t -> Sparse_graph.Weights.t -> int array
     approximation in linear time. *)
 val path_growing : Sparse_graph.Graph.t -> Sparse_graph.Weights.t -> int array
 
-(** [augment_short_paths g mate ~k] repeatedly augments along augmenting
-    paths of length at most [2k - 1] found by depth-limited alternating DFS,
-    in place, iterating passes to a fixpoint. On bipartite graphs this
-    eliminates all such paths, giving a (k / (k+1))-approximation of MCM
-    (Hopcroft–Karp lemma); on general graphs blossoms can hide rare paths,
-    so the ratio is heuristic (benchmarks measure it). Pass
-    [k = ceil(1/epsilon)] for the (1 - epsilon) shape. *)
-val augment_short_paths : Sparse_graph.Graph.t -> int array -> k:int -> unit
-
 (** [local_search g w ?init ~len ~passes ()] improves a matching by
     weight-increasing alternating walks of length at most [len], scanning
     all vertices [passes] times (the bounded-length augmentation shape of

@@ -108,12 +108,6 @@ let max_cardinality_matching g =
 let size mate =
   Array.fold_left (fun acc m -> if m >= 0 then acc + 1 else acc) 0 mate / 2
 
-let edges g mate =
-  Graph.fold_edges g
-    (fun acc e u v -> if mate.(u) = v then e :: acc else acc)
-    []
-  |> List.rev
-
 (* lint: allow U001 test oracle: mate array is a symmetric matching *)
 let is_valid_matching g mate =
   let ok = ref true in

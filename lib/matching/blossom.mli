@@ -10,9 +10,6 @@ val max_cardinality_matching : Sparse_graph.Graph.t -> int array
 (** Number of matched edges in a mate array. *)
 val size : int array -> int
 
-(** [edges g mate] lists the matched edge ids. *)
-val edges : Sparse_graph.Graph.t -> int array -> int list
-
 (** [is_valid_matching g mate] checks symmetry and adjacency. *)
 val is_valid_matching : Sparse_graph.Graph.t -> int array -> bool
 

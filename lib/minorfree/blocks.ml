@@ -1,23 +1,21 @@
 open Sparse_graph
 
-(* Iterative DFS computing disc/low values, an edge stack for blocks, and
-   articulation points. *)
+(* Iterative DFS computing disc/low values and an edge stack for
+   blocks. *)
 
 type frame = {
   vertex : int;
   parent_edge : int;  (* edge id used to reach vertex, -1 at roots *)
   mutable cursor : int;  (* next incidence index to explore *)
-  mutable children : int;
   mutable low : int;
 }
 
-let run g =
+let blocks g =
   let n = Graph.n g in
   let disc = Array.make n (-1) in
   let time = ref 0 in
   let edge_stack = ref [] in
   let blocks = ref [] in
-  let is_cut = Array.make n false in
   (* incidence arrays for cursor-based iteration *)
   let inc =
     Array.init n (fun v ->
@@ -42,8 +40,7 @@ let run g =
       incr time;
       let stack =
         ref
-          [ { vertex = root; parent_edge = -1; cursor = 0; children = 0;
-              low = disc.(root) } ]
+          [ { vertex = root; parent_edge = -1; cursor = 0; low = disc.(root) } ]
       in
       let continue = ref true in
       while !continue do
@@ -60,10 +57,8 @@ let run g =
                   edge_stack := e :: !edge_stack;
                   disc.(w) <- !time;
                   incr time;
-                  frame.children <- frame.children + 1;
                   stack :=
-                    { vertex = w; parent_edge = e; cursor = 0; children = 0;
-                      low = disc.(w) }
+                    { vertex = w; parent_edge = e; cursor = 0; low = disc.(w) }
                     :: !stack
                 end
                 else if disc.(w) < disc.(v) then begin
@@ -81,30 +76,10 @@ let run g =
               | parent :: _ ->
                   let u = parent.vertex in
                   if frame.low < parent.low then parent.low <- frame.low;
-                  if frame.low >= disc.(u) then begin
-                    (* u separates the finished subtree: close its block *)
-                    pop_block frame.parent_edge;
-                    let u_is_root = parent.parent_edge < 0 in
-                    if (not u_is_root) || parent.children > 1 then
-                      is_cut.(u) <- true
-                  end
+                  (* u separates the finished subtree: close its block *)
+                  if frame.low >= disc.(u) then pop_block frame.parent_edge
             end
       done
     end
   done;
-  (!blocks, is_cut)
-
-let blocks g = fst (run g)
-
-let cut_vertices g =
-  let _, is_cut = run g in
-  let out = ref [] in
-  for v = Graph.n g - 1 downto 0 do
-    if is_cut.(v) then out := v :: !out
-  done;
-  !out
-
-let is_biconnected g =
-  Graph.n g >= 2 && Graph.m g >= 1
-  && Traversal.is_connected g
-  && cut_vertices g = []
+  !blocks

@@ -7,10 +7,3 @@
 (** [blocks g] returns the blocks, each as a list of edge ids. Every edge
     appears in exactly one block. *)
 val blocks : Sparse_graph.Graph.t -> int list list
-
-(** [cut_vertices g] lists the articulation points. *)
-val cut_vertices : Sparse_graph.Graph.t -> int list
-
-(** [is_biconnected g] holds when [g] is connected, has at least one edge,
-    and has no cut vertex. *)
-val is_biconnected : Sparse_graph.Graph.t -> bool

@@ -251,7 +251,10 @@ let embed_block_exn g =
 
 (* lint: allow U001 test oracle: planar faces checked against Lr_planarity *)
 let embed_block g =
-  if not (Blocks.is_biconnected g) then
+  (* biconnected: connected, with at least one edge and no cut vertex,
+     so all of its edges form one block *)
+  if not (Graph.n g >= 2 && Traversal.is_connected g
+          && List.length (Blocks.blocks g) = 1) then
     invalid_arg "Planarity.embed_block: graph is not biconnected";
   match embed_block_exn g with
   | faces -> Some faces

@@ -49,14 +49,6 @@ let planar =
 
 let all = [ forest; linear_forest; series_parallel; outerplanar; planar ]
 
-let smallest_forbidden_clique p =
-  let rec go s =
-    if s > 8 then None
-    else if not (p.holds (Generators.complete s)) then Some s
-    else go (s + 1)
-  in
-  go 1
-
 (* minimum number of edge edits needed, lower-bounded structurally *)
 let edit_lower_bound g p =
   let n = Graph.n g and m = Graph.m g in

@@ -30,11 +30,6 @@ val planar : t
 (** All packaged properties. *)
 val all : t list
 
-(** [smallest_forbidden_clique p] recomputes s by testing [p.holds] on
-    cliques K_1, K_2, ... (bounded at 8) — used in tests to validate the
-    recorded [forbidden_clique]. *)
-val smallest_forbidden_clique : t -> int option
-
 (** [far_from ~epsilon g p] is a {e one-sided} farness certificate used by
     the experiments: it holds when every graph obtained from [g] by
     removing/adding at most [epsilon * m] edges still violates [p], as

@@ -123,38 +123,3 @@ let rec volatile_json node =
         ]
   in
   Json.Obj fields
-
-(* ------------------------------------------------------------------ *)
-(* ASCII rendering                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let span_tree_lines tree =
-  let lines = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> lines := s :: !lines) fmt in
-  let metrics_suffix node =
-    let cells =
-      List.map
-        (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-        (SMap.bindings node.sums)
-      @ List.map
-          (fun (k, v) -> Printf.sprintf "%s<=%d" k v)
-          (SMap.bindings node.maxes)
-    in
-    let ns =
-      match SMap.find_opt "ns" node.volatile with
-      | Some ns -> [ Printf.sprintf "%.2fms" (float_of_int ns /. 1e6) ]
-      | None -> []
-    in
-    match ns @ cells with
-    | [] -> ""
-    | cs -> "  [" ^ String.concat " " cs ^ "]"
-  in
-  let rec go indent name node =
-    add "%s%s x%d%s" (String.make indent ' ') name node.count
-      (metrics_suffix node);
-    SMap.iter (fun n c -> go (indent + 2) n c) node.children
-  in
-  SMap.iter (fun n c -> go 0 n c) tree.children;
-  List.rev !lines
-
-let to_ascii tree = String.concat "\n" (span_tree_lines tree) ^ "\n"

@@ -36,6 +36,3 @@ val to_json : node -> Json.t
 
 val volatile_json : node -> Json.t
 (** Timing mirror of the tree: the volatile metrics only. *)
-
-val to_ascii : node -> string
-(** Indented span-tree summary for terminals. *)

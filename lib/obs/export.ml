@@ -25,8 +25,6 @@ let deterministic_section tree =
       ("peaks", Agg.int_map_json maxes);
     ]
 
-let deterministic_string tree = Json.to_string (deterministic_section tree)
-
 let profile_json ?(meta = []) tree =
   Json.Obj
     [
@@ -36,8 +34,6 @@ let profile_json ?(meta = []) tree =
       ( "volatile",
         Json.Obj (meta @ [ ("spans", Agg.volatile_json tree) ]) );
     ]
-
-let to_ascii tree = Agg.to_ascii tree
 
 let write_file path content =
   let oc = open_out path in

@@ -182,7 +182,3 @@ let solve g labels ~seed =
       (fun best c -> if score g labels c > score g labels best then c else best)
       (List.hd candidates) (List.tl candidates)
   end
-
-let cluster_count clustering =
-  let module S = Set.Make (Int) in
-  S.cardinal (S.of_list (Array.to_list clustering))

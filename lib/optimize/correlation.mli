@@ -36,6 +36,3 @@ val local_improve :
 (** [solve g labels ~seed] is the leader's solver: {!exact} when feasible,
     otherwise the best of {!trivial} and locally-improved {!pivot}. *)
 val solve : Sparse_graph.Graph.t -> labelling -> seed:int -> int array
-
-(** Number of clusters used by a clustering (distinct labels). *)
-val cluster_count : int array -> int

@@ -1,40 +1,25 @@
 open Sparse_graph
 
-let volume g mask =
-  let s = ref 0 in
-  Array.iteri (fun v inside -> if inside then s := !s + Graph.degree g v) mask;
-  !s
-
-let boundary g mask =
-  Graph.fold_edges g
-    (fun acc _ u v -> if mask.(u) <> mask.(v) then acc + 1 else acc)
-    0
-
-let trivial mask =
-  let any = ref false and all = ref true in
-  Array.iter
-    (fun b ->
-      if b then any := true else all := false)
-    mask;
-  (not !any) || !all
-
 (* lint: allow U001 test oracle: recomputes the conductance a cut reports *)
 let of_cut g mask =
-  if trivial mask then 0.
+  let vol_s = ref 0 and size_s = ref 0 in
+  Array.iteri
+    (fun v inside ->
+      if inside then begin
+        vol_s := !vol_s + Graph.degree g v;
+        incr size_s
+      end)
+    mask;
+  if !size_s = 0 || !size_s = Array.length mask then 0.
   else begin
-    let vol_s = volume g mask in
-    let vol_rest = (2 * Graph.m g) - vol_s in
-    let denom = min vol_s vol_rest in
+    let boundary =
+      Graph.fold_edges g
+        (fun acc _ u v -> if mask.(u) <> mask.(v) then acc + 1 else acc)
+        0
+    in
+    let denom = min !vol_s ((2 * Graph.m g) - !vol_s) in
     if denom = 0 then infinity
-    else float_of_int (boundary g mask) /. float_of_int denom
-  end
-
-let sparsity_of_cut g mask =
-  if trivial mask then 0.
-  else begin
-    let size_s = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 mask in
-    let denom = min size_s (Graph.n g - size_s) in
-    float_of_int (boundary g mask) /. float_of_int denom
+    else float_of_int boundary /. float_of_int denom
   end
 
 let enumeration_limit = 24
@@ -81,8 +66,3 @@ let exact_cut g =
   end
 
 let exact g = fst (exact_cut g)
-
-let mask_of_list n vs =
-  let mask = Array.make n false in
-  List.iter (fun v -> mask.(v) <- true) vs;
-  mask

@@ -19,13 +19,6 @@ let step g p =
   done;
   q
 
-let distribution g v t =
-  let p = ref (Array.init (Graph.n g) (fun u -> if u = v then 1. else 0.)) in
-  for _ = 1 to t do
-    p := step g !p
-  done;
-  !p
-
 let is_mixed g p =
   let pi = stationary g in
   let n = float_of_int (Graph.n g) in
@@ -67,14 +60,3 @@ let mixing_time g ~max_t =
       | Some t -> go (v + 1) (max worst t)
   in
   if Graph.n g = 0 then None else go 0 0
-
-let sample_walk g ~start ~steps ~rng =
-  let visits = Array.make (steps + 1) start in
-  let cur = ref start in
-  for i = 1 to steps do
-    let d = Graph.degree g !cur in
-    if d > 0 && Random.State.bool rng then
-      cur := Graph.neighbor_at g !cur (Random.State.int rng d);
-    visits.(i) <- !cur
-  done;
-  visits

@@ -12,10 +12,6 @@ val stationary : Sparse_graph.Graph.t -> float array
     keep their mass. *)
 val step : Sparse_graph.Graph.t -> float array -> float array
 
-(** [distribution g v t] is the walk distribution after [t] steps from
-    [v]. *)
-val distribution : Sparse_graph.Graph.t -> int -> int -> float array
-
 (** [is_mixed g p] tests the paper's mixing criterion
     [|p(u) - pi(u)| <= pi(u) / n] for all [u] in the support of the
     stationary distribution. Degree-0 vertices are excluded: their
@@ -33,9 +29,3 @@ val mixing_time_from : Sparse_graph.Graph.t -> int -> max_t:int -> int option
     the paper's [tau_mix(G)] — or [None] if some vertex fails to mix
     within [max_t]. Quadratic in [n]: for tests and small graphs. *)
 val mixing_time : Sparse_graph.Graph.t -> max_t:int -> int option
-
-(** [sample_walk g ~start ~steps ~rng] samples one lazy-walk trajectory and
-    returns the visited vertices, [start] first, length [steps + 1]. *)
-val sample_walk :
-  Sparse_graph.Graph.t -> start:int -> steps:int -> rng:Random.State.t ->
-  int array

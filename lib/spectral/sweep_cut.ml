@@ -210,9 +210,3 @@ let combined_cut g ~iters ~seed =
   List.fold_left
     (fun best c -> if c.conductance < best.conductance then c else best)
     spectral candidates
-
-let certified_lower_bound cut =
-  let from_sweep = cut.conductance *. cut.conductance /. 4. in
-  match cut.lambda2 with
-  | None -> from_sweep
-  | Some l2 -> max from_sweep (l2 /. 2.)

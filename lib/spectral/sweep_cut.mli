@@ -48,8 +48,3 @@ val tree_cut : Sparse_graph.Graph.t -> cut
 (** [combined_cut g ~iters ~seed] is the best of {!best_cut}, {!bfs_sweep},
     and {!tree_cut} — what the expander decomposition uses. *)
 val combined_cut : Sparse_graph.Graph.t -> iters:int -> seed:int -> cut
-
-(** [certified_lower_bound cut] is [max(lambda2 / 2, cut.conductance^2 / 4)]
-    when [lambda2] is [Some], else [cut.conductance^2 / 4]: a lower bound on
-    [Phi(G)] valid when the embedding has converged (see module header). *)
-val certified_lower_bound : cut -> float

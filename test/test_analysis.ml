@@ -733,6 +733,55 @@ let test_u001_submodule_path_negative () =
   in
   Alcotest.(check (list string)) "no finding" [] (u001_messages fs)
 
+(* submodule values count: a dead [Sub.v] is a finding like a dead
+   toplevel value *)
+let submodule_fixture =
+  ( "lib/fake/a.ml",
+    "module Sub = struct\n\
+    \  let v () = 1\n\
+    \  let w () = v ()\n\
+     end\n\
+     let live () = 2" )
+
+let test_u001_submodule_value_flagged () =
+  let fs =
+    fresh [ submodule_fixture; ("bin/main.ml", "let () = ignore (A.live ())") ]
+  in
+  Alcotest.(check (list string))
+    "both submodule values flagged"
+    [
+      "2 A.Sub.v has no production caller";
+      "3 A.Sub.w has no production caller";
+    ]
+    (List.map
+       (fun m -> String.sub m 0 (String.index_from m 0 ':'))
+       (u001_messages fs))
+
+let test_u001_submodule_value_from_bin () =
+  let fs =
+    fresh
+      [
+        submodule_fixture;
+        ("bin/main.ml", "let () = ignore (A.live (), A.Sub.v ())");
+      ]
+  in
+  Alcotest.(check (list string))
+    "only the uncalled one" [ "3" ]
+    (List.map
+       (fun m -> String.sub m 0 (String.index m ' '))
+       (u001_messages fs))
+
+let test_u001_submodule_short_name_call () =
+  (* [w] reaches [v] by its short name inside [Sub] *)
+  let fs =
+    fresh
+      [
+        submodule_fixture;
+        ("bin/main.ml", "let () = ignore (A.live (), A.Sub.w ())");
+      ]
+  in
+  Alcotest.(check (list string)) "no finding" [] (u001_messages fs)
+
 let test_u001_allow_comment () =
   let report =
     run
@@ -1001,6 +1050,11 @@ let () =
           t "value reached only from dead code flagged" test_u001_transitive;
           t "bin and let () roots pass" test_u001_roots_negative;
           t "submodule path root passes" test_u001_submodule_path_negative;
+          t "dead submodule value flagged" test_u001_submodule_value_flagged;
+          t "submodule value called from bin passes"
+            test_u001_submodule_value_from_bin;
+          t "submodule short-name call passes"
+            test_u001_submodule_short_name_call;
           t "allow comment suppresses" test_u001_allow_comment;
         ] );
       ( "engine",

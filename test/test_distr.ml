@@ -38,7 +38,7 @@ let diam_bound (view : Cluster_view.t) =
 (* ------------------------------------------------------------------ *)
 
 let test_leader_whole_star () =
-  let view = Cluster_view.whole (Generators.star 6) in
+  let view = Cluster_view.whole (Graph_fixtures.star 6) in
   let r = Leader_election.run view ~rounds:2 in
   checkb "valid" true (Leader_election.check view r);
   check "hub elected" 0 r.leader_of.(3);
@@ -361,7 +361,7 @@ let test_diameter_check_large_diameter () =
 
 let test_diameter_check_mixed_clusters () =
   (* two clusters: a clique (diameter 1) and a long path *)
-  let g = Graph_ops.disjoint_union (Generators.complete 6) (Generators.path 25) in
+  let g = Graph_fixtures.disjoint_union (Generators.complete 6) (Generators.path 25) in
   let labels = Array.init (Graph.n g) (fun v -> if v < 6 then 0 else 1) in
   let view = Cluster_view.of_labels g labels in
   let r = Diameter_check.run view ~b:2 in
@@ -374,7 +374,7 @@ let test_diameter_check_mixed_clusters () =
 (* ------------------------------------------------------------------ *)
 
 let test_star_elimination_star () =
-  let g = Generators.star 6 in
+  let g = Graph_fixtures.star 6 in
   let view = Cluster_view.whole g in
   let r = Star_elimination.run view ~max_iterations:3 in
   checkb "valid" true (Star_elimination.check view r);
@@ -383,7 +383,7 @@ let test_star_elimination_star () =
     (Array.fold_left (fun a b -> if b then a + 1 else a) 0 r.removed)
 
 let test_star_elimination_double_star () =
-  let g = Generators.double_star 5 in
+  let g = Graph_fixtures.double_star 5 in
   let view = Cluster_view.whole g in
   let r = Star_elimination.run view ~max_iterations:3 in
   checkb "valid" true (Star_elimination.check view r);
@@ -393,7 +393,7 @@ let test_star_elimination_double_star () =
 let test_star_elimination_pinned () =
   (* regression: bounce lists are sorted before sending, so elimination
      does not depend on the spoke table's hash order *)
-  let g = Generators.double_star 5 in
+  let g = Graph_fixtures.double_star 5 in
   let view = Cluster_view.whole g in
   let r = Star_elimination.run view ~max_iterations:5 in
   Alcotest.(check (array bool))
@@ -482,7 +482,7 @@ let test_distributed_decomposition_expander_whole () =
   check "expander stays whole" 1 d.k
 
 let test_distributed_decomposition_disconnected () =
-  let g = Graph_ops.disjoint_union (Generators.cycle 6) (Generators.cycle 6) in
+  let g = Graph_fixtures.disjoint_union (Generators.cycle 6) (Generators.cycle 6) in
   let d = Distributed_decomposition.decompose g ~epsilon:0.5 in
   checkb "components separated" true (d.k >= 2);
   checkb "no inter edges across components" true

@@ -43,7 +43,7 @@ let test_empty_graph_everywhere () =
 
 let test_self_contained_star () =
   (* a star stresses degree skew in every phase *)
-  let g = Generators.star 40 in
+  let g = Graph_fixtures.star 40 in
   let p = Core.Pipeline.prepare g ~epsilon:0.4 ~seed:3 in
   check "star is one cluster" 1 p.report.k;
   check "hub is leader" 0 p.leader_of.(17);
@@ -187,7 +187,7 @@ let prop_lr_planarity_minor_closed =
       let g = build input in
       if Graph.m g = 0 || not (Minorfree.Lr_planarity.is_planar g) then true
       else begin
-        let minor, _ = Graph_ops.contract_edges g [ 0 ] in
+        let minor, _ = Graph_fixtures.contract_edges g [ 0 ] in
         Minorfree.Lr_planarity.is_planar minor
       end)
 

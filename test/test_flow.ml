@@ -6,18 +6,24 @@ let checki = Alcotest.(check int)
 let checkf msg ~eps expected got =
   Alcotest.(check (float eps)) msg expected got
 
+let unit_net g = Net.of_graph ~capacity:(fun _ -> 1) g
+
+(* signed net flow on edge [e], positive in the u -> v direction of its
+   normalized endpoints *)
+let edge_flow net e = net.Net.cap0.(2 * e) - net.Net.cap.(2 * e)
+
 (* ------------------------------------------------------------------ *)
 (* Residual networks                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let test_net_structure () =
   let g = Generators.cycle 4 in
-  let net = Net.of_graph g in
+  let net = unit_net g in
   checki "arc count" (2 * Graph.m g) (Array.length net.Net.cap);
   for e = 0 to Graph.m g - 1 do
     checki "twin of forward arc" ((2 * e) + 1) (Net.twin (2 * e));
     checki "twin of reverse arc" (2 * e) (Net.twin ((2 * e) + 1));
-    checki "zero flow initially" 0 (Net.edge_flow net e)
+    checki "zero flow initially" 0 (edge_flow net e)
   done;
   checkb "feasible initially" true (Net.feasible net);
   for v = 0 to 3 do
@@ -31,11 +37,11 @@ let test_net_capacity_and_reset () =
   checki "edge 1 capacity" 3 net.Net.cap0.(2);
   net.Net.cap.(0) <- 0;
   net.Net.cap.(1) <- 4;
-  checkb "flow shows on the edge" true (Net.edge_flow net 0 <> 0);
+  checkb "flow shows on the edge" true (edge_flow net 0 <> 0);
   Net.reset net;
   checki "reset restores arc 0" 2 net.Net.cap.(0);
   checki "reset restores twin" 2 net.Net.cap.(1);
-  checki "reset clears flow" 0 (Net.edge_flow net 0)
+  checki "reset clears flow" 0 (edge_flow net 0)
 
 let test_net_rejects_negative_capacity () =
   Alcotest.check_raises "negative capacity"
@@ -47,8 +53,42 @@ let test_net_rejects_negative_capacity () =
 (* Exact s-t max flow                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* the exact s-t max flow of [g] under the per-edge capacities (default
+   1), by Push_relabel.run: saturate [s]'s supply and run with
+   [limit = n + 1], then drain the excess the preflow parks at interior
+   vertices back to [s]. Returns [(value, net, outcome)] with a clean s-t
+   flow left in [net] and the forward run's outcome. *)
+let max_flow_st ?(capacity = fun _ -> 1) g ~s ~t =
+  let n = Graph.n g in
+  if s = t || s < 0 || t < 0 || s >= n || t >= n then
+    invalid_arg "max_flow_st: bad endpoints";
+  let net = Net.of_graph ~capacity g in
+  let supply = Array.make n 0 in
+  let sink_cap = Array.make n 0 in
+  let out_cap = ref 0 in
+  for i = net.Net.first.(s) to net.Net.first.(s + 1) - 1 do
+    out_cap := !out_cap + net.Net.cap0.(net.Net.arcs.(i))
+  done;
+  supply.(s) <- !out_cap;
+  sink_cap.(t) <- max 1 !out_cap;
+  let o = Push_relabel.run net ~supply ~sink_cap ~limit:(n + 1) in
+  (* excess parked at interior vertices cannot reach [t]; routing it back
+     to [s] along residual arcs reverses its own inflow paths *)
+  let leftover = Array.copy o.Push_relabel.excess in
+  leftover.(s) <- 0;
+  if Array.exists (fun e -> e > 0) leftover then begin
+    let back_cap = Array.make n 0 in
+    back_cap.(s) <- o.Push_relabel.supply_total;
+    let drain =
+      Push_relabel.run net ~supply:leftover ~sink_cap:back_cap ~limit:(n + 1)
+    in
+    if not (Push_relabel.fully_routed drain) then
+      Alcotest.fail "max_flow_st: the drain back to s left excess"
+  end;
+  (o.Push_relabel.absorbed.(t), net, o)
+
 let flow_value g ?capacity ~s ~t () =
-  let v, net, outcome = Push_relabel.max_flow_st ?capacity g ~s ~t in
+  let v, net, outcome = max_flow_st ?capacity g ~s ~t in
   (* conservation: the flow diverges only at the endpoints *)
   checkb "network stays feasible" true (Net.feasible net);
   checki "source divergence" v (Net.divergence net s);
@@ -83,9 +123,9 @@ let test_max_flow_weighted () =
 let test_max_flow_validation () =
   let g = Generators.cycle 4 in
   Alcotest.check_raises "s = t"
-    (Invalid_argument "Flow.Push_relabel.max_flow_st: bad endpoints")
+    (Invalid_argument "max_flow_st: bad endpoints")
     (fun () ->
-      ignore (Push_relabel.max_flow_st g ~s:1 ~t:1))
+      ignore (max_flow_st g ~s:1 ~t:1))
 
 (* brute-force min cut: enumerate every side containing s but not t *)
 let brute_min_cut g ~capacity ~s ~t =
@@ -110,7 +150,7 @@ let test_max_flow_equals_min_cut_fixed () =
   List.iter
     (fun (name, g) ->
       let capacity e = 1 + (e mod 3) in
-      let v, _, _ = Push_relabel.max_flow_st ~capacity g ~s:0 ~t:(Graph.n g - 1) in
+      let v, _, _ = max_flow_st ~capacity g ~s:0 ~t:(Graph.n g - 1) in
       checki (name ^ ": max flow = min cut")
         (brute_min_cut g ~capacity ~s:0 ~t:(Graph.n g - 1))
         v)
@@ -130,7 +170,7 @@ let test_bounded_height_retires () =
      one unit fits through the bridge, the rest retires at the cap *)
   let g = Generators.barbell 8 2 in
   let n = Graph.n g in
-  let net = Net.of_graph g in
+  let net = unit_net g in
   let supply = Array.init n (fun v -> if v < 8 then 1 else 0) in
   let sink_cap = Array.init n (fun v -> if v >= n - 8 then 1 else 0) in
   let limit = 4 in
@@ -157,7 +197,7 @@ let test_level_cut_none_when_flat () =
 
 let test_run_validation () =
   let g = Generators.cycle 4 in
-  let net = Net.of_graph g in
+  let net = unit_net g in
   Alcotest.check_raises "negative supply"
     (Invalid_argument "Flow.Push_relabel.run: negative supply") (fun () ->
       ignore
@@ -170,7 +210,7 @@ let test_run_validation () =
 
 let test_decompose_st_flow () =
   let g = Generators.grid 4 4 in
-  let v, net, _ = Push_relabel.max_flow_st g ~s:0 ~t:15 in
+  let v, net, _ = max_flow_st g ~s:0 ~t:15 in
   let dec = Path_decompose.decompose net in
   checki "total equals flow value" v dec.Path_decompose.total;
   checki "amounts add up" v
@@ -188,13 +228,13 @@ let test_decompose_st_flow () =
 
 let test_decompose_leaves_net_intact () =
   let g = Generators.cycle 8 in
-  let _, net, _ = Push_relabel.max_flow_st g ~s:0 ~t:4 in
+  let _, net, _ = max_flow_st g ~s:0 ~t:4 in
   let before = Array.copy net.Net.cap in
   ignore (Path_decompose.decompose net);
   Alcotest.(check (array int)) "net not mutated" before net.Net.cap
 
 let test_decompose_zero_flow () =
-  let net = Net.of_graph (Generators.cycle 5) in
+  let net = unit_net (Generators.cycle 5) in
   let dec = Path_decompose.decompose net in
   checki "no paths" 0 (List.length dec.Path_decompose.paths);
   checki "zero total" 0 dec.Path_decompose.total
@@ -205,7 +245,7 @@ let test_decompose_zero_flow () =
 
 let test_component_cut () =
   let g =
-    Graph_ops.disjoint_union (Generators.cycle 5) (Generators.complete 4)
+    Graph_fixtures.disjoint_union (Generators.cycle 5) (Generators.complete 4)
   in
   (match Cut_heuristics.component_cut g with
   | None -> Alcotest.fail "disconnected graph must yield a component cut"
@@ -434,7 +474,7 @@ let test_engine_golden () =
         0.25,
         "86bddb92dcfbbb54bf7611ea85adbe1e" );
       ( "barbell + 3 isolated",
-        Graph_ops.disjoint_union (Generators.barbell 10 2) (Graph.empty 3),
+        Graph_fixtures.disjoint_union (Generators.barbell 10 2) (Graph.empty 3),
         0.2,
         "8118f1c84da940a97ca5a492846d07e7" );
     ]
@@ -461,7 +501,7 @@ let prop_max_flow_min_cut =
       let g = build_connected input in
       let n = Graph.n g in
       let capacity e = 1 + (e mod 3) in
-      let v, net, _ = Push_relabel.max_flow_st ~capacity g ~s:0 ~t:(n - 1) in
+      let v, net, _ = max_flow_st ~capacity g ~s:0 ~t:(n - 1) in
       Net.feasible net && v = brute_min_cut g ~capacity ~s:0 ~t:(n - 1))
 
 let prop_flow_conservation =
@@ -469,7 +509,7 @@ let prop_flow_conservation =
     ~count:80 arb_connected_graph (fun input ->
       let g = build_connected input in
       let n = Graph.n g in
-      let v, net, _ = Push_relabel.max_flow_st g ~s:0 ~t:(n - 1) in
+      let v, net, _ = max_flow_st g ~s:0 ~t:(n - 1) in
       Net.divergence net 0 = v
       && Net.divergence net (n - 1) = -v
       && (let ok = ref true in
@@ -483,7 +523,7 @@ let prop_path_decomposition_total =
     ~count:80 arb_connected_graph (fun input ->
       let g = build_connected input in
       let n = Graph.n g in
-      let v, net, _ = Push_relabel.max_flow_st g ~s:0 ~t:(n - 1) in
+      let v, net, _ = max_flow_st g ~s:0 ~t:(n - 1) in
       let dec = Path_decompose.decompose net in
       dec.Path_decompose.total = v
       && List.for_all
@@ -497,7 +537,7 @@ let prop_bounded_height_certifies =
     ~count:80 arb_connected_graph (fun input ->
       let g = build_connected input in
       let n = Graph.n g in
-      let net = Net.of_graph g in
+      let net = unit_net g in
       let supply = Array.make n 0 in
       let sink_cap = Array.make n 0 in
       supply.(0) <- n;

@@ -16,9 +16,9 @@ let test_blossom_known () =
   check "path" 3 (mcm (Generators.path 7));
   check "complete even" 3 (mcm (Generators.complete 6));
   check "complete odd" 3 (mcm (Generators.complete 7));
-  check "star" 1 (mcm (Generators.star 5));
-  check "K33" 3 (mcm (Generators.complete_bipartite 3 3));
-  check "K23" 2 (mcm (Generators.complete_bipartite 2 3))
+  check "star" 1 (mcm (Graph_fixtures.star 5));
+  check "K33" 3 (mcm (Graph_fixtures.complete_bipartite 3 3));
+  check "K23" 2 (mcm (Graph_fixtures.complete_bipartite 2 3))
 
 let petersen =
   (* outer C5, inner pentagram, spokes *)
@@ -47,7 +47,7 @@ let test_blossom_validity_and_optimality () =
 let test_blossom_edges () =
   let g = Generators.cycle 6 in
   let mate = Blossom.max_cardinality_matching g in
-  check "three matched edges" 3 (List.length (Blossom.edges g mate))
+  check "three matched edges" 3 (Blossom.size mate)
 
 (* ------------------------------------------------------------------ *)
 (* Exact DP                                                            *)
@@ -79,7 +79,8 @@ let test_dp_reconstruction () =
   let g = Generators.complete 6 in
   let w = Weights.random g ~max_w:20 ~seed:2 in
   let value, edges = Exact_small.max_weight_matching_edges g w in
-  check "value equals edge sum" value (Weights.total w edges);
+  check "value equals edge sum" value
+    (List.fold_left (fun acc e -> acc + Weights.get w e) 0 edges);
   (* picked edges form a matching *)
   let seen = Array.make 6 false in
   List.iter
@@ -136,27 +137,6 @@ let test_local_search_improves () =
         ~bound:0.5 g w)
     small_weighted_instances
 
-let test_augment_short_paths_cardinality () =
-  let g = Generators.random_apollonian 40 ~seed:3 in
-  let mate = Array.make (Graph.n g) (-1) in
-  Approx.augment_short_paths g mate ~k:4;
-  checkb "valid" true (Blossom.is_valid_matching g mate);
-  let opt = mcm g in
-  let got = Blossom.size mate in
-  (* k = 4 targets >= 4/5 of optimum *)
-  checkb
-    (Printf.sprintf "got %d vs opt %d" got opt)
-    true
-    (float_of_int got >= 0.8 *. float_of_int opt)
-
-let test_augment_from_greedy () =
-  let g = Generators.grid 6 6 in
-  let mate = Approx.greedy g (Weights.uniform g) in
-  let before = Blossom.size mate in
-  Approx.augment_short_paths g mate ~k:6;
-  checkb "no regression" true (Blossom.size mate >= before);
-  check "grid 6x6 perfect matching" 18 (Blossom.size mate)
-
 (* ------------------------------------------------------------------ *)
 (* Scaling                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -197,7 +177,7 @@ let test_scaling_scales_list () =
 let test_scaling_uniform_weights () =
   (* degenerate single scale *)
   let g = Generators.grid 4 4 in
-  let w = Weights.uniform g in
+  let w = Weights.of_array g (Array.make (Graph.m g) 1) in
   let mate = Scaling.run g w in
   checkb "valid" true (Blossom.is_valid_matching g mate);
   checkb "decent size" true (Blossom.size mate >= 6)
@@ -208,7 +188,7 @@ let test_scaling_uniform_weights () =
 
 let test_preprocess_star () =
   (* star with 5 leaves: keep center + 1 leaf *)
-  let g = Generators.star 5 in
+  let g = Graph_fixtures.star 5 in
   let r = Preprocess.eliminate g in
   check "four leaves removed" 4 (List.length r.removed);
   check "two vertices left" 2 (Graph.n r.graph);
@@ -216,7 +196,7 @@ let test_preprocess_star () =
 
 let test_preprocess_double_star () =
   (* double star with 5 spokes: keep hubs + 2 spokes *)
-  let g = Generators.double_star 5 in
+  let g = Graph_fixtures.double_star 5 in
   let r = Preprocess.eliminate g in
   check "three spokes removed" 3 (List.length r.removed);
   check "mcm preserved" (mcm g) (mcm r.graph);
@@ -238,12 +218,12 @@ let test_preprocess_preserves_mcm () =
   done
 
 let test_preprocess_detectors () =
-  checkb "star has 2-star" true (Preprocess.has_2_star (Generators.star 3));
+  checkb "star has 2-star" true (Preprocess.has_2_star (Graph_fixtures.star 3));
   checkb "path has none" false (Preprocess.has_2_star (Generators.path 5));
   checkb "double star detected" true
-    (Preprocess.has_3_double_star (Generators.double_star 3));
+    (Preprocess.has_3_double_star (Graph_fixtures.double_star 3));
   checkb "K23 detected" true
-    (Preprocess.has_3_double_star (Generators.complete_bipartite 2 3));
+    (Preprocess.has_3_double_star (Graph_fixtures.complete_bipartite 2 3));
   checkb "cycle clean" false (Preprocess.has_3_double_star (Generators.cycle 8))
 
 let test_preprocess_lemma31_shape () =
@@ -354,8 +334,6 @@ let () =
           tc "greedy half" test_greedy_half;
           tc "path growing half" test_path_growing_half;
           tc "local search" test_local_search_improves;
-          tc "short augmenting paths" test_augment_short_paths_cardinality;
-          tc "augment from greedy" test_augment_from_greedy;
         ] );
       ( "scaling",
         [

@@ -11,19 +11,15 @@ let check = Alcotest.(check int)
 let test_blocks_two_triangles () =
   (* two triangles sharing vertex 2: two blocks, one cut vertex *)
   let g = Graph.of_edges 5 [ (0, 1); (1, 2); (0, 2); (2, 3); (3, 4); (2, 4) ] in
-  check "two blocks" 2 (List.length (Blocks.blocks g));
-  Alcotest.(check (list int)) "cut vertex" [ 2 ] (Blocks.cut_vertices g)
+  check "two blocks" 2 (List.length (Blocks.blocks g))
 
 let test_blocks_bridge () =
   let g = Graph.of_edges 4 [ (0, 1); (1, 2); (2, 3) ] in
-  check "each edge its own block" 3 (List.length (Blocks.blocks g));
-  Alcotest.(check (list int)) "cut vertices" [ 1; 2 ] (Blocks.cut_vertices g)
+  check "each edge its own block" 3 (List.length (Blocks.blocks g))
 
 let test_blocks_cycle () =
   let g = Generators.cycle 6 in
-  check "one block" 1 (List.length (Blocks.blocks g));
-  Alcotest.(check (list int)) "no cut vertices" [] (Blocks.cut_vertices g);
-  checkb "biconnected" true (Blocks.is_biconnected g)
+  check "one block" 1 (List.length (Blocks.blocks g))
 
 let test_blocks_partition_edges () =
   let g = Generators.random_planar 60 0.6 ~seed:1 in
@@ -37,10 +33,12 @@ let test_blocks_partition_edges () =
          seen.(e) <- true))
     bs
 
+(* a connected graph is biconnected exactly when its edges form one block *)
 let test_not_biconnected () =
-  checkb "path not biconnected" false (Blocks.is_biconnected (Generators.path 4));
-  checkb "star not biconnected" false (Blocks.is_biconnected (Generators.star 4));
-  checkb "K4 biconnected" true (Blocks.is_biconnected (Generators.complete 4))
+  let count g = List.length (Blocks.blocks g) in
+  check "path: a block per edge" 3 (count (Generators.path 4));
+  check "star: a block per leaf" 4 (count (Graph_fixtures.star 4));
+  check "K4: one block" 1 (count (Generators.complete 4))
 
 (* ------------------------------------------------------------------ *)
 (* Planarity                                                           *)
@@ -51,18 +49,18 @@ let planar_cases =
     ("K4", Generators.complete 4, true);
     ("K5", Generators.complete 5, false);
     ("K6", Generators.complete 6, false);
-    ("K33", Generators.complete_bipartite 3 3, false);
-    ("K23", Generators.complete_bipartite 2 3, true);
+    ("K33", Graph_fixtures.complete_bipartite 3 3, false);
+    ("K23", Graph_fixtures.complete_bipartite 2 3, true);
     ("grid 5x5", Generators.grid 5 5, true);
     ("cycle", Generators.cycle 12, true);
     ("tree", Generators.random_tree 40 ~seed:2, true);
     ("apollonian", Generators.random_apollonian 60 ~seed:3, true);
     ("outerplanar", Generators.random_maximal_outerplanar 30 ~seed:4, true);
     ("petersen-like K5 subdivision",
-     Graph_ops.subdivide (Generators.complete 5) 0 3, false);
+     Graph_fixtures.subdivide (Generators.complete 5) 0 3, false);
     ("hypercube Q3", Generators.hypercube 3, true);
     ("hypercube Q4", Generators.hypercube 4, false);
-    ("torus 3x3 = K33-ish", Generators.torus 3 3, false);
+    ("torus 3x3 = K33-ish", Graph_fixtures.torus 3 3, false);
   ]
 
 let test_planarity_known () =
@@ -72,9 +70,9 @@ let test_planarity_known () =
     planar_cases
 
 let test_planarity_disconnected () =
-  let g = Graph_ops.disjoint_union (Generators.complete 4) (Generators.grid 3 3) in
+  let g = Graph_fixtures.disjoint_union (Generators.complete 4) (Generators.grid 3 3) in
   checkb "union of planars is planar" true (Planarity.is_planar g);
-  let g' = Graph_ops.disjoint_union (Generators.complete 5) (Generators.grid 3 3) in
+  let g' = Graph_fixtures.disjoint_union (Generators.complete 5) (Generators.grid 3 3) in
   checkb "union with K5 is not" false (Planarity.is_planar g')
 
 let test_planarity_k5_in_big_planar () =
@@ -98,7 +96,7 @@ let test_embed_block_faces () =
       ("cycle", Generators.cycle 7);
       ("grid 4x4", Generators.grid 4 4);
       ("apollonian", Generators.random_apollonian 40 ~seed:6);
-      ("K23", Generators.complete_bipartite 2 3);
+      ("K23", Graph_fixtures.complete_bipartite 2 3);
     ]
 
 let test_embed_block_pinned () =
@@ -116,12 +114,12 @@ let test_embed_block_pinned () =
   Alcotest.(check (list (list int)))
     "K23 faces"
     [ [ 0; 3; 1; 4 ]; [ 1; 2; 0; 4 ]; [ 0; 2; 1; 3 ] ]
-    (faces (Generators.complete_bipartite 2 3))
+    (faces (Graph_fixtures.complete_bipartite 2 3))
 
 let test_embed_block_rejects () =
   checkb "K5 rejected" true (Planarity.embed_block (Generators.complete 5) = None);
   checkb "K33 rejected" true
-    (Planarity.embed_block (Generators.complete_bipartite 3 3) = None)
+    (Planarity.embed_block (Graph_fixtures.complete_bipartite 3 3) = None)
 
 let test_embed_block_requires_biconnected () =
   Alcotest.check_raises "path rejected"
@@ -135,7 +133,7 @@ let test_outerplanarity () =
     (outerplanar (Generators.random_maximal_outerplanar 25 ~seed:7));
   checkb "K4 not outerplanar" false (outerplanar (Generators.complete 4));
   checkb "K23 not outerplanar" false
-    (outerplanar (Generators.complete_bipartite 2 3));
+    (outerplanar (Graph_fixtures.complete_bipartite 2 3));
   checkb "grid 3x3 not outerplanar" false (outerplanar (Generators.grid 3 3));
   checkb "tree outerplanar" true
     (outerplanar (Generators.random_tree 20 ~seed:8))
@@ -184,7 +182,7 @@ let test_subgraph_iso () =
     (Minor_check.subgraph_isomorphic (Generators.cycle 4) (Generators.grid 2 2));
   checkb "K3 not in K23" false
     (Minor_check.subgraph_isomorphic (Generators.complete 3)
-       (Generators.complete_bipartite 2 3));
+       (Graph_fixtures.complete_bipartite 2 3));
   checkb "P3 in triangle" true
     (Minor_check.subgraph_isomorphic (Generators.path 3) (Generators.cycle 3))
 
@@ -201,7 +199,7 @@ let test_minor_basic () =
 let test_minor_subdivision () =
   (* a subdivision of H always contains H as a minor *)
   let h = Generators.complete 4 in
-  let sub = Graph_ops.subdivide (Graph_ops.subdivide h 0 2) 3 1 in
+  let sub = Graph_fixtures.subdivide (Graph_fixtures.subdivide h 0 2) 3 1 in
   checkb "subdivided K4 has K4 minor" true (Minor_check.has_minor h sub)
 
 let test_clique_minor_shortcuts () =
@@ -239,14 +237,20 @@ let test_property_membership () =
   checkb "apollonian not forest" false (Properties.forest.holds apo);
   checkb "path is linear forest" true (Properties.linear_forest.holds (Generators.path 9));
   checkb "star not linear forest" false
-    (Properties.linear_forest.holds (Generators.star 4));
+    (Properties.linear_forest.holds (Graph_fixtures.star 4));
   checkb "apollonian planar" true (Properties.planar.holds apo);
   checkb "apollonian not sp" false (Properties.series_parallel.holds apo)
 
 let test_forbidden_cliques_consistent () =
   List.iter
     (fun (p : Properties.t) ->
-      match Properties.smallest_forbidden_clique p with
+      (* the smallest clique K_s that fails [p.holds], searched up to 8 *)
+      let rec smallest s =
+        if s > 8 then None
+        else if not (p.holds (Generators.complete s)) then Some s
+        else smallest (s + 1)
+      in
+      match smallest 1 with
       | Some s -> check (p.name ^ " forbidden clique") p.forbidden_clique s
       | None -> Alcotest.fail (p.name ^ ": no forbidden clique found"))
     Properties.all
@@ -296,7 +300,7 @@ let prop_minor_closed_under_contraction =
       let g = Generators.random_apollonian n ~seed in
       let st = Random.State.make [| seed |] in
       let e = Random.State.int st (Graph.m g) in
-      let minor, _ = Graph_ops.contract_edges g [ e ] in
+      let minor, _ = Graph_fixtures.contract_edges g [ e ] in
       Planarity.is_planar minor)
 
 let prop_sp_implies_planar =

@@ -13,8 +13,8 @@ let test_mis_known () =
   check "C7" 3 (Mis.exact_size (Generators.cycle 7));
   check "P7" 4 (Mis.exact_size (Generators.path 7));
   check "K5" 1 (Mis.exact_size (Generators.complete 5));
-  check "K33" 3 (Mis.exact_size (Generators.complete_bipartite 3 3));
-  check "star" 5 (Mis.exact_size (Generators.star 5));
+  check "K33" 3 (Mis.exact_size (Graph_fixtures.complete_bipartite 3 3));
+  check "star" 5 (Mis.exact_size (Graph_fixtures.star 5));
   check "grid 3x3" 5 (Mis.exact_size (Generators.grid 3 3));
   check "petersen" 4
     (Mis.exact_size
@@ -82,7 +82,7 @@ let test_weighted_mis_known () =
   check "light center" 8
     (Mis.weight_of [| 4; 5; 4 |] (Mis.exact_weighted g [| 4; 5; 4 |]));
   (* star with heavy leaves *)
-  let s = Generators.star 4 in
+  let s = Graph_fixtures.star 4 in
   let w = [| 3; 2; 2; 2; 2 |] in
   check "all leaves" 8 (Mis.weight_of w (Mis.exact_weighted s w))
 
@@ -134,19 +134,23 @@ let test_correlation_trivial_bound () =
       (2 * Correlation.score g labels c >= Graph.m g)
   done
 
+(* number of distinct cluster labels *)
+let cluster_count clustering =
+  List.length (List.sort_uniq Int.compare (Array.to_list clustering))
+
 let test_correlation_exact_all_positive () =
   let g = Generators.complete 6 in
   let labels = Array.make (Graph.m g) true in
   check "everything agrees" (Graph.m g) (Correlation.exact_score g labels);
   let clustering = Correlation.exact g labels in
-  check "one cluster" 1 (Correlation.cluster_count clustering)
+  check "one cluster" 1 (cluster_count clustering)
 
 let test_correlation_exact_all_negative () =
   let g = Generators.complete 6 in
   let labels = Array.make (Graph.m g) false in
   check "everything agrees" (Graph.m g) (Correlation.exact_score g labels);
   check "singletons" 6
-    (Correlation.cluster_count (Correlation.exact g labels))
+    (cluster_count (Correlation.exact g labels))
 
 let test_correlation_exact_planted () =
   (* two positive cliques joined by negative edges: planted optimum *)
@@ -224,7 +228,7 @@ let test_correlation_size_limit () =
 (* ------------------------------------------------------------------ *)
 
 let test_dominating_known () =
-  check "star" 1 (Dominating.exact_size (Generators.star 6));
+  check "star" 1 (Dominating.exact_size (Graph_fixtures.star 6));
   check "P3" 1 (Dominating.exact_size (Generators.path 3));
   check "P6" 2 (Dominating.exact_size (Generators.path 6));
   check "C6" 2 (Dominating.exact_size (Generators.cycle 6));
@@ -251,7 +255,7 @@ let test_dominating_sets_valid () =
     (Dominating.exact_size g <= List.length (Dominating.greedy g))
 
 let test_vertex_cover_known () =
-  check "star" 1 (Vertex_cover.exact_size (Generators.star 5));
+  check "star" 1 (Vertex_cover.exact_size (Graph_fixtures.star 5));
   check "C6" 3 (Vertex_cover.exact_size (Generators.cycle 6));
   check "C7" 4 (Vertex_cover.exact_size (Generators.cycle 7));
   check "K5" 4 (Vertex_cover.exact_size (Generators.complete 5));

@@ -234,7 +234,7 @@ let graph_gen =
        int_range 0 1000 >>= fun seed ->
        float_range 0.05 0.35 >>= fun p ->
        return (Printf.sprintf "er(%d,%.2f,%d)" n p seed,
-               Generators.erdos_renyi n p ~seed));
+               Graph_fixtures.erdos_renyi n p ~seed));
       (int_range 2 8 >>= fun r ->
        int_range 2 8 >>= fun c ->
        return (Printf.sprintf "grid(%d,%d)" r c, Generators.grid r c));

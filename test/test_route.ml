@@ -342,7 +342,7 @@ let test_congest_matches_planner_all_points () =
         rest
 
 let test_self_demands_and_degenerate () =
-  let g = Generators.star 5 in
+  let g = Graph_fixtures.star 5 in
   let svc = service g in
   let ds =
     [|
@@ -496,7 +496,9 @@ let routing_case_arb =
     ~print:(fun (r, c, s, j, mr, f, seed) ->
       Printf.sprintf "grid %dx%d shards %d jobs %d max_rounds %d seed %d %s" r
         c s j mr seed
-        (Format.asprintf "%a" Congest.Faults.pp f))
+        (Printf.sprintf "faults seed=%d drop=%g crashes=%d" f.Congest.Faults.seed
+           f.Congest.Faults.drop_rate
+           (List.length f.Congest.Faults.crashes)))
     routing_case_gen
 
 (* shortest-path plans, so witness-router conservation is exercised
