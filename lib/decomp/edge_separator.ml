@@ -82,10 +82,10 @@ let bfs_layered g =
 let spectral g ~seed =
   if Graph.m g = 0 then arbitrary_balanced g
   else begin
-    let embedding, _ = Spectral.Sweep_cut.fiedler g ~iters:200 ~seed in
+    let embedding = Spectral.Sweep_cut.fiedler g ~iters:200 ~seed in
     let n = Graph.n g in
     let order = Array.init n Fun.id in
-    Array.sort (fun a b -> compare (embedding.(a), a) (embedding.(b), b)) order;
+    Spectral.Sweep_cut.sort_order embedding order;
     match best_prefix g order with
     | Some c -> c
     | None -> arbitrary_balanced g

@@ -12,26 +12,17 @@ type cut = {
   source : string;  (* "component" | "degree" | "bfs" *)
 }
 
+(* one BFS from vertex 0, on Traversal's allocation-free sweep kernel *)
 let component_cut g =
   let n = Graph.n g in
   if n <= 1 then None
   else begin
-    let seen = Array.make n false in
-    let queue = Queue.create () in
-    seen.(0) <- true;
-    Queue.push 0 queue;
-    let count = ref 1 in
-    while not (Queue.is_empty queue) do
-      let v = Queue.pop queue in
-      Graph.iter_neighbors g v (fun w ->
-          if not seen.(w) then begin
-            seen.(w) <- true;
-            incr count;
-            Queue.push w queue
-          end)
-    done;
-    if !count = n then None
-    else Some { side = seen; conductance = 0.; source = "component" }
+    let dist = Traversal.bfs g 0 in
+    if Array.for_all (fun d -> d >= 0) dist then None
+    else
+      Some
+        { side = Array.map (fun d -> d >= 0) dist; conductance = 0.;
+          source = "component" }
   end
 
 let degree_cut g =

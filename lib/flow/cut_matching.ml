@@ -10,9 +10,10 @@ open Sparse_graph
    sequence of embedded matchings that certifies the cluster behaves
    like an expander.
 
-   Before any flow runs in a round, the projection vector itself is swept
-   (Spectral.Sweep_cut.sweep): if the order already exposes a cut sparser
-   than tau, the round is settled for free. *)
+   Before any flow runs in a round, the projection order itself is swept
+   (Spectral.Sweep_cut.sweep_order): if it already exposes a cut sparser
+   than tau, the round is settled for free. The sweep and the bisection
+   read the same sorted order, so each round sorts once. *)
 
 (* The game's budgets, the same for every caller: 4 + ceil(2 log2 n)
    rounds, per-edge capacity ceil(1 / tau), push-relabel height
@@ -30,22 +31,33 @@ type witness = {
   embeddings : int array array list;
       (* aligned with [matchings]: embeddings.(r).(i) is the real vertex
          path routing pair matchings.(r).(i), src first, dst last *)
+  edge_paths : int array array list;
+      (* aligned with [embeddings]: edge_paths.(r).(i).(q) is the edge
+         joining embeddings.(r).(i).(q) and its successor *)
   congestion : int;        (* per-edge capacity all matchings routed under *)
   max_path_length : int;   (* dilation over every embedded matching path *)
   potential : float;       (* final / initial projection variance *)
 }
 
 (* in place: the witness's arrays are the bulk of an accepted cluster's
-   garbage otherwise, and every caller drops [w] right after *)
+   garbage otherwise, and every caller drops [w] right after. Each pair
+   is read back off its mapped path's ends (source first, sink last). *)
 let original_matchings (mapping : Graph_ops.mapping) w =
-  let o v = mapping.to_orig.(v) in
-  List.map2
-    (fun pairs embeds ->
-      Array.iteri (fun i (a, b) -> pairs.(i) <- (o a, o b)) pairs;
-      Array.iter (fun path -> Array.iteri (fun i v -> path.(i) <- o v) path)
-        embeds;
-      (pairs, embeds))
-    w.matchings w.embeddings
+  let remap map a =
+    for i = 0 to Array.length a - 1 do
+      a.(i) <- map.(a.(i))
+    done
+  in
+  let rec go es ps =
+    match (es, ps) with
+    | embeds :: es, eids :: ps ->
+        Array.iter (remap mapping.to_orig) embeds;
+        Array.iter (remap mapping.edge_to_orig) eids;
+        let ends p = (p.(0), p.(Array.length p - 1)) in
+        (Array.map ends embeds, embeds, eids) :: go es ps
+    | _ -> []
+  in
+  go w.embeddings w.edge_paths
 
 type cut = { side : bool array; conductance : float; via : string }
 
@@ -54,8 +66,8 @@ type verdict = Expander of witness | Cut of cut
 type stats = { rounds_played : int; flow_calls : int }
 
 let trivial_witness =
-  { rounds = 0; matchings = []; embeddings = []; congestion = 0;
-    max_path_length = 0; potential = 0. }
+  { rounds = 0; matchings = []; embeddings = []; edge_paths = [];
+    congestion = 0; max_path_length = 0; potential = 0. }
 
 (* mean-centered variance of a projection vector *)
 let potential_of vecs =
@@ -104,6 +116,7 @@ let run ~adaptive g ~tau ~seed =
     let sink_cap = Array.make n 0 in
     let matchings = ref [] in
     let embeddings = ref [] in
+    let edge_paths = ref [] in
     let max_path_length = ref 0 in
     let verdict = ref None in
     let round = ref 0 in
@@ -111,9 +124,15 @@ let run ~adaptive g ~tau ~seed =
     let prev_potential = ref p0 in
     let plateau_streak = ref 0 in
     while !verdict = None && !round < rounds_cap do
+      Obs.Span.with_ "cm.round" @@ fun () ->
       let active = vecs.(!round mod k) in
-      (* flow-free check: sweep the projection order itself *)
-      let swept = Spectral.Sweep_cut.sweep g active in
+      (* one sort per round: the flow-free sweep and the balanced
+         bisection both read this order *)
+      let swept =
+        Obs.Span.with_ "cm.sweep" (fun () ->
+            Spectral.Sweep_cut.sort_order active order;
+            Spectral.Sweep_cut.sweep_order g order)
+      in
       if swept.Spectral.Sweep_cut.conductance < tau then begin
         Obs.Metric.incr "cm.projection_cuts";
         verdict :=
@@ -124,12 +143,6 @@ let run ~adaptive g ~tau ~seed =
                  via = "projection" })
       end
       else begin
-        (* balanced bisection of the projection order, ties by index *)
-        Array.sort
-          (fun a b ->
-            let c = Float.compare active.(a) active.(b) in
-            if c <> 0 then c else Int.compare a b)
-          order;
         let half = n / 2 in
         Array.fill supply 0 n 0;
         Array.fill sink_cap 0 n 0;
@@ -141,25 +154,24 @@ let run ~adaptive g ~tau ~seed =
         done;
         Net.reset net;
         incr flow_calls;
-        let outcome = Push_relabel.run net ~supply ~sink_cap ~limit in
+        let outcome =
+          Obs.Span.with_ "cm.flow" (fun () ->
+              Push_relabel.run net ~supply ~sink_cap ~limit)
+        in
         if Push_relabel.fully_routed outcome then begin
           (* embed the matching, average the vectors along its pairs *)
-          let dec = Path_decompose.decompose net in
+          let dec =
+            Obs.Span.with_ "cm.paths" (fun () -> Path_decompose.decompose net)
+          in
           if dec.Path_decompose.max_length > !max_path_length then
             max_path_length := dec.Path_decompose.max_length;
+          let paths = dec.Path_decompose.vertices in
           let pairs =
-            Array.of_list
-              (List.map
-                 (fun p -> (p.Path_decompose.src, p.Path_decompose.dst))
-                 dec.Path_decompose.paths)
+            Array.map (fun p -> (p.(0), p.(Array.length p - 1))) paths
           in
           matchings := pairs :: !matchings;
-          embeddings :=
-            Array.of_list
-              (List.map
-                 (fun p -> p.Path_decompose.vertices)
-                 dec.Path_decompose.paths)
-            :: !embeddings;
+          embeddings := paths :: !embeddings;
+          edge_paths := dec.Path_decompose.edges :: !edge_paths;
           Array.iter
             (fun x ->
               Array.iter
@@ -177,6 +189,7 @@ let run ~adaptive g ~tau ~seed =
                    { rounds = !round + 1;
                      matchings = !matchings;
                      embeddings = !embeddings;
+                     edge_paths = !edge_paths;
                      congestion = cap;
                      max_path_length = !max_path_length;
                      potential = p /. p0 })
@@ -227,6 +240,7 @@ let run ~adaptive g ~tau ~seed =
             { rounds = !round;
               matchings = !matchings;
               embeddings = !embeddings;
+              edge_paths = !edge_paths;
               congestion = cap;
               max_path_length = !max_path_length;
               potential = potential_of vecs /. p0 }

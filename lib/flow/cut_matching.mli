@@ -27,19 +27,24 @@ type witness = {
       (** aligned with [matchings]: [embeddings.(r).(i)] is the vertex
           sequence (src first, dst last, real edges between consecutive
           entries) along which pair [matchings.(r).(i)] embeds *)
+  edge_paths : int array array list;
+      (** aligned with [embeddings]: [edge_paths.(r).(i).(q)] is the id of
+          the edge joining [embeddings.(r).(i).(q)] and
+          [embeddings.(r).(i).(q+1)], read off the flow's arcs *)
   congestion : int;
   max_path_length : int;
   potential : float;  (** final / initial projection variance *)
 }
 
-(** [original_matchings mapping w] pairs each of [w]'s matchings with its
-    embedded paths (newest first), every vertex mapped through
-    [mapping.to_orig] — the game played on an induced cluster, read back
-    in the parent graph's ids. The translation is done in place: the
+(** [original_matchings mapping w] lists each of [w]'s matchings with its
+    embedded paths and their edge ids (newest first), every vertex mapped
+    through [mapping.to_orig] and every edge through
+    [mapping.edge_to_orig] — the game played on an induced cluster, read
+    back in the parent graph's ids. The translation is done in place: the
     result shares [w]'s arrays, which read in parent ids afterwards. *)
 val original_matchings :
   Sparse_graph.Graph_ops.mapping -> witness ->
-  ((int * int) array * int array array) list
+  ((int * int) array * int array array * int array array) list
 
 type cut = {
   side : bool array;

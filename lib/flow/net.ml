@@ -52,7 +52,7 @@ let reset net = Array.blit net.cap0 0 net.cap 0 (Array.length net.cap)
 
 let twin a = a lxor 1
 
-let arc_flow net a = max 0 (net.cap0.(a) - net.cap.(a))
+let arc_flow net a = Int.max 0 (net.cap0.(a) - net.cap.(a))
 
 (* out-of-vertex imbalance: sum of net flow leaving v. Zero at interior
    vertices of a feasible flow; positive at sources, negative at sinks. *)

@@ -10,16 +10,13 @@
    cursor pointers make the total work linear in the flow's support plus
    the emitted path lengths. *)
 
-type path = {
-  src : int;
-  dst : int;
-  amount : int;
-  length : int;  (* arcs on the emitted path *)
-  vertices : int array;  (* the walked vertices, src first, dst last *)
-}
-
+(* path i walks vertices.(i) (source first, sink last) along the edges
+   edges.(i), carrying amounts.(i) units; paths come in ascending source
+   order, and within a source the last walk first *)
 type t = {
-  paths : path list;  (* ascending source order; walk order within a source *)
+  vertices : int array array;
+  edges : int array array;
+  amounts : int array;
   total : int;        (* total units decomposed *)
   max_length : int;
 }
@@ -38,11 +35,14 @@ type walker = {
 (* advance v's cursor to its next positive-flow out-arc, or return -1 *)
 (* lint: hot *)
 let next_arc w v =
+  let arcs = w.net.Net.arcs in
   let row_end = w.net.Net.first.(v + 1) in
-  while w.cursor.(v) < row_end && w.flow.(w.net.Net.arcs.(w.cursor.(v))) = 0 do
-    w.cursor.(v) <- w.cursor.(v) + 1
+  let c = ref w.cursor.(v) in
+  while !c < row_end && w.flow.(arcs.(!c)) = 0 do
+    incr c
   done;
-  if w.cursor.(v) >= row_end then -1 else w.net.Net.arcs.(w.cursor.(v))
+  w.cursor.(v) <- !c;
+  if !c >= row_end then -1 else arcs.(!c)
 
 (* the walk stepped back onto on-path vertex [t]: remove the cycle's
    bottleneck (including the closing arc [a]) and truncate the path *)
@@ -113,41 +113,53 @@ let decompose net =
       top = 0;
     }
   in
-  let paths = ref [] in
+  (* every path carries at least one unit, so the positive divergence
+     bounds the path count; paths fill the arrays from the back, which
+     puts sources in ascending order *)
+  let bound = Array.fold_left (fun acc d -> acc + Int.max d 0) 0 w.div_rem in
+  let vertices = Array.make bound [||] in
+  let edges = Array.make bound [||] in
+  let amounts = Array.make bound 0 in
+  let next = ref bound in
   let total = ref 0 in
   let max_len = ref 0 in
   for s = n - 1 downto 0 do
     while w.div_rem.(s) > 0 do
       let t = walk_path w s in
+      (* every path arc carries a positive flow, so a budget of one unit
+         is already the bottleneck *)
       let amount = ref (Int.min w.div_rem.(s) (-w.div_rem.(t))) in
-      for i = 0 to w.top - 1 do
-        if w.flow.(w.path_arc.(i)) < !amount then
-          amount := w.flow.(w.path_arc.(i))
-      done;
+      if !amount > 1 then
+        for i = 0 to w.top - 1 do
+          if w.flow.(w.path_arc.(i)) < !amount then
+            amount := w.flow.(w.path_arc.(i))
+        done;
       let amt = !amount in
       (* a completed walk always carries at least one unit: the path's
-         arcs each had positive flow and both endpoint budgets are open *)
+         arcs each had positive flow and both endpoint budgets are open.
+         Arc 2e or 2e+1 runs along edge e. *)
+      let es = Array.make w.top 0 in
       for i = 0 to w.top - 1 do
-        w.flow.(w.path_arc.(i)) <- w.flow.(w.path_arc.(i)) - amt
+        let a = w.path_arc.(i) in
+        w.flow.(a) <- w.flow.(a) - amt;
+        es.(i) <- a lsr 1
       done;
       w.div_rem.(s) <- w.div_rem.(s) - amt;
       w.div_rem.(t) <- w.div_rem.(t) + amt;
       total := !total + amt;
       if w.top > !max_len then max_len := w.top;
-      paths :=
-        {
-          src = s;
-          dst = t;
-          amount = amt;
-          length = w.top;
-          vertices = Array.sub w.path_vtx 0 (w.top + 1);
-        }
-        :: !paths;
+      decr next;
+      vertices.(!next) <- Array.sub w.path_vtx 0 (w.top + 1);
+      edges.(!next) <- es;
+      amounts.(!next) <- amt;
       for i = 0 to w.top do
         w.path_pos.(w.path_vtx.(i)) <- -1
       done
     done
   done;
-  Obs.Metric.count "flow.paths" (List.length !paths);
+  let keep a = if !next = 0 then a else Array.sub a !next (bound - !next) in
+  let vertices = keep vertices in
+  Obs.Metric.count "flow.paths" (Array.length vertices);
   Obs.Metric.set_max "flow.max_path_len" !max_len;
-  { paths = !paths; total = !total; max_length = !max_len }
+  { vertices; edges = keep edges; amounts = keep amounts; total = !total;
+    max_length = !max_len }

@@ -5,24 +5,23 @@
     remaining divergence and subtracts the path's bottleneck. Flow cycles
     are cancelled in place during the walk; circulations that touch no
     source survive undisturbed (they connect no source-sink pair). The
-    walk order is deterministic, so the path list is a pure function of
+    walk order is deterministic, so the paths are a pure function of
     the flow. *)
 
-type path = {
-  src : int;
-  dst : int;
-  amount : int;  (** units routed along this path *)
-  length : int;  (** arcs on the path; 0 never occurs ([src <> dst]) *)
-  vertices : int array;
-      (** the walked vertex sequence: [vertices.(0) = src],
-          [vertices.(length) = dst]. Retained so callers can embed the
-          path back into the host graph (expander-routing witnesses). *)
-}
-
+(** The paths, one index per path, in ascending source order (within one
+    source, the last walk first). *)
 type t = {
-  paths : path list;  (** ascending source order; walk order within one *)
-  total : int;        (** total units decomposed *)
-  max_length : int;
+  vertices : int array array;
+      (** path [i]'s walked vertex sequence, source first, sink last
+          ([src <> dst], so at least two entries). Retained so callers can
+          embed the path back into the host graph (expander-routing
+          witnesses). *)
+  edges : int array array;
+      (** path [i]'s edge ids, read off the arcs: [edges.(i).(q)] joins
+          [vertices.(i).(q)] and [vertices.(i).(q+1)] *)
+  amounts : int array;  (** units routed along path [i] *)
+  total : int;          (** total units decomposed *)
+  max_length : int;     (** most arcs on one path *)
 }
 
 (** [decompose net] reads the flow currently held in [net] (which is not

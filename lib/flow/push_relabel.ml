@@ -46,19 +46,23 @@ type state = {
   mutable work : int;    (* arc scans since the last global relabel *)
 }
 
+(* the ring position after [i], wrapping without a division *)
+(* lint: hot *)
+let ring_next st i = if i + 1 = Array.length st.queue then 0 else i + 1
+
 (* lint: hot *)
 let enqueue st v =
   if (not st.in_queue.(v)) && st.excess.(v) > 0 && st.height.(v) < st.limit
   then begin
     st.in_queue.(v) <- true;
     st.queue.(st.qtail) <- v;
-    st.qtail <- (st.qtail + 1) mod Array.length st.queue
+    st.qtail <- ring_next st st.qtail
   end
 
 (* lint: hot *)
 let dequeue st =
   let v = st.queue.(st.qhead) in
-  st.qhead <- (st.qhead + 1) mod Array.length st.queue;
+  st.qhead <- ring_next st st.qhead;
   st.in_queue.(v) <- false;
   v
 

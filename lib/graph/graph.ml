@@ -129,9 +129,12 @@ let of_edge_array n raw =
      pairs; self-loops get max_int and sort last *)
   let keys = Array.make (Array.length raw) max_int in
   Array.iteri
-    (fun i (u, v) -> if u <> v then keys.(i) <- (min u v * n) + max u v)
+    (fun i (u, v) -> if u <> v then keys.(i) <- (Int.min u v * n) + Int.max u v)
     raw;
-  Array.sort Int.compare keys;
+  (* ints sort to one result whatever the algorithm; callers that renumber
+     a graph (induced subgraphs) pass pairs already in key order, which
+     sort_prefix settles in one pass *)
+  sort_prefix keys (Array.length keys);
   (* compact the distinct keys into the front of [keys] *)
   let m = ref 0 in
   Array.iter

@@ -340,35 +340,16 @@ let router_hops rt =
 
 let rebuild_min = 9  (* clusters below this size keep the plain BFS tree *)
 
-(* edge ids along a real-edge path, plus the minimum as representative *)
-let path_eids g p =
-  let len = Array.length p in
-  let eids = Array.make (len - 1) 0 in
-  let rep = ref max_int in
-  for q = 0 to len - 2 do
-    let e = Graph.find_edge g p.(q) p.(q + 1) in
-    eids.(q) <- e;
-    if e < !rep then rep := e
-  done;
-  (eids, !rep)
+(* the representative of a bundle: its minimum edge id *)
+let min_eid eids = Array.fold_left Int.min max_int eids
 
 let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
     (dw : Spectral.Expander_decomposition.cluster_witness) ~members ~pos_of =
   let sz = Array.length members in
-  let adj = Array.make sz [] in
-  (* intra edges first, via the view's cached CSR rows *)
-  for i = 0 to sz - 1 do
-    Array.iter
-      (fun w ->
-        let e = Graph.find_edge g members.(i) w in
-        adj.(i) <-
-          { nbr = pos_of.(w); lpath = [||]; lfwd = true;
-            eids = [| e |]; rep = e }
-          :: adj.(i))
-      view.Distr.Cluster_view.intra.(members.(i))
-  done;
+  let intra = view.Distr.Cluster_view.intra in
   (* matching shortcuts: reuse the retained witness, or rebuild by
-     playing a fresh game (adaptive budgets) on the induced cluster *)
+     playing a fresh game (adaptive budgets) on the induced cluster;
+     either way each embedded path arrives with its edge ids *)
   let matchings, rebuilt =
     if reuse && dw.Spectral.Expander_decomposition.w_matchings <> [] then
       (dw.Spectral.Expander_decomposition.w_matchings, false)
@@ -389,26 +370,52 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
     end
     else ([], false)
   in
+  (* each member's witness row: its intra edges in the graph's
+     (ascending) row order, then its shortcuts in matching order; rows
+     are sized first and filled in place *)
+  let row_len = Array.map (fun v -> Array.length intra.(v)) members in
+  List.iter
+    (fun (pairs, embeds, _) ->
+      Array.iteri
+        (fun idx (a, b) ->
+          if Array.length embeds.(idx) >= 2 then begin
+            row_len.(pos_of.(a)) <- row_len.(pos_of.(a)) + 1;
+            row_len.(pos_of.(b)) <- row_len.(pos_of.(b)) + 1
+          end)
+        pairs)
+    matchings;
+  let blank = { nbr = 0; lpath = [||]; lfwd = true; eids = [||]; rep = 0 } in
+  let wadj = Array.map (fun len -> Array.make len blank) row_len in
+  let fill = Array.make sz 0 in
+  let add i e =
+    wadj.(i).(fill.(i)) <- e;
+    fill.(i) <- fill.(i) + 1
+  in
+  let labels = view.Distr.Cluster_view.labels in
+  Array.iteri
+    (fun i v ->
+      Graph.iter_incident g v (fun w e ->
+          if labels.(w) = labels.(v) then
+            add i
+              { nbr = pos_of.(w); lpath = [||]; lfwd = true;
+                eids = [| e |]; rep = e }))
+    members;
   let shortcuts = ref 0 in
   List.iter
-    (fun (pairs, embeds) ->
+    (fun (pairs, embeds, eidss) ->
       Array.iteri
         (fun idx (a, b) ->
           let p = embeds.(idx) in
           if Array.length p >= 2 then begin
             incr shortcuts;
             let ia = pos_of.(a) and ib = pos_of.(b) in
-            let eids, rep = path_eids g p in
-            adj.(ia) <-
-              { nbr = ib; lpath = p; lfwd = true; eids; rep } :: adj.(ia);
-            adj.(ib) <-
-              { nbr = ia; lpath = p; lfwd = false; eids; rep } :: adj.(ib)
+            let eids = eidss.(idx) in
+            let rep = min_eid eids in
+            add ia { nbr = ib; lpath = p; lfwd = true; eids; rep };
+            add ib { nbr = ia; lpath = p; lfwd = false; eids; rep }
           end)
         pairs)
     matchings;
-  (* entries were prepended: reverse so BFS scans intra edges (ascending)
-     first, then shortcuts in matching order *)
-  let wadj = Array.map (fun l -> Array.of_list (List.rev l)) adj in
   (* leader = max intra-degree member, smallest id among ties. The
      election (and Pipeline.central_leaders) breaks ties toward the larger
      id instead; rooting the witness tree there was measured on the
@@ -419,7 +426,7 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
   let best = ref (-1) in
   Array.iter
     (fun v ->
-      let d = Array.length view.Distr.Cluster_view.intra.(v) in
+      let d = Array.length intra.(v) in
       if d > !best then begin
         best := d;
         leader := v
@@ -637,18 +644,21 @@ let build ?(reuse = true) ?(seed = 0) ?(pool = Parallel.Pool.sequential) g
   (* leaves are independent of each other: fan the builds (including any
      rebuild games, each seeded by its own label) out over the pool *)
   let leaves =
-    Parallel.Pool.mapi pool
-      (fun l () ->
-        build_leaf g view ~tau:d.Spectral.Expander_decomposition.tau ~reuse
-          ~seed ~label:l
-          d.Spectral.Expander_decomposition.witnesses.(l)
-          ~members:members.(l) ~pos_of)
-      (Array.make k ())
+    Obs.Span.with_ "route.leaves" (fun () ->
+        Parallel.Pool.mapi pool
+          (fun l () ->
+            build_leaf g view ~tau:d.Spectral.Expander_decomposition.tau
+              ~reuse ~seed ~label:l
+              d.Spectral.Expander_decomposition.witnesses.(l)
+              ~members:members.(l) ~pos_of)
+          (Array.make k ()))
   in
-  let root = build_node paths ~depth:0 (List.init k Fun.id) in
-  let bucket_of, seq_stride =
-    fill_buckets root paths labels g
-      d.Spectral.Expander_decomposition.inter_edges
+  let root, (bucket_of, seq_stride) =
+    Obs.Span.with_ "route.buckets" (fun () ->
+        let root = build_node paths ~depth:0 (List.init k Fun.id) in
+        ( root,
+          fill_buckets root paths labels g
+            d.Spectral.Expander_decomposition.inter_edges ))
   in
   let wdeg = Array.make n 1 in
   Array.iter
@@ -691,6 +701,16 @@ let info t =
     max_leaf_depth = !max_depth;
     tree_height = height t.root;
   }
+
+(* lint: allow U001 test oracle: exposes bundles to recheck their edge ids *)
+let iter_bundles t f =
+  Array.iter
+    (fun (lf : leaf) ->
+      Array.iter
+        (Array.iter (fun e ->
+             if Array.length e.lpath > 0 then f e.lpath e.eids e.rep))
+        lf.wadj)
+    t.leaves
 
 (* ---- serving ---- *)
 

@@ -131,3 +131,10 @@ type info = {
 }
 
 val info : t -> info
+
+(** [iter_bundles t f] calls [f path eids rep] for every matching
+    shortcut of every leaf witness, once per direction: the embedded real
+    path, the edge ids the decomposition (or the rebuild game) carried
+    for it ([eids.(q)] joins [path.(q)] and [path.(q+1)]), and the
+    representative edge id that breaks ties. *)
+val iter_bundles : t -> (int array -> int array -> int -> unit) -> unit

@@ -2,7 +2,7 @@ open Sparse_graph
 
 type cluster_witness = {
   w_path : int list;
-  w_matchings : ((int * int) array * int array array) list;
+  w_matchings : ((int * int) array * int array array * int array array) list;
   w_congestion : int;
   w_dilation : int;
   w_source : string;

@@ -23,15 +23,18 @@
     lexicographic order of these paths, so the tree can be rebuilt from
     them. [w_matchings] (possibly empty) lists the cut-matching game's
     routed matchings, newest first, each as the matched [(src, dst)]
-    pairs plus the aligned embedded vertex paths, all in original vertex
-    ids; [w_congestion] / [w_dilation] bound the embedding's per-edge
-    congestion and path length. [w_source] records which engine accepted
-    the cluster ("spectral", "cutmatching", "exact", "trivial",
-    "baseline"). Plain data on purpose: [lib/flow] fills it in, anything
-    above may consume it without depending on the flow engine. *)
+    pairs, the aligned embedded vertex paths and, aligned with those, the
+    paths' edge ids ([eids.(i).(q)] joins [paths.(i).(q)] and
+    [paths.(i).(q+1)]), all in original vertex and edge ids, so consumers
+    never search the graph for an edge; [w_congestion] / [w_dilation]
+    bound the embedding's per-edge congestion and path length.
+    [w_source] records which engine accepted the cluster ("spectral",
+    "cutmatching", "exact", "trivial", "baseline"). Plain data on
+    purpose: [lib/flow] fills it in, anything above may consume it
+    without depending on the flow engine. *)
 type cluster_witness = {
   w_path : int list;
-  w_matchings : ((int * int) array * int array array) list;
+  w_matchings : ((int * int) array * int array array * int array array) list;
   w_congestion : int;
   w_dilation : int;
   w_source : string;

@@ -1,10 +1,6 @@
 open Sparse_graph
 
-type cut = {
-  side : bool array;
-  conductance : float;
-  lambda2 : float option;
-}
+type cut = { side : bool array; conductance : float }
 
 let fiedler g ~iters ~seed =
   let n = Graph.n g in
@@ -30,34 +26,28 @@ let fiedler g ~iters ~seed =
     y
   in
   let cur = ref x in
-  let mu = ref 0. in
   for _ = 1 to iters do
     let y = apply !cur in
     Linalg.orthogonalize_against top y;
-    mu := Linalg.dot !cur y /. Linalg.dot !cur !cur;
     Linalg.normalize y;
     cur := y
   done;
-  (* walk eigenvalue mu = 1 - lambda2 / 2 for the lazy normalized walk *)
-  let lambda2 = 2. *. (1. -. !mu) in
-  let embedding =
-    Array.init n (fun v ->
-        if sqrt_deg.(v) > 0. then !cur.(v) /. sqrt_deg.(v) else !cur.(v))
-  in
-  (embedding, lambda2)
+  Array.init n (fun v ->
+      if sqrt_deg.(v) > 0. then !cur.(v) /. sqrt_deg.(v) else !cur.(v))
 
-let sweep g embedding =
+(* ties between equal embedding values break by vertex id, so the order is
+   total and any sort returns the same permutation *)
+(* lint: hot *)
+let sort_order embedding order =
+  let cmp a b =
+    let c = Float.compare embedding.(a) embedding.(b) in
+    if c <> 0 then c else Int.compare a b
+  in
+  Array.stable_sort cmp order
+
+let sweep_order g order =
   let n = Graph.n g in
-  if n < 2 then invalid_arg "Sweep_cut.sweep: need at least 2 vertices";
-  let order = Array.init n Fun.id in
-  (* ties between equal embedding values break by vertex id: Array.sort is
-     unstable, so without the tie-break the returned cut would depend on
-     sort internals rather than on the input *)
-  Array.sort
-    (fun a b ->
-      let c = compare embedding.(a) embedding.(b) in
-      if c <> 0 then c else compare a b)
-    order;
+  if n < 2 then invalid_arg "Sweep_cut.sweep_order: need at least 2 vertices";
   let total_vol = 2 * Graph.m g in
   let inside = Array.make n false in
   let cut = ref 0 in
@@ -67,11 +57,12 @@ let sweep g embedding =
   for i = 0 to n - 2 do
     let v = order.(i) in
     (* moving v inside: edges to inside stop crossing, edges to outside start *)
-    let to_inside =
-      Graph.fold_neighbors g v (fun acc w -> if inside.(w) then acc + 1 else acc) 0
-    in
+    let to_inside = ref 0 in
+    for j = 0 to Graph.degree g v - 1 do
+      if inside.(Graph.neighbor_at g v j) then incr to_inside
+    done;
     inside.(v) <- true;
-    cut := !cut + Graph.degree g v - (2 * to_inside);
+    cut := !cut + Graph.degree g v - (2 * !to_inside);
     vol := !vol + Graph.degree g v;
     let denom = Int.min !vol (total_vol - !vol) in
     let phi =
@@ -87,12 +78,14 @@ let sweep g embedding =
   for i = 0 to !best_prefix - 1 do
     side.(order.(i)) <- true
   done;
-  { side; conductance = !best; lambda2 = None }
+  { side; conductance = !best }
 
-let best_cut g ~iters ~seed =
-  let embedding, lambda2 = fiedler g ~iters ~seed in
-  let cut = sweep g embedding in
-  { cut with lambda2 = Some lambda2 }
+let sweep g embedding =
+  let order = Array.init (Graph.n g) Fun.id in
+  sort_order embedding order;
+  sweep_order g order
+
+let best_cut g ~iters ~seed = sweep g (fiedler g ~iters ~seed)
 
 let bfs_sweep g =
   let n = Graph.n g in
@@ -197,7 +190,7 @@ let tree_cut g =
   if !best_root < 0 then invalid_arg "Sweep_cut.tree_cut: disconnected graph"
   else begin
     let side = Array.init n (fun v -> inside v !best_root) in
-    { side; conductance = !best_phi; lambda2 = None }
+    { side; conductance = !best_phi }
   end
 
 let combined_cut g ~iters ~seed =

@@ -214,17 +214,23 @@ let test_decompose_st_flow () =
   let dec = Path_decompose.decompose net in
   checki "total equals flow value" v dec.Path_decompose.total;
   checki "amounts add up" v
-    (List.fold_left
-       (fun acc p -> acc + p.Path_decompose.amount)
-       0 dec.Path_decompose.paths);
-  List.iter
-    (fun p ->
-      checki "every path starts at s" 0 p.Path_decompose.src;
-      checki "every path ends at t" 15 p.Path_decompose.dst;
-      checkb "positive length" true (p.Path_decompose.length >= 1);
-      checkb "length within max" true
-        (p.Path_decompose.length <= dec.Path_decompose.max_length))
-    dec.Path_decompose.paths
+    (Array.fold_left ( + ) 0 dec.Path_decompose.amounts);
+  Array.iteri
+    (fun i vs ->
+      let es = dec.Path_decompose.edges.(i) in
+      let len = Array.length es in
+      checki "every path starts at s" 0 vs.(0);
+      checki "every path ends at t" 15 vs.(len);
+      checki "one vertex per arc, plus the source" (len + 1) (Array.length vs);
+      checkb "positive length" true (len >= 1);
+      checkb "length within max" true (len <= dec.Path_decompose.max_length);
+      Array.iteri
+        (fun q e ->
+          let a, b = Graph.endpoints g e in
+          checkb "edge id joins consecutive vertices" true
+            ((a, b) = (min vs.(q) vs.(q + 1), max vs.(q) vs.(q + 1))))
+        es)
+    dec.Path_decompose.vertices
 
 let test_decompose_leaves_net_intact () =
   let g = Generators.cycle 8 in
@@ -236,7 +242,7 @@ let test_decompose_leaves_net_intact () =
 let test_decompose_zero_flow () =
   let net = unit_net (Generators.cycle 5) in
   let dec = Path_decompose.decompose net in
-  checki "no paths" 0 (List.length dec.Path_decompose.paths);
+  checki "no paths" 0 (Array.length dec.Path_decompose.vertices);
   checki "zero total" 0 dec.Path_decompose.total
 
 (* ------------------------------------------------------------------ *)
@@ -444,7 +450,7 @@ let decomposition_digest (d : Spectral.Expander_decomposition.t)
     (fun w ->
       ints (Array.of_list w.w_path);
       List.iter
-        (fun (pairs, embeds) ->
+        (fun (pairs, embeds, _) ->
           Array.iter (fun (x, y) -> Printf.bprintf b "%d-%d," x y) pairs;
           Array.iter ints embeds;
           Buffer.add_char b ';')
@@ -526,10 +532,9 @@ let prop_path_decomposition_total =
       let v, net, _ = max_flow_st g ~s:0 ~t:(n - 1) in
       let dec = Path_decompose.decompose net in
       dec.Path_decompose.total = v
-      && List.for_all
-           (fun p ->
-             p.Path_decompose.src = 0 && p.Path_decompose.dst = n - 1)
-           dec.Path_decompose.paths)
+      && Array.for_all
+           (fun vs -> vs.(0) = 0 && vs.(Array.length vs - 1) = n - 1)
+           dec.Path_decompose.vertices)
 
 let prop_bounded_height_certifies =
   QCheck.Test.make

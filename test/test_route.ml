@@ -270,6 +270,50 @@ let test_reuse_vs_rebuild () =
     (fun i p -> checkb "rebuilt plan valid" true (valid_plan g ds.(i) p))
     (Route.Service.plan rebuilt ds)
 
+(* the edge ids a witness bundle carries from the flow (through the
+   decomposition's witness, or through a rebuild game) are rechecked here
+   by Graph.endpoints, which did not produce them: eids.(q) joins path.(q)
+   and path.(q+1), and the representative is the minimum id. The grid and
+   the Apollonian graph stay one cluster, whose induced subgraph numbers
+   edges as the graph does; the 40x20 grid splits at epsilon 0.5 into
+   clusters with matchings, where a game's edge ids must be mapped back. *)
+let test_carried_bundle_ids () =
+  List.iter
+    (fun (name, g, epsilon, split) ->
+      List.iter
+        (fun reuse ->
+          let svc =
+            service ~engine:Core.Pipeline.Cut_matching_engine ~reuse ~epsilon g
+          in
+          let h = Route.Service.hierarchy svc in
+          let bundles = ref 0 in
+          Route.Hierarchy.iter_bundles h (fun p eids rep ->
+              incr bundles;
+              checki "one id per hop" (Array.length p - 1) (Array.length eids);
+              Array.iteri
+                (fun q e ->
+                  let a, b = Graph.endpoints g e in
+                  let x = p.(q) and y = p.(q + 1) in
+                  if (a, b) <> (min x y, max x y) then
+                    Alcotest.failf "%s: edge %d is (%d, %d), path hop (%d, %d)"
+                      name e a b x y)
+                eids;
+              checki "rep is the minimum id"
+                (Array.fold_left min max_int eids) rep);
+          let info = Route.Hierarchy.info h in
+          checkb (name ^ ": bundles seen") true
+            (!bundles = 2 * info.Route.Hierarchy.shortcuts && !bundles > 0);
+          checkb (name ^ ": rebuild played games") true
+            (reuse || info.Route.Hierarchy.rebuilt_leaves > 0);
+          checkb (name ^ ": cluster count") true
+            (split = (info.Route.Hierarchy.clusters > 1)))
+        [ true; false ])
+    [
+      ("grid 16x16", Generators.grid 16 16, 0.3, false);
+      ("apollonian 512", Generators.random_apollonian 512 ~seed:3, 0.3, false);
+      ("grid 40x20", Generators.grid 40 20, 0.5, true);
+    ]
+
 (* rebuilt leaves route over fresh matching shortcuts; all ordered pairs
    walk each expansion up (push_up) and down (push_down), and
    Least_loaded diverts through push_entry_back *)
@@ -649,6 +693,7 @@ let () =
           tc "least-loaded vs round-robin" test_least_loaded_beats_round_robin;
           tc "jobs parity (serve epochs)" test_jobs_parity_serve;
           tc "witness reuse vs rebuild" test_reuse_vs_rebuild;
+          tc "carried bundle edge ids" test_carried_bundle_ids;
           tc "hop edge ids, rebuilt leaves" test_edge_ids_rebuilt_leaves;
           tc "hop edge ids, fallback legs" test_edge_ids_fallback;
         ] );
