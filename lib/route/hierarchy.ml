@@ -4,10 +4,11 @@ open Sparse_graph
    hierarchical LeafWitness / InternalWitness route). Preprocessing turns
    one expander decomposition into:
 
-   - a *leaf witness* per cluster: a BFS tree rooted at the cluster's
-     leader over the witness graph = intra-cluster edges plus the
-     cut-matching game's embedded matchings as shortcut edges (each
-     shortcut expands to its retained real-edge path when routed). When
+   - a *leaf witness* per cluster: a shortest-path tree by real length,
+     rooted at the cluster's leader, over the witness graph =
+     intra-cluster edges plus the cut-matching game's embedded matchings
+     as shortcut edges (each shortcut weighs, and expands to, its
+     retained real-edge path when routed). When
      the decomposition retained no matchings (spectral engine, exact or
      trivial acceptances) and the cluster is large enough, a fresh
      cut-matching game is played here instead — the reuse-vs-rebuild
@@ -23,7 +24,7 @@ open Sparse_graph
    tree along the common prefix of the two clusters' addresses, walk a
    child sequence at the divergence node crossing one portal edge per
    hop, and solve intra-cluster legs in the leaf witness by an LCA walk
-   of the BFS tree. The route is logged as legs, not hops: a shortcut is
+   of the tree. The route is logged as legs, not hops: a shortcut is
    one leg naming its embedded real path and edge ids, which charging
    walks in place and only path expansion copies out.
 
@@ -186,13 +187,14 @@ type ledge = {
 
 type leaf = {
   members : int array;  (* ascending vertex ids *)
-  leader : int;         (* vertex id of the BFS root *)
+  leader : int;         (* vertex id of the tree's root *)
   parent : int array;   (* member idx -> member idx, -1 for root/unreached *)
-  depth : int array;    (* -1 = unreached in the witness graph *)
+  depth : int array;    (* tree hops from the leader; -1 = unreached *)
+  pre : int array;      (* preorder index in the tree; -1 = unreached *)
+  size : int array;     (* members in the subtree, itself included *)
   up_path : int array array;  (* real path to parent; [||] = direct edge *)
   up_fwd : bool array;        (* is up_path oriented self -> parent? *)
   up_eids : int array array;  (* edge ids along the up bundle *)
-  up_rep : int array;         (* representative edge id of the up bundle *)
   wadj : ledge array array;   (* full witness adjacency per member *)
   shortcuts : int;      (* matching shortcut edges in the witness graph *)
   rebuilt : bool;       (* a fresh cut-matching game was played here *)
@@ -338,7 +340,7 @@ let router_hops rt =
     fallback = rt.hops_fallback;
   }
 
-let rebuild_min = 9  (* clusters below this size keep the plain BFS tree *)
+let rebuild_min = 9  (* clusters below this size route on intra edges only *)
 
 (* the representative of a bundle: its minimum edge id *)
 let min_eid eids = Array.fold_left Int.min max_int eids
@@ -433,39 +435,112 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
       end)
     members;
   let leader = !leader in
-  (* BFS over the witness graph from the leader *)
+  (* shortest-path tree over the witness graph from the leader, by real
+     length: an entry weighs its bundle's hop count (1 for a direct edge),
+     so a shortcut only wins where its embedded path is no longer than the
+     tree's other ways in. Lengths are small integers, so a Dial queue of
+     [w_max + 1] circular FIFO buckets replaces a heap: a queued member
+     sits in the bucket of its tentative distance, in a doubly linked
+     list threaded through [nxt] / [prv], and moves to the tail of its
+     new bucket when the distance improves *)
   let parent = Array.make sz (-1) in
   let depth = Array.make sz (-1) in
   let up_path = Array.make sz [||] in
   let up_fwd = Array.make sz true in
   let up_eids = Array.make sz [||] in
-  let up_rep = Array.make sz max_int in
-  let queue = Array.make sz 0 in
-  let head = ref 0 and tail = ref 0 in
+  let dist = Array.make sz max_int in
+  let kids = Array.make sz 0 in
+  let order = Array.make sz 0 in  (* members in settling order *)
+  let settled = ref 0 in
+  let w_max =
+    Array.fold_left
+      (Array.fold_left (fun acc e -> Int.max acc (Array.length e.eids)))
+      1 wadj
+  in
+  let nb = w_max + 1 in
+  let bhead = Array.make nb (-1) and btail = Array.make nb (-1) in
+  let nxt = Array.make sz (-1) and prv = Array.make sz (-1) in
+  let queued = ref 0 in
+  let unlink i =
+    let b = dist.(i) mod nb in
+    if prv.(i) < 0 then bhead.(b) <- nxt.(i) else nxt.(prv.(i)) <- nxt.(i);
+    if nxt.(i) < 0 then btail.(b) <- prv.(i) else prv.(nxt.(i)) <- prv.(i);
+    decr queued
+  in
+  let enqueue i d =
+    if dist.(i) < max_int then unlink i;
+    dist.(i) <- d;
+    let b = d mod nb in
+    prv.(i) <- btail.(b);
+    nxt.(i) <- -1;
+    if btail.(b) < 0 then bhead.(b) <- i else nxt.(btail.(b)) <- i;
+    btail.(b) <- i;
+    incr queued
+  in
   let rootm = pos_of.(leader) in
-  depth.(rootm) <- 0;
-  queue.(!tail) <- rootm;
-  incr tail;
-  while !head < !tail do
-    let i = queue.(!head) in
-    incr head;
-    Array.iter
-      (fun e ->
-        if depth.(e.nbr) < 0 then begin
-          depth.(e.nbr) <- depth.(i) + 1;
-          parent.(e.nbr) <- i;
-          up_path.(e.nbr) <- e.lpath;
-          (* the entry path is oriented i -> nbr iff [e.lfwd]; the
-             child's up path runs nbr -> i, so the flag flips *)
-          up_fwd.(e.nbr) <- not e.lfwd;
-          up_eids.(e.nbr) <- e.eids;
-          up_rep.(e.nbr) <- e.rep;
-          queue.(!tail) <- e.nbr;
-          incr tail
-        end)
-      wadj.(i)
+  enqueue rootm 0;
+  let cur = ref 0 in
+  while !queued > 0 do
+    let i = bhead.(!cur mod nb) in
+    if i < 0 then incr cur
+    else begin
+      unlink i;
+      (* queued distances lie in [!cur, !cur + w_max], one per bucket, so
+         [i] is at distance [!cur] and final: hang it under the settled
+         shortest-path neighbour with the fewest children so far, first
+         in row order on ties *)
+      let row = wadj.(i) in
+      if i <> rootm then begin
+        let pick = ref (-1) in
+        Array.iteri
+          (fun q e ->
+            let z = e.nbr in
+            if
+              depth.(z) >= 0
+              && dist.(z) + Array.length e.eids = dist.(i)
+              && (!pick < 0 || kids.(z) < kids.(row.(!pick).nbr))
+            then pick := q)
+          row;
+        let e = row.(!pick) in
+        parent.(i) <- e.nbr;
+        kids.(e.nbr) <- kids.(e.nbr) + 1;
+        depth.(i) <- depth.(e.nbr) + 1;
+        up_path.(i) <- e.lpath;
+        (* the entry sits on [i]'s own row, oriented i -> parent iff
+           [e.lfwd], which is the up path's direction *)
+        up_fwd.(i) <- e.lfwd;
+        up_eids.(i) <- e.eids
+      end
+      else depth.(i) <- 0;
+      order.(!settled) <- i;
+      incr settled;
+      Array.iter
+        (fun e ->
+          let d = dist.(i) + Array.length e.eids in
+          if depth.(e.nbr) < 0 && d < dist.(e.nbr) then enqueue e.nbr d)
+        row
+    end
   done;
-  { members; leader; parent; depth; up_path; up_fwd; up_eids; up_rep;
+  (* preorder intervals for the O(1) ancestor test: a member's subtree
+     size, summed children-first (reverse settling order), then its
+     preorder index, handed out parents-first (settling order) *)
+  let size = Array.make sz 1 in
+  for q = !settled - 1 downto 1 do
+    let i = order.(q) in
+    size.(parent.(i)) <- size.(parent.(i)) + size.(i)
+  done;
+  let pre = Array.make sz (-1) in
+  let next = Array.make sz 0 in
+  pre.(rootm) <- 0;
+  next.(rootm) <- 1;
+  for q = 1 to !settled - 1 do
+    let i = order.(q) in
+    let p = parent.(i) in
+    pre.(i) <- next.(p);
+    next.(i) <- pre.(i) + 1;
+    next.(p) <- next.(p) + size.(i)
+  done;
+  { members; leader; parent; depth; pre; size; up_path; up_fwd; up_eids;
     wadj; shortcuts = !shortcuts; rebuilt }
 
 (* ---- recursion tree ---- *)
@@ -714,20 +789,11 @@ let iter_bundles t f =
 
 (* ---- serving ---- *)
 
-(* live load of edge [e]; serving without a congestion array sees zero
-   everywhere, which degrades least-loaded to its edge-id tie-break *)
+(* live load of edge [e]; an edge past the end of [cong] reads as zero,
+   so a short (or empty) array degrades least-loaded to its edge-id
+   tie-break *)
 (* lint: hot *)
 let load cong e = if e < Array.length cong then cong.(e) else 0
-
-(* heaviest edge along a witness bundle (direct edge or expansion path) *)
-(* lint: hot *)
-let bundle_cost cong eids =
-  let c = ref 0 in
-  for i = 0 to Array.length eids - 1 do
-    let l = load cong eids.(i) in
-    if l > !c then c := l
-  done;
-  !c
 
 (* append member [c]'s hop up to its parent (the route ends at c) *)
 (* lint: hot *)
@@ -805,7 +871,7 @@ let fallback t rt out x y =
     true
   end
 
-(* walk the witness BFS tree from member [px] to member [py] (LCA walk);
+(* walk the witness tree from member [px] to member [py] (LCA walk);
    both must be reached. out currently ends at members.(px) *)
 (* lint: hot *)
 let tree_walk rt lf out px py =
@@ -832,60 +898,103 @@ let tree_walk rt lf out px py =
     push_down lf out chain.(i)
   done
 
-(* is member [anc] an ancestor of member [c] (inclusive)? O(depth) *)
+(* is reached member [anc] an ancestor of reached member [c]
+   (inclusive)? [c]'s preorder index falls in [anc]'s subtree interval *)
+(* lint: hot *)
 let ancestor_of lf anc c =
-  let d = lf.depth.(c) - lf.depth.(anc) in
-  if d < 0 then false
+  let d = lf.pre.(c) - lf.pre.(anc) in
+  d >= 0 && d < lf.size.(anc)
+
+(* the edge id a bundle walked from [self] starts with: its first edge
+   when the bundle is oriented away from [self], else its last *)
+(* lint: hot *)
+let first_eid eids away =
+  if away then eids.(0) else eids.(Array.length eids - 1)
+
+(* heaviest load along a witness bundle's edge ids [eids] if it is at
+   most [lim], else any value above [lim] (the scan stops at the first
+   edge past it) *)
+(* lint: hot *)
+let capped_cost cong eids lim =
+  let c = ref 0 and i = ref 0 in
+  let len = Array.length eids in
+  while !i < len && !c <= lim do
+    let l = load cong eids.(!i) in
+    if l > !c then c := l;
+    incr i
+  done;
+  !c
+
+(* what a diversion through witness entry [e] into [py] costs: the
+   heaviest load over the entry's own bundle and the two tree bundles the
+   detour walk descends last (z's up bundle and z's parent's), capped as
+   in [capped_cost] *)
+(* lint: hot *)
+let entry_cost cong lf e lim =
+  let c = capped_cost cong e.eids lim in
+  let z = e.nbr in
+  if c > lim || lf.parent.(z) < 0 then c
   else begin
-    let cur = ref c in
-    for _ = 1 to d do
-      cur := lf.parent.(!cur)
-    done;
-    !cur = anc
+    let c = Int.max c (capped_cost cong lf.up_eids.(z) lim) in
+    let pz = lf.parent.(z) in
+    if c > lim || lf.parent.(pz) < 0 then c
+    else Int.max c (capped_cost cong lf.up_eids.(pz) lim)
   end
 
 (* Least-loaded destination entry: when the tree walk would descend into
-   [py] over its (unique) up bundle, probe one rotating alternative
-   witness edge (z, y) with depth(z) <= depth(y) — shallower entries keep
-   the detour walk x -> z away from y — and divert when its heaviest edge
-   beats the natural bundle's (ties to the smaller representative edge
-   id). Returns [true] when it emitted the whole leg. *)
+   [py] over its (unique) up bundle, probe the next two eligible witness
+   entries (z, y) from a rotating cursor and divert to the cheaper one
+   ([entry_cost]; ties to the smaller representative edge id) when it is
+   strictly cheaper than the natural bundle. An entry is eligible when
+   depth(z) <= depth(y) — shallower entries keep the detour walk x -> z
+   away from y — and its edge into y is not the natural bundle's edge
+   into y, which a diversion would still cross. Returns [true] when it
+   emitted the whole leg. *)
 let try_divert rt ~cong lf out px py =
   let wadj = lf.wadj.(py) in
   let deg = Array.length wadj in
   let y = lf.members.(py) in
-  let rn = lf.up_rep.(py) in
-  let cn = bundle_cost cong lf.up_eids.(py) in
+  let cn = capped_cost cong lf.up_eids.(py) max_int in
   if cn = 0 then false  (* the natural entry is cold: nothing to beat *)
   else begin
+    let hot = first_eid lf.up_eids.(py) lf.up_fwd.(py) in
+    let dy = lf.depth.(py) in
     let cur = rt.ecur.(y) in
     rt.ecur.(y) <- (if cur + 1 >= deg then 0 else cur + 1);
     rt.eadv.(y) <- rt.eadv.(y) + 1;
-    let cand = ref (-1) in
-    let i = ref 0 in
-    while !cand < 0 && !i < deg do
+    (* the best entry so far and its cost; the natural bundle starts as
+       the best with a tie-break no entry wins *)
+    let best = ref (-1) and best_c = ref cn and best_rep = ref min_int in
+    let probes = ref 0 and i = ref 0 in
+    while !probes < 2 && !i < deg do
       let idx =
         let s = cur + !i in
         if s >= deg then s - deg else s
       in
       let e = wadj.(idx) in
+      let dz = lf.depth.(e.nbr) in
       if
-        lf.depth.(e.nbr) >= 0
-        && lf.depth.(e.nbr) <= lf.depth.(py)
-        && e.nbr <> py && e.rep <> rn
-      then cand := idx;
+        dz >= 0 && dz <= dy && e.nbr <> py && first_eid e.eids e.lfwd <> hot
+      then begin
+        incr probes;
+        (* [e] wins iff its cost is below the best, or equal with a
+           smaller representative *)
+        let lim = if e.rep < !best_rep then !best_c else !best_c - 1 in
+        let c = entry_cost cong lf e lim in
+        if c <= lim then begin
+          best := idx;
+          best_c := c;
+          best_rep := e.rep
+        end
+      end;
       incr i
     done;
-    if !cand < 0 then false
+    if !best < 0 then false
     else begin
-      let e = wadj.(!cand) in
-      let ca = bundle_cost cong e.eids in
-      if ca < cn || (ca = cn && e.rep < rn) then begin
-        tree_walk rt lf out px e.nbr;
-        push_entry_back lf out py e;
-        true
-      end
-      else false
+      let e = wadj.(!best) in
+      tree_walk rt lf out px e.nbr;
+      push_entry_back lf out py e;
+      true
     end
   end
 
@@ -1021,7 +1130,7 @@ and route_across t rt ~ll ~cong nd out i j x y =
    endpoints are unreachable even by the global fallback; on success the
    vec holds the route's legs from [src] to [dst] in hop order, and the
    router's per-kind hop counters take its hops. *)
-let route ?(policy = Round_robin) ?(cong = [||]) t rt out src dst =
+let route ~policy ~cong t rt out src dst =
   let n = Graph.n t.g in
   if src < 0 || src >= n || dst < 0 || dst >= n then
     invalid_arg "Route.Hierarchy.route: vertex out of range";

@@ -1,9 +1,10 @@
 (** The reusable witness hierarchy behind expander routing.
 
     [build] turns one {!Spectral.Expander_decomposition.t} into a
-    two-level routing structure: a {e leaf witness} per cluster (a BFS
-    tree over intra-cluster edges plus the cut-matching game's embedded
-    matchings as shortcut edges, rooted at the member of maximum
+    two-level routing structure: a {e leaf witness} per cluster (a
+    shortest-path tree by real length over intra-cluster edges plus the
+    cut-matching game's embedded matchings as shortcut edges, each
+    weighing its embedded path's hop count, rooted at the member of maximum
     intra-cluster degree, ties broken toward the smallest id — unlike the
     election's larger-id rule, which costs about 11% of grid congestion)
     and an {e internal witness} per recursion-tree node (inter-cluster
@@ -17,7 +18,7 @@
     recursion tree along the common prefix of the endpoint clusters'
     addresses, cross one portal edge per hop of a child sequence at the
     divergence node, and solve intra-cluster legs by an LCA walk of the
-    leaf's BFS tree, logging each shortcut as one bundle leg that stands
+    leaf's tree, logging each shortcut as one bundle leg that stands
     for its embedded real path.
 
     Every piece of state a serving stream mutates — portal cursors,
@@ -34,9 +35,8 @@
     A leg is either a reference to a witness bundle — a matching
     shortcut's embedded real path, its edge-id array and the direction
     it is walked in — or a single hop (edge id, vertex reached) for a
-    direct intra edge, a portal or a fallback BFS step. A route is about
-    471 hops but about 15 legs on the 64×64 grid, so consumers work per
-    leg: {!charge} walks each bundle's stored edge ids, and only
+    direct intra edge, a portal or a fallback BFS step. Consumers work
+    per leg: {!charge} walks each bundle's stored edge ids, and only
     {!vec_to_array} expands the legs into a vertex path. *)
 type vec
 
@@ -61,9 +61,9 @@ val charge : int array -> vec -> int -> unit
     power-of-two-choices over the live per-edge congestion array: probe
     the cursor position and a second position half a rotation ahead,
     take the lighter (ties to the smaller edge id); intra-cluster legs
-    additionally divert their final descent into the destination to a
-    lighter witness entry when the natural tree edge is hot. Both are
-    deterministic in demand order. *)
+    additionally divert their final descent into the destination to the
+    cheaper of two rotating witness entries when it is strictly lighter
+    than the natural tree edge. Both are deterministic in demand order. *)
 type policy = Round_robin | Least_loaded
 
 type t
@@ -111,14 +111,14 @@ type hops = { direct : int; shortcut : int; portal : int; fallback : int }
 
 val router_hops : router -> hops
 
-(** [route ?policy ?cong t rt out src dst] clears [out] and logs into
+(** [route ~policy ~cong t rt out src dst] clears [out] and logs into
     it the legs of a walk from [src] to [dst] over real edges of the
     graph, and adds its hops to [rt]'s {!router_hops}. [cong] is the
-    live per-edge load that [Least_loaded] (default [Round_robin])
-    selection reads; absent or short arrays read as zero load. Returns
-    [false] iff the endpoints are disconnected (then [out] holds a
-    partial prefix and must be discarded, and no hop is counted). *)
-val route : ?policy:policy -> ?cong:int array -> t -> router -> vec ->
+    live per-edge load that [Least_loaded] selection reads
+    ([Round_robin] ignores it); entries past its end read as zero load.
+    Returns [false] iff the endpoints are disconnected (then [out] holds
+    a partial prefix and must be discarded, and no hop is counted). *)
+val route : policy:policy -> cong:int array -> t -> router -> vec ->
   int -> int -> bool
 
 type info = {

@@ -126,6 +126,7 @@ let serve_core ~policy ~keep t (ds : demand array) =
   let epoch = chunk * tasks_per_epoch in
   let nepochs = (nd + epoch - 1) / epoch in
   for ep = 0 to nepochs - 1 do
+    Obs.Span.with_ "route.epoch" @@ fun () ->
     let base = ep * epoch in
     let active = Int.min tasks_per_epoch ((nd - base + chunk - 1) / chunk) in
     ignore

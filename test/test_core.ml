@@ -452,7 +452,7 @@ let golden_demands g =
 
 let test_golden_serve () =
   let expected =
-    [ "2b6fbcaff08eff3225ec032aa4c55fb9"; "4cf5bd1a82d74d71cb31d939ae0322c5" ]
+    [ "f22e6ad9914f4fc7a9318d1cd9912a40"; "c93741cdb4885551df49e36a21fa721a" ]
   in
   let got =
     List.map
@@ -521,7 +521,7 @@ let test_golden_serve_multi_epoch () =
           [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ])
   in
   Alcotest.(check string) "grid 24x24, three epochs"
-    "0563dc87b6626ca2b516013c31b22267" got
+    "5cc49e7e5e670882debfc73e586b93f5" got
 
 (* the route.hops_* counters that [Service.summarize] emits, by leg kind:
    direct intra edge, shortcut expansion, portal, fallback *)

@@ -314,6 +314,83 @@ let test_carried_bundle_ids () =
       ("grid 40x20", Generators.grid 40 20, 0.5, true);
     ]
 
+(* the leaf tree is a shortest-path tree by real length. From each
+   cluster's leader (most intra-cluster edges, smallest id on ties) the
+   round-robin route to every member must be as long as its Dijkstra
+   distance over a witness graph rebuilt here: the intra-cluster edges at
+   length 1, plus every bundle [iter_bundles] reports at its hop count *)
+module Dist_set = Set.Make (struct
+  type t = int * int  (* (distance, vertex) *)
+  let compare = compare
+end)
+
+let test_leaf_tree_shortest () =
+  List.iter
+    (fun (name, (g, epsilon, _)) ->
+      let p =
+        Core.Pipeline.prepare ~mode:Core.Pipeline.Charged
+          ~engine:Core.Pipeline.Spectral_engine g ~epsilon ~seed:5
+      in
+      let h = Route.Service.hierarchy (Core.Pipeline.routing_service ~seed:11 p) in
+      checkb (name ^ ": witness has shortcuts") true
+        ((Route.Hierarchy.info h).Route.Hierarchy.shortcuts > 0);
+      let labels = p.Core.Pipeline.decomposition.Spectral.Expander_decomposition.labels in
+      let n = Graph.n g in
+      let adj = Array.make n [] in
+      let intra_deg = Array.make n 0 in
+      Graph.iter_edges g (fun _ u v ->
+          if labels.(u) = labels.(v) then begin
+            adj.(u) <- (v, 1) :: adj.(u);
+            adj.(v) <- (u, 1) :: adj.(v);
+            intra_deg.(u) <- intra_deg.(u) + 1;
+            intra_deg.(v) <- intra_deg.(v) + 1
+          end);
+      Route.Hierarchy.iter_bundles h (fun path eids _ ->
+          let a = path.(0) and b = path.(Array.length path - 1) in
+          adj.(a) <- (b, Array.length eids) :: adj.(a));
+      let leader = Hashtbl.create 8 in
+      for v = 0 to n - 1 do
+        match Hashtbl.find_opt leader labels.(v) with
+        | Some l when intra_deg.(l) >= intra_deg.(v) -> ()
+        | _ -> Hashtbl.replace leader labels.(v) v
+      done;
+      let rt = Route.Hierarchy.make_router h in
+      let out = Route.Hierarchy.vec_create () in
+      Hashtbl.iter
+        (fun label l ->
+          let dist = Array.make n max_int in
+          dist.(l) <- 0;
+          let q = ref (Dist_set.singleton (0, l)) in
+          while not (Dist_set.is_empty !q) do
+            let ((d, u) as top) = Dist_set.min_elt !q in
+            q := Dist_set.remove top !q;
+            if d = dist.(u) then
+              List.iter
+                (fun (w, len) ->
+                  if d + len < dist.(w) then begin
+                    dist.(w) <- d + len;
+                    q := Dist_set.add (d + len, w) !q
+                  end)
+                adj.(u)
+          done;
+          for v = 0 to n - 1 do
+            if labels.(v) = label then begin
+              checkb (name ^ ": member reachable") true (dist.(v) < max_int);
+              checkb (name ^ ": routed") true
+                (Route.Hierarchy.route ~policy:Route.Hierarchy.Round_robin
+                   ~cong:[||] h rt out l v);
+              checki
+                (Printf.sprintf "%s: route %d -> %d is shortest" name l v)
+                dist.(v) (Route.Hierarchy.vec_hops out)
+            end
+          done)
+        leader)
+    [
+      ("grid 16x16", single (Generators.grid 16 16));
+      ("apollonian 512", single (Generators.random_apollonian 512 ~seed:3));
+      ("grid 24x24", multi_cluster_grid ());
+    ]
+
 (* rebuilt leaves route over fresh matching shortcuts; all ordered pairs
    walk each expansion up (push_up) and down (push_down), and
    Least_loaded diverts through push_entry_back *)
@@ -696,6 +773,7 @@ let () =
           tc "carried bundle edge ids" test_carried_bundle_ids;
           tc "hop edge ids, rebuilt leaves" test_edge_ids_rebuilt_leaves;
           tc "hop edge ids, fallback legs" test_edge_ids_fallback;
+          tc "leaf tree is shortest by length" test_leaf_tree_shortest;
         ] );
       ( "congest",
         [
