@@ -264,6 +264,9 @@ type 'msg shard = {
   mutable sh_cur_len : int;
   mutable sh_nxt : int array;
   mutable sh_nxt_len : int;
+  (* scratch bitset over the shard's range, 32 vertices a word, all zero
+     between rounds: [sort_worklist] orders unsorted worklists through it *)
+  sh_bits : int array;
   (* inbound arena: (src, dst, msg) columns appended sender-ascending by
      the coordinator's exchange, consumed at the shard's next step *)
   mutable sh_ib_src : int array;
@@ -333,6 +336,51 @@ let sh_heap_pop sh =
     end
   done
 
+(* bit index of a 32-bit power of two, by de Bruijn multiplication *)
+let debruijn32 =
+  [|
+    0; 1; 28; 2; 29; 14; 24; 3; 30; 22; 20; 15; 25; 17; 4; 8; 31; 27; 13; 23;
+    21; 19; 16; 7; 26; 12; 18; 6; 11; 5; 10; 9;
+  |]
+
+(* Sort the shard's worklist ascending. An already-sorted worklist costs
+   one linear pass. Otherwise the worklist is marked in the shard's bitset
+   and read back word by word, lowest bit first, up to the word of its
+   largest vertex: O(len + words), no comparison. The worklist holds no
+   duplicate (the sched stamps dedup it), so this is the sorted order. *)
+(* lint: hot *)
+let sort_worklist sh =
+  let len = sh.sh_cur_len and cur = sh.sh_cur in
+  let bits = sh.sh_bits in
+  let sorted = ref 1 in
+  while !sorted < len && cur.(!sorted - 1) < cur.(!sorted) do
+    incr sorted
+  done;
+  if !sorted < len then begin
+    let lo = sh.sh_lo in
+    for i = 0 to len - 1 do
+      let o = cur.(i) - lo in
+      let w = o lsr 5 in
+      bits.(w) <- bits.(w) lor (1 lsl (o land 31))
+    done;
+    let k = ref 0 and w = ref 0 in
+    while !k < len do
+      let x = ref bits.(!w) in
+      if !x <> 0 then begin
+        bits.(!w) <- 0;
+        let base = lo + (!w lsl 5) in
+        while !x <> 0 do
+          let low = !x land - !x in
+          cur.(!k) <-
+            base + debruijn32.(((low * 0x077CB531) land 0xFFFFFFFF) lsr 27);
+          incr k;
+          x := !x lxor low
+        done
+      end;
+      incr w
+    done
+  end
+
 (* The simulator loop. The determinism contract it preserves, relied on
    by the fault layer's RNG: per round, vertices execute in ascending id
    order and each vertex's sends are processed in list order, so the k-th
@@ -386,6 +434,7 @@ let run ?(faults = Faults.none)
           sh_cur_len = 0;
           sh_nxt = Array.make size 0;
           sh_nxt_len = 0;
+          sh_bits = Array.make ((size + 31) / 32) 0;
           sh_ib_src = [||];
           sh_ib_dst = [||];
           sh_ib_msg = [||];
@@ -513,7 +562,7 @@ let run ?(faults = Faults.none)
         Hashtbl.remove sh.sh_wake_buckets r
     | None -> ());
     if sh_heap_min sh = r then sh_heap_pop sh;
-    Graph.sort_prefix sh.sh_cur sh.sh_cur_len;
+    sort_worklist sh;
     (* rebuild per-vertex inboxes from the arena: walking backward while
        consing restores arrival (sender-ascending) order; a vertex that
        crashed this round loses its pending inbox, exactly like the

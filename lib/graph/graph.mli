@@ -97,6 +97,6 @@ val check_invariants : t -> unit
 
 (** [sort_prefix a len] sorts [a.(0 .. len-1)] ascending in place, with
     integer comparisons only (no call into the polymorphic comparator).
-    An already-sorted prefix costs one linear pass. The simulator's
-    worklists and the serving summaries' percentiles both use it. *)
+    An already-sorted prefix costs one linear pass. [of_edge_array]
+    sorts its edge keys with it. *)
 val sort_prefix : int array -> int -> unit

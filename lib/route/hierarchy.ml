@@ -251,6 +251,10 @@ type router = {
   mutable hops_shortcut : int;
   mutable hops_portal : int;
   mutable hops_fallback : int;
+  mutable gate : int;  (* divert only past this natural-entry load *)
+  mutable div_probes : int;  (* [try_divert] calls that probed entries *)
+  mutable div_gated : int;   (* calls the gate skipped *)
+  mutable diversions : int;  (* calls that diverted *)
 }
 
 let make_router t =
@@ -276,6 +280,10 @@ let make_router t =
     hops_shortcut = 0;
     hops_portal = 0;
     hops_fallback = 0;
+    gate = 0;
+    div_probes = 0;
+    div_gated = 0;
+    diversions = 0;
   }
 
 let zero_counters rt =
@@ -283,7 +291,10 @@ let zero_counters rt =
   rt.hops_direct <- 0;
   rt.hops_shortcut <- 0;
   rt.hops_portal <- 0;
-  rt.hops_fallback <- 0
+  rt.hops_fallback <- 0;
+  rt.div_probes <- 0;
+  rt.div_gated <- 0;
+  rt.diversions <- 0
 
 let reset_router t rt =
   let n = Graph.n t.g in
@@ -292,17 +303,20 @@ let reset_router t rt =
   Array.fill rt.cadv 0 nb 0;
   Array.fill rt.ecur 0 n 0;
   Array.fill rt.eadv 0 n 0;
+  rt.gate <- 0;
   zero_counters rt
 
-(* adopt [src]'s cursor positions and start counting advances from zero
-   (the memoized child sequences are pure and stay) *)
-let sync_router t ~src ~dst =
+(* adopt [src]'s cursor positions and the diversion [gate], and start
+   counting advances from zero (the memoized child sequences are pure and
+   stay) *)
+let sync_router t ~gate ~src ~dst =
   let n = Graph.n t.g in
   let nb = Array.length t.bucket_of in
   Array.blit src.cursors 0 dst.cursors 0 nb;
   Array.fill dst.cadv 0 nb 0;
   Array.blit src.ecur 0 dst.ecur 0 n;
   Array.fill dst.eadv 0 n 0;
+  dst.gate <- gate;
   zero_counters dst
 
 (* fold [src]'s advances into [dst]'s positions; merging every task of an
@@ -326,7 +340,10 @@ let merge_router t ~src ~dst =
   dst.hops_direct <- dst.hops_direct + src.hops_direct;
   dst.hops_shortcut <- dst.hops_shortcut + src.hops_shortcut;
   dst.hops_portal <- dst.hops_portal + src.hops_portal;
-  dst.hops_fallback <- dst.hops_fallback + src.hops_fallback
+  dst.hops_fallback <- dst.hops_fallback + src.hops_fallback;
+  dst.div_probes <- dst.div_probes + src.div_probes;
+  dst.div_gated <- dst.div_gated + src.div_gated;
+  dst.diversions <- dst.diversions + src.diversions
 
 let router_fallbacks rt = rt.fallbacks
 
@@ -339,6 +356,11 @@ let router_hops rt =
     portal = rt.hops_portal;
     fallback = rt.hops_fallback;
   }
+
+type diversion = { probed : int; gated : int; diverted : int }
+
+let router_diversion rt =
+  { probed = rt.div_probes; gated = rt.div_gated; diverted = rt.diversions }
 
 let rebuild_min = 9  (* clusters below this size route on intra edges only *)
 
@@ -948,15 +970,21 @@ let entry_cost cong lf e lim =
    strictly cheaper than the natural bundle. An entry is eligible when
    depth(z) <= depth(y) — shallower entries keep the detour walk x -> z
    away from y — and its edge into y is not the natural bundle's edge
-   into y, which a diversion would still cross. Returns [true] when it
+   into y, which a diversion would still cross. Probing is skipped when
+   the natural bundle is not hot, its load at most [rt.gate] (0 at a
+   reset, so only a cold entry is skipped then). Returns [true] when it
    emitted the whole leg. *)
 let try_divert rt ~cong lf out px py =
   let wadj = lf.wadj.(py) in
   let deg = Array.length wadj in
   let y = lf.members.(py) in
   let cn = capped_cost cong lf.up_eids.(py) max_int in
-  if cn = 0 then false  (* the natural entry is cold: nothing to beat *)
+  if cn <= rt.gate then begin
+    rt.div_gated <- rt.div_gated + 1;
+    false
+  end
   else begin
+    rt.div_probes <- rt.div_probes + 1;
     let hot = first_eid lf.up_eids.(py) lf.up_fwd.(py) in
     let dy = lf.depth.(py) in
     let cur = rt.ecur.(y) in
@@ -992,6 +1020,7 @@ let try_divert rt ~cong lf out px py =
     if !best < 0 then false
     else begin
       let e = wadj.(!best) in
+      rt.diversions <- rt.diversions + 1;
       tree_walk rt lf out px e.nbr;
       push_entry_back lf out py e;
       true

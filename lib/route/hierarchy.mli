@@ -63,14 +63,16 @@ val charge : int array -> vec -> int -> unit
     take the lighter (ties to the smaller edge id); intra-cluster legs
     additionally divert their final descent into the destination to the
     cheaper of two rotating witness entries when it is strictly lighter
-    than the natural tree edge. Both are deterministic in demand order. *)
+    than the natural tree edge, probing only when the natural entry's
+    load is above the router's gate (see {!sync_router}). Both are
+    deterministic in demand order. *)
 type policy = Round_robin | Least_loaded
 
 type t
 
-(** Per-stream mutable serving state (cursors, scratch, memo caches,
-    fallback counter). Routers over the same hierarchy are independent:
-    one per pool task is the intended use. *)
+(** Per-stream mutable serving state (cursors, the diversion gate,
+    scratch, memo caches, counters). Routers over the same hierarchy are
+    independent: one per pool task is the intended use. *)
 type router
 
 (** [build ?reuse ?seed ?pool g decomp] preprocesses the decomposition
@@ -86,12 +88,15 @@ val build : ?reuse:bool -> ?seed:int -> ?pool:Parallel.Pool.t ->
 
 val make_router : t -> router
 
-(** Zero every cursor and counter (batch-start state). *)
+(** Zero every cursor and counter and the gate (batch-start state). *)
 val reset_router : t -> router -> unit
 
-(** [sync_router t ~src ~dst] makes [dst] resume from [src]'s cursor
-    positions with zeroed advance deltas and fallback count. *)
-val sync_router : t -> src:router -> dst:router -> unit
+(** [sync_router t ~gate ~src ~dst] makes [dst] resume from [src]'s
+    cursor positions with zeroed advance deltas and counters. [Least_loaded]
+    routes on [dst] then probe destination entries only when the natural
+    entry's load is above [gate]; a fresh or reset router has gate 0, so
+    it skips only cold entries. *)
+val sync_router : t -> gate:int -> src:router -> dst:router -> unit
 
 (** [merge_router t ~src ~dst] folds [src]'s advance deltas and
     fallbacks into [dst]. Merging every task router of an epoch in task
@@ -110,6 +115,14 @@ val router_fallbacks : router -> int
 type hops = { direct : int; shortcut : int; portal : int; fallback : int }
 
 val router_hops : router -> hops
+
+(** Destination-entry diversion calls of a router since its last
+    reset/sync: those that probed entries, those the gate skipped (the
+    natural entry's load at most the gate), and those that diverted (a
+    subset of the probed). *)
+type diversion = { probed : int; gated : int; diverted : int }
+
+val router_diversion : router -> diversion
 
 (** [route ~policy ~cong t rt out src dst] clears [out] and logs into
     it the legs of a walk from [src] to [dst] over real edges of the

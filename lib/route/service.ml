@@ -72,22 +72,36 @@ let preprocess ?reuse ?seed ?(pool = Parallel.Pool.sequential) g decomp =
 let hierarchy t = t.hier
 let congestion t = t.cong
 
-(* nearest-rank percentile of the sorted prefix [a.(0 .. len-1)] *)
-let percentile a len p =
+(* nearest-rank percentile of [len] values counted in [hist] (value ->
+   occurrences): the smallest value whose cumulative count reaches the
+   rank *)
+let percentile hist len p =
   if len = 0 then 0
   else begin
-    let rank = (len * p + 99) / 100 in
-    a.(max 0 (min (len - 1) (rank - 1)))
+    let rank = max 1 (min len ((len * p + 99) / 100)) in
+    let v = ref 0 and seen = ref hist.(0) in
+    while !seen < rank do
+      incr v;
+      seen := !seen + hist.(!v)
+    done;
+    !v
   end
+
+(* the diversion gate of an epoch: twice the snapshot's mean edge load.
+   Least-loaded probes a destination entry only when its natural bundle
+   is hotter than that. *)
+let mean_load_gate cong =
+  let m = Array.length cong in
+  if m = 0 then 0 else 2 * Array.fold_left ( + ) 0 cong / m
 
 (* route demands [lo, hi) with task slot [ti]'s private router and load
    snapshot, recording lengths (and paths) at the demands' own indices *)
-let serve_chunk t ~policy ~ti (ds : demand array) lengths paths lo hi =
+let serve_chunk t ~policy ~gate ~ti (ds : demand array) lengths paths lo hi =
   let rt = t.trouters.(ti) in
   let tc = t.tcong.(ti) in
   let out = t.touts.(ti) in
   Array.blit t.cong 0 tc 0 (Array.length t.cong);
-  Hierarchy.sync_router t.hier ~src:t.coord ~dst:rt;
+  Hierarchy.sync_router t.hier ~gate ~src:t.coord ~dst:rt;
   let keep = Array.length paths > 0 in
   for i = lo to hi - 1 do
     let d = ds.(i) in
@@ -129,12 +143,15 @@ let serve_core ~policy ~keep t (ds : demand array) =
     Obs.Span.with_ "route.epoch" @@ fun () ->
     let base = ep * epoch in
     let active = Int.min tasks_per_epoch ((nd - base + chunk - 1) / chunk) in
+    (* every task of the epoch starts from this snapshot, so the gate is
+       the same at every pool size *)
+    let gate = mean_load_gate t.cong in
     ignore
       (Parallel.Pool.mapi t.pool
          (fun ti () ->
            let lo = base + (ti * chunk) in
            let hi = Int.min nd (lo + chunk) in
-           if lo < hi then serve_chunk t ~policy ~ti ds lengths paths lo hi)
+           if lo < hi then serve_chunk t ~policy ~gate ~ti ds lengths paths lo hi)
          t.tspan);
     merge_cong t ~active;
     for ti = 0 to active - 1 do
@@ -145,20 +162,22 @@ let serve_core ~policy ~keep t (ds : demand array) =
 
 let summarize t (ds : demand array) lengths =
   let nd = Array.length ds in
-  let del = ref 0 and failed = ref 0 in
+  let del = ref 0 and failed = ref 0 and longest = ref 0 in
   for i = 0 to nd - 1 do
-    if lengths.(i) >= 0 then incr del else incr failed
+    let l = lengths.(i) in
+    if l >= 0 then begin
+      incr del;
+      if l > !longest then longest := l
+    end
+    else incr failed
   done;
   let del = !del in
-  let sorted = Array.make (max 1 del) 0 in
-  let k = ref 0 in
+  (* percentiles by counting: lengths are bounded by the batch maximum *)
+  let hist = Array.make (!longest + 1) 0 in
   for i = 0 to nd - 1 do
-    if lengths.(i) >= 0 then begin
-      sorted.(!k) <- lengths.(i);
-      incr k
-    end
+    let l = lengths.(i) in
+    if l >= 0 then hist.(l) <- hist.(l) + 1
   done;
-  Graph.sort_prefix sorted del;
   let congestion_max = Array.fold_left max 0 t.cong in
   let congestion_total = Array.fold_left ( + ) 0 t.cong in
   let s =
@@ -167,9 +186,9 @@ let summarize t (ds : demand array) lengths =
       delivered = del;
       failed = !failed;
       fallbacks = Hierarchy.router_fallbacks t.coord;
-      rounds_p50 = percentile sorted del 50;
-      rounds_p99 = percentile sorted del 99;
-      rounds_max = (if del = 0 then 0 else sorted.(del - 1));
+      rounds_p50 = percentile hist del 50;
+      rounds_p99 = percentile hist del 99;
+      rounds_max = !longest;
       congestion_max;
       congestion_total;
     }
@@ -185,7 +204,11 @@ let summarize t (ds : demand array) lengths =
     Obs.Metric.count "route.hops_direct" h.Hierarchy.direct;
     Obs.Metric.count "route.hops_shortcut" h.Hierarchy.shortcut;
     Obs.Metric.count "route.hops_portal" h.Hierarchy.portal;
-    Obs.Metric.count "route.hops_fallback" h.Hierarchy.fallback
+    Obs.Metric.count "route.hops_fallback" h.Hierarchy.fallback;
+    let d = Hierarchy.router_diversion t.coord in
+    Obs.Metric.count "route.divert_probes" d.Hierarchy.probed;
+    Obs.Metric.count "route.divert_gated" d.Hierarchy.gated;
+    Obs.Metric.count "route.diversions" d.Hierarchy.diverted
   end;
   s
 

@@ -521,7 +521,7 @@ let test_golden_serve_multi_epoch () =
           [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ])
   in
   Alcotest.(check string) "grid 24x24, three epochs"
-    "5cc49e7e5e670882debfc73e586b93f5" got
+    "67959bcd7795aef9e8ee3fd010b0540f" got
 
 (* the route.hops_* counters that [Service.summarize] emits, by leg kind:
    direct intra edge, shortcut expansion, portal, fallback *)

@@ -12,6 +12,10 @@
      route's expanded path, and the per-edge congestion equals the same
      recount of the plans, over rebuilt leaves, portal crossings and
      global-BFS fallback legs;
+   - least-loaded never makes the hottest edge worse than round-robin
+     on pinned hot-spot workloads, within one epoch and over three (where
+     the diversion gate is nonzero), and summaries, plans and diversion
+     counters stay identical at jobs 1, 2 and 4, over one epoch and two;
    - planner and CONGEST execution deliver the same demand multiset at
      every shards {1,4} x jobs {1,4} point, byte-identically;
    - the walk router's delivery order is pinned by a fixed-seed golden
@@ -203,7 +207,9 @@ let hot_demands g ~count ~seed =
 
 (* least-loaded selection must not make the hottest edge worse than
    round-robin on these pinned workloads (the v2 bench axis, in the
-   small) *)
+   small). 40 000 demands span three epochs of 16 384, so the later
+   epochs route under a nonzero diversion gate (twice the mean edge load
+   of the epoch's snapshot) *)
 let test_least_loaded_beats_round_robin () =
   List.iter
     (fun (((g, _, _) as input), count, seed) ->
@@ -220,26 +226,57 @@ let test_least_loaded_beats_round_robin () =
       (single (Generators.random_planar 160 1.7 ~seed:6), 2000, 22);
       (single (Generators.random_regular 96 4 ~seed:3), 1500, 23);
       (multi_cluster_grid (), 2000, 24);
+      (single (Generators.grid 12 12), 40_000, 21);
+      (single (Generators.random_planar 160 1.7 ~seed:6), 40_000, 22);
+      (single (Generators.random_regular 96 4 ~seed:3), 40_000, 23);
+      (multi_cluster_grid (), 40_000, 24);
     ]
 
-(* epoch-parallel serving: summaries and plans are byte-identical at
-   every pool size, for both policies *)
+(* the route.divert_* counters [Service.summarize] emits: entry probes,
+   gated calls, diversions *)
+let divert_counts svc ds policy =
+  Obs.reset ();
+  Obs.enable ();
+  let s = Route.Service.serve ~policy svc ds in
+  let tree = Obs.snapshot_tree () in
+  Obs.disable ();
+  let sums, _ = Obs.Agg.totals tree in
+  ( s,
+    List.map
+      (fun name ->
+        Option.value ~default:0 (Obs.Agg.SMap.find_opt ("route." ^ name) sums))
+      [ "divert_probes"; "divert_gated"; "diversions" ] )
+
+(* epoch-parallel serving: summaries, plans and diversion counters are
+   byte-identical at every pool size, for both policies. 20 000 demands
+   span two epochs, so the second routes from merged cursors under a gate
+   computed from the merged loads *)
 let test_jobs_parity_serve () =
   List.iter
-    (fun ((g, _, _) as input) ->
-      let ds = demands_of g ~count:9000 ~seed:17 in
+    (fun (((g, _, _) as input), count) ->
+      let ds = demands_of g ~count ~seed:17 in
       List.iter
         (fun policy ->
           let base = input_service ~pool:(pool_of 1) input in
-          let s1 = Route.Service.serve ~policy base ds in
+          let s1, c1 = divert_counts base ds policy in
           let p1 = Route.Service.plan ~policy base ds in
+          (match c1 with
+          | [ probed; _; diverted ] ->
+              checkb "diversions are probed calls" true (diverted <= probed);
+              if policy = Route.Hierarchy.Round_robin then
+                Alcotest.(check (list int)) "round-robin never probes"
+                  [ 0; 0; 0 ] c1
+          | _ -> assert false);
           List.iter
             (fun jobs ->
               let svc = input_service ~pool:(pool_of jobs) input in
-              let s = Route.Service.serve ~policy svc ds in
+              let s, c = divert_counts svc ds policy in
               checkb
                 (Printf.sprintf "summary identical at jobs %d" jobs)
                 true (s = s1);
+              Alcotest.(check (list int))
+                (Printf.sprintf "diversion counters at jobs %d" jobs)
+                c1 c;
               let p = Route.Service.plan ~policy svc ds in
               checkb
                 (Printf.sprintf "plans identical at jobs %d" jobs)
@@ -248,7 +285,11 @@ let test_jobs_parity_serve () =
                 (Route.Service.congestion svc = Route.Service.congestion base))
             [ 2; 4 ])
         [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ])
-    [ single (Generators.grid 11 9); multi_cluster_grid () ]
+    [
+      (single (Generators.grid 11 9), 9000);
+      (multi_cluster_grid (), 9000);
+      (multi_cluster_grid (), 20_000);
+    ]
 
 let test_reuse_vs_rebuild () =
   let g = Generators.random_regular 48 4 ~seed:2 in

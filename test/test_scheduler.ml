@@ -5,8 +5,8 @@
    written and with every vertex woken every round — and the unit tests
    pin the event-mode corners: halting-round sends,
    recover-round empty inboxes, halted-receiver drop accounting,
-   wake_after validation, fast-forward round accounting, and inbox
-   ordering. *)
+   wake_after validation, fast-forward round accounting, inbox
+   ordering, and the worklist order of unsorted rounds on large shards. *)
 
 open Sparse_graph
 open Congest
@@ -737,6 +737,56 @@ let equiv_sharded_every_round =
       in
       s_ref = s_sh && st_ref = st_sh)
 
+(* Vertex v and its mirror n-1-v share an edge, and a token bounces
+   between them. The exchange walks senders in ascending order, so from
+   round 2 on each shard's worklist arrives strictly descending: n/2
+   receivers spread over 16 bitset words of a 1 000-vertex range, or
+   over several shards. Every such round is ordered through the worklist
+   bitset, across word boundaries. Drops and duplicates draw from the
+   fault RNG in step order, so a misordered worklist changes the final
+   states or statistics. *)
+let test_worklist_order_unsorted_multiword () =
+  let n = 1000 in
+  let g = Graph.of_edges n (List.init (n / 2) (fun v -> (v, n - 1 - v))) in
+  let round r (ctx : Network.ctx) st inbox =
+    let v = ctx.id in
+    let st =
+      List.fold_left
+        (fun a (s, x) -> ((a * 31) + (s * 7) + x + r) mod 1_000_003)
+        st inbox
+    in
+    let tokens = if r = 1 && v < n / 2 then [ 0 ] else List.map snd inbox in
+    let send =
+      List.filter_map (fun x -> if x < 40 then Some (n - 1 - v, x + 1) else None)
+        tokens
+    in
+    Network.step st ~send
+  in
+  let faults () = Faults.make ~drop_rate:0.05 ~duplicate_rate:0.05 ~seed:7 () in
+  let run_with exec =
+    let f = faults () in
+    match exec with
+    | None ->
+        Network.run_reference ~faults:f g ~bandwidth:Network.Local
+          ~msg_bits:(fun _ -> 1) ~init:(fun _ -> 0) ~round ~max_rounds:100
+    | Some exec ->
+        Network.run ~faults:f ~exec g ~bandwidth:Network.Local
+          ~msg_bits:(fun _ -> 1) ~init:(fun _ -> 0) ~round ~max_rounds:100
+  in
+  let ref_states, ref_stats = run_with None in
+  checkb "tokens bounced" true (ref_stats.Network.last_traffic_round > 30);
+  List.iter
+    (fun shards ->
+      let states, st =
+        run_with (Some (Network.Sharded { shards; pool = shard_pool 1 }))
+      in
+      Alcotest.check stats
+        (Printf.sprintf "stats at %d shards" shards)
+        ref_stats st;
+      checkb (Printf.sprintf "states at %d shards" shards) true
+        (states = ref_states))
+    [ 1; 3 ]
+
 let () =
   let tc name f = Alcotest.test_case name `Quick f in
   let qt t = QCheck_alcotest.to_alcotest t in
@@ -756,6 +806,8 @@ let () =
             test_event_permanent_crash_fast_forward;
           tc "inbox ordering" test_event_inbox_ordering;
           tc "skips sleeping vertices" test_event_skips_sleeping_vertices;
+          tc "worklist order, unsorted multi-word rounds"
+            test_worklist_order_unsorted_multiword;
         ] );
       ( "wake vs crash",
         [
