@@ -3,8 +3,9 @@ open Sparse_graph
 (* Cheap cut attempts tried before any flow is run: a disconnected
    component (conductance zero), a degree-order sweep (splits skewed
    degree profiles such as stars-with-tails), and a BFS double-sweep
-   (exact on paths, trees, and cycles). Each costs O(n + m) or one sort;
-   a hit saves an entire cut-matching game on the cluster. *)
+   (exact on paths, trees, and cycles). Each costs O(n + m): both sweeps
+   order the vertices by an integer key with a counting sort. A hit
+   saves an entire cut-matching game on the cluster. *)
 
 type cut = {
   side : bool array;
@@ -29,8 +30,9 @@ let degree_cut g =
   let n = Graph.n g in
   if n <= 1 then None
   else
-    let embedding = Array.init n (fun v -> float_of_int (Graph.degree g v)) in
-    let c = Spectral.Sweep_cut.sweep g embedding in
+    let c =
+      Spectral.Sweep_cut.(sweep_order g (key_order (Array.init n (Graph.degree g))))
+    in
     Some { side = c.Spectral.Sweep_cut.side;
            conductance = c.Spectral.Sweep_cut.conductance;
            source = "degree" }

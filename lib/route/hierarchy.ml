@@ -25,8 +25,10 @@ open Sparse_graph
    child sequence at the divergence node crossing one portal edge per
    hop, and solve intra-cluster legs in the leaf witness by an LCA walk
    of the tree. The route is logged as legs, not hops: a shortcut is
-   one leg naming its embedded real path and edge ids, which charging
-   walks in place and only path expansion copies out.
+   one leg naming its embedded real path and edge ids, and so is a
+   climb or descent of several steps along one heavy path of the tree,
+   a range of the leaf's flat walk arrays; charging walks each leg's
+   edge ids in place and only path expansion copies them out.
 
    Portal (and, under [Least_loaded], destination-entry) choices are
    per-*router* state: a [router] owns every cursor, scratch buffer and
@@ -41,19 +43,24 @@ open Sparse_graph
 (* Leg [i] of a planned route is either
    - a single hop ([leg_v.(i) >= 0]): the vertex reached, over the edge
      [leg_e.(i)] — a direct intra edge, a portal, or one fallback BFS
-     step; or
+     step;
    - a witness bundle ([leg_v.(i)] is [fwd_leg] or [bwd_leg]): the
      shortcut's embedded real path [leg_path.(i)] with its edge ids
      [leg_eids.(i)] ([leg_eids.(i).(q)] joins [leg_path.(i).(q)] and
      [leg_path.(i).(q+1)]), walked from its first vertex to its last
-     ([fwd_leg]) or back.
-   A single hop leaves its bundle slots stale; they are never read. The
-   four counters are the route's hops by leg kind, so their sum is its
-   length. *)
+     ([fwd_leg]) or back; or
+   - a heavy-path run ([leg_v.(i) = run_leg]): [leg_len.(i)] hops stored
+     from position [leg_e.(i)] of a leaf's flat walk arrays, the vertex
+     each hop reaches in [leg_path.(i)] and the edge it crosses in
+     [leg_eids.(i)].
+   A leg leaves the slots its kind does not use stale; they are never
+   read. The four counters are the route's hops by leg kind, so their
+   sum is its length. *)
 type vec = {
   mutable src : int;
   mutable leg_v : int array;
   mutable leg_e : int array;
+  mutable leg_len : int array;
   mutable leg_path : int array array;
   mutable leg_eids : int array array;
   mutable legs : int;
@@ -65,12 +72,14 @@ type vec = {
 
 let fwd_leg = -1
 let bwd_leg = -2
+let run_leg = -3
 
 let vec_create () =
   {
     src = 0;
     leg_v = Array.make 64 0;
     leg_e = Array.make 64 0;
+    leg_len = Array.make 64 0;
     leg_path = Array.make 64 [||];
     leg_eids = Array.make 64 [||];
     legs = 0;
@@ -90,6 +99,7 @@ let vec_grow v =
   in
   v.leg_v <- grow v.leg_v 0;
   v.leg_e <- grow v.leg_e 0;
+  v.leg_len <- grow v.leg_len 0;
   v.leg_path <- grow v.leg_path [||];
   v.leg_eids <- grow v.leg_eids [||]
 
@@ -118,20 +128,40 @@ let push_bundle v p eids fwd =
   v.legs <- v.legs + 1;
   v.n_shortcut <- v.n_shortcut + Array.length eids
 
+(* append the [len] hops stored from [start] in the flat arrays [vs]
+   (vertex reached) and [es] (edge crossed), [direct] of them direct
+   intra edges and the rest shortcut hops *)
+(* lint: hot *)
+let push_run v vs es start len direct =
+  if v.legs = Array.length v.leg_v then vec_grow v;
+  v.leg_v.(v.legs) <- run_leg;
+  v.leg_e.(v.legs) <- start;
+  v.leg_len.(v.legs) <- len;
+  v.leg_path.(v.legs) <- vs;
+  v.leg_eids.(v.legs) <- es;
+  v.legs <- v.legs + 1;
+  v.n_direct <- v.n_direct + direct;
+  v.n_shortcut <- v.n_shortcut + len - direct
+
 let vec_hops v = v.n_direct + v.n_shortcut + v.n_portal + v.n_fallback
 
 (* add [w] to the load of every edge the route crosses: a single hop's
-   edge, or each id of a bundle's edge-id array *)
+   edge, a run's contiguous edge ids, or each id of a bundle's edge-id
+   array *)
 (* lint: hot *)
 let charge cong v w =
   for i = 0 to v.legs - 1 do
-    if v.leg_v.(i) >= 0 then begin
+    let x = v.leg_v.(i) in
+    if x >= 0 then begin
       let e = v.leg_e.(i) in
       cong.(e) <- cong.(e) + w
     end
     else begin
       let eids = v.leg_eids.(i) in
-      for q = 0 to Array.length eids - 1 do
+      let is_run = x = run_leg in
+      let lo = if is_run then v.leg_e.(i) else 0 in
+      let hi = if is_run then lo + v.leg_len.(i) else Array.length eids in
+      for q = lo to hi - 1 do
         let e = eids.(q) in
         cong.(e) <- cong.(e) + w
       done
@@ -139,7 +169,7 @@ let charge cong v w =
   done
 
 (* write the route's vertex path into [a] (length [vec_hops v + 1]):
-   a forward bundle is one blit of its path minus the start vertex *)
+   a run or a forward bundle is one blit *)
 (* lint: hot *)
 let expand_into v a =
   a.(0) <- v.src;
@@ -149,6 +179,11 @@ let expand_into v a =
     if x >= 0 then begin
       a.(!pos) <- x;
       incr pos
+    end
+    else if x = run_leg then begin
+      let len = v.leg_len.(i) in
+      Array.blit v.leg_path.(i) v.leg_e.(i) a !pos len;
+      pos := !pos + len
     end
     else begin
       let p = v.leg_path.(i) in
@@ -185,16 +220,36 @@ type ledge = {
   rep : int;
 }
 
+(* A leaf's tree is laid out by heavy paths: a member's heavy child is
+   its largest subtree (first in settling order on ties), and positions
+   are handed out in heavy-first preorder, so every heavy path occupies
+   consecutive positions, parent before child, and every subtree one
+   interval. Every reached non-root member's up bundle (its hops to its
+   parent) is stored twice, one (vertex reached, edge crossed) pair per
+   hop: in [up_vs]/[up_es] walked upward with positions descending, and
+   in [dn_vs]/[dn_es] walked downward with positions ascending. A climb
+   along one heavy path, or the descent back, is thus one contiguous
+   range of either pair of arrays. *)
 type leaf = {
   members : int array;  (* ascending vertex ids *)
   leader : int;         (* vertex id of the tree's root *)
   parent : int array;   (* member idx -> member idx, -1 for root/unreached *)
   depth : int array;    (* tree hops from the leader; -1 = unreached *)
-  pre : int array;      (* preorder index in the tree; -1 = unreached *)
+  pos : int array;      (* heavy-first preorder position; -1 = unreached *)
+  at : int array;       (* position -> member idx *)
   size : int array;     (* members in the subtree, itself included *)
-  up_path : int array array;  (* real path to parent; [||] = direct edge *)
-  up_fwd : bool array;        (* is up_path oriented self -> parent? *)
-  up_eids : int array array;  (* edge ids along the up bundle *)
+  run : int array;      (* steps up the member's heavy path to its head *)
+  up_e : int array;     (* direct up edge's id; -1 = a bundle (or root) *)
+  up_pv : int array;    (* the parent's vertex id *)
+  hsum : int array;     (* position p -> hops of the up bundles at
+                           positions < p *)
+  dsum : int array;     (* position p -> direct up edges at positions < p *)
+  up_vs : int array;    (* up bundles walked upward: position p's hops sit
+                           at [hsum.(last) - hsum.(p + 1)], onward *)
+  up_es : int array;
+  dn_vs : int array;    (* up bundles walked downward: position p's hops
+                           sit at [hsum.(p)], onward *)
+  dn_es : int array;
   wadj : ledge array array;   (* full witness adjacency per member *)
   shortcuts : int;      (* matching shortcut edges in the witness graph *)
   rebuilt : bool;       (* a fresh cut-matching game was played here *)
@@ -251,6 +306,7 @@ type router = {
   mutable hops_shortcut : int;
   mutable hops_portal : int;
   mutable hops_fallback : int;
+  mutable legs_logged : int;  (* legs of the delivered routes *)
   mutable gate : int;  (* divert only past this natural-entry load *)
   mutable div_probes : int;  (* [try_divert] calls that probed entries *)
   mutable div_gated : int;   (* calls the gate skipped *)
@@ -280,6 +336,7 @@ let make_router t =
     hops_shortcut = 0;
     hops_portal = 0;
     hops_fallback = 0;
+    legs_logged = 0;
     gate = 0;
     div_probes = 0;
     div_gated = 0;
@@ -292,6 +349,7 @@ let zero_counters rt =
   rt.hops_shortcut <- 0;
   rt.hops_portal <- 0;
   rt.hops_fallback <- 0;
+  rt.legs_logged <- 0;
   rt.div_probes <- 0;
   rt.div_gated <- 0;
   rt.diversions <- 0
@@ -341,11 +399,13 @@ let merge_router t ~src ~dst =
   dst.hops_shortcut <- dst.hops_shortcut + src.hops_shortcut;
   dst.hops_portal <- dst.hops_portal + src.hops_portal;
   dst.hops_fallback <- dst.hops_fallback + src.hops_fallback;
+  dst.legs_logged <- dst.legs_logged + src.legs_logged;
   dst.div_probes <- dst.div_probes + src.div_probes;
   dst.div_gated <- dst.div_gated + src.div_gated;
   dst.diversions <- dst.diversions + src.diversions
 
 let router_fallbacks rt = rt.fallbacks
+let router_legs rt = rt.legs_logged
 
 type hops = { direct : int; shortcut : int; portal : int; fallback : int }
 
@@ -467,9 +527,7 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
      new bucket when the distance improves *)
   let parent = Array.make sz (-1) in
   let depth = Array.make sz (-1) in
-  let up_path = Array.make sz [||] in
-  let up_fwd = Array.make sz true in
-  let up_eids = Array.make sz [||] in
+  let up = Array.make sz blank in  (* the row entry to the parent *)
   let dist = Array.make sz max_int in
   let kids = Array.make sz 0 in
   let order = Array.make sz 0 in  (* members in settling order *)
@@ -527,11 +585,9 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
         parent.(i) <- e.nbr;
         kids.(e.nbr) <- kids.(e.nbr) + 1;
         depth.(i) <- depth.(e.nbr) + 1;
-        up_path.(i) <- e.lpath;
         (* the entry sits on [i]'s own row, oriented i -> parent iff
-           [e.lfwd], which is the up path's direction *)
-        up_fwd.(i) <- e.lfwd;
-        up_eids.(i) <- e.eids
+           [e.lfwd] *)
+        up.(i) <- e
       end
       else depth.(i) <- 0;
       order.(!settled) <- i;
@@ -543,27 +599,86 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
         row
     end
   done;
-  (* preorder intervals for the O(1) ancestor test: a member's subtree
-     size, summed children-first (reverse settling order), then its
-     preorder index, handed out parents-first (settling order) *)
+  let settled = !settled in
+  (* subtree sizes, summed children-first (reverse settling order), and
+     each member's heavy child: its largest subtree, the first in
+     settling order on ties *)
   let size = Array.make sz 1 in
-  for q = !settled - 1 downto 1 do
+  for q = settled - 1 downto 1 do
     let i = order.(q) in
     size.(parent.(i)) <- size.(parent.(i)) + size.(i)
   done;
-  let pre = Array.make sz (-1) in
-  let next = Array.make sz 0 in
-  pre.(rootm) <- 0;
-  next.(rootm) <- 1;
-  for q = 1 to !settled - 1 do
+  let heavy = Array.make sz (-1) in
+  for q = 1 to settled - 1 do
     let i = order.(q) in
     let p = parent.(i) in
-    pre.(i) <- next.(p);
-    next.(i) <- pre.(i) + 1;
-    next.(p) <- next.(p) + size.(i)
+    if heavy.(p) < 0 || size.(i) > size.(heavy.(p)) then heavy.(p) <- i
   done;
-  { members; leader; parent; depth; pre; size; up_path; up_fwd; up_eids;
-    wadj; shortcuts = !shortcuts; rebuilt }
+  (* heavy-first preorder positions, handed out parents-first (settling
+     order): the heavy child follows its parent, the light children take
+     the intervals after the heavy subtree in settling order. [next.(p)]
+     is where [p]'s next light child starts. *)
+  let pos = Array.make sz (-1) and run = Array.make sz 0 in
+  let next = Array.make sz 0 in
+  let after_heavy i =
+    pos.(i) + 1 + (if heavy.(i) >= 0 then size.(heavy.(i)) else 0)
+  in
+  pos.(rootm) <- 0;
+  next.(rootm) <- after_heavy rootm;
+  for q = 1 to settled - 1 do
+    let i = order.(q) in
+    let p = parent.(i) in
+    if heavy.(p) = i then begin
+      pos.(i) <- pos.(p) + 1;
+      run.(i) <- run.(p) + 1
+    end
+    else begin
+      pos.(i) <- next.(p);
+      next.(p) <- next.(p) + size.(i)
+    end;
+    next.(i) <- after_heavy i
+  done;
+  let at = Array.make settled 0 in
+  for i = 0 to sz - 1 do
+    if pos.(i) >= 0 then at.(pos.(i)) <- i
+  done;
+  (* the flat walk arrays, with prefix sums of hops and of direct hops by
+     position *)
+  let hsum = Array.make (settled + 1) 0 and dsum = Array.make (settled + 1) 0 in
+  for p = 1 to settled - 1 do
+    let e = up.(at.(p)) in
+    hsum.(p + 1) <- hsum.(p) + Array.length e.eids;
+    dsum.(p + 1) <- (dsum.(p) + if Array.length e.lpath = 0 then 1 else 0)
+  done;
+  let total = hsum.(settled) in
+  let up_vs = Array.make total 0 and up_es = Array.make total 0 in
+  let dn_vs = Array.make total 0 and dn_es = Array.make total 0 in
+  let up_e = Array.make sz (-1) and up_pv = Array.make sz (-1) in
+  for p = 1 to settled - 1 do
+    let c = at.(p) in
+    let e = up.(c) in
+    let h = Array.length e.eids in
+    (* the bundle walked from c to its parent visits w.(0) = c, ...,
+       w.(h) = parent, crossing f.(q) from w.(q - 1) to w.(q) *)
+    let w q =
+      if Array.length e.lpath = 0 then
+        if q = 0 then members.(c) else members.(parent.(c))
+      else if e.lfwd then e.lpath.(q)
+      else e.lpath.(h - q)
+    in
+    let f q = if e.lfwd then e.eids.(q - 1) else e.eids.(h - q) in
+    let u = total - hsum.(p + 1) and d = hsum.(p) in
+    for q = 1 to h do
+      up_vs.(u + q - 1) <- w q;
+      up_es.(u + q - 1) <- f q;
+      dn_vs.(d + q - 1) <- w (h - q);
+      dn_es.(d + q - 1) <- f (h - q + 1)
+    done;
+    if Array.length e.lpath = 0 then up_e.(c) <- e.eids.(0);
+    up_pv.(c) <- members.(parent.(c))
+  done;
+  { members; leader; parent; depth; pos; at; size; run; up_e; up_pv; hsum;
+    dsum; up_vs; up_es; dn_vs; dn_es; wadj; shortcuts = !shortcuts; rebuilt }
 
 (* ---- recursion tree ---- *)
 
@@ -809,6 +924,22 @@ let iter_bundles t f =
         lf.wadj)
     t.leaves
 
+(* where position [p]'s hops start in the upward arrays *)
+(* lint: hot *)
+let up_start lf p = lf.hsum.(Array.length lf.hsum - 1) - lf.hsum.(p + 1)
+
+(* lint: allow U001 test oracle: exposes the leaf trees to recheck the walk *)
+let iter_tree_edges t f =
+  Array.iter
+    (fun (lf : leaf) ->
+      for p = 1 to Array.length lf.at - 1 do
+        let c = lf.at.(p) in
+        let s = up_start lf p and h = lf.hsum.(p + 1) - lf.hsum.(p) in
+        f lf.members.(c) ~direct:(lf.up_e.(c) >= 0) (Array.sub lf.up_vs s h)
+          (Array.sub lf.up_es s h)
+      done)
+    t.leaves
+
 (* ---- serving ---- *)
 
 (* live load of edge [e]; an edge past the end of [cong] reads as zero,
@@ -817,21 +948,35 @@ let iter_bundles t f =
 (* lint: hot *)
 let load cong e = if e < Array.length cong then cong.(e) else 0
 
+(* append the climb of [j] steps from member [c] up its heavy path, or
+   [c]'s own up bundle when [j = 1] (the route ends at c) *)
+(* lint: hot *)
+let push_climb lf out c j =
+  let p = lf.pos.(c) in
+  let hi = lf.hsum.(p + 1) and lo = lf.hsum.(p + 1 - j) in
+  push_run out lf.up_vs lf.up_es (up_start lf p) (hi - lo)
+    (lf.dsum.(p + 1) - lf.dsum.(p + 1 - j))
+
+(* append the reverse: from [c]'s [j]-th ancestor down to [c] *)
+(* lint: hot *)
+let push_descent lf out c j =
+  let p = lf.pos.(c) in
+  let hi = lf.hsum.(p + 1) and lo = lf.hsum.(p + 1 - j) in
+  push_run out lf.dn_vs lf.dn_es lo (hi - lo)
+    (lf.dsum.(p + 1) - lf.dsum.(p + 1 - j))
+
 (* append member [c]'s hop up to its parent (the route ends at c) *)
 (* lint: hot *)
 let push_up lf out c =
-  let p = lf.up_path.(c) in
-  if Array.length p = 0 then
-    push_direct out lf.up_eids.(c).(0) lf.members.(lf.parent.(c))
-  else push_bundle out p lf.up_eids.(c) lf.up_fwd.(c)
+  let e = lf.up_e.(c) in
+  if e >= 0 then push_direct out e lf.up_pv.(c) else push_climb lf out c 1
 
 (* append the hop down from [c]'s parent to [c] (the route ends at the
    parent) *)
 (* lint: hot *)
 let push_down lf out c =
-  let p = lf.up_path.(c) in
-  if Array.length p = 0 then push_direct out lf.up_eids.(c).(0) lf.members.(c)
-  else push_bundle out p lf.up_eids.(c) (not lf.up_fwd.(c))
+  let e = lf.up_e.(c) in
+  if e >= 0 then push_direct out e lf.members.(c) else push_descent lf out c 1
 
 (* append the traversal of witness entry [e] (stored on member [self]'s
    row, so oriented self -> nbr iff [e.lfwd]) in the nbr -> self
@@ -893,38 +1038,73 @@ let fallback t rt out x y =
     true
   end
 
+(* runs shorter than this step one hop at a time: on the grid's deep
+   trees the long heavy paths carry most hops, on planar trees runs are
+   short and a one-hop step costs less than a run leg *)
+let jump_min = 4
+
 (* walk the witness tree from member [px] to member [py] (LCA walk);
-   both must be reached. out currently ends at members.(px) *)
+   both must be reached. out currently ends at members.(px). A side
+   climbs [j >= jump_min] steps of its heavy path as one run leg. While
+   the two sides climb in lockstep at equal depth they lie on different
+   heavy paths, so they cannot meet within the shorter of their two
+   runs: a common ancestor inside both runs would lie on both paths. *)
 (* lint: hot *)
 let tree_walk rt lf out px py =
   let px = ref px and py = ref py in
   let chain = rt.chain in
   let k = ref 0 in
   while lf.depth.(!px) > lf.depth.(!py) do
-    push_up lf out !px;
-    px := lf.parent.(!px)
+    let c = !px in
+    let j = Int.min lf.run.(c) (lf.depth.(c) - lf.depth.(!py)) in
+    if j >= jump_min then begin
+      push_climb lf out c j;
+      px := lf.at.(lf.pos.(c) - j)
+    end
+    else begin
+      push_up lf out c;
+      px := lf.parent.(c)
+    end
   done;
   while lf.depth.(!py) > lf.depth.(!px) do
-    chain.(!k) <- !py;
+    let c = !py in
+    let j = Int.min lf.run.(c) (lf.depth.(c) - lf.depth.(!px)) in
+    chain.(!k) <- c;
     incr k;
-    py := lf.parent.(!py)
+    py := if j >= jump_min then lf.at.(lf.pos.(c) - j) else lf.parent.(c)
   done;
   while !px <> !py do
-    push_up lf out !px;
-    px := lf.parent.(!px);
-    chain.(!k) <- !py;
+    let cx = !px and cy = !py in
+    let j = Int.min lf.run.(cx) lf.run.(cy) in
+    chain.(!k) <- cy;
     incr k;
-    py := lf.parent.(!py)
+    if j >= jump_min then begin
+      push_climb lf out cx j;
+      px := lf.at.(lf.pos.(cx) - j);
+      py := lf.at.(lf.pos.(cy) - j)
+    end
+    else begin
+      push_up lf out cx;
+      px := lf.parent.(cx);
+      py := lf.parent.(cy)
+    end
   done;
+  (* each y-side leg descends from the member stacked above it (the LCA
+     for the topmost) to its own member *)
+  let above = ref lf.depth.(!px) in
   for i = !k - 1 downto 0 do
-    push_down lf out chain.(i)
+    let c = chain.(i) in
+    let d = lf.depth.(c) in
+    let j = d - !above in
+    above := d;
+    if j = 1 then push_down lf out c else push_descent lf out c j
   done
 
 (* is reached member [anc] an ancestor of reached member [c]
-   (inclusive)? [c]'s preorder index falls in [anc]'s subtree interval *)
+   (inclusive)? [c]'s position falls in [anc]'s subtree interval *)
 (* lint: hot *)
 let ancestor_of lf anc c =
-  let d = lf.pre.(c) - lf.pre.(anc) in
+  let d = lf.pos.(c) - lf.pos.(anc) in
   d >= 0 && d < lf.size.(anc)
 
 (* the edge id a bundle walked from [self] starts with: its first edge
@@ -933,19 +1113,29 @@ let ancestor_of lf anc c =
 let first_eid eids away =
   if away then eids.(0) else eids.(Array.length eids - 1)
 
-(* heaviest load along a witness bundle's edge ids [eids] if it is at
-   most [lim], else any value above [lim] (the scan stops at the first
-   edge past it) *)
+(* heaviest load over the edge ids [es.(lo .. hi - 1)] if it is at most
+   [lim], else any value above [lim] (the scan stops at the first edge
+   past it) *)
 (* lint: hot *)
-let capped_cost cong eids lim =
-  let c = ref 0 and i = ref 0 in
-  let len = Array.length eids in
-  while !i < len && !c <= lim do
-    let l = load cong eids.(!i) in
+let capped_cost cong es lo hi lim =
+  let c = ref 0 and i = ref lo in
+  while !i < hi && !c <= lim do
+    let l = load cong es.(!i) in
     if l > !c then c := l;
     incr i
   done;
   !c
+
+(* [capped_cost] over member [c]'s up bundle *)
+(* lint: hot *)
+let up_cost cong lf c lim =
+  let e = lf.up_e.(c) in
+  if e >= 0 then load cong e
+  else begin
+    let p = lf.pos.(c) in
+    let s = up_start lf p in
+    capped_cost cong lf.up_es s (s + lf.hsum.(p + 1) - lf.hsum.(p)) lim
+  end
 
 (* what a diversion through witness entry [e] into [py] costs: the
    heaviest load over the entry's own bundle and the two tree bundles the
@@ -953,14 +1143,14 @@ let capped_cost cong eids lim =
    in [capped_cost] *)
 (* lint: hot *)
 let entry_cost cong lf e lim =
-  let c = capped_cost cong e.eids lim in
+  let c = capped_cost cong e.eids 0 (Array.length e.eids) lim in
   let z = e.nbr in
   if c > lim || lf.parent.(z) < 0 then c
   else begin
-    let c = Int.max c (capped_cost cong lf.up_eids.(z) lim) in
+    let c = Int.max c (up_cost cong lf z lim) in
     let pz = lf.parent.(z) in
     if c > lim || lf.parent.(pz) < 0 then c
-    else Int.max c (capped_cost cong lf.up_eids.(pz) lim)
+    else Int.max c (up_cost cong lf pz lim)
   end
 
 (* Least-loaded destination entry: when the tree walk would descend into
@@ -978,14 +1168,14 @@ let try_divert rt ~cong lf out px py =
   let wadj = lf.wadj.(py) in
   let deg = Array.length wadj in
   let y = lf.members.(py) in
-  let cn = capped_cost cong lf.up_eids.(py) max_int in
+  let cn = up_cost cong lf py max_int in
   if cn <= rt.gate then begin
     rt.div_gated <- rt.div_gated + 1;
     false
   end
   else begin
     rt.div_probes <- rt.div_probes + 1;
-    let hot = first_eid lf.up_eids.(py) lf.up_fwd.(py) in
+    let hot = lf.up_es.(up_start lf lf.pos.(py)) in
     let dy = lf.depth.(py) in
     let cur = rt.ecur.(y) in
     rt.ecur.(y) <- (if cur + 1 >= deg then 0 else cur + 1);
@@ -1175,6 +1365,7 @@ let route ~policy ~cong t rt out src dst =
     rt.hops_direct <- rt.hops_direct + out.n_direct;
     rt.hops_shortcut <- rt.hops_shortcut + out.n_shortcut;
     rt.hops_portal <- rt.hops_portal + out.n_portal;
-    rt.hops_fallback <- rt.hops_fallback + out.n_fallback
+    rt.hops_fallback <- rt.hops_fallback + out.n_fallback;
+    rt.legs_logged <- rt.legs_logged + out.legs
   end;
   ok

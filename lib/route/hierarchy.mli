@@ -19,7 +19,8 @@
     addresses, cross one portal edge per hop of a child sequence at the
     divergence node, and solve intra-cluster legs by an LCA walk of the
     leaf's tree, logging each shortcut as one bundle leg that stands
-    for its embedded real path.
+    for its embedded real path, and each climb or descent of several
+    steps along one heavy path of the tree as one run leg.
 
     Every piece of state a serving stream mutates — portal cursors,
     destination-entry probes, scratch buffers, the fallback and hop
@@ -32,12 +33,19 @@
 
 (** The planner's output buffer, reused across demands: one planned
     route as a log of {e legs} in hop order, with a running hop count.
-    A leg is either a reference to a witness bundle — a matching
-    shortcut's embedded real path, its edge-id array and the direction
-    it is walked in — or a single hop (edge id, vertex reached) for a
-    direct intra edge, a portal or a fallback BFS step. Consumers work
-    per leg: {!charge} walks each bundle's stored edge ids, and only
-    {!vec_to_array} expands the legs into a vertex path. *)
+    A leg is one of
+    - a single hop (edge id, vertex reached) for a direct intra edge, a
+      portal or a fallback BFS step;
+    - a reference to a witness bundle — a matching shortcut's embedded
+      real path, its edge-id array and the direction it is walked in —
+      for a diversion's entry into the destination;
+    - a heavy-path run of a leaf tree — a contiguous range of the leaf's
+      flat walk arrays, one (vertex reached, edge id) pair per hop — for
+      a climb or descent of several tree steps along one heavy path, or
+      for one tree step over a shortcut bundle.
+    Consumers work per leg: {!charge} walks each bundle's or run's
+    stored edge ids, and only {!vec_to_array} expands the legs into a
+    vertex path, one blit per run. *)
 type vec
 
 val vec_create : unit -> vec
@@ -108,6 +116,11 @@ val merge_router : t -> src:router -> dst:router -> unit
     global BFS, since the router's last reset/sync. *)
 val router_fallbacks : router -> int
 
+(** Legs logged for the routes a router delivered since its last
+    reset/sync (see {!vec}): a measure of the planner's per-route work,
+    next to {!router_hops}, the routes' length. *)
+val router_legs : router -> int
+
 (** Hops of the routes a router delivered since its last reset/sync, by
     the kind of leg they lie on: a direct intra-cluster edge, a matching
     shortcut's expansion, a portal edge, or a global-BFS fallback step.
@@ -151,3 +164,12 @@ val info : t -> info
     for it ([eids.(q)] joins [path.(q)] and [path.(q+1)]), and the
     representative edge id that breaks ties. *)
 val iter_bundles : t -> (int array -> int array -> int -> unit) -> unit
+
+(** [iter_tree_edges t f] calls [f v ~direct vs es] for every reached
+    non-root member [v] of every leaf's witness tree, with [v]'s up
+    bundle walked from [v] to its parent: the vertex each hop reaches
+    ([vs], the parent last), the edge id it crosses ([es]), and whether
+    the bundle is one direct intra edge rather than a matching
+    shortcut. *)
+val iter_tree_edges :
+  t -> (int -> direct:bool -> int array -> int array -> unit) -> unit

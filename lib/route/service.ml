@@ -205,6 +205,7 @@ let summarize t (ds : demand array) lengths =
     Obs.Metric.count "route.hops_shortcut" h.Hierarchy.shortcut;
     Obs.Metric.count "route.hops_portal" h.Hierarchy.portal;
     Obs.Metric.count "route.hops_fallback" h.Hierarchy.fallback;
+    Obs.Metric.count "route.legs" (Hierarchy.router_legs t.coord);
     let d = Hierarchy.router_diversion t.coord in
     Obs.Metric.count "route.divert_probes" d.Hierarchy.probed;
     Obs.Metric.count "route.divert_gated" d.Hierarchy.gated;

@@ -45,6 +45,23 @@ let sort_order embedding order =
   in
   Array.stable_sort cmp order
 
+(* counting sort: bucket starts by key, then the vertices in id order *)
+let key_order keys =
+  let n = Array.length keys in
+  let kmax = Array.fold_left Int.max 0 keys in
+  let start = Array.make (kmax + 2) 0 in
+  Array.iter (fun k -> start.(k + 1) <- start.(k + 1) + 1) keys;
+  for k = 1 to kmax + 1 do
+    start.(k) <- start.(k) + start.(k - 1)
+  done;
+  let order = Array.make n 0 in
+  for v = 0 to n - 1 do
+    let k = keys.(v) in
+    order.(start.(k)) <- v;
+    start.(k) <- start.(k) + 1
+  done;
+  order
+
 let sweep_order g order =
   let n = Graph.n g in
   if n < 2 then invalid_arg "Sweep_cut.sweep_order: need at least 2 vertices";
@@ -96,12 +113,8 @@ let bfs_sweep g =
   let dist = Traversal.bfs g !far in
   (* unreachable vertices sort last, so a disconnected graph yields the
      zero-conductance component cut *)
-  let embedding =
-    Array.map
-      (fun d -> if d < 0 then float_of_int n +. 1. else float_of_int d)
-      dist
-  in
-  sweep g embedding
+  let keys = Array.map (fun d -> if d < 0 then n + 1 else d) dist in
+  sweep_order g (key_order keys)
 
 let tree_cut g =
   let n = Graph.n g in

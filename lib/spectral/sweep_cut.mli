@@ -21,6 +21,11 @@ val fiedler : Sparse_graph.Graph.t -> iters:int -> seed:int -> float array
     vertex id — the order {!sweep} scans. *)
 val sort_order : float array -> int array -> unit
 
+(** [key_order keys] is the vertex permutation by ascending integer key,
+    ties by vertex id — the order {!sort_order} gives for the same keys
+    as floats — by a counting sort. Keys must be non-negative. *)
+val key_order : int array -> int array
+
 (** [sweep_order g order] scans the vertices in the given order (a
     permutation of [0 .. n-1]) and returns the prefix cut with minimum
     conductance, the earliest prefix among equals. Requires [1 < n]. *)

@@ -24,6 +24,12 @@
      also pins the per-slot send order and the message accounting;
    - the walk router rejects a negative walk budget, negative token
      counts and token ids that would overflow their int encoding;
+   - qcheck: the leaf walk, which logs climbs along heavy paths as run
+     legs, gives the same plans, charges and hop kinds as the per-hop
+     LCA walk it replaced, kept here as an oracle, on deep one-cluster
+     grids, trees whose runs sit at the jump threshold, a hand-built
+     cycle whose tree has a shortcut bundle inside a run, Apollonian
+     graphs and a multi-cluster grid;
    - qcheck: [delivered + undelivered = total] survives drop/crash
      schedules, every shards x jobs point, and halting-round cutoffs,
      for both the walk router and the witness router. *)
@@ -432,6 +438,258 @@ let test_leaf_tree_shortest () =
       ("grid 24x24", multi_cluster_grid ());
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Leaf walk against the per-hop oracle                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-hop LCA walk that heavy-path runs replaced, kept as an oracle
+   over the trees [Hierarchy.iter_tree_edges] reports: climb the deeper
+   side to equal depth, climb both in lockstep to the LCA, then descend
+   to y, one up bundle per step. A round-robin route between two members
+   of one cluster is exactly one tree walk, and every leaf leg of any
+   route (a diversion included: a walk to the entry's far end, then the
+   entry's own bundle) is one too, so plans, charges and hop kinds equal
+   over member pairs carry to every route. *)
+type tree_oracle = {
+  parent : int array;  (* vertex -> parent vertex; -1 = a root *)
+  depth : int array;
+  direct : bool array;  (* the up bundle is one direct intra edge *)
+  up_vs : int array array;  (* up bundle: the vertex each hop reaches *)
+  up_es : int array array;  (* up bundle: the edge id each hop crosses *)
+}
+
+let tree_oracle g h =
+  let n = Graph.n g in
+  let o =
+    {
+      parent = Array.make n (-1);
+      depth = Array.make n (-1);
+      direct = Array.make n false;
+      up_vs = Array.make n [||];
+      up_es = Array.make n [||];
+    }
+  in
+  Route.Hierarchy.iter_tree_edges h (fun v ~direct vs es ->
+      o.parent.(v) <- vs.(Array.length vs - 1);
+      o.direct.(v) <- direct;
+      o.up_vs.(v) <- vs;
+      o.up_es.(v) <- es);
+  let rec depth v =
+    if o.depth.(v) < 0 then
+      o.depth.(v) <- (if o.parent.(v) < 0 then 0 else 1 + depth o.parent.(v));
+    o.depth.(v)
+  in
+  for v = 0 to n - 1 do
+    ignore (depth v)
+  done;
+  o
+
+(* the walk x -> y: (vertices after x, edge ids, direct hops, shortcut
+   hops) *)
+let oracle_walk o x y =
+  let vs = ref [] and es = ref [] and direct = ref 0 and shortcut = ref 0 in
+  let count v =
+    if o.direct.(v) then incr direct
+    else shortcut := !shortcut + Array.length o.up_es.(v)
+  in
+  let up v =
+    Array.iter (fun w -> vs := w :: !vs) o.up_vs.(v);
+    Array.iter (fun e -> es := e :: !es) o.up_es.(v);
+    count v
+  in
+  let down v =
+    let h = Array.length o.up_vs.(v) in
+    for q = h - 2 downto 0 do
+      vs := o.up_vs.(v).(q) :: !vs
+    done;
+    vs := v :: !vs;
+    for q = h - 1 downto 0 do
+      es := o.up_es.(v).(q) :: !es
+    done;
+    count v
+  in
+  let x = ref x and y = ref y and chain = ref [] in
+  while o.depth.(!x) > o.depth.(!y) do
+    up !x;
+    x := o.parent.(!x)
+  done;
+  while o.depth.(!y) > o.depth.(!x) do
+    chain := !y :: !chain;
+    y := o.parent.(!y)
+  done;
+  while !x <> !y do
+    up !x;
+    x := o.parent.(!x);
+    chain := !y :: !chain;
+    y := o.parent.(!y)
+  done;
+  List.iter down !chain;
+  (Array.of_list (List.rev !vs), Array.of_list (List.rev !es), !direct, !shortcut)
+
+(* route every (x, y, weight) of [pairs] (same-cluster members) under
+   round-robin and compare with the oracle: each plan, the per-edge
+   charges, and the router's hops by kind *)
+let walk_matches_oracle g h pairs =
+  let o = tree_oracle g h in
+  let rt = Route.Hierarchy.make_router h in
+  let out = Route.Hierarchy.vec_create () in
+  let cong = Array.make (Graph.m g) 0 and expect = Array.make (Graph.m g) 0 in
+  let direct = ref 0 and shortcut = ref 0 in
+  let plans_equal =
+    List.for_all
+      (fun (x, y, w) ->
+        let routed =
+          Route.Hierarchy.route ~policy:Route.Hierarchy.Round_robin ~cong:[||]
+            h rt out x y
+        in
+        let vs, es, d, sc = oracle_walk o x y in
+        Route.Hierarchy.charge cong out w;
+        Array.iter (fun e -> expect.(e) <- expect.(e) + w) es;
+        direct := !direct + d;
+        shortcut := !shortcut + sc;
+        routed && Route.Hierarchy.vec_to_array out = Array.append [| x |] vs)
+      pairs
+  in
+  let hops = Route.Hierarchy.router_hops rt in
+  plans_equal && cong = expect
+  && hops = { Route.Hierarchy.direct = !direct; shortcut = !shortcut;
+              portal = 0; fallback = 0 }
+
+(* a tree as a one-cluster decomposition: the leaf plays a rebuild game
+   on it, whose cut leaves the tree itself as the witness *)
+let one_cluster g =
+  let decomp =
+    {
+      Spectral.Expander_decomposition.labels = Array.make (Graph.n g) 0;
+      k = 1;
+      inter_edges = [];
+      epsilon = 0.5;
+      phi = 0.01;
+      tau = 0.2;
+      witnesses =
+        [| Spectral.Expander_decomposition.no_witness ~path:[]
+             ~source:"hand-built" |];
+    }
+  in
+  Route.Service.preprocess g decomp
+
+(* a center joined to paths of 4, 5, 6 and 7 vertices: rooted at the
+   center, the longest leg is the heavy path and the tips of the others
+   sit 3, 4 and 5 steps down their own, so lockstep and one-sided climbs
+   take runs just below, at and above the jump threshold *)
+let spider () =
+  let legs = [ 4; 5; 6; 7 ] in
+  let edges = ref [] and next = ref 1 in
+  List.iter
+    (fun len ->
+      let prev = ref 0 in
+      for _ = 1 to len do
+        edges := (!prev, !next) :: !edges;
+        prev := !next;
+        incr next
+      done)
+    legs;
+  Graph.of_edges !next !edges
+
+(* a 30-cycle cut into the paths 0 .. 25 and 26 .. 29, the first
+   cluster's witness holding one matching shortcut 0 - 25 embedded around
+   the other cluster (5 hops against 25 inside). The shortest-path tree
+   hangs 25 under 0 by that bundle, one step into the light arm's heavy
+   path, so runs up that arm cross a multi-hop bundle. (Witness trees of
+   whole-cluster decompositions take a shortcut only on a tie, and none
+   did on the grids and Apollonian graphs checked.) *)
+let bundle_in_run () =
+  let n = 30 and cut = 26 in
+  let g = Generators.cycle n in
+  let labels = Array.init n (fun v -> if v < cut then 0 else 1) in
+  let around = [| 0; 29; 28; 27; 26; 25 |] in
+  let eids =
+    Array.init 5 (fun q -> Graph.find_edge g around.(q) around.(q + 1))
+  in
+  let witness l =
+    Spectral.Expander_decomposition.no_witness ~path:[ l ] ~source:"hand-built"
+  in
+  let decomp =
+    {
+      Spectral.Expander_decomposition.labels;
+      k = 2;
+      inter_edges =
+        Graph.fold_edges g
+          (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
+          []
+        |> List.rev;
+      epsilon = 0.5;
+      phi = 0.01;
+      tau = 0.2;
+      witnesses =
+        [|
+          { (witness 0) with
+            Spectral.Expander_decomposition.w_matchings =
+              [ ([| (0, 25) |], [| around |], [| eids |]) ] };
+          witness 1;
+        |];
+    }
+  in
+  (g, labels, Route.Service.preprocess g decomp)
+
+let walk_oracle_arb =
+  QCheck.make
+    ~print:(fun (pick, seed) -> Printf.sprintf "graph %d seed %d" pick seed)
+    QCheck.Gen.(pair (0 -- 5) (int_bound 10_000))
+
+let qcheck_walk_oracle =
+  QCheck.Test.make ~name:"leaf walk: plans, charges, hops = per-hop oracle"
+    ~count:40 walk_oracle_arb (fun (pick, seed) ->
+      (* every ordered pair of same-cluster members *)
+      let all_pairs g labels =
+        let n = Graph.n g in
+        List.init (n * n) (fun i -> (i / n, i mod n, 1 + (i mod 3)))
+        |> List.filter (fun (x, y, _) -> labels.(x) = labels.(y))
+      in
+      match pick with
+      | 0 | 1 ->
+          let g = if pick = 0 then spider () else Generators.path 14 in
+          let h = Route.Service.hierarchy (one_cluster g) in
+          walk_matches_oracle g h (all_pairs g (Array.make (Graph.n g) 0))
+      | 5 ->
+          let g, labels, svc = bundle_in_run () in
+          let h = Route.Service.hierarchy svc in
+          let bundles = ref 0 in
+          Route.Hierarchy.iter_tree_edges h (fun _ ~direct _ _ ->
+              if not direct then incr bundles);
+          !bundles = 1 && walk_matches_oracle g h (all_pairs g labels)
+      | _ ->
+          (* the one-cluster (deep) grid, Apollonian graphs, whose
+             shortcut bundles lie inside heavy paths, and the
+             multi-cluster grid: sampled same-cluster pairs *)
+          let g, epsilon =
+            match pick with
+            | 2 -> (Generators.grid 24 24, 0.3)
+            | 3 -> (Generators.random_apollonian 384 ~seed:(1 + (seed land 7)), 0.3)
+            | _ -> (Generators.grid 24 24, 0.8)
+          in
+          let p =
+            Core.Pipeline.prepare ~mode:Core.Pipeline.Charged
+              ~engine:Core.Pipeline.Spectral_engine g ~epsilon ~seed:5
+          in
+          let labels =
+            p.Core.Pipeline.decomposition.Spectral.Expander_decomposition.labels
+          in
+          let h = Route.Service.hierarchy (Core.Pipeline.routing_service ~seed:11 p) in
+          let k = (Route.Hierarchy.info h).Route.Hierarchy.clusters in
+          let st = Random.State.make [| seed; 0x0a7c |] in
+          let n = Graph.n g in
+          let rec member_of l =
+            let v = Random.State.int st n in
+            if labels.(v) = l then v else member_of l
+          in
+          let pairs =
+            List.init 400 (fun _ ->
+                let x = Random.State.int st n in
+                (x, member_of labels.(x), 1 + Random.State.int st 3))
+          in
+          (k = 1) = (pick <> 4) && walk_matches_oracle g h pairs)
+
 (* rebuilt leaves route over fresh matching shortcuts; all ordered pairs
    walk each expansion up (push_up) and down (push_down), and
    Least_loaded diverts through push_entry_back *)
@@ -834,4 +1092,5 @@ let () =
           qt qcheck_witness_conservation;
           qt qcheck_congestion_accounting;
         ] );
+      ("leaf walk", [ qt qcheck_walk_oracle ]);
     ]

@@ -462,6 +462,21 @@ let prop_sweep_equals_sweep_order =
       sorted = order && a.side = b.side
       && Float.equal a.conductance b.conductance)
 
+(* the counting sort the degree and BFS sweeps use gives the order
+   sort_order gives the same keys as floats: ascending key, ids ascending
+   within a key (a few key levels, so most positions tie) *)
+let prop_key_order_equals_sort_order =
+  QCheck.Test.make ~name:"key_order equals sort_order on integer keys"
+    ~count:100
+    QCheck.(pair (int_range 1 200) (int_range 0 1000))
+    (fun (n, kseed) ->
+      let st = Random.State.make [| kseed |] in
+      let levels = 1 + Random.State.int st 8 in
+      let keys = Array.init n (fun _ -> Random.State.int st levels) in
+      let sorted = Array.init n Fun.id in
+      Sweep_cut.sort_order (Array.map float_of_int keys) sorted;
+      Sweep_cut.key_order keys = sorted)
+
 let prop_decomposition_budget =
   QCheck.Test.make ~name:"decomposition respects the epsilon edge budget"
     ~count:60
@@ -500,6 +515,7 @@ let qcheck_cases =
       prop_walk_mass;
       prop_sweep_is_real_cut;
       prop_sweep_equals_sweep_order;
+      prop_key_order_equals_sort_order;
       prop_decomposition_budget;
       prop_decomposition_covers;
       prop_exact_phi_below_any_cut;
