@@ -10,16 +10,16 @@
    --jobs N (or the EXPANDER_JOBS environment variable) sets the worker
    pool for the grid points inside each experiment; the default is
    Domain.recommended_domain_count and --jobs 1 forces the sequential
-   path. Tables are byte-identical at every jobs value. Wall-clock per
-   experiment is recorded in the timings file (default
-   BENCH_parallel.json; override with --timings PATH).
+   path. Tables are byte-identical at every jobs value. --timings PATH
+   writes each experiment's wall-clock to PATH; without it no timings
+   file is written.
 
    The fault-sweep experiment takes --fault-seed N (sweep PRNG seed,
    default 20220711) and --drop-rate F (restrict the sweep to one drop
    rate instead of the default ladder 0 / 0.05 / 0.1 / 0.2).
 
    Observability (lib/obs) is enabled for the table experiments: each
-   runs inside an "exp.<name>" span, so the timings file also carries
+   runs inside an "exp.<name>" span, so a timings file also carries
    per-phase wall-clock taken from the span tree. --profile PATH writes
    the full profile (schema "expander-obs-profile": deterministic span
    aggregate + volatile timings); --trace PATH writes a Chrome
@@ -285,7 +285,8 @@ let () =
             exit 1)
     | "--profile" :: p :: rest -> parse_args acc jobs (Some p) trace timings rest
     | "--trace" :: p :: rest -> parse_args acc jobs profile (Some p) timings rest
-    | "--timings" :: p :: rest -> parse_args acc jobs profile trace p rest
+    | "--timings" :: p :: rest ->
+        parse_args acc jobs profile trace (Some p) rest
     | [ (("--jobs" | "--profile" | "--trace" | "--timings" | "--fault-seed"
         | "--drop-rate" | "--congest-n" | "--congest-out" | "--shards"
         | "--congest-scale-max" | "--engine" | "--decomp-n"
@@ -296,7 +297,7 @@ let () =
     | name :: rest -> parse_args (name :: acc) jobs profile trace timings rest
   in
   let names, jobs_flag, profile, trace, timings_path =
-    parse_args [] None None None "BENCH_parallel.json"
+    parse_args [] None None None None
       (List.tl (Array.to_list Sys.argv))
   in
   let jobs =
@@ -334,7 +335,9 @@ let () =
           exit 1)
     selected;
   let tree, events = Obs.snapshot () in
-  write_timings_json timings_path ~jobs ~tree (List.rev !timings);
+  Option.iter
+    (fun path -> write_timings_json path ~jobs ~tree (List.rev !timings))
+    timings_path;
   (match profile with
   | None -> ()
   | Some path ->

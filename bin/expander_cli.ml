@@ -37,8 +37,22 @@ let family_arg =
 let n_arg =
   Arg.(value & opt int 200 & info [ "n" ] ~doc:"Number of vertices (approx).")
 
+(* every subcommand takes epsilon in (0, 1); anything else, nan and text
+   included, exits 1 with one line instead of reaching a library check *)
 let eps_arg =
-  Arg.(value & opt float 0.25 & info [ "eps"; "e" ] ~doc:"Epsilon parameter.")
+  let check s =
+    match float_of_string_opt s with
+    | Some e when e > 0. && e < 1. -> e
+    | _ ->
+        Printf.eprintf "expander_cli: --eps expects a number in (0, 1), got %S\n" s;
+        exit 1
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt string "0.25"
+        & info [ "eps"; "e" ] ~docv:"EPS"
+            ~doc:"Epsilon parameter, 0 < $(docv) < 1."))
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Random seed.")
 

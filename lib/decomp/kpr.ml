@@ -83,7 +83,7 @@ let chop g ~width ~levels ~seed =
   part
 
 let ldd g ~epsilon ~levels ~seed =
-  if epsilon <= 0. then invalid_arg "Kpr.ldd: epsilon must be > 0";
+  if not (epsilon > 0.) then invalid_arg "Kpr.ldd: epsilon must be > 0";
   let width = max 1 (int_of_float (ceil (float_of_int levels /. epsilon))) in
   let rec attempt i best_p best_frac =
     if i >= 20 then best_p

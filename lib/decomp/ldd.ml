@@ -1,7 +1,7 @@
 open Sparse_graph
 
 let region_growing g ~epsilon =
-  if epsilon <= 0. then invalid_arg "Ldd.region_growing: epsilon must be > 0";
+  if not (epsilon > 0.) then invalid_arg "Ldd.region_growing: epsilon must be > 0";
   let n = Graph.n g in
   let labels = Array.make n (-1) in
   let next = ref 0 in

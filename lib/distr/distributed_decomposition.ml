@@ -380,7 +380,7 @@ let run_level (view : Cluster_view.t) ~leader_of ~b ~t ~c ~tau ~seed =
 (* ------------------------------------------------------------------ *)
 
 let decompose g ~epsilon =
-  if epsilon <= 0. || epsilon >= 1. then
+  if not (epsilon > 0. && epsilon < 1.) then
     invalid_arg "Distributed_decomposition.decompose: need 0 < epsilon < 1";
   Obs.Span.with_ "distr.decompose" @@ fun () ->
   let n = Graph.n g in

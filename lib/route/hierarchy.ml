@@ -4,11 +4,12 @@ open Sparse_graph
    hierarchical LeafWitness / InternalWitness route). Preprocessing turns
    one expander decomposition into:
 
-   - a *leaf witness* per cluster: a shortest-path tree by real length,
-     rooted at the cluster's leader, over the witness graph =
-     intra-cluster edges plus the cut-matching game's embedded matchings
-     as shortcut edges (each shortcut weighs, and expands to, its
-     retained real-edge path when routed). When
+   - a *leaf witness* per cluster: the witness graph = intra-cluster
+     edges plus the cut-matching game's embedded matchings as shortcut
+     edges (each expands to its retained real-edge path when routed),
+     and one or more BFS trees over the intra edges: the first rooted at
+     the cluster's leader, the others at farthest points of deep
+     clusters. Shortcuts serve only as destination entries. When
      the decomposition retained no matchings (spectral engine, exact or
      trivial acceptances) and the cluster is large enough, a fresh
      cut-matching game is played here instead — the reuse-vs-rebuild
@@ -23,12 +24,13 @@ open Sparse_graph
    Serving routes a demand (src, dst) top-down: descend the recursion
    tree along the common prefix of the two clusters' addresses, walk a
    child sequence at the divergence node crossing one portal edge per
-   hop, and solve intra-cluster legs in the leaf witness by an LCA walk
-   of the tree. The route is logged as legs, not hops: a shortcut is
-   one leg naming its embedded real path and edge ids, and so is a
-   climb or descent of several steps along one heavy path of the tree,
-   a range of the leaf's flat walk arrays; charging walks each leg's
-   edge ids in place and only path expansion copies them out.
+   hop, and solve intra-cluster legs by an LCA walk of the leaf tree
+   whose root depths of the two ends sum least. The route is logged as
+   legs, not hops: a shortcut is one leg naming its embedded real path
+   and edge ids, and so is a climb or descent of several steps along
+   one heavy path of the tree, a range of the tree's flat walk arrays;
+   charging walks each leg's edge ids in place and only path expansion
+   copies them out.
 
    Portal (and, under [Least_loaded], destination-entry) choices are
    per-*router* state: a [router] owns every cursor, scratch buffer and
@@ -49,10 +51,10 @@ open Sparse_graph
      [leg_eids.(i)] ([leg_eids.(i).(q)] joins [leg_path.(i).(q)] and
      [leg_path.(i).(q+1)]), walked from its first vertex to its last
      ([fwd_leg]) or back; or
-   - a heavy-path run ([leg_v.(i) = run_leg]): [leg_len.(i)] hops stored
-     from position [leg_e.(i)] of a leaf's flat walk arrays, the vertex
-     each hop reaches in [leg_path.(i)] and the edge it crosses in
-     [leg_eids.(i)].
+   - a heavy-path run ([leg_v.(i) = run_leg]): [leg_len.(i)] direct hops
+     stored from position [leg_e.(i)] of a leaf tree's flat walk arrays,
+     the vertex each hop reaches in [leg_path.(i)] and the edge it
+     crosses in [leg_eids.(i)].
    A leg leaves the slots its kind does not use stale; they are never
    read. The four counters are the route's hops by leg kind, so their
    sum is its length. *)
@@ -128,11 +130,10 @@ let push_bundle v p eids fwd =
   v.legs <- v.legs + 1;
   v.n_shortcut <- v.n_shortcut + Array.length eids
 
-(* append the [len] hops stored from [start] in the flat arrays [vs]
-   (vertex reached) and [es] (edge crossed), [direct] of them direct
-   intra edges and the rest shortcut hops *)
+(* append the [len] direct intra hops stored from [start] in the flat
+   arrays [vs] (vertex reached) and [es] (edge crossed) *)
 (* lint: hot *)
-let push_run v vs es start len direct =
+let push_run v vs es start len =
   if v.legs = Array.length v.leg_v then vec_grow v;
   v.leg_v.(v.legs) <- run_leg;
   v.leg_e.(v.legs) <- start;
@@ -140,8 +141,7 @@ let push_run v vs es start len direct =
   v.leg_path.(v.legs) <- vs;
   v.leg_eids.(v.legs) <- es;
   v.legs <- v.legs + 1;
-  v.n_direct <- v.n_direct + direct;
-  v.n_shortcut <- v.n_shortcut + len - direct
+  v.n_direct <- v.n_direct + len
 
 let vec_hops v = v.n_direct + v.n_shortcut + v.n_portal + v.n_fallback
 
@@ -220,36 +220,42 @@ type ledge = {
   rep : int;
 }
 
-(* A leaf's tree is laid out by heavy paths: a member's heavy child is
-   its largest subtree (first in settling order on ties), and positions
-   are handed out in heavy-first preorder, so every heavy path occupies
-   consecutive positions, parent before child, and every subtree one
-   interval. Every reached non-root member's up bundle (its hops to its
-   parent) is stored twice, one (vertex reached, edge crossed) pair per
-   hop: in [up_vs]/[up_es] walked upward with positions descending, and
-   in [dn_vs]/[dn_es] walked downward with positions ascending. A climb
-   along one heavy path, or the descent back, is thus one contiguous
-   range of either pair of arrays. *)
+(* One BFS tree of a leaf over its intra-cluster edges, laid out by heavy
+   paths: a member's heavy child is its largest subtree (first in BFS
+   order on ties), and positions are handed out in heavy-first preorder,
+   so every heavy path occupies consecutive positions, parent before
+   child, and every subtree one interval. Every up entry is one direct
+   edge, stored twice by position: walked upward, position [p]'s hop
+   (the parent reached, the edge crossed) sits at [up_vs]/[up_es] index
+   [nr - p], positions descending, with [nr] the reached non-root
+   members; walked downward, it sits at [dn_vs]/[dn_es] index [p - 1],
+   positions ascending. A climb along one heavy path, or the descent
+   back, is thus one contiguous range of either pair of arrays. *)
+type tree = {
+  parent : int array;  (* member idx -> member idx, -1 for root/unreached *)
+  depth : int array;   (* tree hops from the root; -1 = unreached *)
+  pos : int array;     (* heavy-first preorder position; -1 = unreached *)
+  at : int array;      (* position -> member idx *)
+  size : int array;    (* members in the subtree, itself included *)
+  run : int array;     (* steps up the member's heavy path to its head *)
+  up_e : int array;    (* member idx -> its up edge's id *)
+  up_pv : int array;   (* member idx -> its parent's vertex id *)
+  members : int array; (* the leaf's members: member idx -> vertex id *)
+  up_vs : int array;
+  up_es : int array;
+  dn_vs : int array;
+  dn_es : int array;
+}
+
+(* A leaf carries [k] BFS trees, rooted at its leader and then at
+   farthest points (see [build_leaf]); [dk.(i * k + t)] is member [i]'s
+   depth in tree [t] (-1 = unreached), the table an intra leg picks its
+   tree from. *)
 type leaf = {
   members : int array;  (* ascending vertex ids *)
-  leader : int;         (* vertex id of the tree's root *)
-  parent : int array;   (* member idx -> member idx, -1 for root/unreached *)
-  depth : int array;    (* tree hops from the leader; -1 = unreached *)
-  pos : int array;      (* heavy-first preorder position; -1 = unreached *)
-  at : int array;       (* position -> member idx *)
-  size : int array;     (* members in the subtree, itself included *)
-  run : int array;      (* steps up the member's heavy path to its head *)
-  up_e : int array;     (* direct up edge's id; -1 = a bundle (or root) *)
-  up_pv : int array;    (* the parent's vertex id *)
-  hsum : int array;     (* position p -> hops of the up bundles at
-                           positions < p *)
-  dsum : int array;     (* position p -> direct up edges at positions < p *)
-  up_vs : int array;    (* up bundles walked upward: position p's hops sit
-                           at [hsum.(last) - hsum.(p + 1)], onward *)
-  up_es : int array;
-  dn_vs : int array;    (* up bundles walked downward: position p's hops
-                           sit at [hsum.(p)], onward *)
-  dn_es : int array;
+  trees : tree array;   (* tree 0 is rooted at the leader *)
+  k : int;
+  dk : int array;
   wadj : ledge array array;   (* full witness adjacency per member *)
   shortcuts : int;      (* matching shortcut edges in the witness graph *)
   rebuilt : bool;       (* a fresh cut-matching game was played here *)
@@ -319,7 +325,10 @@ let make_router t =
   (* the y side of an LCA walk stacks at most the deepest member's depth *)
   let max_depth =
     Array.fold_left
-      (fun acc (lf : leaf) -> Array.fold_left Int.max acc lf.depth)
+      (fun acc (lf : leaf) ->
+        Array.fold_left
+          (fun acc tr -> Array.fold_left Int.max acc tr.depth)
+          acc lf.trees)
       0 t.leaves
   in
   {
@@ -424,6 +433,106 @@ let router_diversion rt =
 
 let rebuild_min = 9  (* clusters below this size route on intra edges only *)
 
+(* A leaf adds a tree rooted at its farthest member while that member lies
+   at least [root_sep] hops from every root so far, up to [max_trees]
+   trees. Measured on the bench_e2e workloads, the 64x64 grid's clusters
+   (radius 61-63) get 3 or 4 trees and the Apollonian graph (radius 6)
+   one; a separation of 24 (6-8 grid trees) cut grid-uniform
+   demands_per_s by 32%. *)
+let root_sep = 32
+let max_trees = 8
+
+(* BFS tree over a leaf's flat intra rows (see [build_leaf]) from member
+   [root], laid out by heavy paths. [order], [kids], [heavy] and [next]
+   are scratch of the leaf's size, shared by its trees. *)
+let bfs_tree members roff rnbr reid ~order ~kids ~heavy ~next root =
+  let sz = Array.length members in
+  let parent = Array.make sz (-1) and depth = Array.make sz (-1) in
+  let up_e = Array.make sz (-1) in
+  Array.fill kids 0 sz 0;
+  depth.(root) <- 0;
+  order.(0) <- root;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let i = order.(!head) in
+    incr head;
+    (* one scan of i's row queues its unreached neighbours and picks its
+       parent: the neighbour one level up with the fewest children so far,
+       first in row order on ties (levels above i's are complete) *)
+    let d = depth.(i) in
+    let pick = ref (-1) in
+    for q = roff.(i) to roff.(i + 1) - 1 do
+      let z = rnbr.(q) in
+      let dz = depth.(z) in
+      if dz < 0 then begin
+        depth.(z) <- d + 1;
+        order.(!tail) <- z;
+        incr tail
+      end
+      else if dz = d - 1 && (!pick < 0 || kids.(z) < kids.(rnbr.(!pick)))
+      then pick := q
+    done;
+    if !pick >= 0 then begin
+      let z = rnbr.(!pick) in
+      parent.(i) <- z;
+      kids.(z) <- kids.(z) + 1;
+      up_e.(i) <- reid.(!pick)
+    end
+  done;
+  let settled = !tail in
+  (* subtree sizes, summed children-first (reverse BFS order), and each
+     member's heavy child: its largest subtree, the first in BFS order on
+     ties *)
+  let size = Array.make sz 1 in
+  for q = settled - 1 downto 1 do
+    let i = order.(q) in
+    size.(parent.(i)) <- size.(parent.(i)) + size.(i)
+  done;
+  Array.fill heavy 0 sz (-1);
+  for q = 1 to settled - 1 do
+    let i = order.(q) in
+    let p = parent.(i) in
+    if heavy.(p) < 0 || size.(i) > size.(heavy.(p)) then heavy.(p) <- i
+  done;
+  (* heavy-first preorder positions, handed out parents-first (BFS
+     order): the heavy child follows its parent, the light children take
+     the intervals after the heavy subtree in BFS order. [next.(p)] is
+     where [p]'s next light child starts. *)
+  let pos = Array.make sz (-1) and run = Array.make sz 0 in
+  let at = Array.make settled 0 in
+  for q = 0 to settled - 1 do
+    let i = order.(q) in
+    if q > 0 then begin
+      let p = parent.(i) in
+      if heavy.(p) = i then begin
+        pos.(i) <- pos.(p) + 1;
+        run.(i) <- run.(p) + 1
+      end
+      else begin
+        pos.(i) <- next.(p);
+        next.(p) <- next.(p) + size.(i)
+      end
+    end
+    else pos.(i) <- 0;
+    at.(pos.(i)) <- i;
+    next.(i) <- pos.(i) + 1 + (if heavy.(i) >= 0 then size.(heavy.(i)) else 0)
+  done;
+  let up_pv = Array.make sz (-1) in
+  let nr = settled - 1 in
+  let up_vs = Array.make nr 0 and up_es = Array.make nr 0 in
+  let dn_vs = Array.make nr 0 and dn_es = Array.make nr 0 in
+  for p = 1 to nr do
+    let c = at.(p) in
+    let e = up_e.(c) in
+    up_pv.(c) <- members.(parent.(c));
+    up_vs.(nr - p) <- up_pv.(c);
+    up_es.(nr - p) <- e;
+    dn_vs.(p - 1) <- members.(c);
+    dn_es.(p - 1) <- e
+  done;
+  { parent; depth; pos; at; size; run; up_e; up_pv;
+    members; up_vs; up_es; dn_vs; dn_es }
+
 (* the representative of a bundle: its minimum edge id *)
 let min_eid eids = Array.fold_left Int.min max_int eids
 
@@ -475,14 +584,24 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
     wadj.(i).(fill.(i)) <- e;
     fill.(i) <- fill.(i) + 1
   in
+  (* the intra part of the rows also goes into flat arrays, the rows the
+     tree builder scans: member [i]'s neighbours (member indices) and edge
+     ids at [rnbr]/[reid] from [roff.(i)] to [roff.(i + 1) - 1] *)
+  let roff = Array.make (sz + 1) 0 in
+  Array.iteri (fun i v -> roff.(i + 1) <- roff.(i) + Array.length intra.(v))
+    members;
+  let rnbr = Array.make roff.(sz) 0 and reid = Array.make roff.(sz) 0 in
   let labels = view.Distr.Cluster_view.labels in
   Array.iteri
     (fun i v ->
       Graph.iter_incident g v (fun w e ->
-          if labels.(w) = labels.(v) then
+          if labels.(w) = labels.(v) then begin
+            rnbr.(roff.(i) + fill.(i)) <- pos_of.(w);
+            reid.(roff.(i) + fill.(i)) <- e;
             add i
               { nbr = pos_of.(w); lpath = [||]; lfwd = true;
-                eids = [| e |]; rep = e }))
+                eids = [| e |]; rep = e }
+          end))
     members;
   let shortcuts = ref 0 in
   List.iter
@@ -517,168 +636,42 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
       end)
     members;
   let leader = !leader in
-  (* shortest-path tree over the witness graph from the leader, by real
-     length: an entry weighs its bundle's hop count (1 for a direct edge),
-     so a shortcut only wins where its embedded path is no longer than the
-     tree's other ways in. Lengths are small integers, so a Dial queue of
-     [w_max + 1] circular FIFO buckets replaces a heap: a queued member
-     sits in the bucket of its tentative distance, in a doubly linked
-     list threaded through [nxt] / [prv], and moves to the tail of its
-     new bucket when the distance improves *)
-  let parent = Array.make sz (-1) in
-  let depth = Array.make sz (-1) in
-  let up = Array.make sz blank in  (* the row entry to the parent *)
-  let dist = Array.make sz max_int in
-  let kids = Array.make sz 0 in
-  let order = Array.make sz 0 in  (* members in settling order *)
-  let settled = ref 0 in
-  let w_max =
-    Array.fold_left
-      (Array.fold_left (fun acc e -> Int.max acc (Array.length e.eids)))
-      1 wadj
-  in
-  let nb = w_max + 1 in
-  let bhead = Array.make nb (-1) and btail = Array.make nb (-1) in
-  let nxt = Array.make sz (-1) and prv = Array.make sz (-1) in
-  let queued = ref 0 in
-  let unlink i =
-    let b = dist.(i) mod nb in
-    if prv.(i) < 0 then bhead.(b) <- nxt.(i) else nxt.(prv.(i)) <- nxt.(i);
-    if nxt.(i) < 0 then btail.(b) <- prv.(i) else prv.(nxt.(i)) <- prv.(i);
-    decr queued
-  in
-  let enqueue i d =
-    if dist.(i) < max_int then unlink i;
-    dist.(i) <- d;
-    let b = d mod nb in
-    prv.(i) <- btail.(b);
-    nxt.(i) <- -1;
-    if btail.(b) < 0 then bhead.(b) <- i else nxt.(btail.(b)) <- i;
-    btail.(b) <- i;
-    incr queued
-  in
-  let rootm = pos_of.(leader) in
-  enqueue rootm 0;
-  let cur = ref 0 in
-  while !queued > 0 do
-    let i = bhead.(!cur mod nb) in
-    if i < 0 then incr cur
-    else begin
-      unlink i;
-      (* queued distances lie in [!cur, !cur + w_max], one per bucket, so
-         [i] is at distance [!cur] and final: hang it under the settled
-         shortest-path neighbour with the fewest children so far, first
-         in row order on ties *)
-      let row = wadj.(i) in
-      if i <> rootm then begin
-        let pick = ref (-1) in
-        Array.iteri
-          (fun q e ->
-            let z = e.nbr in
-            if
-              depth.(z) >= 0
-              && dist.(z) + Array.length e.eids = dist.(i)
-              && (!pick < 0 || kids.(z) < kids.(row.(!pick).nbr))
-            then pick := q)
-          row;
-        let e = row.(!pick) in
-        parent.(i) <- e.nbr;
-        kids.(e.nbr) <- kids.(e.nbr) + 1;
-        depth.(i) <- depth.(e.nbr) + 1;
-        (* the entry sits on [i]'s own row, oriented i -> parent iff
-           [e.lfwd] *)
-        up.(i) <- e
+  (* BFS trees over the intra edges: the first rooted at the leader, each
+     next at the member farthest from every root so far (smallest member
+     on ties), while it lies at least [root_sep] hops from all of them.
+     Shortcut entries stay in [wadj] for diversion only: an embedded path
+     lies inside the cluster, so it can at best tie the intra edges. *)
+  let order = Array.make sz 0 and kids = Array.make sz 0 in
+  let heavy = Array.make sz 0 and next = Array.make sz 0 in
+  let mind = Array.make sz max_int in  (* hops to the nearest root *)
+  let rec grow acc nt root =
+    let tr = bfs_tree members roff rnbr reid ~order ~kids ~heavy ~next root in
+    mind.(root) <- 0;
+    let far = ref root in
+    for i = 0 to sz - 1 do
+      let d = tr.depth.(i) in
+      if d >= 0 then begin
+        if d < mind.(i) then mind.(i) <- d;
+        if mind.(i) > mind.(!far) then far := i
       end
-      else depth.(i) <- 0;
-      order.(!settled) <- i;
-      incr settled;
-      Array.iter
-        (fun e ->
-          let d = dist.(i) + Array.length e.eids in
-          if depth.(e.nbr) < 0 && d < dist.(e.nbr) then enqueue e.nbr d)
-        row
-    end
-  done;
-  let settled = !settled in
-  (* subtree sizes, summed children-first (reverse settling order), and
-     each member's heavy child: its largest subtree, the first in
-     settling order on ties *)
-  let size = Array.make sz 1 in
-  for q = settled - 1 downto 1 do
-    let i = order.(q) in
-    size.(parent.(i)) <- size.(parent.(i)) + size.(i)
-  done;
-  let heavy = Array.make sz (-1) in
-  for q = 1 to settled - 1 do
-    let i = order.(q) in
-    let p = parent.(i) in
-    if heavy.(p) < 0 || size.(i) > size.(heavy.(p)) then heavy.(p) <- i
-  done;
-  (* heavy-first preorder positions, handed out parents-first (settling
-     order): the heavy child follows its parent, the light children take
-     the intervals after the heavy subtree in settling order. [next.(p)]
-     is where [p]'s next light child starts. *)
-  let pos = Array.make sz (-1) and run = Array.make sz 0 in
-  let next = Array.make sz 0 in
-  let after_heavy i =
-    pos.(i) + 1 + (if heavy.(i) >= 0 then size.(heavy.(i)) else 0)
-  in
-  pos.(rootm) <- 0;
-  next.(rootm) <- after_heavy rootm;
-  for q = 1 to settled - 1 do
-    let i = order.(q) in
-    let p = parent.(i) in
-    if heavy.(p) = i then begin
-      pos.(i) <- pos.(p) + 1;
-      run.(i) <- run.(p) + 1
-    end
-    else begin
-      pos.(i) <- next.(p);
-      next.(p) <- next.(p) + size.(i)
-    end;
-    next.(i) <- after_heavy i
-  done;
-  let at = Array.make settled 0 in
-  for i = 0 to sz - 1 do
-    if pos.(i) >= 0 then at.(pos.(i)) <- i
-  done;
-  (* the flat walk arrays, with prefix sums of hops and of direct hops by
-     position *)
-  let hsum = Array.make (settled + 1) 0 and dsum = Array.make (settled + 1) 0 in
-  for p = 1 to settled - 1 do
-    let e = up.(at.(p)) in
-    hsum.(p + 1) <- hsum.(p) + Array.length e.eids;
-    dsum.(p + 1) <- (dsum.(p) + if Array.length e.lpath = 0 then 1 else 0)
-  done;
-  let total = hsum.(settled) in
-  let up_vs = Array.make total 0 and up_es = Array.make total 0 in
-  let dn_vs = Array.make total 0 and dn_es = Array.make total 0 in
-  let up_e = Array.make sz (-1) and up_pv = Array.make sz (-1) in
-  for p = 1 to settled - 1 do
-    let c = at.(p) in
-    let e = up.(c) in
-    let h = Array.length e.eids in
-    (* the bundle walked from c to its parent visits w.(0) = c, ...,
-       w.(h) = parent, crossing f.(q) from w.(q - 1) to w.(q) *)
-    let w q =
-      if Array.length e.lpath = 0 then
-        if q = 0 then members.(c) else members.(parent.(c))
-      else if e.lfwd then e.lpath.(q)
-      else e.lpath.(h - q)
-    in
-    let f q = if e.lfwd then e.eids.(q - 1) else e.eids.(h - q) in
-    let u = total - hsum.(p + 1) and d = hsum.(p) in
-    for q = 1 to h do
-      up_vs.(u + q - 1) <- w q;
-      up_es.(u + q - 1) <- f q;
-      dn_vs.(d + q - 1) <- w (h - q);
-      dn_es.(d + q - 1) <- f (h - q + 1)
     done;
-    if Array.length e.lpath = 0 then up_e.(c) <- e.eids.(0);
-    up_pv.(c) <- members.(parent.(c))
-  done;
-  { members; leader; parent; depth; pos; at; size; run; up_e; up_pv; hsum;
-    dsum; up_vs; up_es; dn_vs; dn_es; wadj; shortcuts = !shortcuts; rebuilt }
+    if nt + 1 < max_trees && mind.(!far) >= root_sep then
+      grow (tr :: acc) (nt + 1) !far
+    else Array.of_list (List.rev (tr :: acc))
+  in
+  let trees = grow [] 0 pos_of.(leader) in
+  let k = Array.length trees in
+  let dk =
+    if k = 1 then trees.(0).depth
+    else begin
+      let dk = Array.make (sz * k) 0 in
+      Array.iteri
+        (fun t tr -> Array.iteri (fun i d -> dk.((i * k) + t) <- d) tr.depth)
+        trees;
+      dk
+    end
+  in
+  { members; trees; k; dk; wadj; shortcuts = !shortcuts; rebuilt }
 
 (* ---- recursion tree ---- *)
 
@@ -818,7 +811,7 @@ type info = {
   shortcuts : int;      (* matching shortcut edges across all leaves *)
   rebuilt_leaves : int; (* leaves that played a fresh game *)
   reused_leaves : int;  (* leaves routed from retained matchings *)
-  max_leaf_depth : int; (* deepest witness-tree member over all leaves *)
+  max_leaf_depth : int; (* deepest member over every tree of every leaf *)
   tree_height : int;    (* recursion-tree height *)
 }
 
@@ -884,6 +877,7 @@ let build ?(reuse = true) ?(seed = 0) ?(pool = Parallel.Pool.sequential) g
     Array.iter
       (fun (lf : leaf) ->
         Obs.Metric.count "route.shortcuts" lf.shortcuts;
+        Obs.Metric.count "route.trees" lf.k;
         if lf.rebuilt then Obs.Metric.incr "route.rebuilt_leaves")
       leaves;
     Obs.Metric.count "route.ports"
@@ -899,7 +893,10 @@ let info t =
       shortcuts := !shortcuts + lf.shortcuts;
       if lf.rebuilt then incr rebuilt
       else if lf.shortcuts > 0 then incr reused;
-      Array.iter (fun d -> if d > !max_depth then max_depth := d) lf.depth)
+      Array.iter
+        (fun tr ->
+          Array.iter (fun d -> if d > !max_depth then max_depth := d) tr.depth)
+        lf.trees)
     t.leaves;
   let rec height nd =
     if Array.length nd.children = 0 then 0
@@ -924,20 +921,17 @@ let iter_bundles t f =
         lf.wadj)
     t.leaves
 
-(* where position [p]'s hops start in the upward arrays *)
-(* lint: hot *)
-let up_start lf p = lf.hsum.(Array.length lf.hsum - 1) - lf.hsum.(p + 1)
-
 (* lint: allow U001 test oracle: exposes the leaf trees to recheck the walk *)
 let iter_tree_edges t f =
   Array.iter
     (fun (lf : leaf) ->
-      for p = 1 to Array.length lf.at - 1 do
-        let c = lf.at.(p) in
-        let s = up_start lf p and h = lf.hsum.(p + 1) - lf.hsum.(p) in
-        f lf.members.(c) ~direct:(lf.up_e.(c) >= 0) (Array.sub lf.up_vs s h)
-          (Array.sub lf.up_es s h)
-      done)
+      Array.iteri
+        (fun ti tr ->
+          let nr = Array.length tr.dn_vs in
+          for p = 1 to nr do
+            f ~tree:ti tr.dn_vs.(p - 1) tr.up_vs.(nr - p) tr.dn_es.(p - 1)
+          done)
+        lf.trees)
     t.leaves
 
 (* ---- serving ---- *)
@@ -948,35 +942,24 @@ let iter_tree_edges t f =
 (* lint: hot *)
 let load cong e = if e < Array.length cong then cong.(e) else 0
 
-(* append the climb of [j] steps from member [c] up its heavy path, or
-   [c]'s own up bundle when [j = 1] (the route ends at c) *)
+(* append the climb of [j] steps from member [c] up its heavy path in
+   tree [tr] (the route ends at c) *)
 (* lint: hot *)
-let push_climb lf out c j =
-  let p = lf.pos.(c) in
-  let hi = lf.hsum.(p + 1) and lo = lf.hsum.(p + 1 - j) in
-  push_run out lf.up_vs lf.up_es (up_start lf p) (hi - lo)
-    (lf.dsum.(p + 1) - lf.dsum.(p + 1 - j))
+let push_climb tr out c j =
+  push_run out tr.up_vs tr.up_es (Array.length tr.up_vs - tr.pos.(c)) j
 
 (* append the reverse: from [c]'s [j]-th ancestor down to [c] *)
 (* lint: hot *)
-let push_descent lf out c j =
-  let p = lf.pos.(c) in
-  let hi = lf.hsum.(p + 1) and lo = lf.hsum.(p + 1 - j) in
-  push_run out lf.dn_vs lf.dn_es lo (hi - lo)
-    (lf.dsum.(p + 1) - lf.dsum.(p + 1 - j))
+let push_descent tr out c j = push_run out tr.dn_vs tr.dn_es (tr.pos.(c) - j) j
 
 (* append member [c]'s hop up to its parent (the route ends at c) *)
 (* lint: hot *)
-let push_up lf out c =
-  let e = lf.up_e.(c) in
-  if e >= 0 then push_direct out e lf.up_pv.(c) else push_climb lf out c 1
+let push_up tr out c = push_direct out tr.up_e.(c) tr.up_pv.(c)
 
 (* append the hop down from [c]'s parent to [c] (the route ends at the
    parent) *)
 (* lint: hot *)
-let push_down lf out c =
-  let e = lf.up_e.(c) in
-  if e >= 0 then push_direct out e lf.members.(c) else push_descent lf out c 1
+let push_down tr out c = push_direct out tr.up_e.(c) tr.members.(c)
 
 (* append the traversal of witness entry [e] (stored on member [self]'s
    row, so oriented self -> nbr iff [e.lfwd]) in the nbr -> self
@@ -1043,69 +1026,69 @@ let fallback t rt out x y =
    short and a one-hop step costs less than a run leg *)
 let jump_min = 4
 
-(* walk the witness tree from member [px] to member [py] (LCA walk);
+(* walk tree [tr] from member [px] to member [py] (LCA walk);
    both must be reached. out currently ends at members.(px). A side
    climbs [j >= jump_min] steps of its heavy path as one run leg. While
    the two sides climb in lockstep at equal depth they lie on different
    heavy paths, so they cannot meet within the shorter of their two
    runs: a common ancestor inside both runs would lie on both paths. *)
 (* lint: hot *)
-let tree_walk rt lf out px py =
+let tree_walk rt tr out px py =
   let px = ref px and py = ref py in
   let chain = rt.chain in
   let k = ref 0 in
-  while lf.depth.(!px) > lf.depth.(!py) do
+  while tr.depth.(!px) > tr.depth.(!py) do
     let c = !px in
-    let j = Int.min lf.run.(c) (lf.depth.(c) - lf.depth.(!py)) in
+    let j = Int.min tr.run.(c) (tr.depth.(c) - tr.depth.(!py)) in
     if j >= jump_min then begin
-      push_climb lf out c j;
-      px := lf.at.(lf.pos.(c) - j)
+      push_climb tr out c j;
+      px := tr.at.(tr.pos.(c) - j)
     end
     else begin
-      push_up lf out c;
-      px := lf.parent.(c)
+      push_up tr out c;
+      px := tr.parent.(c)
     end
   done;
-  while lf.depth.(!py) > lf.depth.(!px) do
+  while tr.depth.(!py) > tr.depth.(!px) do
     let c = !py in
-    let j = Int.min lf.run.(c) (lf.depth.(c) - lf.depth.(!px)) in
+    let j = Int.min tr.run.(c) (tr.depth.(c) - tr.depth.(!px)) in
     chain.(!k) <- c;
     incr k;
-    py := if j >= jump_min then lf.at.(lf.pos.(c) - j) else lf.parent.(c)
+    py := if j >= jump_min then tr.at.(tr.pos.(c) - j) else tr.parent.(c)
   done;
   while !px <> !py do
     let cx = !px and cy = !py in
-    let j = Int.min lf.run.(cx) lf.run.(cy) in
+    let j = Int.min tr.run.(cx) tr.run.(cy) in
     chain.(!k) <- cy;
     incr k;
     if j >= jump_min then begin
-      push_climb lf out cx j;
-      px := lf.at.(lf.pos.(cx) - j);
-      py := lf.at.(lf.pos.(cy) - j)
+      push_climb tr out cx j;
+      px := tr.at.(tr.pos.(cx) - j);
+      py := tr.at.(tr.pos.(cy) - j)
     end
     else begin
-      push_up lf out cx;
-      px := lf.parent.(cx);
-      py := lf.parent.(cy)
+      push_up tr out cx;
+      px := tr.parent.(cx);
+      py := tr.parent.(cy)
     end
   done;
   (* each y-side leg descends from the member stacked above it (the LCA
      for the topmost) to its own member *)
-  let above = ref lf.depth.(!px) in
+  let above = ref tr.depth.(!px) in
   for i = !k - 1 downto 0 do
     let c = chain.(i) in
-    let d = lf.depth.(c) in
+    let d = tr.depth.(c) in
     let j = d - !above in
     above := d;
-    if j = 1 then push_down lf out c else push_descent lf out c j
+    if j = 1 then push_down tr out c else push_descent tr out c j
   done
 
 (* is reached member [anc] an ancestor of reached member [c]
    (inclusive)? [c]'s position falls in [anc]'s subtree interval *)
 (* lint: hot *)
-let ancestor_of lf anc c =
-  let d = lf.pos.(c) - lf.pos.(anc) in
-  d >= 0 && d < lf.size.(anc)
+let ancestor_of tr anc c =
+  let d = tr.pos.(c) - tr.pos.(anc) in
+  d >= 0 && d < tr.size.(anc)
 
 (* the edge id a bundle walked from [self] starts with: its first edge
    when the bundle is oriented away from [self], else its last *)
@@ -1113,75 +1096,67 @@ let ancestor_of lf anc c =
 let first_eid eids away =
   if away then eids.(0) else eids.(Array.length eids - 1)
 
-(* heaviest load over the edge ids [es.(lo .. hi - 1)] if it is at most
-   [lim], else any value above [lim] (the scan stops at the first edge
-   past it) *)
+(* heaviest load over the edge ids [es] if it is at most [lim], else any
+   value above [lim] (the scan stops at the first edge past it) *)
 (* lint: hot *)
-let capped_cost cong es lo hi lim =
-  let c = ref 0 and i = ref lo in
-  while !i < hi && !c <= lim do
+let capped_cost cong es lim =
+  let c = ref 0 and i = ref 0 in
+  while !i < Array.length es && !c <= lim do
     let l = load cong es.(!i) in
     if l > !c then c := l;
     incr i
   done;
   !c
 
-(* [capped_cost] over member [c]'s up bundle *)
+(* the load on reached non-root member [c]'s up edge in tree [tr] *)
 (* lint: hot *)
-let up_cost cong lf c lim =
-  let e = lf.up_e.(c) in
-  if e >= 0 then load cong e
-  else begin
-    let p = lf.pos.(c) in
-    let s = up_start lf p in
-    capped_cost cong lf.up_es s (s + lf.hsum.(p + 1) - lf.hsum.(p)) lim
-  end
+let up_load cong tr c = load cong tr.up_e.(c)
 
 (* what a diversion through witness entry [e] into [py] costs: the
-   heaviest load over the entry's own bundle and the two tree bundles the
-   detour walk descends last (z's up bundle and z's parent's), capped as
+   heaviest load over the entry's own bundle and the two tree edges the
+   detour walk descends last (z's up edge and z's parent's), capped as
    in [capped_cost] *)
 (* lint: hot *)
-let entry_cost cong lf e lim =
-  let c = capped_cost cong e.eids 0 (Array.length e.eids) lim in
+let entry_cost cong tr e lim =
+  let c = capped_cost cong e.eids lim in
   let z = e.nbr in
-  if c > lim || lf.parent.(z) < 0 then c
+  if c > lim || tr.parent.(z) < 0 then c
   else begin
-    let c = Int.max c (up_cost cong lf z lim) in
-    let pz = lf.parent.(z) in
-    if c > lim || lf.parent.(pz) < 0 then c
-    else Int.max c (up_cost cong lf pz lim)
+    let c = Int.max c (up_load cong tr z) in
+    let pz = tr.parent.(z) in
+    if c > lim || tr.parent.(pz) < 0 then c
+    else Int.max c (up_load cong tr pz)
   end
 
-(* Least-loaded destination entry: when the tree walk would descend into
-   [py] over its (unique) up bundle, probe the next two eligible witness
-   entries (z, y) from a rotating cursor and divert to the cheaper one
-   ([entry_cost]; ties to the smaller representative edge id) when it is
-   strictly cheaper than the natural bundle. An entry is eligible when
-   depth(z) <= depth(y) — shallower entries keep the detour walk x -> z
-   away from y — and its edge into y is not the natural bundle's edge
-   into y, which a diversion would still cross. Probing is skipped when
-   the natural bundle is not hot, its load at most [rt.gate] (0 at a
+(* Least-loaded destination entry: when the walk of tree [tr] would
+   descend into [py] over its up edge, probe the next two eligible
+   witness entries (z, y) from a rotating cursor and divert to the
+   cheaper one ([entry_cost]; ties to the smaller representative edge id)
+   when it is strictly cheaper than the natural edge. An entry is
+   eligible when depth(z) <= depth(y) in [tr] — shallower entries keep
+   the detour walk x -> z away from y — and its edge into y is not the
+   natural edge, which a diversion would still cross. Probing is skipped
+   when the natural edge is not hot, its load at most [rt.gate] (0 at a
    reset, so only a cold entry is skipped then). Returns [true] when it
    emitted the whole leg. *)
-let try_divert rt ~cong lf out px py =
+let try_divert rt ~cong lf tr out px py =
   let wadj = lf.wadj.(py) in
   let deg = Array.length wadj in
   let y = lf.members.(py) in
-  let cn = up_cost cong lf py max_int in
+  let hot = tr.up_e.(py) in
+  let cn = load cong hot in
   if cn <= rt.gate then begin
     rt.div_gated <- rt.div_gated + 1;
     false
   end
   else begin
     rt.div_probes <- rt.div_probes + 1;
-    let hot = lf.up_es.(up_start lf lf.pos.(py)) in
-    let dy = lf.depth.(py) in
+    let dy = tr.depth.(py) in
     let cur = rt.ecur.(y) in
     rt.ecur.(y) <- (if cur + 1 >= deg then 0 else cur + 1);
     rt.eadv.(y) <- rt.eadv.(y) + 1;
-    (* the best entry so far and its cost; the natural bundle starts as
-       the best with a tie-break no entry wins *)
+    (* the best entry so far and its cost; the natural edge starts as the
+       best with a tie-break no entry wins *)
     let best = ref (-1) and best_c = ref cn and best_rep = ref min_int in
     let probes = ref 0 and i = ref 0 in
     while !probes < 2 && !i < deg do
@@ -1190,7 +1165,7 @@ let try_divert rt ~cong lf out px py =
         if s >= deg then s - deg else s
       in
       let e = wadj.(idx) in
-      let dz = lf.depth.(e.nbr) in
+      let dz = tr.depth.(e.nbr) in
       if
         dz >= 0 && dz <= dy && e.nbr <> py && first_eid e.eids e.lfwd <> hot
       then begin
@@ -1198,7 +1173,7 @@ let try_divert rt ~cong lf out px py =
         (* [e] wins iff its cost is below the best, or equal with a
            smaller representative *)
         let lim = if e.rep < !best_rep then !best_c else !best_c - 1 in
-        let c = entry_cost cong lf e lim in
+        let c = entry_cost cong tr e lim in
         if c <= lim then begin
           best := idx;
           best_c := c;
@@ -1211,31 +1186,71 @@ let try_divert rt ~cong lf out px py =
     else begin
       let e = wadj.(!best) in
       rt.diversions <- rt.diversions + 1;
-      tree_walk rt lf out px e.nbr;
+      tree_walk rt tr out px e.nbr;
       push_entry_back lf out py e;
       true
     end
   end
+
+(* the tree an intra leg between reached members [px] and [py] walks: the
+   one minimising dk(x, t) + dk(y, t), ties to the lower t. Under
+   [Least_loaded] (ll), a runner-up within 1.5x of that sum is taken
+   instead when its natural entry into y (y's up edge there) is strictly
+   lighter; a tree rooted at y has no up edge into y and never counts as
+   lighter. *)
+(* lint: hot *)
+let pick_tree ~ll ~cong lf px py =
+  let k = lf.k and dk = lf.dk in
+  let bx = px * k and by = py * k in
+  let best = ref 0 and bs = ref (dk.(bx) + dk.(by)) in
+  let second = ref (-1) and ss = ref max_int in
+  for t = 1 to k - 1 do
+    let s = dk.(bx + t) + dk.(by + t) in
+    if s < !bs then begin
+      second := !best;
+      ss := !bs;
+      best := t;
+      bs := s
+    end
+    else if s < !ss then begin
+      second := t;
+      ss := s
+    end
+  done;
+  let b = !best and r = !second in
+  if ll && r >= 0 && 2 * !ss <= 3 * !bs then begin
+    let lb =
+      if dk.(by + b) = 0 then max_int else up_load cong lf.trees.(b) py
+    and lr =
+      if dk.(by + r) = 0 then max_int else up_load cong lf.trees.(r) py
+    in
+    if lr < lb then r else b
+  end
+  else b
 
 (* route x -> y inside leaf [lf] *)
 let leaf_route t rt ~ll ~cong lf out x y =
   if x = y then true
   else begin
     let px = t.pos_of.(x) and py = t.pos_of.(y) in
-    if lf.depth.(px) < 0 || lf.depth.(py) < 0 then fallback t rt out x y
+    let tr0 = lf.trees.(0) in
+    if tr0.depth.(px) < 0 || tr0.depth.(py) < 0 then fallback t rt out x y
     else begin
+      let tr =
+        if lf.k = 1 then tr0 else lf.trees.(pick_tree ~ll ~cong lf px py)
+      in
       (* diversion applies only when y is not an ancestor of x: then the
-         walk's last hop is the descent over y's up bundle, and a detour
+         walk's last hop is the descent over y's up edge, and a detour
          through a not-deeper witness neighbor of y cannot pass through
          y itself *)
       let done_ =
         ll
         && Array.length lf.wadj.(py) > 1
-        && lf.depth.(py) > 0
-        && (not (ancestor_of lf py px))
-        && try_divert rt ~cong lf out px py
+        && tr.depth.(py) > 0
+        && (not (ancestor_of tr py px))
+        && try_divert rt ~cong lf tr out px py
       in
-      if not done_ then tree_walk rt lf out px py;
+      if not done_ then tree_walk rt tr out px py;
       true
     end
   end

@@ -1,12 +1,14 @@
 (** The reusable witness hierarchy behind expander routing.
 
     [build] turns one {!Spectral.Expander_decomposition.t} into a
-    two-level routing structure: a {e leaf witness} per cluster (a
-    shortest-path tree by real length over intra-cluster edges plus the
-    cut-matching game's embedded matchings as shortcut edges, each
-    weighing its embedded path's hop count, rooted at the member of maximum
-    intra-cluster degree, ties broken toward the smallest id — unlike the
-    election's larger-id rule, which costs about 11% of grid congestion)
+    two-level routing structure: a {e leaf witness} per cluster (the
+    cut-matching game's embedded matchings as shortcut edges, used as
+    destination entries, and BFS trees over the intra-cluster edges: the
+    first rooted at the member of maximum intra-cluster degree, ties
+    broken toward the smallest id — unlike the election's larger-id rule,
+    which costs about 11% of grid congestion — and, while some member
+    lies at least 32 hops from every root so far, up to 8 trees, the
+    next rooted at the member farthest from the roots)
     and an {e internal witness} per recursion-tree node (inter-cluster
     edges bucketed as portal edges per ordered child pair, plus the
     child-connectivity graph). Clusters whose decomposition retained no
@@ -18,9 +20,12 @@
     recursion tree along the common prefix of the endpoint clusters'
     addresses, cross one portal edge per hop of a child sequence at the
     divergence node, and solve intra-cluster legs by an LCA walk of the
-    leaf's tree, logging each shortcut as one bundle leg that stands
-    for its embedded real path, and each climb or descent of several
-    steps along one heavy path of the tree as one run leg.
+    leaf tree [t] minimising [depth_t x + depth_t y] (under
+    [Least_loaded], the runner-up within 1.5x when its entry edge into
+    [y] is lighter), logging each climb or descent of several steps
+    along one heavy path of the tree as one run leg, and a diversion's
+    shortcut entry as one bundle leg that stands for its embedded real
+    path.
 
     Every piece of state a serving stream mutates — portal cursors,
     destination-entry probes, scratch buffers, the fallback and hop
@@ -39,10 +44,9 @@
     - a reference to a witness bundle — a matching shortcut's embedded
       real path, its edge-id array and the direction it is walked in —
       for a diversion's entry into the destination;
-    - a heavy-path run of a leaf tree — a contiguous range of the leaf's
+    - a heavy-path run of a leaf tree — a contiguous range of the tree's
       flat walk arrays, one (vertex reached, edge id) pair per hop — for
-      a climb or descent of several tree steps along one heavy path, or
-      for one tree step over a shortcut bundle.
+      a climb or descent of several tree steps along one heavy path.
     Consumers work per leg: {!charge} walks each bundle's or run's
     stored edge ids, and only {!vec_to_array} expands the legs into a
     vertex path, one blit per run. *)
@@ -69,7 +73,10 @@ val charge : int array -> vec -> int -> unit
     power-of-two-choices over the live per-edge congestion array: probe
     the cursor position and a second position half a rotation ahead,
     take the lighter (ties to the smaller edge id); intra-cluster legs
-    additionally divert their final descent into the destination to the
+    in a leaf with several trees take the runner-up tree when its depth
+    sum is within 1.5x of the best and its up edge into the destination
+    is strictly lighter, and additionally divert their final descent
+    into the destination to the
     cheaper of two rotating witness entries when it is strictly lighter
     than the natural tree edge, probing only when the natural entry's
     load is above the router's gate (see {!sync_router}). Both are
@@ -152,7 +159,7 @@ type info = {
   shortcuts : int;      (** matching shortcut edges across all leaves *)
   rebuilt_leaves : int; (** leaves that played a fresh game *)
   reused_leaves : int;  (** leaves routed from retained matchings *)
-  max_leaf_depth : int; (** deepest witness-tree member over all leaves *)
+  max_leaf_depth : int; (** deepest member over every tree of every leaf *)
   tree_height : int;    (** recursion-tree height *)
 }
 
@@ -165,11 +172,8 @@ val info : t -> info
     representative edge id that breaks ties. *)
 val iter_bundles : t -> (int array -> int array -> int -> unit) -> unit
 
-(** [iter_tree_edges t f] calls [f v ~direct vs es] for every reached
-    non-root member [v] of every leaf's witness tree, with [v]'s up
-    bundle walked from [v] to its parent: the vertex each hop reaches
-    ([vs], the parent last), the edge id it crosses ([es]), and whether
-    the bundle is one direct intra edge rather than a matching
-    shortcut. *)
-val iter_tree_edges :
-  t -> (int -> direct:bool -> int array -> int array -> unit) -> unit
+(** [iter_tree_edges t f] calls [f ~tree v p e] for every reached
+    non-root member [v] of every tree of every leaf: tree [tree] of [v]'s
+    leaf (tree 0 is rooted at the leader) hangs [v] under [p] by the
+    intra-cluster edge [e]. *)
+val iter_tree_edges : t -> (tree:int -> int -> int -> int -> unit) -> unit

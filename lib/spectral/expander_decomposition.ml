@@ -44,7 +44,7 @@ type outcome = Keep of cluster_witness | Drop | Split of int list list
 
 let drive ~entry ~span ~singleton ~exact ~judge ~zero ~add ~report ~pool g
     ~epsilon =
-  if epsilon <= 0. || epsilon >= 1. then
+  if not (epsilon > 0. && epsilon < 1.) then
     invalid_arg (entry ^ ": need 0 < epsilon < 1");
   Obs.Span.with_ span @@ fun () ->
   let n = Graph.n g in

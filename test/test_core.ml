@@ -452,7 +452,7 @@ let golden_demands g =
 
 let test_golden_serve () =
   let expected =
-    [ "f22e6ad9914f4fc7a9318d1cd9912a40"; "c93741cdb4885551df49e36a21fa721a" ]
+    [ "f86cab035d1c44e14e129e947cb4b9e3"; "cee4ecc6dcc0c8692db4bdadf94a10ff" ]
   in
   let got =
     List.map
@@ -521,7 +521,7 @@ let test_golden_serve_multi_epoch () =
           [ Route.Hierarchy.Round_robin; Route.Hierarchy.Least_loaded ])
   in
   Alcotest.(check string) "grid 24x24, three epochs"
-    "67959bcd7795aef9e8ee3fd010b0540f" got
+    "88bf0a1a6a640b2d8dcf5df8e4de171f" got
 
 (* the route.hops_* counters that [Service.summarize] emits, by leg kind:
    direct intra edge, shortcut expansion, portal, fallback *)

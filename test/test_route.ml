@@ -361,180 +361,120 @@ let test_carried_bundle_ids () =
       ("grid 40x20", Generators.grid 40 20, 0.5, true);
     ]
 
-(* the leaf tree is a shortest-path tree by real length. From each
-   cluster's leader (most intra-cluster edges, smallest id on ties) the
-   round-robin route to every member must be as long as its Dijkstra
-   distance over a witness graph rebuilt here: the intra-cluster edges at
-   length 1, plus every bundle [iter_bundles] reports at its hop count *)
-module Dist_set = Set.Make (struct
-  type t = int * int  (* (distance, vertex) *)
-  let compare = compare
-end)
-
-let test_leaf_tree_shortest () =
-  List.iter
-    (fun (name, (g, epsilon, _)) ->
-      let p =
-        Core.Pipeline.prepare ~mode:Core.Pipeline.Charged
-          ~engine:Core.Pipeline.Spectral_engine g ~epsilon ~seed:5
-      in
-      let h = Route.Service.hierarchy (Core.Pipeline.routing_service ~seed:11 p) in
-      checkb (name ^ ": witness has shortcuts") true
-        ((Route.Hierarchy.info h).Route.Hierarchy.shortcuts > 0);
-      let labels = p.Core.Pipeline.decomposition.Spectral.Expander_decomposition.labels in
-      let n = Graph.n g in
-      let adj = Array.make n [] in
-      let intra_deg = Array.make n 0 in
-      Graph.iter_edges g (fun _ u v ->
-          if labels.(u) = labels.(v) then begin
-            adj.(u) <- (v, 1) :: adj.(u);
-            adj.(v) <- (u, 1) :: adj.(v);
-            intra_deg.(u) <- intra_deg.(u) + 1;
-            intra_deg.(v) <- intra_deg.(v) + 1
-          end);
-      Route.Hierarchy.iter_bundles h (fun path eids _ ->
-          let a = path.(0) and b = path.(Array.length path - 1) in
-          adj.(a) <- (b, Array.length eids) :: adj.(a));
-      let leader = Hashtbl.create 8 in
-      for v = 0 to n - 1 do
-        match Hashtbl.find_opt leader labels.(v) with
-        | Some l when intra_deg.(l) >= intra_deg.(v) -> ()
-        | _ -> Hashtbl.replace leader labels.(v) v
-      done;
-      let rt = Route.Hierarchy.make_router h in
-      let out = Route.Hierarchy.vec_create () in
-      Hashtbl.iter
-        (fun label l ->
-          let dist = Array.make n max_int in
-          dist.(l) <- 0;
-          let q = ref (Dist_set.singleton (0, l)) in
-          while not (Dist_set.is_empty !q) do
-            let ((d, u) as top) = Dist_set.min_elt !q in
-            q := Dist_set.remove top !q;
-            if d = dist.(u) then
-              List.iter
-                (fun (w, len) ->
-                  if d + len < dist.(w) then begin
-                    dist.(w) <- d + len;
-                    q := Dist_set.add (d + len, w) !q
-                  end)
-                adj.(u)
-          done;
-          for v = 0 to n - 1 do
-            if labels.(v) = label then begin
-              checkb (name ^ ": member reachable") true (dist.(v) < max_int);
-              checkb (name ^ ": routed") true
-                (Route.Hierarchy.route ~policy:Route.Hierarchy.Round_robin
-                   ~cong:[||] h rt out l v);
-              checki
-                (Printf.sprintf "%s: route %d -> %d is shortest" name l v)
-                dist.(v) (Route.Hierarchy.vec_hops out)
-            end
-          done)
-        leader)
-    [
-      ("grid 16x16", single (Generators.grid 16 16));
-      ("apollonian 512", single (Generators.random_apollonian 512 ~seed:3));
-      ("grid 24x24", multi_cluster_grid ());
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* Leaf walk against the per-hop oracle                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* The per-hop LCA walk that heavy-path runs replaced, kept as an oracle
-   over the trees [Hierarchy.iter_tree_edges] reports: climb the deeper
-   side to equal depth, climb both in lockstep to the LCA, then descend
-   to y, one up bundle per step. A round-robin route between two members
-   of one cluster is exactly one tree walk, and every leaf leg of any
-   route (a diversion included: a walk to the entry's far end, then the
-   entry's own bundle) is one too, so plans, charges and hop kinds equal
+   over the trees [Hierarchy.iter_tree_edges] reports: pick the tree
+   whose depths of x and y sum least (ties to the lower index), climb the
+   deeper side to equal depth, climb both in lockstep to the LCA, then
+   descend to y, one up edge per step. A round-robin route between two
+   members of one cluster is exactly one tree walk, and every leaf leg of
+   any route (a diversion included: a walk to the entry's far end, then
+   the entry itself) is one too, so plans, charges and hop counts equal
    over member pairs carry to every route. *)
 type tree_oracle = {
-  parent : int array;  (* vertex -> parent vertex; -1 = a root *)
-  depth : int array;
-  direct : bool array;  (* the up bundle is one direct intra edge *)
-  up_vs : int array array;  (* up bundle: the vertex each hop reaches *)
-  up_es : int array array;  (* up bundle: the edge id each hop crosses *)
+  parent : int array array;  (* tree -> vertex -> parent; -1 = none *)
+  up_e : int array array;    (* tree -> vertex -> edge id to the parent *)
+  depth : int array array;   (* tree -> vertex -> depth; -1 = not a member *)
+  trees : int array;         (* vertex -> trees of its leaf *)
 }
 
-let tree_oracle g h =
+(* most trees of any leaf *)
+let max_trees h =
+  let nt = ref 1 in
+  Route.Hierarchy.iter_tree_edges h (fun ~tree _ _ _ ->
+      nt := max !nt (tree + 1));
+  !nt
+
+let tree_oracle g labels h =
   let n = Graph.n g in
+  let nt = max_trees h in
   let o =
     {
-      parent = Array.make n (-1);
-      depth = Array.make n (-1);
-      direct = Array.make n false;
-      up_vs = Array.make n [||];
-      up_es = Array.make n [||];
+      parent = Array.init nt (fun _ -> Array.make n (-1));
+      up_e = Array.init nt (fun _ -> Array.make n (-1));
+      depth = Array.init nt (fun _ -> Array.make n (-1));
+      trees = Array.make n 1;
     }
   in
-  Route.Hierarchy.iter_tree_edges h (fun v ~direct vs es ->
-      o.parent.(v) <- vs.(Array.length vs - 1);
-      o.direct.(v) <- direct;
-      o.up_vs.(v) <- vs;
-      o.up_es.(v) <- es);
-  let rec depth v =
-    if o.depth.(v) < 0 then
-      o.depth.(v) <- (if o.parent.(v) < 0 then 0 else 1 + depth o.parent.(v));
-    o.depth.(v)
+  (* a leaf's tree count: one more than the largest index any member
+     appears under *)
+  let per_label = Hashtbl.create 8 in
+  Route.Hierarchy.iter_tree_edges h (fun ~tree v p e ->
+      o.parent.(tree).(v) <- p;
+      o.up_e.(tree).(v) <- e;
+      let l = labels.(v) in
+      let k = Option.value ~default:1 (Hashtbl.find_opt per_label l) in
+      Hashtbl.replace per_label l (max k (tree + 1)));
+  for v = 0 to n - 1 do
+    o.trees.(v) <-
+      Option.value ~default:1 (Hashtbl.find_opt per_label labels.(v))
+  done;
+  let rec depth t v =
+    if o.depth.(t).(v) < 0 then
+      o.depth.(t).(v) <-
+        (if o.parent.(t).(v) < 0 then 0 else 1 + depth t o.parent.(t).(v));
+    o.depth.(t).(v)
   in
   for v = 0 to n - 1 do
-    ignore (depth v)
+    for t = 0 to o.trees.(v) - 1 do
+      ignore (depth t v)
+    done
   done;
   o
 
-(* the walk x -> y: (vertices after x, edge ids, direct hops, shortcut
-   hops) *)
+(* the tree a round-robin route x -> y walks *)
+let oracle_tree o x y =
+  let best = ref 0 in
+  for t = 1 to o.trees.(x) - 1 do
+    if o.depth.(t).(x) + o.depth.(t).(y)
+       < o.depth.(!best).(x) + o.depth.(!best).(y)
+    then best := t
+  done;
+  !best
+
+(* the walk x -> y: (vertices after x, edge ids) *)
 let oracle_walk o x y =
-  let vs = ref [] and es = ref [] and direct = ref 0 and shortcut = ref 0 in
-  let count v =
-    if o.direct.(v) then incr direct
-    else shortcut := !shortcut + Array.length o.up_es.(v)
-  in
+  let t = oracle_tree o x y in
+  let parent = o.parent.(t) and depth = o.depth.(t) and up_e = o.up_e.(t) in
+  let vs = ref [] and es = ref [] in
   let up v =
-    Array.iter (fun w -> vs := w :: !vs) o.up_vs.(v);
-    Array.iter (fun e -> es := e :: !es) o.up_es.(v);
-    count v
+    vs := parent.(v) :: !vs;
+    es := up_e.(v) :: !es
   in
   let down v =
-    let h = Array.length o.up_vs.(v) in
-    for q = h - 2 downto 0 do
-      vs := o.up_vs.(v).(q) :: !vs
-    done;
     vs := v :: !vs;
-    for q = h - 1 downto 0 do
-      es := o.up_es.(v).(q) :: !es
-    done;
-    count v
+    es := up_e.(v) :: !es
   in
   let x = ref x and y = ref y and chain = ref [] in
-  while o.depth.(!x) > o.depth.(!y) do
+  while depth.(!x) > depth.(!y) do
     up !x;
-    x := o.parent.(!x)
+    x := parent.(!x)
   done;
-  while o.depth.(!y) > o.depth.(!x) do
+  while depth.(!y) > depth.(!x) do
     chain := !y :: !chain;
-    y := o.parent.(!y)
+    y := parent.(!y)
   done;
   while !x <> !y do
     up !x;
-    x := o.parent.(!x);
+    x := parent.(!x);
     chain := !y :: !chain;
-    y := o.parent.(!y)
+    y := parent.(!y)
   done;
   List.iter down !chain;
-  (Array.of_list (List.rev !vs), Array.of_list (List.rev !es), !direct, !shortcut)
+  (Array.of_list (List.rev !vs), Array.of_list (List.rev !es))
 
 (* route every (x, y, weight) of [pairs] (same-cluster members) under
    round-robin and compare with the oracle: each plan, the per-edge
-   charges, and the router's hops by kind *)
-let walk_matches_oracle g h pairs =
-  let o = tree_oracle g h in
+   charges, and the router's hops (all direct) *)
+let walk_matches_oracle g labels h pairs =
+  let o = tree_oracle g labels h in
   let rt = Route.Hierarchy.make_router h in
   let out = Route.Hierarchy.vec_create () in
   let cong = Array.make (Graph.m g) 0 and expect = Array.make (Graph.m g) 0 in
-  let direct = ref 0 and shortcut = ref 0 in
+  let direct = ref 0 in
   let plans_equal =
     List.for_all
       (fun (x, y, w) ->
@@ -542,21 +482,20 @@ let walk_matches_oracle g h pairs =
           Route.Hierarchy.route ~policy:Route.Hierarchy.Round_robin ~cong:[||]
             h rt out x y
         in
-        let vs, es, d, sc = oracle_walk o x y in
+        let vs, es = oracle_walk o x y in
         Route.Hierarchy.charge cong out w;
         Array.iter (fun e -> expect.(e) <- expect.(e) + w) es;
-        direct := !direct + d;
-        shortcut := !shortcut + sc;
+        direct := !direct + Array.length es;
         routed && Route.Hierarchy.vec_to_array out = Array.append [| x |] vs)
       pairs
   in
   let hops = Route.Hierarchy.router_hops rt in
   plans_equal && cong = expect
-  && hops = { Route.Hierarchy.direct = !direct; shortcut = !shortcut;
+  && hops = { Route.Hierarchy.direct = !direct; shortcut = 0;
               portal = 0; fallback = 0 }
 
-(* a tree as a one-cluster decomposition: the leaf plays a rebuild game
-   on it, whose cut leaves the tree itself as the witness *)
+(* a graph as a one-cluster decomposition: the leaf plays a rebuild game
+   on it *)
 let one_cluster g =
   let decomp =
     {
@@ -591,51 +530,41 @@ let spider () =
     legs;
   Graph.of_edges !next !edges
 
-(* a 30-cycle cut into the paths 0 .. 25 and 26 .. 29, the first
-   cluster's witness holding one matching shortcut 0 - 25 embedded around
-   the other cluster (5 hops against 25 inside). The shortest-path tree
-   hangs 25 under 0 by that bundle, one step into the light arm's heavy
-   path, so runs up that arm cross a multi-hop bundle. (Witness trees of
-   whole-cluster decompositions take a shortcut only on a tie, and none
-   did on the grids and Apollonian graphs checked.) *)
-let bundle_in_run () =
-  let n = 30 and cut = 26 in
-  let g = Generators.cycle n in
-  let labels = Array.init n (fun v -> if v < cut then 0 else 1) in
-  let around = [| 0; 29; 28; 27; 26; 25 |] in
-  let eids =
-    Array.init 5 (fun q -> Graph.find_edge g around.(q) around.(q + 1))
+(* inputs whose leaves carry several trees: a 160-cycle as one cluster
+   (roots 0, 80, 40 and 120: the last two lie 40 hops from the roots
+   before them) and the 64x64
+   grid as the end-to-end benchmark decomposes it (clusters of radius
+   61-63) *)
+let long_cycle () =
+  let g = Generators.cycle 160 in
+  (g, Array.make 160 0, Route.Service.hierarchy (one_cluster g))
+
+let bench_grid () =
+  let g = Generators.grid 64 64 in
+  let p =
+    Core.Pipeline.prepare ~mode:Core.Pipeline.Charged
+      ~engine:Core.Pipeline.Cut_matching_engine g ~epsilon:0.5 ~seed:1
   in
-  let witness l =
-    Spectral.Expander_decomposition.no_witness ~path:[ l ] ~source:"hand-built"
-  in
-  let decomp =
-    {
-      Spectral.Expander_decomposition.labels;
-      k = 2;
-      inter_edges =
-        Graph.fold_edges g
-          (fun acc e u v -> if labels.(u) <> labels.(v) then e :: acc else acc)
-          []
-        |> List.rev;
-      epsilon = 0.5;
-      phi = 0.01;
-      tau = 0.2;
-      witnesses =
-        [|
-          { (witness 0) with
-            Spectral.Expander_decomposition.w_matchings =
-              [ ([| (0, 25) |], [| around |], [| eids |]) ] };
-          witness 1;
-        |];
-    }
-  in
-  (g, labels, Route.Service.preprocess g decomp)
+  ( g,
+    p.Core.Pipeline.decomposition.Spectral.Expander_decomposition.labels,
+    Route.Service.hierarchy (Core.Pipeline.routing_service ~seed:11 p) )
 
 let walk_oracle_arb =
   QCheck.make
     ~print:(fun (pick, seed) -> Printf.sprintf "graph %d seed %d" pick seed)
     QCheck.Gen.(pair (0 -- 5) (int_bound 10_000))
+
+(* [count] random same-cluster pairs with weights *)
+let sampled_pairs g labels ~seed count =
+  let st = Random.State.make [| seed; 0x0a7c |] in
+  let n = Graph.n g in
+  let rec member_of l =
+    let v = Random.State.int st n in
+    if labels.(v) = l then v else member_of l
+  in
+  List.init count (fun _ ->
+      let x = Random.State.int st n in
+      (x, member_of labels.(x), 1 + Random.State.int st 3))
 
 let qcheck_walk_oracle =
   QCheck.Test.make ~name:"leaf walk: plans, charges, hops = per-hop oracle"
@@ -650,17 +579,16 @@ let qcheck_walk_oracle =
       | 0 | 1 ->
           let g = if pick = 0 then spider () else Generators.path 14 in
           let h = Route.Service.hierarchy (one_cluster g) in
-          walk_matches_oracle g h (all_pairs g (Array.make (Graph.n g) 0))
+          let labels = Array.make (Graph.n g) 0 in
+          walk_matches_oracle g labels h (all_pairs g labels)
       | 5 ->
-          let g, labels, svc = bundle_in_run () in
-          let h = Route.Service.hierarchy svc in
-          let bundles = ref 0 in
-          Route.Hierarchy.iter_tree_edges h (fun _ ~direct _ _ ->
-              if not direct then incr bundles);
-          !bundles = 1 && walk_matches_oracle g h (all_pairs g labels)
+          (* four trees: the walk and the oracle must pick the same one *)
+          let g, labels, h = long_cycle () in
+          max_trees h = 4
+          && walk_matches_oracle g labels h (sampled_pairs g labels ~seed 400)
       | _ ->
           (* the one-cluster (deep) grid, Apollonian graphs, whose
-             shortcut bundles lie inside heavy paths, and the
+             witnesses carry shortcuts no tree takes, and the
              multi-cluster grid: sampled same-cluster pairs *)
           let g, epsilon =
             match pick with
@@ -677,18 +605,116 @@ let qcheck_walk_oracle =
           in
           let h = Route.Service.hierarchy (Core.Pipeline.routing_service ~seed:11 p) in
           let k = (Route.Hierarchy.info h).Route.Hierarchy.clusters in
-          let st = Random.State.make [| seed; 0x0a7c |] in
-          let n = Graph.n g in
-          let rec member_of l =
-            let v = Random.State.int st n in
-            if labels.(v) = l then v else member_of l
-          in
-          let pairs =
-            List.init 400 (fun _ ->
-                let x = Random.State.int st n in
-                (x, member_of labels.(x), 1 + Random.State.int st 3))
-          in
-          (k = 1) = (pick <> 4) && walk_matches_oracle g h pairs)
+          (k = 1) = (pick <> 4)
+          && walk_matches_oracle g labels h (sampled_pairs g labels ~seed 400))
+
+(* an input as (graph, labels, hierarchy), prepared as the planner tests
+   prepare it *)
+let labelled (g, epsilon, _) =
+  let p =
+    Core.Pipeline.prepare ~mode:Core.Pipeline.Charged
+      ~engine:Core.Pipeline.Spectral_engine g ~epsilon ~seed:5
+  in
+  ( g,
+    p.Core.Pipeline.decomposition.Spectral.Expander_decomposition.labels,
+    Route.Service.hierarchy (Core.Pipeline.routing_service ~seed:11 p) )
+
+(* every tree of every leaf is a BFS tree over intra-cluster edges from
+   its root: a BFS from the root (the one member without a parent in
+   that tree) over the same-label edges reaches every member at its tree
+   depth, and every up edge is an intra edge joining the member and its
+   parent *)
+let test_leaf_trees_bfs () =
+  List.iter
+    (fun (name, (g, labels, h), several) ->
+      let o = tree_oracle g labels h in
+      let n = Graph.n g in
+      if several then
+        checkb (name ^ ": several trees") true (Array.length o.parent > 1);
+      for t = 0 to Array.length o.parent - 1 do
+        (* each leaf's root in tree t, and the up edges that are not intra
+           edges joining a member to its parent *)
+        let roots = Hashtbl.create 8 and bad = ref [] in
+        for v = 0 to n - 1 do
+          if t < o.trees.(v) then begin
+            let p = o.parent.(t).(v) in
+            if p < 0 then begin
+              if Hashtbl.mem roots labels.(v) then bad := v :: !bad;
+              Hashtbl.replace roots labels.(v) v
+            end
+            else begin
+              let a, b = Graph.endpoints g o.up_e.(t).(v) in
+              if (a, b) <> (min v p, max v p) || labels.(p) <> labels.(v) then
+                bad := v :: !bad
+            end
+          end
+        done;
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: tree %d: one root, intra up edges" name t)
+          [] !bad;
+        Hashtbl.iter
+          (fun label r ->
+            let dist = Array.make n (-1) in
+            dist.(r) <- 0;
+            let q = Queue.create () in
+            Queue.add r q;
+            while not (Queue.is_empty q) do
+              let u = Queue.pop q in
+              Graph.iter_neighbors g u (fun w ->
+                  if labels.(w) = label && dist.(w) < 0 then begin
+                    dist.(w) <- dist.(u) + 1;
+                    Queue.add w q
+                  end)
+            done;
+            let off = ref [] in
+            for v = n - 1 downto 0 do
+              if labels.(v) = label && dist.(v) <> o.depth.(t).(v) then
+                off := v :: !off
+            done;
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s: tree %d of leaf %d: depth = BFS distance"
+                 name t label)
+              [] !off)
+          roots
+      done)
+    [
+      ("grid 16x16", labelled (single (Generators.grid 16 16)), false);
+      ( "apollonian 512",
+        labelled (single (Generators.random_apollonian 512 ~seed:3)),
+        false );
+      ("grid 24x24", labelled (multi_cluster_grid ()), false);
+      ("cycle 160", long_cycle (), true);
+      ("grid 64x64", bench_grid (), true);
+    ]
+
+(* a round-robin route inside one cluster is at most dk(x, t) +
+   dk(y, t) hops for the tree t it walks, the one minimising that sum:
+   on the deep inputs, sampled pairs never exceed any tree's sum *)
+let test_intra_route_within_tree_sums () =
+  List.iter
+    (fun (name, (g, labels, h)) ->
+      let o = tree_oracle g labels h in
+      let rt = Route.Hierarchy.make_router h in
+      let out = Route.Hierarchy.vec_create () in
+      let shorter = ref 0 in
+      List.iter
+        (fun (x, y, _) ->
+          checkb (name ^ ": routed") true
+            (Route.Hierarchy.route ~policy:Route.Hierarchy.Round_robin
+               ~cong:[||] h rt out x y);
+          let hops = Route.Hierarchy.vec_hops out in
+          for t = 0 to o.trees.(x) - 1 do
+            let sum = o.depth.(t).(x) + o.depth.(t).(y) in
+            if hops > sum then
+              Alcotest.failf "%s: %d -> %d takes %d hops, tree %d sums %d"
+                name x y hops t sum
+          done;
+          if hops < o.depth.(0).(x) + o.depth.(0).(y)
+             && oracle_tree o x y > 0
+          then incr shorter)
+        (sampled_pairs g labels ~seed:3 2000);
+      checkb (name ^ ": some routes beat tree 0") true (!shorter > 0))
+    [ ("cycle 160", long_cycle ()); ("grid 64x64", bench_grid ()) ]
 
 (* rebuilt leaves route over fresh matching shortcuts; all ordered pairs
    walk each expansion up (push_up) and down (push_down), and
@@ -1072,7 +1098,9 @@ let () =
           tc "carried bundle edge ids" test_carried_bundle_ids;
           tc "hop edge ids, rebuilt leaves" test_edge_ids_rebuilt_leaves;
           tc "hop edge ids, fallback legs" test_edge_ids_fallback;
-          tc "leaf tree is shortest by length" test_leaf_tree_shortest;
+          tc "every leaf tree is a BFS tree" test_leaf_trees_bfs;
+          tc "intra route within tree depth sum"
+            test_intra_route_within_tree_sums;
         ] );
       ( "congest",
         [

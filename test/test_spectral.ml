@@ -332,7 +332,16 @@ let test_decompose_rejects_bad_epsilon () =
   let g = Generators.cycle 5 in
   Alcotest.check_raises "eps = 0"
     (Invalid_argument "Expander_decomposition.decompose: need 0 < epsilon < 1")
-    (fun () -> ignore (Expander_decomposition.decompose g ~epsilon:0.))
+    (fun () -> ignore (Expander_decomposition.decompose g ~epsilon:0.));
+  (* every comparison with nan is false: the check must not let it pass *)
+  Alcotest.check_raises "eps = nan"
+    (Invalid_argument "Expander_decomposition.decompose: need 0 < epsilon < 1")
+    (fun () -> ignore (Expander_decomposition.decompose g ~epsilon:nan));
+  Alcotest.check_raises "distributed, eps = nan"
+    (Invalid_argument
+       "Distributed_decomposition.decompose: need 0 < epsilon < 1")
+    (fun () ->
+      ignore (Distr.Distributed_decomposition.decompose g ~epsilon:nan))
 
 let test_singleton_and_empty () =
   let d = Expander_decomposition.decompose (Graph.empty 5) ~epsilon:0.5 in
