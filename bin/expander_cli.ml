@@ -12,27 +12,46 @@
 open Sparse_graph
 open Cmdliner
 
-let make_graph family n seed =
-  match family with
-  | "grid" ->
-      let side = max 2 (int_of_float (sqrt (float_of_int n))) in
-      Generators.grid side side
-  | "apollonian" -> Generators.random_apollonian (max 3 n) ~seed
-  | "planar" -> Generators.random_planar (max 3 n) 0.7 ~seed
-  | "tree" -> Generators.random_tree (max 1 n) ~seed
-  | "outerplanar" -> Generators.random_maximal_outerplanar (max 3 n) ~seed
-  | "ktree" -> Generators.random_k_tree (max 4 n) 3 ~seed
-  | "hypercube" ->
-      let d = max 1 (int_of_float (log (float_of_int (max 2 n)) /. log 2.)) in
-      Generators.hypercube d
-  | other -> failwith (Printf.sprintf "unknown family %S" other)
+(* every graph family the subcommands accept, by [--family] name *)
+let families =
+  [
+    ( "grid",
+      fun n _ ->
+        let side = max 2 (int_of_float (sqrt (float_of_int n))) in
+        Generators.grid side side );
+    ("apollonian", fun n seed -> Generators.random_apollonian (max 3 n) ~seed);
+    ("planar", fun n seed -> Generators.random_planar (max 3 n) 0.7 ~seed);
+    ("tree", fun n seed -> Generators.random_tree (max 1 n) ~seed);
+    ( "outerplanar",
+      fun n seed -> Generators.random_maximal_outerplanar (max 3 n) ~seed );
+    ("ktree", fun n seed -> Generators.random_k_tree (max 4 n) 3 ~seed);
+    ( "hypercube",
+      fun n _ ->
+        let d = max 1 (int_of_float (log (float_of_int (max 2 n)) /. log 2.)) in
+        Generators.hypercube d );
+  ]
+
+let family_names = List.map fst families
+
+(* [family] has passed [family_arg]'s check *)
+let make_graph family n seed = (List.assoc family families) n seed
+
+(* a name outside [names] exits 1 with one line, like a bad [--eps] *)
+let one_of flag names s =
+  if List.mem s names then s
+  else begin
+    Printf.eprintf "expander_cli: --%s expects one of %s, got %S\n" flag
+      (String.concat ", " names) s;
+    exit 1
+  end
 
 let family_arg =
-  let doc =
-    "Graph family: grid, apollonian, planar, tree, outerplanar, ktree, \
-     hypercube."
-  in
-  Arg.(value & opt string "apollonian" & info [ "family"; "f" ] ~doc)
+  Term.(
+    const (one_of "family" family_names)
+    $ Arg.(
+        value & opt string "apollonian"
+        & info [ "family"; "f" ]
+            ~doc:("Graph family: " ^ String.concat ", " family_names ^ ".")))
 
 let n_arg =
   Arg.(value & opt int 200 & info [ "n" ] ~doc:"Number of vertices (approx).")
@@ -195,8 +214,22 @@ let mcm_cmd =
     (Cmd.info "mcm" ~doc:"(1-eps)-approximate planar maximum matching (Thm 3.2).")
     Term.(const run $ family_arg $ n_arg $ eps_arg $ seed_arg $ simulate_arg)
 
+(* a weight bound below 1, or text, exits 1 with one line instead of
+   reaching [Weights.random]'s or [Random.State.int]'s check *)
 let max_w_arg =
-  Arg.(value & opt int 64 & info [ "max-w" ] ~doc:"Maximum edge weight W.")
+  let check s =
+    match int_of_string_opt s with
+    | Some w when w >= 1 -> w
+    | _ ->
+        Printf.eprintf "expander_cli: --max-w expects a positive integer, got %S\n"
+          s;
+        exit 1
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt string "64"
+        & info [ "max-w" ] ~docv:"W" ~doc:"Maximum weight, $(docv) >= 1."))
 
 let mwm_cmd =
   let run family n eps seed simulate max_w =
@@ -237,23 +270,22 @@ let correlation_cmd =
     Term.(const run $ family_arg $ n_arg $ eps_arg $ seed_arg $ simulate_arg)
 
 let property_arg =
-  let doc = "Property: planar, forest, outerplanar, series-parallel, linear-forest." in
-  Arg.(value & opt string "planar" & info [ "property"; "p" ] ~doc)
+  let props = Minorfree.Properties.all in
+  let names = List.map (fun (p : Minorfree.Properties.t) -> p.name) props in
+  Term.(
+    const (fun s ->
+        let s = one_of "property" names s in
+        List.find (fun (p : Minorfree.Properties.t) -> p.name = s) props)
+    $ Arg.(
+        value & opt string "planar"
+        & info [ "property"; "p" ]
+            ~doc:("Property: " ^ String.concat ", " names ^ ".")))
 
 let far_arg =
   Arg.(value & flag & info [ "far" ] ~doc:"Corrupt the input to be eps-far.")
 
 let test_property_cmd =
-  let run family n eps seed property far =
-    let prop =
-      match
-        List.find_opt
-          (fun (p : Minorfree.Properties.t) -> p.name = property)
-          Minorfree.Properties.all
-      with
-      | Some p -> p
-      | None -> failwith (Printf.sprintf "unknown property %S" property)
-    in
+  let run family n eps seed (prop : Minorfree.Properties.t) far =
     let g = make_graph family n seed in
     let g =
       if far then

@@ -1,6 +1,7 @@
 (** First-in first-out queue of ints, stored unboxed in a growable ring.
-    The token routers ({!Walk_routing}, {!Witness_routing}) park their
-    int-encoded tokens here; pop order is push order, as with
+    {!Witness_routing} parks its int-encoded tokens here (so does the
+    simulator-hosted reference walk in the test suite; {!Walk_routing}
+    keeps flat rings of its own); pop order is push order, as with
     [Stdlib.Queue]. *)
 
 type t

@@ -9,10 +9,14 @@
     tokens cross each edge w.h.p., so each step costs [O(log n)] CONGEST
     rounds.
 
-    The simulator enforces the CONGEST budget directly: a vertex forwards at
-    most [capacity] tokens per edge per round (capacity = bandwidth /
-    token size); excess tokens retry on later rounds (their sampled step is
-    kept, so the walk distribution is unchanged, only delayed). *)
+    The walk keeps to the CONGEST budget by construction: a vertex
+    forwards at most [capacity] tokens per edge per round (capacity =
+    bandwidth / token size); excess tokens retry on later rounds (their
+    sampled step is kept, so the walk distribution is unchanged, only
+    delayed). It runs as its own flat round loop, not on
+    {!Congest.Network.run}; the test suite runs the same round function
+    on the simulator, which does enforce the budget, and checks that
+    both give the same result, statistics included. *)
 
 type token = {
   origin : int;  (** vertex that created the token *)
@@ -26,8 +30,8 @@ type result = {
   undelivered : int;
       (** tokens not delivered, counted against the originated total so
           that [delivered + undelivered = total] holds even when tokens
-          are lost to faults or cut off in flight at [max_rounds]:
-          [undelivered = expired + held + lost-in-transit] *)
+          are cut off in flight at [max_rounds]:
+          [undelivered = expired + held + in-flight] *)
   expired : int;  (** tokens whose [walk_len] budget ran out *)
   held : int;     (** tokens still queued at some vertex when the run ended *)
   stats : Congest.Network.stats;
@@ -37,16 +41,22 @@ type result = {
     [tokens_of v] tokens from every vertex [v] to its cluster leader
     ([leader_of.(v)], e.g. from {!Leader_election}). A token is dropped once
     it has taken [walk_len] lazy steps without reaching the leader
-    (experiment E9 sweeps this budget); the run ends when no token is in
-    flight or at [max_rounds].
+    (experiment E9 sweeps this budget). Tokens in flight at [max_rounds]
+    are lost: they count in [undelivered] but not in [held].
+
+    [stats] is what {!Congest.Network.run} reports for the walk, whose
+    vertices never halt: on a graph with vertices, [stats.rounds] is
+    [max_rounds] and [stats.completed] is [false] even when every token
+    arrived long before. The round of the last token move is
+    [stats.last_traffic_round]. Traced runs count the same figures
+    ([Obs.Meter.net], [Obs.Meter.active]) under the
+    ["distr.walk_routing"] span.
 
     @raise Invalid_argument if [walk_len < 0], if some [tokens_of v] is
     negative, or if the token total times [walk_len + 1] exceeds
     [max_int] (each token travels as one int packing its id and step
     count). *)
 val run :
-  ?exec:Congest.Network.exec ->
-  ?faults:Congest.Faults.t ->
   Cluster_view.t ->
   leader_of:int array ->
   tokens_of:(int -> int) ->

@@ -1,6 +1,7 @@
 (** CONGEST cost meter: attributes simulator accounting to the enclosing
-    span. Hooked by [Congest.Network.run]; the metric names are stable
-    schema vocabulary. *)
+    span. Hooked by [Congest.Network.run], and by [Distr.Walk_routing]'s
+    own round loop with the figures the simulator would report; the
+    metric names are stable schema vocabulary. *)
 
 val k_runs : string
 val k_rounds : string
@@ -23,8 +24,9 @@ val net :
 
 val active : vertices:int -> unit
 (** Record one network run's total scheduled vertex-rounds
-    ([net.active_vertices]). Called by [Congest.Network.run] only — the
-    reference loop steps every vertex. No-op while observability is
+    ([net.active_vertices]). Called by [Congest.Network.run] and
+    [Distr.Walk_routing.run], not by [Congest.Network.run_reference],
+    which steps every vertex. No-op while observability is
     disabled. *)
 
 val inbox : peak_words:int -> final_words:int -> unit

@@ -30,9 +30,16 @@
      grids, trees whose runs sit at the jump threshold, a hand-built
      cycle whose tree has a shortcut bundle inside a run, Apollonian
      graphs and a multi-cluster grid;
+   - the walk router's flat loop equals the same walk run as a round
+     function on the simulator (test/walk_reference.ml), field for field
+     and stats included, by qcheck over grids, Apollonian graphs,
+     complete 8, decomposed views, an intra-isolated vertex, expiring
+     budgets, round cut-offs and binding capacity, and on the two app
+     walks of the end-to-end benchmark, meters included;
    - qcheck: [delivered + undelivered = total] survives drop/crash
      schedules, every shards x jobs point, and halting-round cutoffs,
-     for both the walk router and the witness router. *)
+     for the simulator-hosted walk and the witness router, and round
+     cut-offs for the flat walk loop. *)
 
 open Sparse_graph
 
@@ -910,6 +917,163 @@ let test_walk_rejects_bad_input () =
   run ~tokens_of:(fun _ -> 1) ~walk_len:((max_int / 3) - 1) ()
 
 (* ------------------------------------------------------------------ *)
+(* Walk router: the flat loop against the simulator-hosted reference   *)
+(* ------------------------------------------------------------------ *)
+
+(* per cluster, the vertex of largest intra degree (ties to the larger
+   id), as the central leader choice of Core.Pipeline *)
+let max_degree_leaders (view : Distr.Cluster_view.t) =
+  let n = Graph.n view.graph in
+  let best = Hashtbl.create 8 in
+  for v = 0 to n - 1 do
+    let d = Distr.Cluster_view.intra_degree view v in
+    match Hashtbl.find_opt best view.labels.(v) with
+    | Some (bd, bv) when (bd, bv) >= (d, v) -> ()
+    | _ -> Hashtbl.replace best view.labels.(v) (d, v)
+  done;
+  Array.init n (fun v -> snd (Hashtbl.find best view.labels.(v)))
+
+(* views: the whole graph; the clusters of an expander decomposition;
+   or the whole graph with vertex 0 cut off into a cluster of its own
+   and led from outside, so it holds its tokens on no intra edge until
+   they expire *)
+type walk_view = Whole | Decomposed | Isolated_zero
+
+let walk_view_name = function
+  | Whole -> "whole"
+  | Decomposed -> "decomposed"
+  | Isolated_zero -> "isolated 0"
+
+let walk_case_gen =
+  let open QCheck.Gen in
+  let* family =
+    oneof
+      [
+        map2 (fun r c -> `Grid (r, c)) (2 -- 8) (2 -- 8);
+        map2 (fun n s -> `Apollonian (n, s)) (8 -- 160) (int_bound 1000);
+        return `Complete;
+      ]
+  in
+  let* view = oneofl [ Whole; Decomposed; Isolated_zero ] in
+  let* walk_len = oneofl [ 0; 1; 3; 12; 80; 400 ] in
+  let* max_rounds = oneofl [ 0; 1; 2; 9; 60; 6000 ] in
+  let* load = 0 -- 6 in
+  let* seed = int_bound 10_000 in
+  return (family, view, walk_len, max_rounds, load, seed)
+
+let walk_case_print (family, view, walk_len, max_rounds, load, seed) =
+  Printf.sprintf "%s, %s view, walk_len %d, max_rounds %d, load %d, seed %d"
+    (match family with
+    | `Grid (r, c) -> Printf.sprintf "grid %dx%d" r c
+    | `Apollonian (n, s) -> Printf.sprintf "apollonian %d seed %d" n s
+    | `Complete -> "complete 8")
+    (walk_view_name view) walk_len max_rounds load seed
+
+let walk_inputs (family, view, _, _, load, _) =
+  let g =
+    match family with
+    | `Grid (r, c) -> Generators.grid r c
+    | `Apollonian (n, s) -> Generators.random_apollonian n ~seed:s
+    | `Complete -> Generators.complete 8
+  in
+  let n = Graph.n g in
+  let cview =
+    match view with
+    | Whole -> Distr.Cluster_view.whole g
+    | Decomposed ->
+        let d = Spectral.Expander_decomposition.decompose g ~epsilon:0.3 in
+        Distr.Cluster_view.of_labels g d.labels
+    | Isolated_zero ->
+        Distr.Cluster_view.of_labels g
+          (Array.init n (fun v -> if v = 0 then 1 else 0))
+  in
+  let leader_of = max_degree_leaders cview in
+  if view = Isolated_zero then leader_of.(0) <- leader_of.(n - 1);
+  (* uneven loads up to [load] tokens a vertex, so hubs and their
+     neighbors park more than the per-edge capacity of 2 *)
+  let tokens_of v = ((v * 7) + load) mod (load + 1) in
+  (cview, leader_of, tokens_of)
+
+let qcheck_walk_matches_reference =
+  QCheck.Test.make ~name:"walk loop = simulator-hosted walk, field for field"
+    ~count:120
+    (QCheck.make ~print:walk_case_print walk_case_gen)
+    (fun ((_, _, walk_len, max_rounds, _, seed) as case) ->
+      let view, leader_of, tokens_of = walk_inputs case in
+      let flat =
+        Distr.Walk_routing.run view ~leader_of ~tokens_of ~walk_len ~seed
+          ~max_rounds
+      in
+      let sim =
+        Walk_reference.run view ~leader_of ~tokens_of ~walk_len ~seed
+          ~max_rounds
+      in
+      (* field for field: delivered lists in order, the three counters
+         and the whole stats record *)
+      flat = sim)
+
+(* the net and active-vertex meters a run leaves under its span *)
+let walk_meters run =
+  Obs.reset ();
+  Obs.enable ();
+  let r = Obs.Span.with_ "distr.walk_routing" run in
+  let tree = Obs.snapshot_tree () in
+  Obs.disable ();
+  Obs.reset ();
+  let sums, maxes = Obs.Agg.totals tree in
+  let get m k = Option.value ~default:(-1) (Obs.Agg.SMap.find_opt k m) in
+  ( r,
+    List.map (get sums)
+      Obs.Meter.[ k_runs; k_rounds; k_messages; k_bits; k_active_vertices ]
+    @ [ get maxes Obs.Meter.k_max_edge_bits ] )
+
+(* the two app walks of the end-to-end benchmark: App_mis at epsilon 0.5
+   and seed 7 on a 16x16 grid and on the fixed Apollonian graph. The
+   walk inputs are rebuilt from the prepared pipeline (first gathering
+   attempt); the production run's own stats pin that they are the ones
+   it used *)
+let test_app_walks_match_reference () =
+  List.iter
+    (fun (name, g) ->
+      let a = Core.App_mis.run ~mode:Core.Pipeline.Simulated g ~epsilon:0.5
+          ~seed:7 in
+      let p = a.Core.App_mis.pipeline in
+      let view = p.Core.Pipeline.view and leader_of = p.leader_of in
+      let orientation =
+        Distr.Orientation.run view ~density:(max 1. (Graph.edge_density g))
+      in
+      let owned = Array.make (Graph.n g) 0 in
+      Array.iter
+        (fun o -> if o >= 0 then owned.(o) <- owned.(o) + 1)
+        orientation.Distr.Orientation.owner;
+      let b = p.report.Core.Pipeline.diameter_bound in
+      (* Pipeline.prepare's own log2, float rounding and all *)
+      let logn =
+        int_of_float (ceil (log (float_of_int (max 2 (Graph.n g))) /. log 2.))
+      in
+      let walk_len = max 64 (4 * b * b * logn) in
+      let walk run () =
+        run view ~leader_of ~tokens_of:(Array.get owned) ~walk_len ~seed:7
+          ~max_rounds:(walk_len * 40)
+      in
+      let flat, flat_meters =
+        walk_meters (walk (fun v -> Distr.Walk_routing.run v))
+      in
+      let sim, sim_meters = walk_meters (walk (fun v -> Walk_reference.run v)) in
+      checkb (name ^ ": inputs are the app walk's") true
+        (p.report.routing_stats = Some flat.Distr.Walk_routing.stats);
+      checkb (name ^ ": every token delivered") true
+        (flat.Distr.Walk_routing.undelivered = 0);
+      checkb (name ^ ": flat loop = simulator-hosted walk") true
+        (flat = sim);
+      Alcotest.(check (list int))
+        (name ^ ": net and active-vertex meters") sim_meters flat_meters)
+    [
+      ("grid 16x16", Generators.grid 16 16);
+      ("apollonian 1024", Generators.random_apollonian 1024 ~seed:20220711);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* qcheck: conservation under faults, shards x jobs, halting rounds    *)
 (* ------------------------------------------------------------------ *)
 
@@ -974,7 +1138,7 @@ let qcheck_walk_conservation =
       let view = Distr.Cluster_view.whole g in
       let leaders = Distr.Leader_election.run view ~rounds:(rows + cols) in
       let r =
-        Distr.Walk_routing.run
+        Walk_reference.run
           ~exec:(Congest.Network.Sharded { shards; pool = pool_of jobs })
           ~faults view
           ~leader_of:leaders.Distr.Leader_election.leader_of
@@ -993,6 +1157,25 @@ let qcheck_walk_conservation =
       got + r.Distr.Walk_routing.undelivered = !total
       && r.Distr.Walk_routing.expired <= r.Distr.Walk_routing.undelivered
       && r.Distr.Walk_routing.held <= r.Distr.Walk_routing.undelivered)
+
+(* the flat loop itself, at the same round cut-offs; no faults or shards
+   exist there to vary *)
+let qcheck_walk_loop_conservation =
+  QCheck.Test.make ~name:"walk loop: delivered + undelivered = total"
+    ~count:40 routing_case_arb
+    (fun (rows, cols, _, _, max_rounds, _, seed) ->
+      let g = Generators.grid rows cols in
+      let view = Distr.Cluster_view.whole g in
+      let leaders = Distr.Leader_election.run view ~rounds:(rows + cols) in
+      let leader_of = leaders.Distr.Leader_election.leader_of in
+      let tokens_of v = v mod 3 in
+      let r =
+        Distr.Walk_routing.run view ~leader_of ~tokens_of ~walk_len:30 ~seed
+          ~max_rounds
+      in
+      Distr.Walk_routing.check view ~leader_of ~tokens_of r
+      && r.Distr.Walk_routing.expired + r.Distr.Walk_routing.held
+         <= r.Distr.Walk_routing.undelivered)
 
 let qcheck_witness_conservation =
   QCheck.Test.make ~name:"witness router: delivered + undelivered = demands"
@@ -1113,10 +1296,13 @@ let () =
         [
           tc "delivery order golden" test_walk_order_golden;
           tc "rejects bad input" test_walk_rejects_bad_input;
+          tc "app walks = simulator-hosted walk" test_app_walks_match_reference;
+          qt qcheck_walk_matches_reference;
         ] );
       ( "conservation",
         [
           qt qcheck_walk_conservation;
+          qt qcheck_walk_loop_conservation;
           qt qcheck_witness_conservation;
           qt qcheck_congestion_accounting;
         ] );
