@@ -792,27 +792,18 @@ let e13 () =
 (* @bench-smoke alias to validate the observability profile end to end  *)
 (* ------------------------------------------------------------------ *)
 
-(* Decomposition engine for smoke's pipeline and the expander CLI;
-   bench/main.ml sets it from --engine. decomp-bench always runs both
-   engines (the frontier needs the comparison). *)
-let engine = ref Core.Pipeline.Spectral_engine
-
 let smoke () =
   note "\n### smoke: tiny end-to-end pass (pipeline + KPR + distributed)\n";
-  note "engine: %s\n" (Core.Pipeline.engine_name !engine);
-  (* the ref is read into the grid inputs before the fan-out, so the
-     pooled task only ever touches its own tuple and stays pure *)
   let rows =
     grid
       [
-        ("grid", Workloads.grid_of 64, 21, !engine);
+        ("grid", Workloads.grid_of 64, 21);
         ( "blob-chain",
           Generators.blob_chain ~blobs:4 ~blob_size:8 ~seed:22,
-          22,
-          !engine );
+          22 );
       ]
-      (fun (name, g, seed, eng) ->
-        let p = Core.Pipeline.prepare ~engine:eng g ~epsilon:0.4 ~seed in
+      (fun (name, g, seed) ->
+        let p = Core.Pipeline.prepare g ~epsilon:0.4 ~seed in
         let part = Decomp.Kpr.chop g ~width:4 ~levels:2 ~seed in
         let d = Distr.Distributed_decomposition.decompose g ~epsilon:0.4 in
         [
@@ -1545,23 +1536,15 @@ let route_bench () =
   let v = verdicts () in
   (* rungs executed on the simulator; at least one must be *)
   let simulated = ref 0 in
-  let configs eng =
-    match eng with
-    | Core.Pipeline.Cut_matching_engine -> [ true; false ]
-    | Core.Pipeline.Spectral_engine -> [ true ]
-  in
-  let bench_one fname g n eng reuse =
+  let bench_one fname g n eng =
     let ename = Core.Pipeline.engine_name eng in
-    let at =
-      Printf.sprintf "%s/n=%d/%s/%s" fname n ename
-        (if reuse then "reuse" else "rebuild")
-    in
+    let at = Printf.sprintf "%s/n=%d/%s" fname n ename in
     let p =
       Core.Pipeline.prepare ~mode:charged ~engine:eng ~pool:!pool g
         ~epsilon:route_epsilon ~seed:20220711
     in
     let t0 = Obs.Clock.wall_s () in
-    let svc = Core.Pipeline.routing_service ~reuse ~seed:31 p in
+    let svc = Core.Pipeline.routing_service p in
     let pre_s = Obs.Clock.wall_s () -. t0 in
     let hinfo = Route.Hierarchy.info (Route.Service.hierarchy svc) in
     let count =
@@ -1672,11 +1655,9 @@ let route_bench () =
     let row =
       [
         fname; i n; ename;
-        (if reuse then "reuse" else "rebuild");
         Printf.sprintf "%.3f" pre_s;
         i hinfo.Route.Hierarchy.clusters;
         i hinfo.Route.Hierarchy.shortcuts;
-        i hinfo.Route.Hierarchy.rebuilt_leaves;
         i rand_s.Route.Service.rounds_p50;
         i rand_s.Route.Service.rounds_p99;
         i hot_rr.Route.Service.congestion_max;
@@ -1690,12 +1671,9 @@ let route_bench () =
           ("family", Obs.Json.Str fname);
           ("n", Obs.Json.Int n);
           ("engine", Obs.Json.Str ename);
-          ("reuse", Obs.Json.Bool reuse);
           ("preprocess_seconds", Obs.Json.Float pre_s);
           ("clusters", Obs.Json.Int hinfo.Route.Hierarchy.clusters);
           ("shortcuts", Obs.Json.Int hinfo.Route.Hierarchy.shortcuts);
-          ("rebuilt_leaves", Obs.Json.Int hinfo.Route.Hierarchy.rebuilt_leaves);
-          ("reused_leaves", Obs.Json.Int hinfo.Route.Hierarchy.reused_leaves);
           ("tree_height", Obs.Json.Int hinfo.Route.Hierarchy.tree_height);
           ( "patterns",
             Obs.Json.List
@@ -1718,11 +1696,8 @@ let route_bench () =
           List.concat_map
             (fun n ->
               let g = gen n in
-              List.concat_map
-                (fun eng ->
-                  List.map
-                    (fun reuse -> (n, bench_one fname g n eng reuse))
-                    (configs eng))
+              List.map
+                (fun eng -> (n, bench_one fname g n eng))
                 [ Core.Pipeline.Spectral_engine;
                   Core.Pipeline.Cut_matching_engine ])
             rungs
@@ -1761,7 +1736,7 @@ let route_bench () =
       List.map
         (fun jobs ->
           let jp = Parallel.Pool.create ~jobs () in
-          let svc = Core.Pipeline.routing_service ~reuse:true ~seed:31 ~pool:jp p in
+          let svc = Core.Pipeline.routing_service ~pool:jp p in
           let t0 = Obs.Clock.wall_s () in
           let s = Route.Service.serve svc ds in
           let secs = Obs.Clock.wall_s () -. t0 in
@@ -1803,14 +1778,14 @@ let route_bench () =
     (ratio <= route_alloc_ratio_limit);
   print_table ~title:"route-bench: witness-hierarchy serving"
     ~header:
-      [ "family"; "n"; "engine"; "witness"; "pre(s)"; "k"; "shortcuts";
-        "rebuilt"; "p50"; "p99"; "cmax rr"; "cmax ll"; "rate" ]
+      [ "family"; "n"; "engine"; "pre(s)"; "k"; "shortcuts"; "p50"; "p99";
+        "cmax rr"; "cmax ll"; "rate" ]
     (List.map snd results);
   let doc =
     Obs.Json.Obj
       ([
          ("schema", Obs.Json.Str "expander-route-bench");
-         ("version", Obs.Json.Int 3);
+         ("version", Obs.Json.Int 4);
          ("epsilon", Obs.Json.Float route_epsilon);
          ("n", Obs.Json.Int !route_n);
          ("demands", Obs.Json.Int !route_demands);

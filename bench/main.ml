@@ -228,14 +228,6 @@ let () =
     | "--congest-out" :: p :: rest ->
         Experiments.congest_out := p;
         parse_args acc jobs profile trace timings rest
-    | "--engine" :: v :: rest ->
-        (match Core.Pipeline.engine_of_string v with
-        | Some e ->
-            Experiments.engine := e;
-            parse_args acc jobs profile trace timings rest
-        | None ->
-            Printf.eprintf "--engine expects spectral or cutmatching, got %S\n" v;
-            exit 1)
     | "--decomp-n" :: v :: rest ->
         (match int_of_string_opt v with
         | Some m when m >= 4 ->
@@ -289,7 +281,7 @@ let () =
         parse_args acc jobs profile trace (Some p) rest
     | [ (("--jobs" | "--profile" | "--trace" | "--timings" | "--fault-seed"
         | "--drop-rate" | "--congest-n" | "--congest-out" | "--shards"
-        | "--congest-scale-max" | "--engine" | "--decomp-n"
+        | "--congest-scale-max" | "--decomp-n"
         | "--decomp-out" | "--route-n" | "--route-demands"
         | "--route-out") as flag) ] ->
         Printf.eprintf "%s expects a value\n" flag;

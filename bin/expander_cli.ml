@@ -53,8 +53,23 @@ let family_arg =
         & info [ "family"; "f" ]
             ~doc:("Graph family: " ^ String.concat ", " family_names ^ ".")))
 
+(* a size below 1, or text, exits 1 with one line instead of being
+   raised to the family's smallest graph *)
 let n_arg =
-  Arg.(value & opt int 200 & info [ "n" ] ~doc:"Number of vertices (approx).")
+  let check s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> n
+    | _ ->
+        Printf.eprintf "expander_cli: -n expects a positive integer, got %S\n"
+          s;
+        exit 1
+  in
+  Term.(
+    const check
+    $ Arg.(
+        value & opt string "200"
+        & info [ "n" ] ~docv:"N"
+            ~doc:"Number of vertices (approx), $(docv) >= 1."))
 
 (* every subcommand takes epsilon in (0, 1); anything else, nan and text
    included, exits 1 with one line instead of reaching a library check *)

@@ -4,11 +4,6 @@ type mode = Simulated | Charged
 
 type engine = Spectral_engine | Cut_matching_engine
 
-let engine_of_string = function
-  | "spectral" -> Some Spectral_engine
-  | "cutmatching" | "cut-matching" | "cm" -> Some Cut_matching_engine
-  | _ -> None
-
 let engine_name = function
   | Spectral_engine -> "spectral"
   | Cut_matching_engine -> "cutmatching"
@@ -75,7 +70,7 @@ let build_clusters geometry leader_of =
       { leader; members = vs; sub; mapping })
     geometry
 
-let prepare ?(mode = Simulated) ?(engine = Spectral_engine)
+let prepare ?(mode = Simulated) ?(engine = Cut_matching_engine)
     ?(pool = Parallel.Pool.sequential) g ~epsilon ~seed =
   Obs.Span.with_ "pipeline.prepare" @@ fun () ->
   let n = Graph.n g in
@@ -179,8 +174,7 @@ let prepare ?(mode = Simulated) ?(engine = Spectral_engine)
 
 let solve_locally t f = Array.map f t.clusters
 
-(* the expander-routing serving layer over the prepared decomposition;
-   both engines feed it the same shared record, so witness reuse kicks
-   in exactly where matchings were retained *)
-let routing_service ?reuse ?seed ?pool t =
-  Route.Service.preprocess ?reuse ?seed ?pool t.graph t.decomposition
+(* the expander-routing serving layer over the decomposition's own
+   witness; [seed] is accepted and ignored *)
+let routing_service ?seed:_ ?pool t =
+  Route.Service.preprocess ?pool t.graph t.decomposition

@@ -21,16 +21,14 @@
 
 type mode = Simulated | Charged
 
-(** Which expander-decomposition engine drives the framework: recursive
-    spectral bipartitioning (default) or the flow-based cut-matching game
-    ([Flow.Decomp_engine]). Both produce the same result record with the
-    same thresholds, are deterministic for every pool size, and are
-    interchangeable downstream; spectral doubles as the cross-check oracle
-    on small graphs. *)
+(** Which expander-decomposition engine drives the framework: the
+    flow-based cut-matching game ([Flow.Decomp_engine], default), whose
+    accepted clusters keep the game's embedded matchings as their
+    witness, or recursive spectral bipartitioning, which keeps none.
+    Both produce the same result record with the same thresholds and are
+    deterministic for every pool size; spectral stays selectable as the
+    witness-less comparison and the cross-check oracle. *)
 type engine = Spectral_engine | Cut_matching_engine
-
-(** Parse ["spectral"] / ["cutmatching"] (also ["cut-matching"], ["cm"]). *)
-val engine_of_string : string -> engine option
 
 val engine_name : engine -> string
 
@@ -68,7 +66,7 @@ type t = {
 (** [prepare ?mode ?engine ?pool g ~epsilon ~seed] runs decomposition,
     election, and gathering. In [Simulated] mode (default) the phases run
     on the CONGEST simulator; gathering retries with doubled walk budgets
-    until complete. [engine] (default [Spectral_engine]) selects the
+    until complete. [engine] (default [Cut_matching_engine]) selects the
     decomposition engine. The decomposition recursion, the per-cluster
     subgraph construction, and the diameter bound fan out on [pool]
     (default sequential); the result is identical for every pool size.
@@ -82,15 +80,16 @@ val prepare :
     computation) and returns the per-cluster results. *)
 val solve_locally : t -> (cluster -> 'a) -> 'a array
 
-(** [routing_service ?reuse ?seed ?pool t] builds the expander-routing
-    serving layer ({!Route.Service}) over the prepared decomposition: a
-    witness hierarchy reusing the engines' retained cut-matching
-    matchings ([reuse], default [true]), answering batched demand
-    matrices as a planner or as a CONGEST workload. [pool] parallelizes
-    leaf preprocessing and every serve, with byte-identical results at
-    any worker count. *)
+(** [routing_service ?seed ?pool t] builds the expander-routing serving
+    layer ({!Route.Service}) over the prepared decomposition: a witness
+    hierarchy over the matchings the decomposition retained, answering
+    batched demand matrices as a planner or as a CONGEST workload.
+    [pool] parallelizes leaf preprocessing and every serve, with
+    byte-identical results at any worker count. [seed] is ignored: the
+    hierarchy draws no randomness. It stays only because the end-to-end
+    benchmark still passes it. *)
 val routing_service :
-  ?reuse:bool -> ?seed:int -> ?pool:Parallel.Pool.t -> t -> Route.Service.t
+  ?seed:int -> ?pool:Parallel.Pool.t -> t -> Route.Service.t
 
 (** Theorem 2.1 construction-round charge: [ceil(eps^-2 * log2(max n 2)^3)]. *)
 val construction_charge : n:int -> epsilon:float -> int

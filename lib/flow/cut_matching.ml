@@ -15,15 +15,12 @@ open Sparse_graph
    than tau, the round is settled for free. The sweep and the bisection
    read the same sorted order, so each round sorts once. *)
 
-(* The game's budgets, the same for every caller: 4 + ceil(2 log2 n)
-   rounds, per-edge capacity ceil(1 / tau), push-relabel height
-   ceil(log2 n / tau), two projection vectors, and acceptance once the
-   potential falls to 1e-3 of its start. [~adaptive] adds the plateau
-   exit and the size-scaled vector count. *)
+(* The game's budgets: 4 + ceil(2 log2 n) rounds, per-edge capacity
+   ceil(1 / tau), push-relabel height ceil(log2 n / tau), two projection
+   vectors, and acceptance once the potential falls to 1e-3 of its
+   start. *)
 let potential_drop = 1e-3
 let flow_vectors = 2
-let plateau_window = 2      (* accept after this many low-drop rounds *)
-let plateau_drop = 0.05     (* relative per-round drop counted as progress *)
 
 type witness = {
   rounds : int;            (* rounds actually played *)
@@ -82,7 +79,7 @@ let potential_of vecs =
 
 let log2f x = log x /. log 2.
 
-let run ~adaptive g ~tau ~seed =
+let run g ~tau ~seed =
   let n = Graph.n g in
   if n <= 3 || Graph.m g = 0 || tau <= 0. then
     (Expander trivial_witness, { rounds_played = 0; flow_calls = 0 })
@@ -94,16 +91,8 @@ let run ~adaptive g ~tau ~seed =
         (max 2 (int_of_float (ceil (log2f (float_of_int n) /. tau))))
     in
     let net = Net.of_graph ~capacity:(fun _ -> cap) g in
-    let k =
-      if adaptive then
-        (* small clusters mix with fewer projection vectors; one per ~7
-           doubling levels, capped at [flow_vectors] *)
-        let lg = int_of_float (ceil (log2f (float_of_int n))) in
-        max 1 (min flow_vectors (lg / 7))
-      else flow_vectors
-    in
     let vecs =
-      Array.init k (fun i ->
+      Array.init flow_vectors (fun i ->
           let st =
             Random.State.make
               [| Parallel.Pool.derive_seed seed ((i * 7_368_787) + 1) |]
@@ -121,11 +110,9 @@ let run ~adaptive g ~tau ~seed =
     let verdict = ref None in
     let round = ref 0 in
     let flow_calls = ref 0 in
-    let prev_potential = ref p0 in
-    let plateau_streak = ref 0 in
     while !verdict = None && !round < rounds_cap do
       Obs.Span.with_ "cm.round" @@ fun () ->
-      let active = vecs.(!round mod k) in
+      let active = vecs.(!round mod flow_vectors) in
       (* one sort per round: the flow-free sweep and the balanced
          bisection both read this order *)
       let swept =
@@ -182,7 +169,7 @@ let run ~adaptive g ~tau ~seed =
                 pairs)
             vecs;
           let p = potential_of vecs in
-          let accept () =
+          if p <= potential_drop *. p0 then
             verdict :=
               Some
                 (Expander
@@ -193,22 +180,6 @@ let run ~adaptive g ~tau ~seed =
                      congestion = cap;
                      max_path_length = !max_path_length;
                      potential = p /. p0 })
-          in
-          if p <= potential_drop *. p0 then accept ()
-          else if adaptive then begin
-            (* adaptive budget: successive routed rounds that barely move
-               the potential mean the remaining variance is already spread
-               across the embedded matchings — stop paying for more flow *)
-            (* lint: allow A002 float potential; Float.max handles NaN differently *)
-            let rel = (!prev_potential -. p) /. max epsilon_float !prev_potential in
-            if rel < plateau_drop then incr plateau_streak
-            else plateau_streak := 0;
-            if !plateau_streak >= plateau_window then begin
-              Obs.Metric.incr "cm.plateau_exits";
-              accept ()
-            end
-          end;
-          prev_potential := p
         end
         else begin
           (* routing failed: the level structure certifies a cut *)

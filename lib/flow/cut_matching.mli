@@ -3,7 +3,7 @@
 
     Each round, the cut player sorts the vertices by a random projection
     vector (seeded via [Parallel.Pool.derive_seed], so the game is a pure
-    function of [(g, tau, seed, adaptive)]) and proposes the balanced
+    function of [(g, tau, seed)]) and proposes the balanced
     bisection; the matching player routes a perfect matching across it
     with per-edge capacity [ceil(1 / tau)] and push-relabel height
     bounded by [ceil(log2 n / tau)]. Routed matchings average the
@@ -56,14 +56,8 @@ type verdict = Expander of witness | Cut of cut
 
 type stats = { rounds_played : int; flow_calls : int }
 
-(** [run ~adaptive g ~tau ~seed] plays the game on a connected cluster.
-    [~adaptive:true] (the rebuild games of [Route.Hierarchy]) adds two
-    budget cuts: accept as an expander after 2 consecutive routed rounds
-    whose relative potential drop stays below 5%, and scale the
-    projection-vector count down with cluster size (one per ~7 doubling
-    levels, at most two). [~adaptive:false] (the decomposition judge)
-    plays the full budget. Clusters with [n <= 3], no edges, or
-    [tau <= 0] are accepted with a trivial witness. *)
+(** [run g ~tau ~seed] plays the game on a connected cluster at the
+    budgets above. Clusters with [n <= 3], no edges, or [tau <= 0] are
+    accepted with a trivial witness. *)
 val run :
-  adaptive:bool -> Sparse_graph.Graph.t -> tau:float -> seed:int ->
-  verdict * stats
+  Sparse_graph.Graph.t -> tau:float -> seed:int -> verdict * stats

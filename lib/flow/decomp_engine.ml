@@ -31,7 +31,7 @@ let judge sub mapping ~tau ~seed =
   | Some hit ->
       (Cut hit.Cut_heuristics.side, { zero_stats with heuristic_cuts = 1 })
   | None -> (
-      let verdict, g_stats = Cut_matching.run ~adaptive:false sub ~tau ~seed in
+      let verdict, g_stats = Cut_matching.run sub ~tau ~seed in
       let stats =
         {
           games = 1;

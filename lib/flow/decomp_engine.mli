@@ -9,8 +9,8 @@
     so verification and everything downstream is shared. Witness sources
     are ["trivial"] (single vertex, or a game accepted without routing),
     ["exact"] (exhaustive conductance, for clusters of at most 14
-    vertices, as in the spectral engine) and ["cutmatching"] (the game
-    at its full budget, [~adaptive:false]).
+    vertices, as in the spectral engine) and ["cutmatching"] (the game's
+    routed matchings, kept as the cluster's witness).
     Deterministic for every pool size. *)
 
 type stats = {

@@ -9,12 +9,11 @@ open Sparse_graph
      edges (each expands to its retained real-edge path when routed),
      and one or more BFS trees over the intra edges: the first rooted at
      the cluster's leader, the others at farthest points of deep
-     clusters. Shortcuts serve only as destination entries. When
-     the decomposition retained no matchings (spectral engine, exact or
-     trivial acceptances) and the cluster is large enough, a fresh
-     cut-matching game is played here instead — the reuse-vs-rebuild
-     axis route-bench measures. Rebuild games run under the adaptive
-     cut-matching budgets (plateau early-exit, size-scaled vectors).
+     clusters. Shortcuts serve only as destination entries. The
+     matchings are the decomposition's own witness (Theorem 2.1 yields
+     the clusters and the certificate together); a cluster accepted
+     without one (spectral engine, exact or trivial acceptances) routes
+     on its intra edges alone.
 
    - an *internal witness* per recursion-tree node: the inter-cluster
      edges whose endpoints diverge at that node, bucketed per ordered
@@ -37,8 +36,7 @@ open Sparse_graph
    counter one serving stream mutates, so a pool can run one router per
    task over a shared hierarchy and merge the cursor advances back
    deterministically. Everything is deterministic: adjacency orders are
-   fixed, cursors advance in demand order, rebuild games are seeded via
-   Pool.derive_seed. *)
+   fixed and cursors advance in demand order. *)
 
 (* ---- the planner's leg log ---- *)
 
@@ -258,7 +256,6 @@ type leaf = {
   dk : int array;
   wadj : ledge array array;   (* full witness adjacency per member *)
   shortcuts : int;      (* matching shortcut edges in the witness graph *)
-  rebuilt : bool;       (* a fresh cut-matching game was played here *)
 }
 
 (* ---- internal witnesses (recursion-tree nodes) ---- *)
@@ -431,8 +428,6 @@ type diversion = { probed : int; gated : int; diverted : int }
 let router_diversion rt =
   { probed = rt.div_probes; gated = rt.div_gated; diverted = rt.diversions }
 
-let rebuild_min = 9  (* clusters below this size route on intra edges only *)
-
 (* A leaf adds a tree rooted at its farthest member while that member lies
    at least [root_sep] hops from every root so far, up to [max_trees]
    trees. Measured on the bench_e2e workloads, the 64x64 grid's clusters
@@ -536,33 +531,14 @@ let bfs_tree members roff rnbr reid ~order ~kids ~heavy ~next root =
 (* the representative of a bundle: its minimum edge id *)
 let min_eid eids = Array.fold_left Int.min max_int eids
 
-let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
+let build_leaf g (view : Distr.Cluster_view.t)
     (dw : Spectral.Expander_decomposition.cluster_witness) ~members ~pos_of =
   let sz = Array.length members in
   let intra = view.Distr.Cluster_view.intra in
-  (* matching shortcuts: reuse the retained witness, or rebuild by
-     playing a fresh game (adaptive budgets) on the induced cluster;
-     either way each embedded path arrives with its edge ids *)
-  let matchings, rebuilt =
-    if reuse && dw.Spectral.Expander_decomposition.w_matchings <> [] then
-      (dw.Spectral.Expander_decomposition.w_matchings, false)
-    else if sz >= rebuild_min then begin
-      let sub, mapping = Graph_ops.induced_subgraph g (Array.to_list members) in
-      if Graph.m sub = 0 then ([], false)
-      else begin
-        let game_tau = if tau > 0. then tau else 0.1 in
-        let verdict, _ =
-          Flow.Cut_matching.run ~adaptive:true sub ~tau:game_tau
-            ~seed:(Parallel.Pool.derive_seed seed (label + 1))
-        in
-        match verdict with
-        | Flow.Cut_matching.Expander w ->
-            (Flow.Cut_matching.original_matchings mapping w, true)
-        | Flow.Cut_matching.Cut _ -> ([], true)
-      end
-    end
-    else ([], false)
-  in
+  (* matching shortcuts: the decomposition's own witness, each embedded
+     path arriving with its edge ids; a cluster without one (spectral
+     engine, exact or trivial acceptances) routes on intra edges only *)
+  let matchings = dw.Spectral.Expander_decomposition.w_matchings in
   (* each member's witness row: its intra edges in the graph's
      (ascending) row order, then its shortcuts in matching order; rows
      are sized first and filled in place *)
@@ -671,7 +647,7 @@ let build_leaf g (view : Distr.Cluster_view.t) ~tau ~reuse ~seed ~label
       dk
     end
   in
-  { members; trees; k; dk; wadj; shortcuts = !shortcuts; rebuilt }
+  { members; trees; k; dk; wadj; shortcuts = !shortcuts }
 
 (* ---- recursion tree ---- *)
 
@@ -809,13 +785,12 @@ let fill_buckets root paths labels g inter_edges =
 type info = {
   clusters : int;
   shortcuts : int;      (* matching shortcut edges across all leaves *)
-  rebuilt_leaves : int; (* leaves that played a fresh game *)
-  reused_leaves : int;  (* leaves routed from retained matchings *)
+  rebuilt_leaves : int; (* always 0: no leaf replays a game *)
   max_leaf_depth : int; (* deepest member over every tree of every leaf *)
   tree_height : int;    (* recursion-tree height *)
 }
 
-let build ?(reuse = true) ?(seed = 0) ?(pool = Parallel.Pool.sequential) g
+let build ?(pool = Parallel.Pool.sequential) g
     (d : Spectral.Expander_decomposition.t) =
   Obs.Span.with_ "route.preprocess" @@ fun () ->
   let n = Graph.n g in
@@ -846,15 +821,13 @@ let build ?(reuse = true) ?(seed = 0) ?(pool = Parallel.Pool.sequential) g
   in
   if Array.length paths <> k then
     invalid_arg "Route.Hierarchy.build: witnesses do not match clusters";
-  (* leaves are independent of each other: fan the builds (including any
-     rebuild games, each seeded by its own label) out over the pool *)
+  (* leaves are independent of each other: fan the builds out over the
+     pool *)
   let leaves =
     Obs.Span.with_ "route.leaves" (fun () ->
         Parallel.Pool.mapi pool
           (fun l () ->
-            build_leaf g view ~tau:d.Spectral.Expander_decomposition.tau
-              ~reuse ~seed ~label:l
-              d.Spectral.Expander_decomposition.witnesses.(l)
+            build_leaf g view d.Spectral.Expander_decomposition.witnesses.(l)
               ~members:members.(l) ~pos_of)
           (Array.make k ()))
   in
@@ -877,8 +850,7 @@ let build ?(reuse = true) ?(seed = 0) ?(pool = Parallel.Pool.sequential) g
     Array.iter
       (fun (lf : leaf) ->
         Obs.Metric.count "route.shortcuts" lf.shortcuts;
-        Obs.Metric.count "route.trees" lf.k;
-        if lf.rebuilt then Obs.Metric.incr "route.rebuilt_leaves")
+        Obs.Metric.count "route.trees" lf.k)
       leaves;
     Obs.Metric.count "route.ports"
       (2 * List.length d.Spectral.Expander_decomposition.inter_edges)
@@ -886,13 +858,11 @@ let build ?(reuse = true) ?(seed = 0) ?(pool = Parallel.Pool.sequential) g
   { g; labels; paths; pos_of; leaves; root; bucket_of; wdeg; seq_stride }
 
 let info t =
-  let shortcuts = ref 0 and rebuilt = ref 0 and reused = ref 0 in
+  let shortcuts = ref 0 in
   let max_depth = ref 0 in
   Array.iter
     (fun (lf : leaf) ->
       shortcuts := !shortcuts + lf.shortcuts;
-      if lf.rebuilt then incr rebuilt
-      else if lf.shortcuts > 0 then incr reused;
       Array.iter
         (fun tr ->
           Array.iter (fun d -> if d > !max_depth then max_depth := d) tr.depth)
@@ -905,8 +875,7 @@ let info t =
   {
     clusters = Array.length t.leaves;
     shortcuts = !shortcuts;
-    rebuilt_leaves = !rebuilt;
-    reused_leaves = !reused;
+    rebuilt_leaves = 0;
     max_leaf_depth = !max_depth;
     tree_height = height t.root;
   }

@@ -11,10 +11,10 @@
     next rooted at the member farthest from the roots)
     and an {e internal witness} per recursion-tree node (inter-cluster
     edges bucketed as portal edges per ordered child pair, plus the
-    child-connectivity graph). Clusters whose decomposition retained no
-    matchings rebuild their witness by playing a fresh cut-matching game
-    (with [Flow.Cut_matching.run ~adaptive:true] budgets) on the induced
-    subgraph — the reuse-vs-rebuild axis that route-bench measures.
+    child-connectivity graph). The shortcuts are the decomposition's
+    own witness ({!Flow.Decomp_engine} keeps the game's matchings); a
+    cluster accepted without one (the spectral engine, exact or trivial
+    acceptances) routes on its intra-cluster edges alone.
 
     [route] then plans one demand as a log of legs: descend the
     recursion tree along the common prefix of the endpoint clusters'
@@ -33,8 +33,7 @@
     pool can route concurrently with one router per task over one shared
     hierarchy and fold the cursor advances back deterministically
     ({!sync_router} / {!merge_router}). Planning is deterministic: fixed
-    adjacency orders, cursors advance in demand order, rebuild games
-    seeded via [Pool.derive_seed]. *)
+    adjacency orders, cursors advance in demand order. *)
 
 (** The planner's output buffer, reused across demands: one planned
     route as a log of {e legs} in hop order, with a running hop count.
@@ -90,15 +89,12 @@ type t
     independent: one per pool task is the intended use. *)
 type router
 
-(** [build ?reuse ?seed ?pool g decomp] preprocesses the decomposition
-    into a witness hierarchy. [reuse] (default [true]) retains the
-    embedded matchings the decomposition engines recorded;
-    [~reuse:false] forces every large-enough cluster to replay the
-    cut-matching game. Leaf builds (including rebuild games) fan out
-    over [pool] (default sequential); the result is identical for every
-    pool size.
+(** [build ?pool g decomp] preprocesses the decomposition into a
+    witness hierarchy over the embedded matchings it retained. Leaf
+    builds fan out over [pool] (default sequential); the result is
+    identical for every pool size.
     @raise Invalid_argument on an empty graph or mismatched labels. *)
-val build : ?reuse:bool -> ?seed:int -> ?pool:Parallel.Pool.t ->
+val build : ?pool:Parallel.Pool.t ->
   Sparse_graph.Graph.t -> Spectral.Expander_decomposition.t -> t
 
 val make_router : t -> router
@@ -157,8 +153,9 @@ val route : policy:policy -> cong:int array -> t -> router -> vec ->
 type info = {
   clusters : int;
   shortcuts : int;      (** matching shortcut edges across all leaves *)
-  rebuilt_leaves : int; (** leaves that played a fresh game *)
-  reused_leaves : int;  (** leaves routed from retained matchings *)
+  rebuilt_leaves : int;
+      (** always 0: no leaf replays a game any more. Kept only because
+          the end-to-end benchmark still reports it. *)
   max_leaf_depth : int; (** deepest member over every tree of every leaf *)
   tree_height : int;    (** recursion-tree height *)
 }
@@ -167,7 +164,7 @@ val info : t -> info
 
 (** [iter_bundles t f] calls [f path eids rep] for every matching
     shortcut of every leaf witness, once per direction: the embedded real
-    path, the edge ids the decomposition (or the rebuild game) carried
+    path, the edge ids the decomposition carried
     for it ([eids.(q)] joins [path.(q)] and [path.(q+1)]), and the
     representative edge id that breaks ties. *)
 val iter_bundles : t -> (int array -> int array -> int -> unit) -> unit

@@ -54,8 +54,8 @@ type summary = {
   congestion_total : int;  (* sum of weight * length over demands *)
 }
 
-let preprocess ?reuse ?seed ?(pool = Parallel.Pool.sequential) g decomp =
-  let hier = Hierarchy.build ?reuse ?seed ~pool g decomp in
+let preprocess ?(pool = Parallel.Pool.sequential) g decomp =
+  let hier = Hierarchy.build ~pool g decomp in
   let m = Graph.m g in
   {
     g;
@@ -229,10 +229,11 @@ type congest_run = {
       (* simulator delivered exactly the planner's demand multiset *)
 }
 
-let serve_congest ?exec ?faults ?(policy = Hierarchy.Least_loaded) t
-    (ds : demand array) ~max_rounds =
+let serve_congest ?exec t (ds : demand array) ~max_rounds =
   (* one routing pass: the served paths are the shipped plans *)
-  let lengths, paths = serve_core ~policy ~keep:true t ds in
+  let lengths, paths =
+    serve_core ~policy:Hierarchy.Least_loaded ~keep:true t ds
+  in
   let planner = summarize t ds lengths in
   let routable = Array.make (max 1 planner.delivered) [||] in
   let k = ref 0 in
@@ -244,7 +245,7 @@ let serve_congest ?exec ?faults ?(policy = Hierarchy.Least_loaded) t
   done;
   let routable = Array.sub routable 0 planner.delivered in
   let routed =
-    Distr.Witness_routing.run ?exec ?faults t.g ~plans:routable ~max_rounds
+    Distr.Witness_routing.run ?exec t.g ~plans:routable ~max_rounds
   in
   let match_planner =
     Distr.Witness_routing.check ~plans:routable routed

@@ -19,10 +19,10 @@ type demand = { src : int; dst : int; weight : int }
 
 type t
 
-(** [preprocess ?reuse ?seed ?pool g decomp] — see {!Hierarchy.build}.
-    [pool] (default sequential) parallelizes both the leaf builds and
-    every subsequent serve. *)
-val preprocess : ?reuse:bool -> ?seed:int -> ?pool:Parallel.Pool.t ->
+(** [preprocess ?pool g decomp] — see {!Hierarchy.build}. [pool]
+    (default sequential) parallelizes both the leaf builds and every
+    subsequent serve. *)
+val preprocess : ?pool:Parallel.Pool.t ->
   Sparse_graph.Graph.t -> Spectral.Expander_decomposition.t -> t
 
 val hierarchy : t -> Hierarchy.t
@@ -61,9 +61,9 @@ type congest_run = {
           demands — every token at its plan's destination, none lost *)
 }
 
-(** [serve_congest ?exec ?faults ?policy t ds ~max_rounds] routes [ds]
-    once, then ships one token per routable demand along the served
-    paths on the CONGEST simulator. *)
-val serve_congest : ?exec:Congest.Network.exec -> ?faults:Congest.Faults.t ->
-  ?policy:Hierarchy.policy -> t -> demand array -> max_rounds:int ->
-  congest_run
+(** [serve_congest ?exec t ds ~max_rounds] routes [ds] once under
+    {!Hierarchy.Least_loaded}, then ships one token per routable demand
+    along the served paths on the CONGEST simulator, run under [exec] as
+    in {!Distr.Witness_routing.run}. *)
+val serve_congest : ?exec:Congest.Network.exec -> t -> demand array ->
+  max_rounds:int -> congest_run

@@ -298,7 +298,7 @@ let matching_is_partial_perfect ~n pairs =
 
 let test_game_accepts_complete () =
   let g = Generators.complete 16 in
-  let verdict, stats = Cut_matching.run ~adaptive:false g ~tau:0.2 ~seed:5 in
+  let verdict, stats = Cut_matching.run g ~tau:0.2 ~seed:5 in
   match verdict with
   | Cut_matching.Cut _ -> Alcotest.fail "K16 is an expander"
   | Cut_matching.Expander w ->
@@ -317,7 +317,7 @@ let test_game_accepts_complete () =
 
 let test_game_cuts_barbell () =
   let g = Generators.barbell 8 2 in
-  let verdict, _ = Cut_matching.run ~adaptive:false g ~tau:0.25 ~seed:3 in
+  let verdict, _ = Cut_matching.run g ~tau:0.25 ~seed:3 in
   match verdict with
   | Cut_matching.Expander _ -> Alcotest.fail "the barbell bridge must be found"
   | Cut_matching.Cut c ->
@@ -332,7 +332,7 @@ let test_game_cuts_barbell () =
 let test_game_trivial_accepts () =
   List.iter
     (fun g ->
-      match Cut_matching.run ~adaptive:false g ~tau:0.5 ~seed:1 with
+      match Cut_matching.run g ~tau:0.5 ~seed:1 with
       | Cut_matching.Expander w, stats ->
           checki "no rounds" 0 w.Cut_matching.rounds;
           checki "no flow" 0 stats.Cut_matching.flow_calls
@@ -341,8 +341,8 @@ let test_game_trivial_accepts () =
 
 let test_game_deterministic () =
   let g = Generators.random_apollonian 40 ~seed:9 in
-  let v1 = Cut_matching.run ~adaptive:false g ~tau:0.2 ~seed:17 in
-  let v2 = Cut_matching.run ~adaptive:false g ~tau:0.2 ~seed:17 in
+  let v1 = Cut_matching.run g ~tau:0.2 ~seed:17 in
+  let v2 = Cut_matching.run g ~tau:0.2 ~seed:17 in
   checkb "identical verdict and stats on identical input" true (v1 = v2)
 
 (* ------------------------------------------------------------------ *)
@@ -565,7 +565,7 @@ let prop_game_verdict_sound =
       let g = build_connected input in
       let n = Graph.n g in
       let tau = 0.15 in
-      match Cut_matching.run ~adaptive:false g ~tau ~seed:7 with
+      match Cut_matching.run g ~tau ~seed:7 with
       | Cut_matching.Cut c, _ ->
           (* a reported cut must be a real cut of that conductance *)
           abs_float

@@ -2,15 +2,15 @@
    walk router. Pins the PR's contracts:
 
    - planned paths are real walks of the graph (src first, dst last,
-     consecutive entries edges), for both decomposition engines and for
-     witness reuse as well as forced rebuild;
+     consecutive entries edges), for both decomposition engines; on the
+     spectral engine's witness-less clusters no hop is a shortcut;
    - the planner summary's accounting is internally consistent
      (delivered + failed = demands, p50 <= p99 <= max, congestion total
      = sum of weighted path lengths);
    - the edges [Hierarchy.charge] charges for a route, read from its
      legs' recorded edge ids, equal a [Graph.find_edge] recount of the
      route's expanded path, and the per-edge congestion equals the same
-     recount of the plans, over rebuilt leaves, portal crossings and
+     recount of the plans, over witness shortcuts, portal crossings and
      global-BFS fallback legs;
    - least-loaded never makes the hottest edge worse than round-robin
      on pinned hot-spot workloads, within one epoch and over three (where
@@ -54,10 +54,10 @@ let exec_points =
          ( Printf.sprintf "s%dj%d" shards jobs,
            Congest.Network.Sharded { shards; pool = pool_of jobs } ))
 
-let service ?reuse ?pool ?(engine = Core.Pipeline.Spectral_engine)
+let service ?pool ?(engine = Core.Pipeline.Cut_matching_engine)
     ?(epsilon = 0.3) g =
   let p = Core.Pipeline.prepare ~mode:Core.Pipeline.Charged ~engine g ~epsilon ~seed:5 in
-  Core.Pipeline.routing_service ?reuse ?pool ~seed:11 p
+  Core.Pipeline.routing_service ?pool p
 
 let demands_of g ~count ~seed =
   let st = Random.State.make [| seed; 0x5eed |] in
@@ -304,64 +304,36 @@ let test_jobs_parity_serve () =
       (multi_cluster_grid (), 20_000);
     ]
 
-let test_reuse_vs_rebuild () =
-  let g = Generators.random_regular 48 4 ~seed:2 in
-  let reused = service ~engine:Core.Pipeline.Cut_matching_engine ~reuse:true g in
-  let rebuilt = service ~engine:Core.Pipeline.Cut_matching_engine ~reuse:false g in
-  let ri = Route.Hierarchy.info (Route.Service.hierarchy reused) in
-  let bi = Route.Hierarchy.info (Route.Service.hierarchy rebuilt) in
-  checkb "game matchings were retained and reused" true
-    (ri.Route.Hierarchy.shortcuts > 0);
-  checki "no fresh games when reusing" 0 ri.Route.Hierarchy.rebuilt_leaves;
-  checkb "forced rebuild replays games" true
-    (bi.Route.Hierarchy.rebuilt_leaves > 0);
-  let ds = demands_of g ~count:120 ~seed:8 in
-  let sr = Route.Service.serve reused ds in
-  let sb = Route.Service.serve rebuilt ds in
-  checki "same deliveries either way" sr.Route.Service.delivered
-    sb.Route.Service.delivered;
-  Array.iteri
-    (fun i p -> checkb "rebuilt plan valid" true (valid_plan g ds.(i) p))
-    (Route.Service.plan rebuilt ds)
-
-(* the edge ids a witness bundle carries from the flow (through the
-   decomposition's witness, or through a rebuild game) are rechecked here
-   by Graph.endpoints, which did not produce them: eids.(q) joins path.(q)
-   and path.(q+1), and the representative is the minimum id. The grid and
-   the Apollonian graph stay one cluster, whose induced subgraph numbers
-   edges as the graph does; the 40x20 grid splits at epsilon 0.5 into
-   clusters with matchings, where a game's edge ids must be mapped back. *)
+(* the edge ids a witness bundle carries from the flow through the
+   decomposition's witness are rechecked here by Graph.endpoints, which
+   did not produce them: eids.(q) joins path.(q) and path.(q+1), and the
+   representative is the minimum id. The grid and the Apollonian graph
+   stay one cluster, whose induced subgraph numbers edges as the graph
+   does; the 40x20 grid splits at epsilon 0.5 into clusters with
+   matchings, where a game's edge ids must be mapped back. *)
 let test_carried_bundle_ids () =
   List.iter
     (fun (name, g, epsilon, split) ->
-      List.iter
-        (fun reuse ->
-          let svc =
-            service ~engine:Core.Pipeline.Cut_matching_engine ~reuse ~epsilon g
-          in
-          let h = Route.Service.hierarchy svc in
-          let bundles = ref 0 in
-          Route.Hierarchy.iter_bundles h (fun p eids rep ->
-              incr bundles;
-              checki "one id per hop" (Array.length p - 1) (Array.length eids);
-              Array.iteri
-                (fun q e ->
-                  let a, b = Graph.endpoints g e in
-                  let x = p.(q) and y = p.(q + 1) in
-                  if (a, b) <> (min x y, max x y) then
-                    Alcotest.failf "%s: edge %d is (%d, %d), path hop (%d, %d)"
-                      name e a b x y)
-                eids;
-              checki "rep is the minimum id"
-                (Array.fold_left min max_int eids) rep);
-          let info = Route.Hierarchy.info h in
-          checkb (name ^ ": bundles seen") true
-            (!bundles = 2 * info.Route.Hierarchy.shortcuts && !bundles > 0);
-          checkb (name ^ ": rebuild played games") true
-            (reuse || info.Route.Hierarchy.rebuilt_leaves > 0);
-          checkb (name ^ ": cluster count") true
-            (split = (info.Route.Hierarchy.clusters > 1)))
-        [ true; false ])
+      let svc = service ~epsilon g in
+      let h = Route.Service.hierarchy svc in
+      let bundles = ref 0 in
+      Route.Hierarchy.iter_bundles h (fun p eids rep ->
+          incr bundles;
+          checki "one id per hop" (Array.length p - 1) (Array.length eids);
+          Array.iteri
+            (fun q e ->
+              let a, b = Graph.endpoints g e in
+              let x = p.(q) and y = p.(q + 1) in
+              if (a, b) <> (min x y, max x y) then
+                Alcotest.failf "%s: edge %d is (%d, %d), path hop (%d, %d)"
+                  name e a b x y)
+            eids;
+          checki "rep is the minimum id" (Array.fold_left min max_int eids) rep);
+      let info = Route.Hierarchy.info h in
+      checkb (name ^ ": bundles seen") true
+        (!bundles = 2 * info.Route.Hierarchy.shortcuts && !bundles > 0);
+      checkb (name ^ ": cluster count") true
+        (split = (info.Route.Hierarchy.clusters > 1)))
     [
       ("grid 16x16", Generators.grid 16 16, 0.3, false);
       ("apollonian 512", Generators.random_apollonian 512 ~seed:3, 0.3, false);
@@ -501,8 +473,8 @@ let walk_matches_oracle g labels h pairs =
   && hops = { Route.Hierarchy.direct = !direct; shortcut = 0;
               portal = 0; fallback = 0 }
 
-(* a graph as a one-cluster decomposition: the leaf plays a rebuild game
-   on it *)
+(* a graph as a one-cluster decomposition without a witness: the leaf
+   routes on its intra edges alone *)
 let one_cluster g =
   let decomp =
     {
@@ -554,7 +526,7 @@ let bench_grid () =
   in
   ( g,
     p.Core.Pipeline.decomposition.Spectral.Expander_decomposition.labels,
-    Route.Service.hierarchy (Core.Pipeline.routing_service ~seed:11 p) )
+    Route.Service.hierarchy (Core.Pipeline.routing_service p) )
 
 let walk_oracle_arb =
   QCheck.make
@@ -604,13 +576,12 @@ let qcheck_walk_oracle =
             | _ -> (Generators.grid 24 24, 0.8)
           in
           let p =
-            Core.Pipeline.prepare ~mode:Core.Pipeline.Charged
-              ~engine:Core.Pipeline.Spectral_engine g ~epsilon ~seed:5
+            Core.Pipeline.prepare ~mode:Core.Pipeline.Charged g ~epsilon ~seed:5
           in
           let labels =
             p.Core.Pipeline.decomposition.Spectral.Expander_decomposition.labels
           in
-          let h = Route.Service.hierarchy (Core.Pipeline.routing_service ~seed:11 p) in
+          let h = Route.Service.hierarchy (Core.Pipeline.routing_service p) in
           let k = (Route.Hierarchy.info h).Route.Hierarchy.clusters in
           (k = 1) = (pick <> 4)
           && walk_matches_oracle g labels h (sampled_pairs g labels ~seed 400))
@@ -618,13 +589,10 @@ let qcheck_walk_oracle =
 (* an input as (graph, labels, hierarchy), prepared as the planner tests
    prepare it *)
 let labelled (g, epsilon, _) =
-  let p =
-    Core.Pipeline.prepare ~mode:Core.Pipeline.Charged
-      ~engine:Core.Pipeline.Spectral_engine g ~epsilon ~seed:5
-  in
+  let p = Core.Pipeline.prepare ~mode:Core.Pipeline.Charged g ~epsilon ~seed:5 in
   ( g,
     p.Core.Pipeline.decomposition.Spectral.Expander_decomposition.labels,
-    Route.Service.hierarchy (Core.Pipeline.routing_service ~seed:11 p) )
+    Route.Service.hierarchy (Core.Pipeline.routing_service p) )
 
 (* every tree of every leaf is a BFS tree over intra-cluster edges from
    its root: a BFS from the root (the one member without a parent in
@@ -723,17 +691,47 @@ let test_intra_route_within_tree_sums () =
       checkb (name ^ ": some routes beat tree 0") true (!shorter > 0))
     [ ("cycle 160", long_cycle ()); ("grid 64x64", bench_grid ()) ]
 
-(* rebuilt leaves route over fresh matching shortcuts; all ordered pairs
-   walk each expansion up (push_up) and down (push_down), and
-   Least_loaded diverts through push_entry_back *)
-let test_edge_ids_rebuilt_leaves () =
+(* the cut-matching witness of a random regular graph carries matching
+   shortcuts; over all ordered pairs Least_loaded diverts through their
+   entries, and the charged edge ids must match the path *)
+let test_edge_ids_witness_shortcuts () =
   let g = Generators.random_regular 48 4 ~seed:2 in
-  let svc = service ~engine:Core.Pipeline.Cut_matching_engine ~reuse:false g in
+  let svc = service g in
   let h = Route.Service.hierarchy svc in
-  checkb "rebuilt leaves carry shortcuts" true
+  checkb "witness leaves carry shortcuts" true
     ((Route.Hierarchy.info h).Route.Hierarchy.shortcuts > 0);
-  check_route_charges "rebuilt: charged edges match the path" g h;
-  check_congestion_recount "rebuilt" g svc
+  check_route_charges "witness: charged edges match the path" g h;
+  check_congestion_recount "witness" g svc
+
+(* a spectral decomposition keeps no witness: its leaves carry no
+   shortcut, no hop is logged as one, and every plan is a real walk *)
+let test_spectral_no_shortcuts () =
+  List.iter
+    (fun ((g, _, _) as input) ->
+      let svc = input_service ~engine:Core.Pipeline.Spectral_engine input in
+      checki "no shortcuts" 0
+        (Route.Hierarchy.info (Route.Service.hierarchy svc))
+          .Route.Hierarchy.shortcuts;
+      let ds = demands_of g ~count:300 ~seed:4 in
+      Obs.reset ();
+      Obs.enable ();
+      ignore (Route.Service.serve svc ds);
+      let tree = Obs.snapshot_tree () in
+      Obs.disable ();
+      let sums, _ = Obs.Agg.totals tree in
+      checkb "hops were counted" true
+        (Obs.Agg.SMap.find_opt "route.hops_direct" sums <> None);
+      checki "route.hops_shortcut" 0
+        (Option.value ~default:0
+           (Obs.Agg.SMap.find_opt "route.hops_shortcut" sums));
+      Array.iteri
+        (fun i p -> checkb "plan is a real walk" true (valid_plan g ds.(i) p))
+        (Route.Service.plan svc ds))
+    [
+      single (Generators.random_regular 48 4 ~seed:2);
+      single (Generators.random_apollonian 256 ~seed:3);
+      multi_cluster_grid ();
+    ]
 
 (* a hand-built decomposition of grid 4x4 into the even and the odd
    columns: both clusters are internally disconnected, so legs between
@@ -1204,7 +1202,7 @@ let qcheck_witness_conservation =
 (* qcheck: the serve summary's congestion_total always equals the
    weighted sum of the planned path lengths, and the per-edge loads equal
    a find_edge recount of the plans, under either policy and for
-   spectral leaves, reused game matchings and rebuilt ones *)
+   spectral leaves and the cut-matching witness *)
 let accounting_case_arb =
   let open QCheck.Gen in
   let gen =
@@ -1212,25 +1210,22 @@ let accounting_case_arb =
     let* count = 50 -- 250 in
     let* seed = int_bound 10_000 in
     let* ll = bool in
-    let* witness = 0 -- 2 in
-    return (pick, count, seed, ll, witness)
+    let* cm = bool in
+    return (pick, count, seed, ll, cm)
   in
   QCheck.make
-    ~print:(fun (pick, count, seed, ll, witness) ->
+    ~print:(fun (pick, count, seed, ll, cm) ->
       Printf.sprintf "graph %d count %d seed %d policy %s witness %s" pick
         count seed
         (if ll then "least_loaded" else "round_robin")
-        (match witness with
-        | 0 -> "spectral"
-        | 1 -> "cut-matching reuse"
-        | _ -> "cut-matching rebuild"))
+        (if cm then "cut-matching" else "spectral"))
     gen
 
 let qcheck_congestion_accounting =
   QCheck.Test.make
     ~name:"serve: congestion_total = sum weight x length, per-edge recount"
     ~count:30 accounting_case_arb
-    (fun (pick, count, seed, ll, witness) ->
+    (fun (pick, count, seed, ll, cm) ->
       (* the first three graphs decompose into one cluster; grid 24x24
          at epsilon 0.8 splits, so its demands cross portal edges *)
       let g, epsilon =
@@ -1243,13 +1238,11 @@ let qcheck_congestion_accounting =
       let policy =
         if ll then Route.Hierarchy.Least_loaded else Route.Hierarchy.Round_robin
       in
-      let svc =
-        match witness with
-        | 0 -> service ~epsilon g
-        | w ->
-            service ~engine:Core.Pipeline.Cut_matching_engine ~reuse:(w = 1)
-              ~epsilon g
+      let engine =
+        if cm then Core.Pipeline.Cut_matching_engine
+        else Core.Pipeline.Spectral_engine
       in
+      let svc = service ~engine ~epsilon g in
       let ds = demands_of g ~count ~seed in
       let s = Route.Service.serve ~policy svc ds in
       let plans = Route.Service.plan ~policy svc ds in
@@ -1277,9 +1270,9 @@ let () =
           tc "summary accounting" test_summary_accounting;
           tc "least-loaded vs round-robin" test_least_loaded_beats_round_robin;
           tc "jobs parity (serve epochs)" test_jobs_parity_serve;
-          tc "witness reuse vs rebuild" test_reuse_vs_rebuild;
           tc "carried bundle edge ids" test_carried_bundle_ids;
-          tc "hop edge ids, rebuilt leaves" test_edge_ids_rebuilt_leaves;
+          tc "hop edge ids, witness shortcuts" test_edge_ids_witness_shortcuts;
+          tc "spectral leaves: no shortcuts" test_spectral_no_shortcuts;
           tc "hop edge ids, fallback legs" test_edge_ids_fallback;
           tc "every leaf tree is a BFS tree" test_leaf_trees_bfs;
           tc "intra route within tree depth sum"
