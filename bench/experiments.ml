@@ -441,12 +441,15 @@ let e8 () =
         in
         let charged = Core.Pipeline.construction_charge ~n:real_n ~epsilon:eps in
         let logn = log (float_of_int (max 2 real_n)) /. log 2. in
-        let simulated =
+        (* the simulated pipeline decomposes by cut-matching, so its
+           cluster count sits beside its rounds: the k column is the
+           spectral oracle's *)
+        let simulated, sim_k =
           if real_n <= 150 then begin
             let p = Core.Pipeline.prepare ~mode:Core.Pipeline.Simulated g ~epsilon:eps ~seed:20 in
-            i p.report.simulated_rounds
+            (i p.report.simulated_rounds, i p.report.k)
           end
-          else "-"
+          else ("-", "-")
         in
         (* ablation: BFS balls of comparable cluster count *)
         let bfs = Spectral.Expander_decomposition.bfs_ball_baseline g ~radius:3 in
@@ -464,14 +467,14 @@ let e8 () =
             pct (Spectral.Expander_decomposition.inter_fraction g d);
             Printf.sprintf "%.1e" d.phi; f4 worst;
             i charged; f1 (float_of_int charged /. (logn ** 3.));
-            i det; simulated; f4 bfs_worst;
+            i det; simulated; sim_k; f4 bfs_worst;
           ];
         ])
   in
   print_table ~title:"E8: decomposition + rounds scaling"
     ~header:
       [ "family"; "n"; "eps"; "k"; "inter"; "phi"; "min cond"; "charged";
-        "charged/log^3"; "det charge"; "simulated"; "bfs-ball cond" ]
+        "charged/log^3"; "det charge"; "simulated"; "sim k"; "bfs-ball cond" ]
     rows
 
 (* ------------------------------------------------------------------ *)
@@ -1610,8 +1613,8 @@ let route_bench () =
           (float_of_int s_ll.congestion_max
           <= (float_of_int s_rr.congestion_max *. 1.25) +. 1.))
       [ ("random", rand_rr, rand_s); ("hotspot", hot_rr, hot_ll) ];
-    (* execute the plans on the sharded simulator where tractable and
-       check the deliveries against the planner *)
+    (* ship the plans in CONGEST rounds where tractable and check the
+       deliveries against the planner *)
     let congest_json =
       if n > route_congest_limit then Obs.Json.Null
       else begin
@@ -1619,12 +1622,7 @@ let route_bench () =
           route_demand_batch g ~pattern:"random" ~count:(min 2_000 count)
             ~seed:(n + 9)
         in
-        let shards = 4 in
-        let r =
-          Route.Service.serve_congest
-            ~exec:(Congest.Network.Sharded { shards; pool = !pool })
-            svc cds ~max_rounds:40_000
-        in
+        let r = Route.Service.serve_congest svc cds ~max_rounds:40_000 in
         let arr =
           Array.of_list
             (List.filter (fun x -> x >= 0)
@@ -1643,7 +1641,6 @@ let route_bench () =
         Obs.Json.Obj
           [
             ("demands", Obs.Json.Int (Array.length cds));
-            ("shards", Obs.Json.Int shards);
             ("rounds", Obs.Json.Int last);
             ("rounds_p50", Obs.Json.Int p50);
             ("rounds_p99", Obs.Json.Int p99);
@@ -1785,7 +1782,7 @@ let route_bench () =
     Obs.Json.Obj
       ([
          ("schema", Obs.Json.Str "expander-route-bench");
-         ("version", Obs.Json.Int 4);
+         ("version", Obs.Json.Int 5);
          ("epsilon", Obs.Json.Float route_epsilon);
          ("n", Obs.Json.Int !route_n);
          ("demands", Obs.Json.Int !route_demands);

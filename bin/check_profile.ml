@@ -166,12 +166,13 @@ let compare_profiles a b =
   else fail "%s and %s: deterministic sections differ" a b
 
 (* the bench documents --bench understands: schema name and version.
-   route-bench writes version 4 (no reuse axis); version 3 stays only for
-   the committed BENCH_route.json, recorded before the axis went. *)
+   route-bench writes version 5 (no reuse axis, no shards field in its
+   congest blocks); version 3 stays only for the committed
+   BENCH_route.json, recorded before the reuse axis went. *)
 let bench_schemas =
   [ ("expander-congest-bench", 3); ("expander-decomp-bench", 1);
     ("expander-decomp-bench", 2); ("expander-route-bench", 3);
-    ("expander-route-bench", 4) ]
+    ("expander-route-bench", 5) ]
 
 let str path name j =
   match Json.member name j with

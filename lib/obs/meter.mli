@@ -1,7 +1,8 @@
 (** CONGEST cost meter: attributes simulator accounting to the enclosing
-    span. Hooked by [Congest.Network.run], and by [Distr.Walk_routing]'s
-    own round loop with the figures the simulator would report; the
-    metric names are stable schema vocabulary. *)
+    span. Hooked by [Congest.Network.run], and by the own round loops of
+    [Distr.Walk_routing] and [Distr.Witness_routing] with the figures the
+    simulator would report; the metric names are stable schema
+    vocabulary. *)
 
 val k_runs : string
 val k_rounds : string
@@ -19,23 +20,27 @@ val k_inbox_final_words : string
 val net :
   rounds:int -> messages:int -> total_bits:int -> max_edge_bits:int -> unit
 (** Record one network run: [rounds]/[messages]/[total_bits] add to the
-    current span's counters; [max_edge_bits] max-merges. No-op while
-    observability is disabled. *)
+    current span's counters; [max_edge_bits] max-merges. Called by
+    [Congest.Network.run], [Distr.Walk_routing.run] and
+    [Distr.Witness_routing.run] (one message is one flight there). No-op
+    while observability is disabled. *)
 
 val active : vertices:int -> unit
 (** Record one network run's total scheduled vertex-rounds
-    ([net.active_vertices]). Called by [Congest.Network.run] and
-    [Distr.Walk_routing.run], not by [Congest.Network.run_reference],
-    which steps every vertex. No-op while observability is
-    disabled. *)
+    ([net.active_vertices]). Called by [Congest.Network.run],
+    [Distr.Walk_routing.run] and [Distr.Witness_routing.run], not by
+    [Congest.Network.run_reference], which steps every vertex. No-op
+    while observability is disabled. *)
 
 val inbox : peak_words:int -> final_words:int -> unit
 (** Record one run's inbox footprint: the high-watermark of machine
     words retained by the inbound arenas, summed over shards
     ([net.inbox_peak_words], max-merged) and the residual footprint at
     run end ([net.inbox_final_words], max-merged). Called by
-    [Congest.Network.run] only — the reference loop has no arenas. No-op
-    while observability is disabled. *)
+    [Congest.Network.run] only: the reference loop and the routers' own
+    round loops have no arenas, so a [distr.walk_routing] or
+    [distr.witness_routing] span records neither key. No-op while
+    observability is disabled. *)
 
 val faults : dropped:int -> duplicated:int -> crashed_rounds:int -> unit
 (** Record one faulty network run's fault counters ([net.dropped],

@@ -16,10 +16,9 @@ open Sparse_graph
    at every [--jobs].
 
    [plan] expands each demand's legs into its concrete path (an
-   exact-size array, forward bundles blitted); [serve_congest] executes the
-   single serve pass's plans as a CONGEST workload on the sharded
-   simulator via Distr.Witness_routing and checks the deliveries against
-   the planner. *)
+   exact-size array, forward bundles blitted); [serve_congest] ships the
+   single serve pass's plans in CONGEST rounds via Distr.Witness_routing
+   and checks the deliveries against the planner. *)
 
 type demand = { src : int; dst : int; weight : int }
 
@@ -226,10 +225,10 @@ type congest_run = {
   planner : summary;
   routed : Distr.Witness_routing.result;
   match_planner : bool;
-      (* simulator delivered exactly the planner's demand multiset *)
+      (* shipper delivered exactly the planner's demand multiset *)
 }
 
-let serve_congest ?exec t (ds : demand array) ~max_rounds =
+let serve_congest t (ds : demand array) ~max_rounds =
   (* one routing pass: the served paths are the shipped plans *)
   let lengths, paths =
     serve_core ~policy:Hierarchy.Least_loaded ~keep:true t ds
@@ -245,7 +244,7 @@ let serve_congest ?exec t (ds : demand array) ~max_rounds =
   done;
   let routable = Array.sub routable 0 planner.delivered in
   let routed =
-    Distr.Witness_routing.run ?exec t.g ~plans:routable ~max_rounds
+    Distr.Witness_routing.run t.g ~plans:routable ~max_rounds
   in
   let match_planner =
     Distr.Witness_routing.check ~plans:routable routed

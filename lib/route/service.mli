@@ -10,10 +10,9 @@
     constant, every demand sees the same congestion snapshot — and the
     summary is byte-identical — at every [--jobs] value.
 
-    [serve_congest] additionally executes the same pass's planned paths
-    as a CONGEST workload on the (optionally sharded) simulator via
-    {!Distr.Witness_routing}, checking the simulator's deliveries
-    against the planner's. *)
+    [serve_congest] additionally ships the same pass's planned paths in
+    CONGEST rounds via {!Distr.Witness_routing}, one token per routable
+    demand, checking the shipped deliveries against the planner's. *)
 
 type demand = { src : int; dst : int; weight : int }
 
@@ -57,13 +56,12 @@ type congest_run = {
   planner : summary;
   routed : Distr.Witness_routing.result;
   match_planner : bool;
-      (** the simulator delivered exactly the planner's routable
+      (** the shipper delivered exactly the planner's routable
           demands — every token at its plan's destination, none lost *)
 }
 
-(** [serve_congest ?exec t ds ~max_rounds] routes [ds] once under
+(** [serve_congest t ds ~max_rounds] routes [ds] once under
     {!Hierarchy.Least_loaded}, then ships one token per routable demand
-    along the served paths on the CONGEST simulator, run under [exec] as
-    in {!Distr.Witness_routing.run}. *)
-val serve_congest : ?exec:Congest.Network.exec -> t -> demand array ->
-  max_rounds:int -> congest_run
+    along the served paths with {!Distr.Witness_routing.run}, for at most
+    [max_rounds] CONGEST rounds. *)
+val serve_congest : t -> demand array -> max_rounds:int -> congest_run

@@ -16,8 +16,9 @@
      on pinned hot-spot workloads, within one epoch and over three (where
      the diversion gate is nonzero), and summaries, plans and diversion
      counters stay identical at jobs 1, 2 and 4, over one epoch and two;
-   - planner and CONGEST execution deliver the same demand multiset at
-     every shards {1,4} x jobs {1,4} point, byte-identically;
+   - planner and CONGEST execution deliver the same demand multiset, and
+     the shipper's flat loop returns the simulator-hosted reference's
+     result at every shards {1,4} x jobs {1,4} point;
    - the walk router's delivery order is pinned by a fixed-seed golden
      (own tokens in seq order, then arrival order), once on a complete
      graph and once on a grid where the per-edge capacity binds, which
@@ -36,10 +37,18 @@
      complete 8, decomposed views, an intra-isolated vertex, expiring
      budgets, round cut-offs and binding capacity, and on the two app
      walks of the end-to-end benchmark, meters included;
+   - the planned-path shipper's flat loop equals the same shipper run
+     as a round function on the simulator (test/witness_reference.ml),
+     field for field or by the same exception, by qcheck over grids and
+     Apollonian graphs with hubs, BFS and random-walk plans,
+     self-demands, a hot destination where the flight size binds,
+     demand ids too wide for any flight, and round cut-offs; and on the
+     four serve_congest slices of the end-to-end benchmark, meters
+     included and pinned;
    - qcheck: [delivered + undelivered = total] survives drop/crash
      schedules, every shards x jobs point, and halting-round cutoffs,
-     for the simulator-hosted walk and the witness router, and round
-     cut-offs for the flat walk loop. *)
+     for the simulator-hosted walk and shipper, and round cut-offs for
+     the flat walk loop. *)
 
 open Sparse_graph
 
@@ -770,27 +779,26 @@ let test_edge_ids_fallback () =
 (* CONGEST execution parity                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* one shipped batch: the planner's deliveries, and the flat loop's
+   whole result equal to the simulator-hosted reference's at every
+   shards x jobs point *)
 let test_congest_matches_planner_all_points () =
   let g = Generators.grid 6 6 in
   let svc = service g in
   let ds = demands_of g ~count:48 ~seed:12 in
-  let runs =
-    List.map
-      (fun (name, exec) ->
-        let r = Route.Service.serve_congest ~exec svc ds ~max_rounds:4000 in
-        checkb (name ^ ": simulator matches planner") true
-          r.Route.Service.match_planner;
-        (name, r.Route.Service.routed.Distr.Witness_routing.delivered))
-      exec_points
+  let r = Route.Service.serve_congest svc ds ~max_rounds:4000 in
+  checkb "shipper matches planner" true r.Route.Service.match_planner;
+  let plans =
+    Route.Service.plan svc ds |> Array.to_list
+    |> List.filter (fun p -> Array.length p > 0)
+    |> Array.of_list
   in
-  match runs with
-  | [] -> assert false
-  | (_, first) :: rest ->
-      List.iter
-        (fun (name, d) ->
-          checkb (name ^ ": deliveries byte-identical across points") true
-            (d = first))
-        rest
+  List.iter
+    (fun (name, exec) ->
+      checkb (name ^ ": flat loop = simulator-hosted reference") true
+        (r.Route.Service.routed
+        = Witness_reference.run ~exec g ~plans ~max_rounds:4000))
+    exec_points
 
 let test_self_demands_and_degenerate () =
   let g = Graph_fixtures.star 5 in
@@ -1010,11 +1018,12 @@ let qcheck_walk_matches_reference =
          and the whole stats record *)
       flat = sim)
 
-(* the net and active-vertex meters a run leaves under its span *)
-let walk_meters run =
+(* the meters a router run leaves: summed congest counters and
+   net.active_vertices, and the max-merged max_edge_bits *)
+let router_meters run =
   Obs.reset ();
   Obs.enable ();
-  let r = Obs.Span.with_ "distr.walk_routing" run in
+  let r = Obs.Span.with_ "router" run in
   let tree = Obs.snapshot_tree () in
   Obs.disable ();
   Obs.reset ();
@@ -1055,9 +1064,11 @@ let test_app_walks_match_reference () =
           ~max_rounds:(walk_len * 40)
       in
       let flat, flat_meters =
-        walk_meters (walk (fun v -> Distr.Walk_routing.run v))
+        router_meters (walk (fun v -> Distr.Walk_routing.run v))
       in
-      let sim, sim_meters = walk_meters (walk (fun v -> Walk_reference.run v)) in
+      let sim, sim_meters =
+        router_meters (walk (fun v -> Walk_reference.run v))
+      in
       checkb (name ^ ": inputs are the app walk's") true
         (p.report.routing_stats = Some flat.Distr.Walk_routing.stats);
       checkb (name ^ ": every token delivered") true
@@ -1187,7 +1198,7 @@ let qcheck_witness_conservation =
             bfs_plan g (Random.State.int st n) (Random.State.int st n))
       in
       let r =
-        Distr.Witness_routing.run
+        Witness_reference.run
           ~exec:(Congest.Network.Sharded { shards; pool = pool_of jobs })
           ~faults g ~plans ~max_rounds
       in
@@ -1198,6 +1209,161 @@ let qcheck_witness_conservation =
       in
       got + r.Distr.Witness_routing.undelivered = Array.length plans
       && Distr.Witness_routing.check ~plans r)
+
+(* ------------------------------------------------------------------ *)
+(* Witness router: the flat loop against the simulator-hosted reference *)
+(* ------------------------------------------------------------------ *)
+
+(* a lazy-free random walk of [len] steps from [src]: a plan that may
+   revisit vertices and edges *)
+let walk_plan g st src len =
+  let p = Array.make (len + 1) src in
+  for i = 1 to len do
+    let v = p.(i - 1) in
+    p.(i) <- Graph.neighbor_at g v (Random.State.int st (Graph.degree g v))
+  done;
+  p
+
+(* [per] demands per 2 vertices and [extra] more; a [hot] share of them
+   to vertex n / 2, an eighth of the rest self-demands; shortest paths,
+   or random walks where [walks]. On a 2x2 grid, 33 demands or more
+   carry so many demand ids that a one-token flight exceeds the budget,
+   which both shippers must report alike. *)
+let witness_case_gen =
+  let open QCheck.Gen in
+  let* family =
+    frequency
+      [
+        (5, map2 (fun r c -> `Grid (r, c)) (2 -- 9) (2 -- 9));
+        (5, map2 (fun n s -> `Apollonian (n, s)) (8 -- 200) (int_bound 1000));
+        (2, return (`Grid (2, 2)));
+      ]
+  in
+  let* per = 0 -- 12 in
+  let* extra = oneofl [ 0; 0; 64 ] in
+  let* hot = oneofl [ 0.; 0.5; 0.9 ] in
+  let* walks = bool in
+  let* max_rounds = oneofl [ 0; 1; 2; 5; 37; 300; 1_000_000 ] in
+  let* seed = int_bound 10_000 in
+  return (family, (per, extra), hot, walks, max_rounds, seed)
+
+let witness_case_print (family, (per, extra), hot, walks, max_rounds, seed) =
+  Printf.sprintf "%s, %d demands per 2 vertices + %d, hot %g, %s plans, \
+                  max_rounds %d, seed %d"
+    (match family with
+    | `Grid (r, c) -> Printf.sprintf "grid %dx%d" r c
+    | `Apollonian (n, s) -> Printf.sprintf "apollonian %d seed %d" n s)
+    per extra hot
+    (if walks then "walk" else "BFS")
+    max_rounds seed
+
+let witness_inputs (family, (per, extra), hot, walks, _, seed) =
+  let g =
+    match family with
+    | `Grid (r, c) -> Generators.grid r c
+    | `Apollonian (n, s) -> Generators.random_apollonian n ~seed:s
+  in
+  let n = Graph.n g in
+  let st = Random.State.make [| seed; 41 |] in
+  let plans =
+    Array.init ((per * n / 2) + extra) (fun _ ->
+        let src = Random.State.int st n in
+        if walks then walk_plan g st src (Random.State.int st 12)
+        else if Random.State.float st 1. < hot then bfs_plan g src (n / 2)
+        else if Random.State.int st 8 = 0 then [| src |]
+        else bfs_plan g src (Random.State.int st n))
+  in
+  (g, plans)
+
+(* a run's result, or the exception it raised *)
+let outcome f = match f () with r -> Ok r | exception e -> Error e
+
+let qcheck_witness_matches_reference =
+  QCheck.Test.make
+    ~name:"witness loop = simulator-hosted witness, field for field"
+    ~count:150
+    (QCheck.make ~print:witness_case_print witness_case_gen)
+    (fun ((_, _, _, _, max_rounds, _) as case) ->
+      let g, plans = witness_inputs case in
+      (* field for field: deliveries in order, arrival rounds, held and
+         the whole stats record, or the same exception *)
+      outcome (fun () -> Distr.Witness_routing.run g ~plans ~max_rounds)
+      = outcome (fun () -> Witness_reference.run g ~plans ~max_rounds))
+
+(* The serve_congest slices of the end-to-end benchmark at seed 1, built
+   as its inputs are: the 64x64 grid and the fixed Apollonian graph,
+   prepared Charged by cut-matching at epsilon 0.5 and seed 20220711,
+   the routing service at seed 31, the slice from stream [1; 2]. The
+   shipped run equals the reference, meters included, and its traced
+   congest.messages, congest.bits and net.active_vertices are pinned at
+   the values the benchmark reports; the same plans cut off at 0, 1, 37
+   and 300 rounds leave tokens held and in flight. *)
+let test_e2e_slices_match_reference () =
+  let grid = Generators.grid 64 64 in
+  let planar = Generators.random_apollonian 4096 ~seed:20220711 in
+  let service g =
+    let p =
+      Core.Pipeline.prepare ~mode:Core.Pipeline.Charged
+        ~engine:Core.Pipeline.Cut_matching_engine g ~epsilon:0.5
+        ~seed:20220711
+    in
+    Core.Pipeline.routing_service ~seed:31 p
+  in
+  let grid_svc = service grid and planar_svc = service planar in
+  List.iter
+    (fun (name, g, svc, hotspot, count, pinned) ->
+      let n = Graph.n g in
+      let st = Random.State.make [| 1; 2 |] in
+      let slice =
+        Array.init count (fun _ ->
+            let src = Random.State.int st n in
+            let dst =
+              if hotspot && Random.State.float st 1.0 < 0.9 then n / 2
+              else Random.State.int st n
+            in
+            { Route.Service.src; dst; weight = 1 })
+      in
+      let max_rounds = 1_000_000 in
+      let c, flat_meters =
+        router_meters (fun () ->
+            Route.Service.serve_congest svc slice ~max_rounds)
+      in
+      checkb (name ^ ": shipper matches planner") true
+        c.Route.Service.match_planner;
+      let plans =
+        Route.Service.plan svc slice |> Array.to_list
+        |> List.filter (fun p -> Array.length p > 0)
+        |> Array.of_list
+      in
+      let sim, sim_meters =
+        router_meters (fun () -> Witness_reference.run g ~plans ~max_rounds)
+      in
+      checkb (name ^ ": flat loop = simulator-hosted witness") true
+        (c.Route.Service.routed = sim);
+      Alcotest.(check (list int))
+        (name ^ ": net and active-vertex meters") sim_meters flat_meters;
+      (match flat_meters with
+      | [ _; _; messages; bits; active; _ ] ->
+          Alcotest.(check (list int))
+            (name ^ ": messages, bits, active vertices") pinned
+            [ messages; bits; active ]
+      | _ -> assert false);
+      List.iter
+        (fun max_rounds ->
+          checkb
+            (Printf.sprintf "%s: cut off at %d rounds" name max_rounds)
+            true
+            (Distr.Witness_routing.run g ~plans ~max_rounds
+            = Witness_reference.run g ~plans ~max_rounds))
+        [ 0; 1; 37; 300 ])
+    [
+      ("grid-uniform", grid, grid_svc, false, 1_000, [ 79929; 3157884; 77008 ]);
+      ("grid-hotspot", grid, grid_svc, true, 1_000, [ 67459; 3059748; 67785 ]);
+      ( "planar-uniform", planar, planar_svc, false, 20_000,
+        [ 76778; 4483590; 68079 ] );
+      ( "planar-hotspot", planar, planar_svc, true, 20_000,
+        [ 70205; 5047815; 59156 ] );
+    ]
 
 (* qcheck: the serve summary's congestion_total always equals the
    weighted sum of the planned path lengths, and the per-edge loads equal
@@ -1291,6 +1457,12 @@ let () =
           tc "rejects bad input" test_walk_rejects_bad_input;
           tc "app walks = simulator-hosted walk" test_app_walks_match_reference;
           qt qcheck_walk_matches_reference;
+        ] );
+      ( "witness",
+        [
+          tc "e2e slices = simulator-hosted witness"
+            test_e2e_slices_match_reference;
+          qt qcheck_witness_matches_reference;
         ] );
       ( "conservation",
         [

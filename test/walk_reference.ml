@@ -13,8 +13,8 @@ open Congest
 
 type state = {
   rng : Random.State.t;
-  active : Distr.Int_fifo.t;
-  waiting : Distr.Int_fifo.t array;
+  active : Int_fifo.t;
+  waiting : Int_fifo.t array;
   mutable absorbed_rev : int list;  (* token ids, newest first *)
   mutable expired : int;
   mutable holding : int;            (* tokens in [active] + [waiting] *)
@@ -28,14 +28,14 @@ let advance_active st row span =
   let deg = Array.length row in
   let walk_len = span - 1 in
   let expired = ref 0 in
-  for _ = 1 to Distr.Int_fifo.length st.active do
-    let tok = Distr.Int_fifo.pop st.active in
+  for _ = 1 to Int_fifo.length st.active do
+    let tok = Int_fifo.pop st.active in
     if tok mod span >= walk_len then incr expired
     else begin
       let stay = deg = 0 || Random.State.bool st.rng in
-      if stay then Distr.Int_fifo.push st.active (tok + 1)
+      if stay then Int_fifo.push st.active (tok + 1)
       else
-        Distr.Int_fifo.push st.waiting.(Random.State.int st.rng deg) (tok + 1)
+        Int_fifo.push st.waiting.(Random.State.int st.rng deg) (tok + 1)
     end
   done;
   !expired
@@ -71,8 +71,8 @@ let run ?exec ?faults (view : Distr.Cluster_view.t) ~leader_of ~tokens_of
     let st =
       {
         rng = Random.State.make [| seed; ctx.id; 7919 |];
-        active = Distr.Int_fifo.create ();
-        waiting = Array.init deg (fun _ -> Distr.Int_fifo.create ());
+        active = Int_fifo.create ();
+        waiting = Array.init deg (fun _ -> Int_fifo.create ());
         absorbed_rev = [];
         expired = 0;
         holding = 0;
@@ -85,7 +85,7 @@ let run ?exec ?faults (view : Distr.Cluster_view.t) ~leader_of ~tokens_of
       done
     else
       for id = lo to hi - 1 do
-        Distr.Int_fifo.push st.active (id * span);
+        Int_fifo.push st.active (id * span);
         st.holding <- st.holding + 1
       done;
     st
@@ -99,7 +99,7 @@ let run ?exec ?faults (view : Distr.Cluster_view.t) ~leader_of ~tokens_of
     else
       List.iter
         (fun (_, tok) ->
-          Distr.Int_fifo.push st.active tok;
+          Int_fifo.push st.active tok;
           st.holding <- st.holding + 1)
         inbox;
     let expired = advance_active st intra.(v) span in
@@ -111,9 +111,9 @@ let run ?exec ?faults (view : Distr.Cluster_view.t) ~leader_of ~tokens_of
     let send = ref [] in
     for j = Array.length intra.(v) - 1 downto 0 do
       let q = st.waiting.(j) in
-      let k = Int.min capacity (Distr.Int_fifo.length q) in
+      let k = Int.min capacity (Int_fifo.length q) in
       for _ = 1 to k do
-        send := (intra.(v).(j), Distr.Int_fifo.pop q) :: !send
+        send := (intra.(v).(j), Int_fifo.pop q) :: !send
       done;
       st.holding <- st.holding - k
     done;
