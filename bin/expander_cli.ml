@@ -169,7 +169,9 @@ let decompose_cmd =
         let _, worst =
           Spectral.Expander_decomposition.verify ~power_iters:120 ~seed:0 g d
         in
-        Printf.printf "measured min cluster conductance: %.4f\n" worst;
+        Printf.printf
+          "smallest cluster cut found: conductance %.4f (an upper bound)\n"
+          worst;
         (d.labels, d.k, List.length d.inter_edges, d.tau)
       end
     in

@@ -13,10 +13,11 @@
     forwards at most [capacity] tokens per edge per round (capacity =
     bandwidth / token size); excess tokens retry on later rounds (their
     sampled step is kept, so the walk distribution is unchanged, only
-    delayed). It runs as its own flat round loop, not on
-    {!Congest.Network.run}; the test suite runs the same round function
-    on the simulator, which does enforce the budget, and checks that
-    both give the same result, statistics included. *)
+    delayed). It runs on {!Token_loop}, the flat round kernel it shares
+    with {!Witness_routing}, not on {!Congest.Network.run}; the test
+    suite runs the same round function on the simulator, which does
+    enforce the budget, and checks that both give the same result,
+    statistics included. *)
 
 type token = {
   origin : int;  (** vertex that created the token *)

@@ -13,14 +13,15 @@
     default budget an edge moves [((budget / id_bits) - 1) / 2] tokens
     per round. The excess parks in per-neighbor queues.
 
-    The rounds run as a loop of their own over flat int arrays, not on
-    {!Congest.Network.run}: vertices step in ascending order, inboxes
-    fill in sender order and flights keep their queue order, so the
-    deliveries, arrival rounds and {!Congest.Network.stats} are those the
-    simulator reports for the same round function (the test suite keeps
-    it there as the reference, and compares the two field for field). It
-    draws no randomness: the outcome is a pure function of the plans, so
-    planner and shipper deliver the same multiset of demands. *)
+    The rounds run on {!Token_loop}, the flat round kernel it shares
+    with {!Walk_routing}, not on {!Congest.Network.run}: vertices step
+    in ascending order, inboxes fill in sender order and flights keep
+    their queue order, so the deliveries, arrival rounds and
+    {!Congest.Network.stats} are those the simulator reports for the
+    same round function (the test suite keeps it there as the
+    reference, and compares the two field for field). It draws no
+    randomness: the outcome is a pure function of the plans, so planner
+    and shipper deliver the same multiset of demands. *)
 
 type result = {
   delivered : (int * int list) list;

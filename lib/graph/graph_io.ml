@@ -1,13 +1,9 @@
-let to_string ?weights g =
+let to_string g =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "# expander-congest edge list\n";
   Buffer.add_string buf (Printf.sprintf "%d %d\n" (Graph.n g) (Graph.m g));
-  Graph.iter_edges g (fun e u v ->
-      match weights with
-      | None -> Buffer.add_string buf (Printf.sprintf "%d %d\n" u v)
-      | Some w ->
-          Buffer.add_string buf
-            (Printf.sprintf "%d %d %d\n" u v (Weights.get w e)));
+  Graph.iter_edges g (fun _ u v ->
+      Buffer.add_string buf (Printf.sprintf "%d %d\n" u v));
   Buffer.contents buf
 
 (* lint: allow U001 test oracle: round trip against save *)
@@ -36,33 +32,15 @@ let of_string s =
               (Printf.sprintf
                  "Graph_io.of_string: expected %d edge lines, got %d" m
                  (List.length rest));
-          let parsed = List.map ints rest in
           let edges =
             List.map
-              (function
-                | [ u; v ] | [ u; v; _ ] -> (u, v)
+              (fun line ->
+                match ints line with
+                | [ u; v ] -> (u, v)
                 | _ -> failwith "Graph_io.of_string: bad edge line")
-              parsed
+              rest
           in
-          let g = Graph.of_edges n edges in
-          let all_weighted =
-            parsed <> [] && List.for_all (fun l -> List.length l = 3) parsed
-          in
-          let weights =
-            if not all_weighted then None
-            else begin
-              let arr = Array.make (Graph.m g) 1 in
-              List.iter
-                (function
-                  | [ u; v; w ] ->
-                      if u <> v then
-                        arr.(Graph.find_edge g u v) <- w
-                  | _ -> ())
-                parsed;
-              Some (Weights.of_array g arr)
-            end
-          in
-          (g, weights)
+          Graph.of_edges n edges
       | _ -> failwith "Graph_io.of_string: header must be \"n m\"")
 
 let save g ~path =

@@ -2,16 +2,16 @@
     export, so generated workloads can be saved and visualized by
     downstream users. *)
 
-(** Format: first non-comment line ["n m"], then [m] lines ["u v"] (or
-    ["u v w"] with weights); ['#'] starts a comment. *)
+(** Format: first non-comment line ["n m"], then [m] lines ["u v"];
+    ['#'] starts a comment. *)
 
-(** [to_string ?weights g] serializes. *)
-val to_string : ?weights:Weights.t -> Graph.t -> string
+(** [to_string g] serializes. *)
+val to_string : Graph.t -> string
 
-(** [of_string s] parses; returns the graph and the weights if every edge
-    line carried one.
-    @raise Failure on malformed input. *)
-val of_string : string -> Graph.t * Weights.t option
+(** [of_string s] parses.
+    @raise Failure on malformed input, including an edge line that
+    does not hold exactly two ints. *)
+val of_string : string -> Graph.t
 
 (** [save g ~path] writes the unweighted {!to_string} of [g] to [path]. *)
 val save : Graph.t -> path:string -> unit

@@ -101,12 +101,13 @@ val decompose :
 val inter_fraction : Sparse_graph.Graph.t -> t -> float
 
 (** [verify ~power_iters ~seed g t] checks the two decomposition
-    requirements and returns [(inter_ok, min_cluster_conductance_lb)]:
+    requirements and returns [(inter_ok, min_cluster_cut_conductance)]:
     [inter_ok] is [|E^r| <= epsilon * m]; the float is the smallest
-    per-cluster conductance bound (exact value for clusters of at most 14
-    vertices, for larger clusters the sweep-cut upper bound after
-    [power_iters] steps from [seed] — an upper bound can only
-    under-certify, never over-certify), over the clusters of
+    conductance of a cut found in any cluster: the exact value for
+    clusters of at most 14 vertices, and for larger clusters the best
+    sweep cut after [power_iters] steps from [seed], which is a real cut
+    and so an upper bound on that cluster's conductance. The minimum is
+    taken over the clusters of
     {!Sparse_graph.Graph_ops.clusters}, certified on [pool]. The
     centralized decompositions are checked at [~power_iters:120 ~seed:0],
     the distributed one at [~power_iters:200 ~seed:1]. *)

@@ -1,14 +1,10 @@
-let table =
-  lazy
-    (let t = Array.make 65536 0 in
-     for i = 1 to 65535 do
-       t.(i) <- t.(i lsr 1) + (i land 1)
-     done;
-     t)
-
+(* Clearing the lowest set bit once per set bit needs no table, so
+   nothing is shared between domains, and [x land (x - 1)] reaches 0 on
+   every int, the sign bit included. *)
 let popcount x =
-  let t = Lazy.force table in
-  let rec go x acc =
-    if x = 0 then acc else go (x lsr 16) (acc + t.(x land 0xffff))
-  in
-  go x 0
+  let x = ref x and c = ref 0 in
+  while !x <> 0 do
+    x := !x land (!x - 1);
+    incr c
+  done;
+  !c

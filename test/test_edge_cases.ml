@@ -166,7 +166,7 @@ let prop_io_roundtrip =
   QCheck.Test.make ~name:"graph IO roundtrip preserves the edge set"
     ~count:100 arb_small (fun input ->
       let g = build input in
-      let g', _ = Graph_io.of_string (Graph_io.to_string g) in
+      let g' = Graph_io.of_string (Graph_io.to_string g) in
       Graph.n g = Graph.n g'
       && Graph.m g = Graph.m g'
       && Graph.fold_edges g (fun acc _ u v -> acc && Graph.mem_edge g' u v) true)

@@ -437,29 +437,19 @@ let graphs_equal a b =
 
 let test_io_roundtrip () =
   let g = Generators.random_apollonian 30 ~seed:80 in
-  let g', w = Graph_io.of_string (Graph_io.to_string g) in
-  checkb "unweighted roundtrip" true (graphs_equal g g');
-  checkb "no weights" true (w = None)
-
-let test_io_weighted_roundtrip () =
-  let g = Generators.grid 4 4 in
-  let w = Weights.random g ~max_w:9 ~seed:81 in
-  let g', w' = Graph_io.of_string (Graph_io.to_string ~weights:w g) in
-  checkb "graph matches" true (graphs_equal g g');
-  match w' with
-  | None -> Alcotest.fail "weights lost"
-  | Some w' ->
-      Graph.iter_edges g (fun e u v ->
-          check "weight preserved" (Weights.get w e)
-            (Weights.get w' (Graph.find_edge g' u v)))
+  let g' = Graph_io.of_string (Graph_io.to_string g) in
+  checkb "unweighted roundtrip" true (graphs_equal g g')
 
 let test_io_comments_and_errors () =
-  let g, _ = Graph_io.of_string "# hi\n3 2\n0 1\n# mid\n1 2\n" in
+  let g = Graph_io.of_string "# hi\n3 2\n0 1\n# mid\n1 2\n" in
   check "n" 3 (Graph.n g);
   check "m" 2 (Graph.m g);
   (match Graph_io.of_string "3 5\n0 1\n" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure on count mismatch");
+  (match Graph_io.of_string "2 1\n0 1 5\n" with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "expected failure on a weighted edge line");
   match Graph_io.of_string "nope" with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "expected failure on bad header"
@@ -468,7 +458,7 @@ let test_io_file_roundtrip () =
   let g = Generators.random_tree 25 ~seed:82 in
   let path = Filename.temp_file "graphio" ".txt" in
   Graph_io.save g ~path;
-  let g', _ = Graph_io.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let g' = Graph_io.of_string (In_channel.with_open_bin path In_channel.input_all) in
   Sys.remove path;
   checkb "file roundtrip" true (graphs_equal g g')
 
@@ -853,7 +843,6 @@ let () =
       ( "graph_io",
         [
           tc "roundtrip" test_io_roundtrip;
-          tc "weighted roundtrip" test_io_weighted_roundtrip;
           tc "comments and errors" test_io_comments_and_errors;
           tc "file roundtrip" test_io_file_roundtrip;
           tc "dot export" test_dot_output;

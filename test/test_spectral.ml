@@ -518,6 +518,19 @@ let prop_exact_phi_below_any_cut =
         c = 0. || phi <= c +. 1e-9
       end)
 
+(* Popcount is checked against a bit-by-bit count over every int,
+   the sign bit included *)
+let prop_popcount_bitwise =
+  QCheck.Test.make ~name:"popcount equals a bit-by-bit count" ~count:1000
+    (QCheck.make ~print:string_of_int
+       QCheck.Gen.(oneof [ int; oneofl [ min_int; max_int; -1; 0 ] ]))
+    (fun x ->
+      let bits = ref 0 in
+      for i = 0 to Sys.int_size - 1 do
+        if x land (1 lsl i) <> 0 then incr bits
+      done;
+      Spectral.Popcount.popcount x = !bits)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -528,6 +541,7 @@ let qcheck_cases =
       prop_decomposition_budget;
       prop_decomposition_covers;
       prop_exact_phi_below_any_cut;
+      prop_popcount_bitwise;
     ]
 
 let () =
